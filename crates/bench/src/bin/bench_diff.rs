@@ -17,10 +17,11 @@
 //!   intentional small refinements.
 //! * **Wall time** (machine-dependent): only when `--wall-tolerance` is
 //!   given, the report's `perf.wall_seconds` must not exceed the baseline by
-//!   more than that fraction. Use a generous value when baseline and current
-//!   come from different machines.
+//!   more than that fraction. Baselines under 0.1 s are not gated (timer and
+//!   scheduler jitter dominate there). Use a generous value when baseline
+//!   and current come from different machines.
 //!
-//! Perf fields outside the gated set are observability-only and ignored —
+//! Every other perf field is observability-only and ignored —
 //! e.g. `perf.cluster` (stamped by `msfu serve --workers N`) never affects a
 //! comparison, which is what lets the CI `cluster-smoke` job diff sharded
 //! runs against serial baselines at `--tolerance 0.0`. One structural
@@ -198,18 +199,16 @@ fn check_same_configs(name: &str, base_rows: &[Value], cur_rows: &[Value]) -> Re
     ))
 }
 
-/// Gates one metric cell. Non-finite values and zero baselines (against
+/// Gates one metric cell: it regresses when it grows past
+/// `base * (1 + tolerance)`. Non-finite values and zero baselines (against
 /// which a relative tolerance is undefined) are explicit errors, never a
-/// silent pass. `higher_is_better` flips the gate: a latency or wall-time
-/// cell regresses when it grows past `base * (1 + tol)`, a speedup cell
-/// regresses when it shrinks below `base / (1 + tol)`.
+/// silent pass.
 fn gate_cell(
     name: &str,
     what: &str,
     base: f64,
     cur: f64,
     tolerance: f64,
-    higher_is_better: bool,
     regressions: &mut Vec<Regression>,
 ) -> Result<(), String> {
     if !base.is_finite() || !cur.is_finite() {
@@ -226,12 +225,7 @@ fn gate_cell(
              (current {cur}); refresh the baselines"
         ));
     }
-    let regressed = if higher_is_better {
-        cur < base / (1.0 + tolerance)
-    } else {
-        cur > base * (1.0 + tolerance)
-    };
-    if regressed {
+    if cur > base * (1.0 + tolerance) {
         regressions.push(Regression {
             report: name.to_string(),
             what: what.to_string(),
@@ -312,111 +306,40 @@ fn compare_report(
                 base,
                 cur,
                 args.tolerance,
-                false,
                 regressions,
             )?;
         }
     }
     if let Some(wall_tol) = args.wall_tolerance {
-        // The machine-dependent wall metrics share one coarse tolerance: the
-        // sweep's end-to-end wall time, the mapping-phase refinement time
-        // (the delta-cost path must not quietly regress towards the
-        // full-recompute reference), and the lane-batched speedup over
-        // sequential runs (higher is better — the batch engine must not
-        // quietly decay back to one-run-at-a-time throughput). Each metric
-        // names the wall-seconds cell whose *baseline* must clear the noise
-        // floor for ratio-gating to be meaningful; for the speedup that is
-        // the timed batched window, not the ratio itself.
-        for metric in [
-            WallMetric {
-                what: "perf.wall_seconds",
-                path: &["perf", "wall_seconds"],
-                floor_path: &["perf", "wall_seconds"],
-                higher_is_better: false,
-            },
-            WallMetric {
-                what: "perf.mapping.refine_seconds",
-                path: &["perf", "mapping", "refine_seconds"],
-                floor_path: &["perf", "mapping", "refine_seconds"],
-                higher_is_better: false,
-            },
-            WallMetric {
-                what: "perf.batch.speedup_vs_sequential",
-                path: &["perf", "batch", "speedup_vs_sequential"],
-                floor_path: &["perf", "batch", "batched_seconds"],
-                higher_is_better: true,
-            },
-        ] {
-            let read = |v: &Value, path: &[&str]| {
-                let mut node = v;
-                for key in path {
-                    node = node.get(key)?;
-                }
-                node.as_f64()
-            };
-            let what = metric.what;
-            // A baseline predating a metric (or lacking an FD point, or run
-            // with lane batching off) simply skips it; a *current* report
-            // that dropped a metric its baseline carries is structural drift
-            // and must fail loudly — otherwise the exact gate this field
-            // exists for silently disappears.
-            match (read(baseline, metric.path), read(current, metric.path)) {
-                (Some(_), None) => {
-                    return Err(format!(
-                        "{name}: baseline records {what} but the current report lacks it; \
-                         the metric can no longer be gated — refresh the baselines if \
-                         intentional"
-                    ));
-                }
-                (Some(base), Some(cur)) => {
-                    let Some(floor) = read(baseline, metric.floor_path) else {
-                        return Err(format!(
-                            "{name}: baseline records {what} but lacks its gating-floor cell \
-                             {}; the report is corrupt",
-                            metric.floor_path.join("."),
-                        ));
-                    };
-                    if floor < MIN_GATED_WALL_SECONDS {
-                        // A sub-noise-floor baseline (e.g. the millisecond
-                        // search smoke) cannot be ratio-gated: scheduler
-                        // jitter alone exceeds any reasonable tolerance. Say
-                        // so instead of flaking or silently skipping.
-                        eprintln!(
-                            "[bench-diff] NOTE: {name}: baseline {} {floor:.4}s is below the \
-                             {MIN_GATED_WALL_SECONDS}s gating floor; {what} not gated",
-                            metric.floor_path.join("."),
-                        );
-                    } else {
-                        gate_cell(
-                            name,
-                            what,
-                            base,
-                            cur,
-                            wall_tol,
-                            metric.higher_is_better,
-                            regressions,
-                        )?;
-                    }
-                }
-                (None, _) => {}
+        let wall = |v: &Value| v.get("perf")?.get("wall_seconds")?.as_f64();
+        // A baseline predating the stamp simply skips the gate; a *current*
+        // report that dropped the wall time its baseline carries is
+        // structural drift and must fail loudly — otherwise the gate
+        // silently disappears.
+        match (wall(baseline), wall(current)) {
+            (Some(_), None) => {
+                return Err(format!(
+                    "{name}: baseline records perf.wall_seconds but the current report lacks \
+                     it; wall time can no longer be gated — refresh the baselines if intentional"
+                ));
             }
+            (Some(base), Some(_)) if base < MIN_GATED_WALL_SECONDS => {
+                // A sub-noise-floor baseline (e.g. the millisecond search
+                // smoke) cannot be ratio-gated: scheduler jitter alone
+                // exceeds any reasonable tolerance. Say so instead of
+                // flaking or silently skipping.
+                eprintln!(
+                    "[bench-diff] NOTE: {name}: baseline perf.wall_seconds {base:.4}s is below \
+                     the {MIN_GATED_WALL_SECONDS}s gating floor; wall time not gated"
+                );
+            }
+            (Some(base), Some(cur)) => {
+                gate_cell(name, "perf.wall_seconds", base, cur, wall_tol, regressions)?;
+            }
+            (None, _) => {}
         }
     }
     Ok(())
-}
-
-/// One machine-dependent metric gated under `--wall-tolerance`.
-struct WallMetric {
-    /// Dotted metric name as printed in regressions and errors.
-    what: &'static str,
-    /// JSON path of the gated value.
-    path: &'static [&'static str],
-    /// JSON path of the wall-seconds cell whose baseline value must clear
-    /// [`MIN_GATED_WALL_SECONDS`] — the metric itself for raw timings, the
-    /// underlying timed window for derived ratios.
-    floor_path: &'static [&'static str],
-    /// Whether a *drop* (rather than a rise) past tolerance is a regression.
-    higher_is_better: bool,
 }
 
 /// Baseline wall times below this are not ratio-gated: at millisecond scale,
@@ -577,131 +500,6 @@ mod tests {
         compare_report("t", &base, &slow_wall, &args(0.10, Some(0.5)), &mut regs).unwrap();
         assert_eq!(regs.len(), 1);
         assert_eq!(regs[0].what, "perf.wall_seconds");
-    }
-
-    /// Adds a `perf.mapping.refine_seconds` cell to a fixture report.
-    fn with_mapping_refine(mut r: Value, refine_seconds: f64) -> Value {
-        if let Value::Object(entries) = &mut r {
-            if let Some((_, Value::Object(perf))) = entries.iter_mut().find(|(k, _)| k == "perf") {
-                perf.push((
-                    "mapping".into(),
-                    Value::Object(vec![(
-                        "refine_seconds".into(),
-                        Value::Float(refine_seconds),
-                    )]),
-                ));
-            }
-        }
-        r
-    }
-
-    #[test]
-    fn mapping_phase_regression_is_gated_under_wall_tolerance() {
-        let base = with_mapping_refine(report(&[100], 1.0), 1.0);
-        let slow = with_mapping_refine(report(&[100], 1.0), 4.0);
-        let mut regs = Vec::new();
-        compare_report("t", &base, &slow, &args(0.10, None), &mut regs).unwrap();
-        assert!(regs.is_empty(), "ungated without --wall-tolerance");
-        compare_report("t", &base, &slow, &args(0.10, Some(2.0)), &mut regs).unwrap();
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].what, "perf.mapping.refine_seconds");
-        // A baseline without the field (pre-metric report) is skipped.
-        let old_base = report(&[100], 1.0);
-        let mut regs = Vec::new();
-        compare_report("t", &old_base, &slow, &args(0.10, Some(2.0)), &mut regs).unwrap();
-        assert!(regs.is_empty());
-        // A *current* report that dropped a gated metric its baseline
-        // carries is an explicit error, not a silent skip.
-        let current_without = report(&[100], 1.0);
-        let err = compare_report(
-            "t",
-            &base,
-            &current_without,
-            &args(0.10, Some(2.0)),
-            &mut regs,
-        )
-        .expect_err("dropping a gated metric must error");
-        assert!(err.contains("perf.mapping.refine_seconds"), "{err}");
-    }
-
-    /// Adds a `perf.batch` block (speedup + its timed window) to a fixture.
-    fn with_batch(mut r: Value, speedup: f64, batched_seconds: f64) -> Value {
-        if let Value::Object(entries) = &mut r {
-            if let Some((_, Value::Object(perf))) = entries.iter_mut().find(|(k, _)| k == "perf") {
-                perf.push((
-                    "batch".into(),
-                    Value::Object(vec![
-                        ("batched_seconds".into(), Value::Float(batched_seconds)),
-                        ("speedup_vs_sequential".into(), Value::Float(speedup)),
-                    ]),
-                ));
-            }
-        }
-        r
-    }
-
-    #[test]
-    fn batch_speedup_drop_is_gated_under_wall_tolerance() {
-        let base = with_batch(report(&[100], 1.0), 3.0, 0.5);
-        let decayed = with_batch(report(&[100], 1.0), 1.2, 0.5);
-        let mut regs = Vec::new();
-        compare_report("t", &base, &decayed, &args(0.10, None), &mut regs).unwrap();
-        assert!(regs.is_empty(), "ungated without --wall-tolerance");
-        // 1.2 < 3.0 / (1 + 0.5) = 2.0 → regression.
-        compare_report("t", &base, &decayed, &args(0.10, Some(0.5)), &mut regs).unwrap();
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].what, "perf.batch.speedup_vs_sequential");
-        // The drop prints as a signed negative delta, not "+-60%".
-        assert!(regs[0].to_string().contains("(-60.0%)"), "{}", regs[0]);
-        // A drop within tolerance passes: 2.5 ≥ 3.0 / 1.5.
-        let mut regs = Vec::new();
-        let ok = with_batch(report(&[100], 1.0), 2.5, 0.5);
-        compare_report("t", &base, &ok, &args(0.10, Some(0.5)), &mut regs).unwrap();
-        assert!(regs.is_empty());
-        // An *improvement* in speedup (higher) always passes.
-        let faster = with_batch(report(&[100], 1.0), 9.0, 0.5);
-        compare_report("t", &base, &faster, &args(0.10, Some(0.5)), &mut regs).unwrap();
-        assert!(regs.is_empty());
-        // A baseline without the block (lane batching off) is skipped.
-        let old_base = report(&[100], 1.0);
-        compare_report("t", &old_base, &decayed, &args(0.10, Some(0.5)), &mut regs).unwrap();
-        assert!(regs.is_empty());
-        // A current report that dropped the gated speedup errors loudly.
-        let current_without = report(&[100], 1.0);
-        let err = compare_report(
-            "t",
-            &base,
-            &current_without,
-            &args(0.10, Some(0.5)),
-            &mut regs,
-        )
-        .expect_err("dropping a gated batch metric must error");
-        assert!(err.contains("perf.batch.speedup_vs_sequential"), "{err}");
-    }
-
-    #[test]
-    fn batch_speedup_floor_reads_the_timed_window_not_the_ratio() {
-        // batched_seconds below the floor → the ratio is jitter-dominated
-        // and must not be gated, even on a huge apparent decay.
-        let tiny = with_batch(report(&[100], 1.0), 4.0, 0.001);
-        let decayed = with_batch(report(&[100], 1.0), 1.0, 0.001);
-        let mut regs = Vec::new();
-        compare_report("t", &tiny, &decayed, &args(0.10, Some(0.5)), &mut regs).unwrap();
-        assert!(regs.is_empty(), "sub-floor batched window must not gate");
-        // A speedup cell without its timed window is a corrupt report.
-        let mut no_window = report(&[100], 1.0);
-        if let Value::Object(entries) = &mut no_window {
-            if let Some((_, Value::Object(perf))) = entries.iter_mut().find(|(k, _)| k == "perf") {
-                perf.push((
-                    "batch".into(),
-                    Value::Object(vec![("speedup_vs_sequential".into(), Value::Float(4.0))]),
-                ));
-            }
-        }
-        let cur = with_batch(report(&[100], 1.0), 4.0, 0.5);
-        let err = compare_report("t", &no_window, &cur, &args(0.10, Some(0.5)), &mut regs)
-            .expect_err("missing floor cell must error");
-        assert!(err.contains("batched_seconds"), "{err}");
     }
 
     #[test]

@@ -24,8 +24,12 @@
 //!   grid that completes in minutes on a laptop);
 //! * `serial` — run the sweep sequentially instead of in parallel (the
 //!   baseline for speedup measurements; results are bit-identical);
-//! * `--json` — additionally serialise the full [`SweepResults`] to
-//!   `BENCH_<name>.json` so perf trajectories can be tracked over time.
+//! * `--cache-dir <DIR>` — serve already simulated evaluations from a
+//!   persistent cache directory (rows are byte-identical either way);
+//! * `--json` — additionally write a [`BenchReport`] to `BENCH_<name>.json`:
+//!   the full [`SweepResults`] plus a [`SweepPerf`] stamp of what the run
+//!   measured itself (wall time, mode, point count, cache counters), which
+//!   `bench-diff` gates run over run.
 //!
 //! Criterion benches (`cargo bench -p msfu-bench`) measure the runtime
 //! scalability of the mapping algorithms themselves (Section VI-B3) and the
@@ -33,8 +37,6 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
-
-pub mod perf;
 
 use std::time::Duration;
 
@@ -47,8 +49,6 @@ use msfu_core::{
 use msfu_distill::{FactoryConfig, ReusePolicy};
 use msfu_layout::{ForceDirectedConfig, StitchingConfig};
 use msfu_service::{JobHandle, Payload, Request, Service};
-
-use crate::perf::PerfStamp;
 
 /// Execution mode of a figure/table binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,9 +104,6 @@ pub struct HarnessArgs {
     pub serial: bool,
     /// Also write the sweep results to `BENCH_<name>.json`.
     pub json: bool,
-    /// Lane-batching width override (`--lanes <K>`; 0 disables batching).
-    /// `None` keeps the spec's own width.
-    pub lanes: Option<usize>,
     /// Persistent evaluation-cache directory (`--cache-dir <DIR>`): already
     /// simulated evaluations are served from disk, new ones appended. Rows
     /// are byte-identical with or without it. `None` keeps runs memory-only.
@@ -114,19 +111,17 @@ pub struct HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parses `full`, `serial`, `--json`, `--lanes <K>` and
-    /// `--cache-dir <DIR>` out of the process arguments.
+    /// Parses `full`, `serial`, `--json` and `--cache-dir <DIR>` out of the
+    /// process arguments.
     ///
     /// # Panics
     ///
-    /// Panics when `--lanes` is missing its value or the value is not a
-    /// non-negative integer, or when `--cache-dir` is missing its directory.
+    /// Panics when `--cache-dir` is missing its directory.
     pub fn from_env() -> Self {
         let mut args = HarnessArgs {
             mode: Mode::from_args(),
             serial: false,
             json: false,
-            lanes: None,
             cache_dir: None,
         };
         let argv: Vec<String> = std::env::args().collect();
@@ -135,17 +130,6 @@ impl HarnessArgs {
             match argv[i].as_str() {
                 "serial" | "--serial" => args.serial = true,
                 "--json" => args.json = true,
-                "--lanes" => {
-                    let value = argv.get(i + 1).unwrap_or_else(|| {
-                        panic!("--lanes requires a value (0 disables batching)")
-                    });
-                    args.lanes = Some(
-                        value
-                            .parse()
-                            .unwrap_or_else(|_| panic!("--lanes: `{value}` is not a lane count")),
-                    );
-                    i += 1;
-                }
                 "--cache-dir" => {
                     let value = argv
                         .get(i + 1)
@@ -161,14 +145,27 @@ impl HarnessArgs {
     }
 }
 
+/// Wall-time stamp of a sweep run; `bench-diff` reads `wall_seconds`.
+#[derive(Debug, Clone, Serialize)]
+pub struct SweepPerf {
+    /// End-to-end sweep wall time in seconds (mapping + simulation).
+    pub wall_seconds: f64,
+    /// Whether the sweep ran on all cores or serially.
+    pub parallel: bool,
+    /// Number of sweep points evaluated.
+    pub points: usize,
+    /// Evaluation-cache counters of the run.
+    pub cache: msfu_core::CacheStats,
+}
+
 /// A `BENCH_<name>.json` report: the sweep results plus the perf stamp the
 /// regression gate (`bench-diff`) compares run over run.
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchReport {
     /// The sweep's name.
     pub name: String,
-    /// Wall-time/throughput stamp for this run.
-    pub perf: PerfStamp,
+    /// Wall-time stamp for this run.
+    pub perf: SweepPerf,
     /// The sweep results (deterministic across machines and thread counts).
     pub results: SweepResults,
 }
@@ -188,35 +185,30 @@ pub struct BenchReport {
 /// valid configurations) or if the JSON report cannot be written.
 pub fn run_spec(spec: &SweepSpec, args: &HarnessArgs) -> SweepResults {
     let mut spec = spec.clone();
-    if let Some(lanes) = args.lanes {
-        spec = spec.with_lanes(lanes);
-    }
     if let Some(dir) = &args.cache_dir {
         spec = spec.with_cache_dir(dir.clone());
     }
     let spec = &spec;
-    // Cache and batch counters are sampled from the process-wide totals
-    // around the service call: the per-run counters live on `SweepOutcome`,
-    // which the service facade's pinned `Response` shape does not expose.
-    // Each harness binary runs exactly one job per process, so the delta is
-    // that job's — a multi-job host must not reuse this sampling pattern.
+    // Cache counters are sampled from the process-wide totals around the
+    // service call: the per-run counters live on `SweepOutcome`, which the
+    // service facade's pinned `Response` shape does not expose. Each harness
+    // binary runs exactly one job per process, so the delta is that job's —
+    // a multi-job host must not reuse this sampling pattern.
     let cache_before = msfu_core::process_cache_stats();
-    let batch_before = msfu_core::process_batch_stats();
     let request = Request::sweep(spec.name.clone(), spec.clone()).with_serial(args.serial);
     let response = Service::new().run(&request, &JobHandle::new(), &NoProgress);
     let cache = msfu_core::process_cache_stats().since(&cache_before);
-    let batch = msfu_core::process_batch_stats().since(&batch_before);
     let results = match response.result {
         Ok(Payload::Sweep(results)) => results,
         Ok(_) => unreachable!("a sweep request yields a sweep payload"),
         Err(error) => panic!("sweep evaluation failed: {error}"),
     };
-    let wall = Duration::from_secs_f64(response.perf.wall_seconds);
+    let wall_seconds = response.perf.wall_seconds;
     eprintln!(
         "[sweep {}] {} points in {:.2?} ({}); eval cache {} hits / {} misses ({:.0}% hit rate){}",
         spec.name,
         spec.points.len(),
-        wall,
+        Duration::from_secs_f64(wall_seconds),
         if args.serial { "serial" } else { "parallel" },
         cache.hits,
         cache.misses,
@@ -224,53 +216,14 @@ pub fn run_spec(spec: &SweepSpec, args: &HarnessArgs) -> SweepResults {
         disk_summary(&cache, spec.cache_dir.is_some()),
     );
     if args.json {
-        // The run's counters carry the process-wide maximum lane width; pin
-        // the stamp to this spec's effective width instead.
-        let batch = (spec.lanes > 1).then(|| msfu_core::BatchStats {
-            lane_capacity: spec.lanes.min(msfu_sim::MAX_LANES),
-            ..batch
-        });
-        let stamp = perf::stamp(spec, &results, wall, !args.serial, Some(cache), batch);
-        eprintln!(
-            "[sweep {}] {:.0} cycles/s{}{}{}",
-            spec.name,
-            stamp.cycles_per_second,
-            stamp
-                .dense
-                .as_ref()
-                .map(|d| {
-                    format!(
-                        "; dense point {}/{}/{}: event-driven {:.1}x vs reference",
-                        d.label, d.strategy, d.capacity, d.speedup
-                    )
-                })
-                .unwrap_or_default(),
-            stamp
-                .mapping
-                .as_ref()
-                .map(|m| {
-                    format!(
-                        "; mapping {}/{}/{} ({} qubits): delta-cost {:.1}x vs full recompute",
-                        m.label, m.strategy, m.capacity, m.qubits, m.speedup
-                    )
-                })
-                .unwrap_or_default(),
-            stamp
-                .batch
-                .as_ref()
-                .map(|b| {
-                    format!(
-                        "; batch {} lanes, {:.0}% occupancy: {:.1}x vs sequential",
-                        b.lane_capacity,
-                        b.occupancy * 100.0,
-                        b.speedup_vs_sequential
-                    )
-                })
-                .unwrap_or_default()
-        );
         let report = BenchReport {
             name: spec.name.clone(),
-            perf: stamp,
+            perf: SweepPerf {
+                wall_seconds,
+                parallel: !args.serial,
+                points: results.rows.len(),
+                cache,
+            },
             results: results.clone(),
         };
         let path = format!("BENCH_{}.json", spec.name);
@@ -294,7 +247,7 @@ fn disk_summary(cache: &msfu_core::CacheStats, persistent: bool) -> String {
 }
 
 /// Wall-time stamp of a search run (the search analogue of
-/// [`PerfStamp`]; `bench-diff` reads `wall_seconds`).
+/// [`SweepPerf`]; `bench-diff` reads `wall_seconds`).
 #[derive(Debug, Clone, Serialize)]
 pub struct SearchPerf {
     /// End-to-end search wall time in seconds.
@@ -412,7 +365,7 @@ pub struct StreamSchedulerPerf {
 }
 
 /// Wall-time stamp of a streaming run (the stream analogue of
-/// [`PerfStamp`]; `bench-diff` reads `wall_seconds`).
+/// [`SweepPerf`]; `bench-diff` reads `wall_seconds`).
 #[derive(Debug, Clone, Serialize)]
 pub struct StreamPerf {
     /// End-to-end wall time in seconds (all schedulers).

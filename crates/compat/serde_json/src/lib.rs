@@ -22,6 +22,11 @@ impl std::error::Error for Error {}
 /// Convenience result alias mirroring `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
+/// Deepest array/object nesting [`from_str`] accepts (upstream serde_json's
+/// default recursion limit). The parser recurses once per level, so the
+/// limit keeps hostile input like 200 000 `[` from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses JSON text into a [`Value`] tree.
 ///
 /// Numbers parse as `UInt`/`Int` when integral and in range, `Float`
@@ -29,11 +34,13 @@ pub type Result<T> = std::result::Result<T, Error>;
 ///
 /// # Errors
 ///
-/// Returns a descriptive [`Error`] on malformed input or trailing data.
+/// Returns a descriptive [`Error`] on malformed input, trailing data, or
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn from_str(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -47,6 +54,8 @@ pub fn from_str(s: &str) -> Result<Value> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -88,11 +97,23 @@ impl Parser<'_> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one nesting level deeper, failing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value> {
@@ -428,6 +449,20 @@ mod tests {
         ] {
             assert!(from_str(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(from_str(&nest(MAX_DEPTH)).is_ok());
+        let err = from_str(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(from_str(&objects).is_ok());
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(from_str(&objects).is_err());
+        // Hostile depth errors instead of overflowing the stack.
+        assert!(from_str(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -69,7 +69,6 @@ pub mod stats;
 mod strategy;
 pub mod stream;
 pub mod sweep;
-pub mod throughput;
 pub mod wire;
 
 pub use cache::{process_cache_stats, CacheStats, EvalCache};
@@ -95,8 +94,8 @@ pub use stream::{
     SchedulerRegistry, SchedulerRun, StreamOutcome, StreamReport, StreamScheduler, StreamSpec,
 };
 pub use sweep::{
-    process_batch_stats, BatchStats, SweepIndex, SweepOutcome, SweepPoint, SweepResults, SweepRow,
-    SweepSpec, DEFAULT_LANES,
+    BatchStats, SweepIndex, SweepOutcome, SweepPoint, SweepResults, SweepRow, SweepSpec,
+    DEFAULT_LANES,
 };
 
 /// Convenience result alias used by fallible APIs in this crate.

@@ -33,7 +33,6 @@
 //! ```
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use rayon::prelude::*;
@@ -166,8 +165,7 @@ pub struct SweepOutcome {
     pub batch: BatchStats,
 }
 
-/// Lane-occupancy counters of one sweep run (or of the whole process, see
-/// [`process_batch_stats`]).
+/// Lane-occupancy counters of one sweep run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct BatchStats {
     /// The lane width the run batched at (0 when batching was disabled).
@@ -195,53 +193,6 @@ impl BatchStats {
         }
         self.lanes_filled as f64 / (self.batches * self.lane_capacity as u64) as f64
     }
-
-    /// Counter increments since `earlier` (for sampling the process-wide
-    /// totals around one run). `lane_capacity` is carried from `self`.
-    pub fn since(&self, earlier: &BatchStats) -> BatchStats {
-        BatchStats {
-            lane_capacity: self.lane_capacity,
-            batches: self.batches.saturating_sub(earlier.batches),
-            lanes_filled: self.lanes_filled.saturating_sub(earlier.lanes_filled),
-            points_batched: self.points_batched.saturating_sub(earlier.points_batched),
-            points_solo: self.points_solo.saturating_sub(earlier.points_solo),
-            points_from_cache: self
-                .points_from_cache
-                .saturating_sub(earlier.points_from_cache),
-        }
-    }
-}
-
-static PROCESS_LANE_CAPACITY: AtomicU64 = AtomicU64::new(0);
-static PROCESS_BATCHES: AtomicU64 = AtomicU64::new(0);
-static PROCESS_LANES_FILLED: AtomicU64 = AtomicU64::new(0);
-static PROCESS_POINTS_BATCHED: AtomicU64 = AtomicU64::new(0);
-static PROCESS_POINTS_SOLO: AtomicU64 = AtomicU64::new(0);
-static PROCESS_POINTS_FROM_CACHE: AtomicU64 = AtomicU64::new(0);
-
-/// Cumulative lane-batching counters across every sweep of the process
-/// (`lane_capacity` is the largest width any run batched at). Sample before
-/// and after a run and diff with [`BatchStats::since`] to attribute counts
-/// to that run.
-pub fn process_batch_stats() -> BatchStats {
-    BatchStats {
-        lane_capacity: PROCESS_LANE_CAPACITY.load(Ordering::Relaxed) as usize,
-        batches: PROCESS_BATCHES.load(Ordering::Relaxed),
-        lanes_filled: PROCESS_LANES_FILLED.load(Ordering::Relaxed),
-        points_batched: PROCESS_POINTS_BATCHED.load(Ordering::Relaxed),
-        points_solo: PROCESS_POINTS_SOLO.load(Ordering::Relaxed),
-        points_from_cache: PROCESS_POINTS_FROM_CACHE.load(Ordering::Relaxed),
-    }
-}
-
-/// Folds one chunk's counter increments into the process-wide totals.
-fn record_process_batch(delta: &BatchStats) {
-    PROCESS_LANE_CAPACITY.fetch_max(delta.lane_capacity as u64, Ordering::Relaxed);
-    PROCESS_BATCHES.fetch_add(delta.batches, Ordering::Relaxed);
-    PROCESS_LANES_FILLED.fetch_add(delta.lanes_filled, Ordering::Relaxed);
-    PROCESS_POINTS_BATCHED.fetch_add(delta.points_batched, Ordering::Relaxed);
-    PROCESS_POINTS_SOLO.fetch_add(delta.points_solo, Ordering::Relaxed);
-    PROCESS_POINTS_FROM_CACHE.fetch_add(delta.points_from_cache, Ordering::Relaxed);
 }
 
 impl SweepResults {
@@ -831,7 +782,6 @@ impl SweepSpec {
         // duplicates follow that lane; keys the cache already holds never
         // occupy a lane; port-rewired points simulate a private circuit and
         // go solo.
-        let before = *stats;
         let lane_cap = self.lanes.min(MAX_LANES);
         let mut roles: Vec<Option<PointRole>> = vec![None; len];
         let mut groups: Vec<Vec<usize>> = Vec::new();
@@ -888,7 +838,6 @@ impl SweepSpec {
         for members in &groups {
             stats.lanes_filled += members.len() as u64;
         }
-        record_process_batch(&stats.since(&before));
 
         // Phase C: simulate each group through one shared event wheel. The
         // Evaluation assembly mirrors `evaluate_mapped_with` field for field;
@@ -1319,17 +1268,6 @@ mod tests {
             .with_lanes(4);
         assert!(spec.run().is_err());
         assert!(spec.run_serial().is_err());
-    }
-
-    #[test]
-    fn process_batch_counters_accumulate() {
-        let before = process_batch_stats();
-        let outcome = small_spec().run_with(&RunControl::default()).unwrap();
-        let delta = process_batch_stats().since(&before);
-        // Other tests share the process counters, so the delta is a floor.
-        assert!(delta.batches >= outcome.batch.batches);
-        assert!(delta.points_batched >= outcome.batch.points_batched);
-        assert!(delta.lane_capacity >= DEFAULT_LANES);
     }
 
     #[test]

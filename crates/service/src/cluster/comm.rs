@@ -29,31 +29,6 @@ use std::thread;
 use crate::faults::{FaultPlan, WorkerFaultSpec, ENV_WORKER_FAULT};
 use crate::serve::{serve, ServeOptions};
 
-/// Deprecated alias of [`ENV_WORKER_FAULT`]'s crash entry: a spawned worker
-/// that sees this variable exits (without responding) upon receiving its
-/// `N+1`-th request. Kept for one release; declare crashes in a
-/// [`FaultPlan`] instead.
-pub const ENV_EXIT_AFTER_JOBS: &str = "MSFU_SERVE_EXIT_AFTER_JOBS";
-
-/// Legacy crash fault: worker `rank` exits without responding upon
-/// receiving its `after_jobs + 1`-th request. Thin alias for one release —
-/// it converts into a crash-only [`FaultPlan`], which is what the runtime
-/// executes; declare new faults in a plan directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerFault {
-    /// The rank of the worker to kill.
-    pub rank: usize,
-    /// How many requests the worker serves normally before dying on the
-    /// next one (`0` = die on its very first request).
-    pub after_jobs: usize,
-}
-
-impl From<WorkerFault> for FaultPlan {
-    fn from(fault: WorkerFault) -> FaultPlan {
-        FaultPlan::new().with_crash(fault.rank, fault.after_jobs)
-    }
-}
-
 /// Which communicator a coordinator uses to reach its workers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[non_exhaustive]
@@ -182,10 +157,7 @@ fn connect_child(
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         // Never let coordinator-level fault hooks leak into grandchildren.
-        .env_remove("MSFU_FAULT_WORKER_RANK")
-        .env_remove("MSFU_FAULT_AFTER_JOBS")
         .env_remove("MSFU_FAULT_PLAN")
-        .env_remove(ENV_EXIT_AFTER_JOBS)
         .env_remove(ENV_WORKER_FAULT);
     if !fault.is_empty() {
         command.env(ENV_WORKER_FAULT, fault.to_json());

@@ -35,6 +35,6 @@ mod coordinator;
 mod planner;
 
 pub use crate::faults::ENV_WORKER_FAULT;
-pub use comm::{ClusterBackend, WorkerEvent, WorkerFault, WorkerTx, ENV_EXIT_AFTER_JOBS};
+pub use comm::{ClusterBackend, WorkerEvent, WorkerTx};
 pub use coordinator::{run_clustered, Cluster, Supervision};
 pub use planner::shard_ranges;

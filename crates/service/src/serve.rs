@@ -490,9 +490,10 @@ fn write_bench_report(dir: &std::path::Path, response: &Response) -> std::io::Re
 mod tests {
     use super::*;
 
-    fn session(lines: &'static str) -> (ServeSummary, Vec<Value>) {
+    fn session(lines: &str) -> (ServeSummary, Vec<Value>) {
         let mut output: Vec<u8> = Vec::new();
-        let summary = serve(lines.as_bytes(), &mut output, &ServeOptions::new()).unwrap();
+        let input = std::io::Cursor::new(lines.as_bytes().to_vec());
+        let summary = serve(input, &mut output, &ServeOptions::new()).unwrap();
         let text = String::from_utf8(output).unwrap();
         let values = text
             .lines()
@@ -543,16 +544,23 @@ mod tests {
 
     #[test]
     fn malformed_and_mismatched_lines_get_error_responses_and_serving_continues() {
+        // The third line nests 200 000 arrays: the parser must reject it
+        // with a typed error instead of overflowing the stack.
         let lines = concat!(
             "this is not json\n",
             r#"{"protocol_version": 99, "id": "old", "kind": "sweep"}"#,
             "\n",
-            r#"{"protocol_version": 1, "id": "ok", "kind": "evaluate", "factory": {"k": 2}, "strategy": {"strategy": "linear"}}"#,
-            "\n",
-        );
-        let (summary, values) = session(lines);
-        assert_eq!(summary.responses, 3);
-        assert_eq!(summary.errors, 2);
+        )
+        .to_string()
+            + &"[".repeat(200_000)
+            + "\n"
+            + concat!(
+                r#"{"protocol_version": 1, "id": "ok", "kind": "evaluate", "factory": {"k": 2}, "strategy": {"strategy": "linear"}}"#,
+                "\n",
+            );
+        let (summary, values) = session(&lines);
+        assert_eq!(summary.responses, 4);
+        assert_eq!(summary.errors, 3);
         let responses = responses(&values);
         let code = |r: &Value| {
             r.get("error")
@@ -567,8 +575,9 @@ mod tests {
             Some("old"),
             "version errors still correlate by id"
         );
+        assert_eq!(code(responses[2]).as_deref(), Some("E_REQUEST_PARSE"));
         assert_eq!(
-            responses[2].get("status").and_then(Value::as_str),
+            responses[3].get("status").and_then(Value::as_str),
             Some("ok"),
             "the session keeps serving after errors"
         );

@@ -1,21 +1,19 @@
 //! The unified `msfu` command-line front end of the service façade.
 //!
 //! ```text
-//! msfu run <REQUEST.json> [--serial] [--progress] [--lanes K] [--workers N]
+//! msfu run <REQUEST.json> [--serial] [--progress] [--workers N]
 //!          [--cache-dir DIR] [--fault-plan FILE] [--shard-timeout-ms MS]
 //!          [--max-respawns N]
 //!     Execute one job request and print its JSON response on stdout.
 //!     --progress additionally streams NDJSON progress events on stderr.
-//!     --lanes K overrides a sweep request's lane-batching width (0 or 1
-//!     turns batching off); non-sweep jobs ignore it. --workers N shards
-//!     the sweep/search across N child `msfu serve` worker processes; the
-//!     merged response is byte-identical to a single-process run (only the
-//!     perf stamp differs, gaining a perf.cluster section); stream jobs
-//!     always run in-process (one shared clock — there is nothing to
-//!     shard). --cache-dir DIR points the sweep/search/stream at a
-//!     persistent evaluation-cache directory: already simulated
-//!     evaluations are served from disk, new ones are appended, and
-//!     results stay byte-identical either way.
+//!     --workers N shards the sweep/search across N child `msfu serve`
+//!     worker processes; the merged response is byte-identical to a
+//!     single-process run (only the perf stamp differs, gaining a
+//!     perf.cluster section); stream jobs always run in-process (one shared
+//!     clock — there is nothing to shard). --cache-dir DIR points the
+//!     sweep/search/stream at a persistent evaluation-cache directory:
+//!     already simulated evaluations are served from disk, new ones are
+//!     appended, and results stay byte-identical either way.
 //!
 //! msfu serve [--serial] [--bench-dir DIR] [--workers N] [--cache-dir DIR]
 //!            [--fault-plan FILE] [--shard-timeout-ms MS] [--max-respawns N]
@@ -55,11 +53,6 @@
 //! `--max-respawns N` caps replacement workers (default: one per
 //! configured worker).
 //!
-//! Deprecated fault hooks, kept as thin aliases for one release:
-//! `MSFU_FAULT_WORKER_RANK` + `MSFU_FAULT_AFTER_JOBS` (a crash entry in
-//! plan terms) and `MSFU_SERVE_EXIT_AFTER_JOBS` (a worker-side crash).
-//! Declare faults in a plan instead.
-//!
 //! Request/response schemas are documented in `msfu::service::protocol` and
 //! the README's "Service protocol" section. Exit status: 0 when every
 //! response is ok, 1 when any response carries an error (for `cache
@@ -71,47 +64,17 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use msfu::core::{compact_dir, verify_dir};
-use msfu::service::cluster::ENV_EXIT_AFTER_JOBS;
 use msfu::service::faults::ENV_WORKER_FAULT;
 use msfu::service::{
     run_clustered, serve, Cluster, ClusterBackend, FaultPlan, Job, JobHandle, NdjsonSink, Request,
     ServeOptions, Service, Supervision, WorkerFaultSpec,
 };
 
-const USAGE: &str = "usage: msfu run <REQUEST.json> [--serial] [--progress] [--lanes K] [--workers N] [--cache-dir DIR] [--fault-plan FILE] [--shard-timeout-ms MS] [--max-respawns N]\n       msfu serve [--serial] [--bench-dir DIR] [--workers N] [--cache-dir DIR] [--fault-plan FILE] [--shard-timeout-ms MS] [--max-respawns N]\n       msfu cache verify <DIR>\n       msfu cache compact <DIR>";
+const USAGE: &str = "usage: msfu run <REQUEST.json> [--serial] [--progress] [--workers N] [--cache-dir DIR] [--fault-plan FILE] [--shard-timeout-ms MS] [--max-respawns N]\n       msfu serve [--serial] [--bench-dir DIR] [--workers N] [--cache-dir DIR] [--fault-plan FILE] [--shard-timeout-ms MS] [--max-respawns N]\n       msfu cache verify <DIR>\n       msfu cache compact <DIR>";
 
-/// Reads the fault plan from the environment: `MSFU_FAULT_PLAN` (the JSON
-/// plan inline), plus the deprecated `MSFU_FAULT_WORKER_RANK` +
-/// `MSFU_FAULT_AFTER_JOBS` pair, which folds in as a crash entry.
-fn fault_plan_from_env() -> Result<Option<FaultPlan>, String> {
-    let mut plan = match std::env::var("MSFU_FAULT_PLAN") {
-        Ok(text) => Some(FaultPlan::from_json(&text).map_err(|e| format!("MSFU_FAULT_PLAN: {e}"))?),
-        Err(_) => None,
-    };
-    let rank = std::env::var("MSFU_FAULT_WORKER_RANK").ok();
-    let after = std::env::var("MSFU_FAULT_AFTER_JOBS").ok();
-    match (rank, after) {
-        (Some(rank), Some(after)) => {
-            let rank = rank
-                .parse()
-                .map_err(|_| format!("bad MSFU_FAULT_WORKER_RANK `{rank}`"))?;
-            let after_jobs = after
-                .parse()
-                .map_err(|_| format!("bad MSFU_FAULT_AFTER_JOBS `{after}`"))?;
-            plan = Some(plan.unwrap_or_default().with_crash(rank, after_jobs));
-        }
-        (None, None) => {}
-        _ => {
-            return Err(
-                "MSFU_FAULT_WORKER_RANK and MSFU_FAULT_AFTER_JOBS must be set together".to_string(),
-            )
-        }
-    }
-    Ok(plan)
-}
-
-/// Loads `--fault-plan FILE`, layered over the environment hooks (the
-/// explicit file wins field-wise by replacing the whole plan).
+/// Loads `--fault-plan FILE`, falling back to the `MSFU_FAULT_PLAN`
+/// environment variable (the JSON plan inline); an explicit file replaces
+/// the environment's plan as a whole.
 fn load_fault_plan(file: Option<&str>) -> Result<Option<FaultPlan>, String> {
     match file {
         Some(path) => {
@@ -121,7 +84,12 @@ fn load_fault_plan(file: Option<&str>) -> Result<Option<FaultPlan>, String> {
                 FaultPlan::from_json(&text).map_err(|e| format!("fault plan {path}: {e}"))?,
             ))
         }
-        None => fault_plan_from_env(),
+        None => match std::env::var("MSFU_FAULT_PLAN") {
+            Ok(text) => FaultPlan::from_json(&text)
+                .map(Some)
+                .map_err(|e| format!("MSFU_FAULT_PLAN: {e}")),
+            Err(_) => Ok(None),
+        },
     }
 }
 
@@ -149,7 +117,6 @@ fn run_command(args: &[String]) -> Result<bool, String> {
     let mut request_path: Option<&str> = None;
     let mut serial = false;
     let mut progress = false;
-    let mut lanes: Option<usize> = None;
     let mut workers = 0usize;
     let mut cache_dir: Option<std::path::PathBuf> = None;
     let mut fault_plan_file: Option<&str> = None;
@@ -160,10 +127,6 @@ fn run_command(args: &[String]) -> Result<bool, String> {
         match arg.as_str() {
             "--serial" | "serial" => serial = true,
             "--progress" => progress = true,
-            "--lanes" => {
-                let v = iter.next().ok_or("--lanes needs a value")?;
-                lanes = Some(v.parse().map_err(|_| format!("bad lane count `{v}`"))?);
-            }
             "--workers" => {
                 let v = iter.next().ok_or("--workers needs a count")?;
                 workers = v.parse().map_err(|_| format!("bad worker count `{v}`"))?;
@@ -205,9 +168,6 @@ fn run_command(args: &[String]) -> Result<bool, String> {
     let response = match Request::from_json(&text) {
         Ok(mut request) => {
             request.serial = request.serial || serial;
-            if let (Some(lanes), Job::Sweep { spec }) = (lanes, &mut request.job) {
-                spec.lanes = lanes;
-            }
             if let Some(dir) = cache_dir {
                 // An explicit flag overrides the request's own cache_dir.
                 match &mut request.job {
@@ -298,16 +258,6 @@ fn serve_command(args: &[String]) -> Result<bool, String> {
         options = options.with_worker_fault(
             WorkerFaultSpec::from_json(&text).map_err(|e| format!("{ENV_WORKER_FAULT}: {e}"))?,
         );
-    }
-    if let Ok(v) = std::env::var(ENV_EXIT_AFTER_JOBS) {
-        // Deprecated worker-side crash hook (one release): a crash entry of
-        // the plan slice in disguise.
-        let mut fault = options.worker_fault;
-        fault.exit_after_jobs = Some(
-            v.parse()
-                .map_err(|_| format!("bad {ENV_EXIT_AFTER_JOBS} `{v}`"))?,
-        );
-        options = options.with_worker_fault(fault);
     }
     // StdinLock is not Send (the reader runs on a dedicated thread), so wrap
     // the unlocked handle instead.

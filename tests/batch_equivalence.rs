@@ -10,7 +10,8 @@
 //! along: a single-lane batch, a batch where every lane aborts on the cycle
 //! limit, a batch where only one lane aborts, and duplicate sweep points that
 //! share a single lane through the evaluation cache. A final sweep-level test
-//! pins lanes-on/off × serial/parallel row equality.
+//! pins lanes-on/off × serial/parallel row equality under both routing
+//! policies.
 
 use std::collections::BTreeMap;
 
@@ -198,17 +199,15 @@ fn all_lanes_can_abort_on_the_cycle_limit() {
 /// The fixture sweep for the lane-width equality tests: two factory shapes ×
 /// both reuse policies × the five-strategy line-up, plus deliberate duplicate
 /// points so the cache path is exercised in every mode.
-fn fixture_spec() -> SweepSpec {
+fn fixture_spec(sim: SimConfig) -> SweepSpec {
     let factories = [
         FactoryConfig::single_level(4),
         FactoryConfig::single_level(4).with_reuse(ReusePolicy::NoReuse),
         FactoryConfig::two_level(2),
     ];
-    let mut spec = SweepSpec::new("batch-equivalence", EvaluationConfig::default()).grid(
-        "grid",
-        &factories,
-        |_| seeded_strategies(7),
-    );
+    let eval = EvaluationConfig::default().with_sim(sim);
+    let mut spec = SweepSpec::new("batch-equivalence", eval)
+        .grid("grid", &factories, |_| seeded_strategies(7));
     // Duplicates: identical (factory, strategy) pairs under another label.
     spec = spec.point("dup", FactoryConfig::single_level(4), Strategy::linear());
     spec.point("dup", FactoryConfig::single_level(4), Strategy::linear())
@@ -217,20 +216,30 @@ fn fixture_spec() -> SweepSpec {
 #[test]
 fn sweep_rows_are_identical_across_lane_widths_and_run_modes() {
     let ctrl = msfu::core::RunControl::default();
-    let reference = fixture_spec().with_lanes(0).run_serial_with(&ctrl).unwrap();
-    assert!(!reference.results.rows.is_empty());
-    for lanes in [0usize, 1, 2, 8] {
-        let spec = fixture_spec().with_lanes(lanes);
-        let parallel = spec.run_with(&ctrl).unwrap();
-        let serial = spec.run_serial_with(&ctrl).unwrap();
-        assert_eq!(
-            parallel.results, reference.results,
-            "parallel rows diverged at lanes={lanes}"
-        );
-        assert_eq!(
-            serial.results, reference.results,
-            "serial rows diverged at lanes={lanes}"
-        );
+    // Adaptive routing (the library default) and the dimension-ordered
+    // routing every figure/table harness simulates with.
+    for (routing, sim) in [
+        ("adaptive", SimConfig::default()),
+        ("dimension-ordered", SimConfig::dimension_ordered()),
+    ] {
+        let reference = fixture_spec(sim)
+            .with_lanes(0)
+            .run_serial_with(&ctrl)
+            .unwrap();
+        assert!(!reference.results.rows.is_empty());
+        for lanes in [0usize, 1, 2, 8] {
+            let spec = fixture_spec(sim).with_lanes(lanes);
+            let parallel = spec.run_with(&ctrl).unwrap();
+            let serial = spec.run_serial_with(&ctrl).unwrap();
+            assert_eq!(
+                parallel.results, reference.results,
+                "{routing}: parallel rows diverged at lanes={lanes}"
+            );
+            assert_eq!(
+                serial.results, reference.results,
+                "{routing}: serial rows diverged at lanes={lanes}"
+            );
+        }
     }
 }
 
