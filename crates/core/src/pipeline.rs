@@ -115,10 +115,11 @@ mod tests {
 
     #[test]
     fn stitching_layout_also_breaks_down() {
-        let mut factory = Factory::build(&FactoryConfig::two_level(2)).unwrap();
+        let base = Factory::build(&FactoryConfig::two_level(2)).unwrap();
         let layout = HierarchicalStitchingMapper::new(1)
-            .map_factory_optimized(&mut factory)
+            .map_factory(&base)
             .unwrap();
+        let factory = base.apply_port_assignment(&layout.ports).unwrap();
         let breakdown = per_round_breakdown(&factory, &layout, &SimConfig::default()).unwrap();
         assert_eq!(breakdown.len(), 2);
         assert!(breakdown.iter().all(|b| b.round_cycles > 0));

@@ -17,9 +17,7 @@
 //!    rebinding as an explicit [`PortAssignment`] on the returned [`Layout`];
 //!    the evaluation layer applies it to a private copy of the factory
 //!    (`Factory::apply_port_assignment`), so mapping never mutates the shared
-//!    factory. The historical mutating flow survives as
-//!    [`HierarchicalStitchingMapper::map_factory_optimized`], kept as the
-//!    reference implementation the artifact path is tested against.
+//!    factory.
 //! 4. **Intermediate hop routing** — every permutation braid receives a
 //!    Valiant-style intermediate destination, placed at the braid midpoint or
 //!    at random and then annealed to minimise segment crossings and length
@@ -86,7 +84,8 @@ pub struct StitchingConfig {
     pub seed: u64,
     /// Hop strategy for inter-round permutation braids.
     pub hop_strategy: HopStrategy,
-    /// Whether `map_factory_optimized` performs output-port reassignment.
+    /// Whether [`FactoryMapper::map_factory`] records an output-port
+    /// reassignment on the layout.
     pub reassign_ports: bool,
     /// Number of annealing passes over all hops.
     pub hop_anneal_passes: usize,
@@ -131,27 +130,6 @@ impl HierarchicalStitchingMapper {
     /// The configuration in use.
     pub fn config(&self) -> &StitchingConfig {
         &self.config
-    }
-
-    /// Legacy stitching flow that rewires the factory circuit *in place*
-    /// (Section VII-B2) instead of recording a [`PortAssignment`].
-    ///
-    /// New code should use [`FactoryMapper::map_factory`], which returns the
-    /// same placement and hints plus the port rebinding as an artifact on the
-    /// layout. This method is kept as the reference implementation of the
-    /// historical behaviour; the equivalence of the two flows is asserted by
-    /// tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if placement fails (degenerate factory).
-    pub fn map_factory_optimized(&self, factory: &mut Factory) -> Result<Layout> {
-        let mapping = self.place_all_rounds(factory)?;
-        if self.config.reassign_ports {
-            self.reassign_ports_in_place(factory, &mapping)?;
-        }
-        let hints = self.compute_hops(factory, &mapping)?;
-        Ok(Layout::with_hints(mapping, hints))
     }
 
     // ------------------------------------------------------------------
@@ -341,11 +319,10 @@ impl HierarchicalStitchingMapper {
     }
 
     /// Computes the output-port rebinding for every non-final-round module
-    /// *without touching the factory*: the same greedy nearest-consumer
-    /// binding as the legacy in-place flow, realised as an ordered swap list.
+    /// *without touching the factory*: each module's outputs are greedily
+    /// bound to their nearest consumers, realised as an ordered swap list.
     /// The effect of every recorded swap on downstream bindings is tracked
-    /// locally so later decisions see earlier ones, exactly as the mutating
-    /// path does.
+    /// locally so later decisions see earlier ones.
     pub fn compute_port_assignment(
         &self,
         factory: &Factory,
@@ -401,65 +378,6 @@ impl HierarchicalStitchingMapper {
             }
         }
         Ok(assignment)
-    }
-
-    /// For every non-final-round module, re-binds its output ports to the
-    /// downstream modules so that each state travels to the nearest consumer,
-    /// mutating the factory as it goes. Legacy reference implementation for
-    /// [`HierarchicalStitchingMapper::map_factory_optimized`]; the artifact
-    /// path is [`HierarchicalStitchingMapper::compute_port_assignment`].
-    fn reassign_ports_in_place(&self, factory: &mut Factory, mapping: &Mapping) -> Result<()> {
-        let levels = factory.rounds().len();
-        if levels < 2 {
-            return Ok(());
-        }
-        let anchors = Self::module_anchors(factory, mapping);
-
-        for round in 0..levels - 1 {
-            let source_ids: Vec<usize> = factory.rounds()[round].modules.clone();
-            for source_id in source_ids {
-                // Current binding: output qubit -> destination module.
-                let outputs = factory.modules()[source_id].outputs.clone();
-                let mut dest_of: HashMap<QubitId, usize> = HashMap::new();
-                for edge in factory.permutation_edges() {
-                    if edge.source_module == source_id {
-                        dest_of.insert(edge.source_qubit, edge.dest_module);
-                    }
-                }
-                if dest_of.len() < 2 {
-                    continue;
-                }
-                let desired = Self::desired_binding(mapping, &anchors, &outputs, &dest_of);
-                // Realise the desired binding through pairwise port swaps.
-                for q in &outputs {
-                    let want = match desired.get(q) {
-                        Some(d) => *d,
-                        None => continue,
-                    };
-                    let current = match current_dest(factory, source_id, *q) {
-                        Some(d) => d,
-                        None => continue,
-                    };
-                    if current == want {
-                        continue;
-                    }
-                    // Find the sibling output currently bound to `want`.
-                    let sibling = factory.modules()[source_id]
-                        .outputs
-                        .iter()
-                        .copied()
-                        .find(|other| current_dest(factory, source_id, *other) == Some(want));
-                    if let Some(other) = sibling {
-                        factory.swap_output_ports(*q, other).map_err(|e| {
-                            LayoutError::UnsupportedFactory {
-                                reason: format!("port swap failed: {e}"),
-                            }
-                        })?;
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -587,16 +505,6 @@ impl HierarchicalStitchingMapper {
     }
 }
 
-/// Current destination module of a source output qubit, per the factory's
-/// permutation metadata.
-fn current_dest(factory: &Factory, source_module: usize, output: QubitId) -> Option<usize> {
-    factory
-        .permutation_edges()
-        .iter()
-        .find(|e| e.source_module == source_module && e.source_qubit == output)
-        .map(|e| e.dest_module)
-}
-
 impl FactoryMapper for HierarchicalStitchingMapper {
     fn name(&self) -> &'static str {
         "hierarchical-stitching"
@@ -687,13 +595,14 @@ mod tests {
 
     #[test]
     fn port_reassignment_keeps_factory_invariants() {
-        let mut f = Factory::build(&FactoryConfig::two_level(2)).unwrap();
-        let edges_before = f.permutation_edges().len();
+        let base = Factory::build(&FactoryConfig::two_level(2)).unwrap();
         let layout = HierarchicalStitchingMapper::new(5)
-            .map_factory_optimized(&mut f)
+            .map_factory(&base)
             .unwrap();
         assert!(layout.mapping.is_complete());
-        assert_eq!(f.permutation_edges().len(), edges_before);
+        assert!(!layout.ports.is_empty(), "two-level ports get rebound");
+        let f = base.apply_port_assignment(&layout.ports).unwrap();
+        assert_eq!(f.permutation_edges().len(), base.permutation_edges().len());
         // Every destination module still receives at most one state per source.
         let mut per_dest: std::collections::HashMap<usize, std::collections::HashSet<usize>> =
             Default::default();
@@ -702,36 +611,6 @@ mod tests {
                 .entry(e.dest_module)
                 .or_default()
                 .insert(e.source_module));
-        }
-    }
-
-    #[test]
-    fn artifact_flow_matches_legacy_in_place_flow() {
-        // The immutable map_factory + PortAssignment path must reproduce the
-        // historical mutating map_factory_optimized flow exactly: same
-        // placement, same hop hints, and the same rewired factory.
-        for config in [
-            FactoryConfig::two_level(2),
-            FactoryConfig::two_level(2).with_reuse(ReusePolicy::NoReuse),
-            FactoryConfig::two_level(3),
-        ] {
-            for seed in [1u64, 42] {
-                let base = Factory::build(&config).unwrap();
-                let mapper = HierarchicalStitchingMapper::new(seed);
-
-                let layout = mapper.map_factory(&base).unwrap();
-                let rewired = base.apply_port_assignment(&layout.ports).unwrap();
-
-                let mut legacy_factory = base.clone();
-                let legacy_layout = mapper.map_factory_optimized(&mut legacy_factory).unwrap();
-
-                assert_eq!(
-                    layout.mapping, legacy_layout.mapping,
-                    "{config:?} seed {seed}"
-                );
-                assert_eq!(layout.hints, legacy_layout.hints, "{config:?} seed {seed}");
-                assert_eq!(rewired, legacy_factory, "{config:?} seed {seed}");
-            }
         }
     }
 

@@ -3,11 +3,12 @@
 //!
 //! A coordinated job never changes *what* is computed — only *where*. The
 //! shard plan is a pure function of the spec and the configured pool size
-//! (see [`shard_ranges`]), each shard is an ordinary serve-protocol sweep
-//! request a worker executes with the normal engine, and merging walks the
-//! shards in plan order — so the merged rows, incumbents and error codes are
-//! byte-identical to a serial run whatever order shards actually finish in,
-//! and whichever workers they land on.
+//! (see [`plan_shards`]: one factory's run of points per shard, capped at
+//! ⌈n / workers⌉), idle workers pull the next queued shard, each shard is an
+//! ordinary serve-protocol sweep request a worker executes with the normal
+//! engine, and merging walks the shards in plan order — so the merged rows,
+//! incumbents and error codes are byte-identical to a serial run whatever
+//! order shards actually finish in, and whichever workers they land on.
 //!
 //! Supervision ([`Supervision`]): every worker fault — a worker whose
 //! output closes mid-shard, one whose shard overruns the shard timeout
@@ -40,7 +41,7 @@ use msfu_core::{CoreError, ProgressEvent, ProgressSink, RunControl, SweepResults
 use msfu_core::{SearchSpec, SweepSpec};
 
 use crate::cluster::comm::{self, ClusterBackend, WorkerEvent, WorkerTx};
-use crate::cluster::planner::shard_ranges;
+use crate::cluster::planner::plan_shards;
 use crate::error_code::{E_REMOTE, E_SHARD_RETRY_EXHAUSTED};
 use crate::faults::{FaultPlan, WorkerFaultSpec};
 use crate::ndjson::progress_to_value;
@@ -428,7 +429,8 @@ fn run_sweep<W: Write>(
     let total = spec.points.len();
     let world = cluster.world();
     let backend = cluster.backend_name;
-    let shards: Vec<ShardSpec> = shard_ranges(total, world)
+    let factories = spec.points.iter().map(|p| p.factory);
+    let shards: Vec<ShardSpec> = plan_shards(factories, world)
         .into_iter()
         .enumerate()
         .map(|(k, range)| {
@@ -572,7 +574,7 @@ fn run_search<W: Write>(
     // byte-identical to a serial run.
     let result = spec.run_with_evaluator(&ctrl, |batch| {
         batch_seq += 1;
-        let shards: Vec<ShardSpec> = shard_ranges(batch.len(), world)
+        let shards: Vec<ShardSpec> = plan_shards(batch.iter().map(|_| spec.factory), world)
             .into_iter()
             .enumerate()
             .map(|(k, range)| {
@@ -1198,6 +1200,17 @@ mod tests {
         let serial = session(&ServeOptions::new(), SWEEP_LINE);
         let reference = stable_fields(response_of(&serial, "j"));
         assert!(reference.contains(r#""status":"ok""#), "{reference}");
+        // The fixture spans three factories (k = 2 R, k = 3, k = 2 NR), so
+        // the plan cuts at factory changes as well as at the size cap.
+        let request = Request::from_json(SWEEP_LINE).expect("the fixture is a request");
+        let Job::Sweep { spec } = &request.job else {
+            panic!("the fixture is a sweep");
+        };
+        let factories: Vec<_> = spec.points.iter().map(|p| p.factory).collect();
+        assert_eq!(
+            plan_shards(factories.iter(), 2),
+            vec![0..2, 2..3, 3..4, 4..5]
+        );
         for workers in [1, 2, 4, 7] {
             let clustered = session(&ServeOptions::new().with_workers(workers), SWEEP_LINE);
             let response = response_of(&clustered, "j");
@@ -1211,6 +1224,11 @@ mod tests {
                 &Value::UInt(workers as u64)
             );
             assert_eq!(cluster_perf_of(response, "shards_retried"), &Value::UInt(0));
+            assert_eq!(
+                cluster_perf_of(response, "shards"),
+                &Value::UInt(plan_shards(factories.iter(), workers).len() as u64),
+                "workers={workers}"
+            );
         }
     }
 

@@ -15,10 +15,13 @@
 //! ```
 //!
 //! The layering mirrors MPI launchers: [`planner`](self) decides *what* the
-//! shards are (a pure function of spec and pool size), `comm` decides *how*
-//! bytes reach a worker (in-process threads or child processes today; a TCP
-//! backend would slot in beside them), and the coordinator in between owns
-//! scheduling, supervision and the order-preserving merge. Supervision
+//! shards are (a pure function of spec and pool size: each shard is one
+//! factory's run of consecutive points, at most ⌈n / workers⌉ of them, so
+//! the expensive two-level factories spread over the pool), `comm` decides
+//! *how* bytes reach a worker (in-process threads or child processes today;
+//! a TCP backend would slot in beside them), and the coordinator in between
+//! owns scheduling (idle workers pull the next queued shard), supervision
+//! and the order-preserving merge. Supervision
 //! ([`Supervision`]) treats worker death, hangs past the shard timeout and
 //! garbled responses uniformly: each costs one unit of the shard's retry
 //! budget and re-dispatches with exponential backoff, dead workers are
@@ -37,4 +40,4 @@ mod planner;
 pub use crate::faults::ENV_WORKER_FAULT;
 pub use comm::{ClusterBackend, WorkerEvent, WorkerTx};
 pub use coordinator::{run_clustered, Cluster, Supervision};
-pub use planner::shard_ranges;
+pub use planner::plan_shards;

@@ -58,7 +58,7 @@ pub mod protocol;
 mod serve;
 mod service;
 
-pub use cluster::{run_clustered, shard_ranges, Cluster, ClusterBackend, Supervision, WorkerEvent};
+pub use cluster::{plan_shards, run_clustered, Cluster, ClusterBackend, Supervision, WorkerEvent};
 pub use error_code::{error_code, ALL_ERROR_CODES};
 pub use faults::{FaultPlan, WorkerFaultSpec};
 pub use ndjson::NdjsonSink;

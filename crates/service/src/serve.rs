@@ -25,7 +25,7 @@
 //! results are byte-identical to a single-process run.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
@@ -35,11 +35,18 @@ use serde_json::Value;
 use msfu_core::CancelToken;
 
 use crate::cluster::{self, Cluster, ClusterBackend, Supervision};
-use crate::error_code::E_WORKER_LOST;
+use crate::error_code::{E_REQUEST_PARSE, E_WORKER_LOST};
 use crate::faults::{FaultPlan, WorkerFaultSpec};
 use crate::ndjson::NdjsonSink;
-use crate::protocol::{Job, Payload, Request, RequestError, Response, ResponsePerf, ServiceError};
+use crate::protocol::{
+    Job, Payload, Request, RequestError, Response, ResponsePerf, ServiceError, SessionLine,
+};
 use crate::service::{JobHandle, Service};
+
+/// Longest request line a session reads, newline excluded (64 MiB; the
+/// largest checked-in request is ~60 KB). A longer line is answered with
+/// `E_REQUEST_PARSE` and skipped without being buffered.
+const MAX_LINE_BYTES: usize = 64 << 20;
 
 /// Options of a serve session.
 #[derive(Debug, Clone, Default)]
@@ -225,6 +232,20 @@ where
     R: BufRead + Send + 'static,
     W: Write,
 {
+    serve_with_line_cap(input, output, options, MAX_LINE_BYTES)
+}
+
+/// [`serve`] with request lines capped at `max_line` bytes.
+fn serve_with_line_cap<R, W>(
+    input: R,
+    output: W,
+    options: &ServeOptions,
+    max_line: usize,
+) -> std::io::Result<ServeSummary>
+where
+    R: BufRead + Send + 'static,
+    W: Write,
+{
     let out = Mutex::new(output);
     let service = Service::new();
     let state = Arc::new(Mutex::new(SessionState::default()));
@@ -233,31 +254,19 @@ where
 
     let reader_state = Arc::clone(&state);
     thread::spawn(move || {
-        for line in input.lines() {
-            let Ok(line) = line else { break };
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match crate::protocol::SessionLine::from_json(line) {
-                Ok(crate::protocol::SessionLine::Cancel(id)) => {
+        read_lines(input, max_line, |line| {
+            match line.and_then(SessionLine::from_json) {
+                Ok(SessionLine::Cancel(id)) => {
                     reader_state
                         .lock()
                         .unwrap_or_else(|e| e.into_inner())
                         .cancel(&id);
+                    true
                 }
-                Ok(crate::protocol::SessionLine::Request(request)) => {
-                    if tx.send(Ok(request)).is_err() {
-                        break;
-                    }
-                }
-                Err(error) => {
-                    if tx.send(Err(error)).is_err() {
-                        break;
-                    }
-                }
+                Ok(SessionLine::Request(request)) => tx.send(Ok(request)).is_ok(),
+                Err(error) => tx.send(Err(error)).is_ok(),
             }
-        }
+        });
     });
 
     if let (Some(plan), Some(dir)) = (&options.fault_plan, &options.cache_dir) {
@@ -388,6 +397,81 @@ where
     Ok(summary)
 }
 
+/// Reads `input` line by line into one reused buffer, handing every
+/// non-blank line (trimmed) to `on_line` until EOF, an I/O error, or
+/// `on_line` returning `false`.
+///
+/// A line that is not UTF-8, or longer than `max_line` bytes, reaches
+/// `on_line` as an `E_REQUEST_PARSE` error instead; an over-long line is
+/// skipped up to its newline without being buffered. Either way the
+/// session reads on.
+fn read_lines<R: BufRead>(
+    mut input: R,
+    max_line: usize,
+    mut on_line: impl FnMut(Result<&str, RequestError>) -> bool,
+) {
+    let parse_error = |message: String| RequestError {
+        id: None,
+        error: ServiceError::new(E_REQUEST_PARSE, message),
+    };
+    let limit = u64::try_from(max_line)
+        .unwrap_or(u64::MAX)
+        .saturating_add(1);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        match input.by_ref().take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(_) => {}
+        }
+        let line = if buf.len() > max_line && buf.last() != Some(&b'\n') {
+            if skip_line(&mut input).is_err() {
+                return;
+            }
+            // Release the capped allocation rather than keep it all session.
+            buf = Vec::new();
+            Err(parse_error(format!(
+                "request line is longer than {max_line} bytes"
+            )))
+        } else {
+            std::str::from_utf8(&buf)
+                .map(str::trim)
+                .map_err(|e| parse_error(format!("request line is not UTF-8: {e}")))
+        };
+        if matches!(line, Ok("")) {
+            continue;
+        }
+        if !on_line(line) {
+            return;
+        }
+    }
+}
+
+/// Consumes `input` up to and including the next newline (or to EOF)
+/// without buffering what it skips.
+fn skip_line<R: BufRead>(input: &mut R) -> io::Result<()> {
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(end) => {
+                input.consume(end + 1);
+                return Ok(());
+            }
+            None => {
+                let len = chunk.len();
+                input.consume(len);
+            }
+        }
+    }
+}
+
 /// Connects the session's worker pool on first use, reusing it afterwards.
 fn ensure_cluster<'a>(
     cluster: &'a mut Option<Cluster>,
@@ -491,9 +575,16 @@ mod tests {
     use super::*;
 
     fn session(lines: &str) -> (ServeSummary, Vec<Value>) {
+        session_bytes(lines.as_bytes(), MAX_LINE_BYTES)
+    }
+
+    /// Runs a session over raw input bytes with request lines capped at
+    /// `max_line` bytes.
+    fn session_bytes(lines: &[u8], max_line: usize) -> (ServeSummary, Vec<Value>) {
         let mut output: Vec<u8> = Vec::new();
-        let input = std::io::Cursor::new(lines.as_bytes().to_vec());
-        let summary = serve(input, &mut output, &ServeOptions::new()).unwrap();
+        let input = std::io::Cursor::new(lines.to_vec());
+        let summary =
+            serve_with_line_cap(input, &mut output, &ServeOptions::new(), max_line).unwrap();
         let text = String::from_utf8(output).unwrap();
         let values = text
             .lines()
@@ -545,22 +636,33 @@ mod tests {
     #[test]
     fn malformed_and_mismatched_lines_get_error_responses_and_serving_continues() {
         // The third line nests 200 000 arrays: the parser must reject it
-        // with a typed error instead of overflowing the stack.
-        let lines = concat!(
+        // with a typed error instead of overflowing the stack. The fifth is
+        // not UTF-8 and the seventh is longer than the session's line cap
+        // (lowered here to 256 KiB): each gets a typed error, and the
+        // request after it is still served.
+        const MAX_LINE: usize = 256 << 10;
+        let ok = concat!(
+            r#"{"protocol_version": 1, "id": "ok", "kind": "evaluate", "factory": {"k": 2}, "strategy": {"strategy": "linear"}}"#,
+            "\n",
+        );
+        let mut lines = concat!(
             "this is not json\n",
             r#"{"protocol_version": 99, "id": "old", "kind": "sweep"}"#,
             "\n",
         )
-        .to_string()
-            + &"[".repeat(200_000)
-            + "\n"
-            + concat!(
-                r#"{"protocol_version": 1, "id": "ok", "kind": "evaluate", "factory": {"k": 2}, "strategy": {"strategy": "linear"}}"#,
-                "\n",
-            );
-        let (summary, values) = session(&lines);
-        assert_eq!(summary.responses, 4);
-        assert_eq!(summary.errors, 3);
+        .as_bytes()
+        .to_vec();
+        lines.extend_from_slice("[".repeat(200_000).as_bytes());
+        lines.push(b'\n');
+        lines.extend_from_slice(ok.as_bytes());
+        lines.extend_from_slice(b"\xff\xfe bad\n");
+        lines.extend_from_slice(ok.as_bytes());
+        lines.extend_from_slice(" ".repeat(MAX_LINE).as_bytes());
+        lines.extend_from_slice(b"x\n");
+        lines.extend_from_slice(ok.as_bytes());
+        let (summary, values) = session_bytes(&lines, MAX_LINE);
+        assert_eq!(summary.responses, 8);
+        assert_eq!(summary.errors, 5);
         let responses = responses(&values);
         let code = |r: &Value| {
             r.get("error")
@@ -576,10 +678,35 @@ mod tests {
             "version errors still correlate by id"
         );
         assert_eq!(code(responses[2]).as_deref(), Some("E_REQUEST_PARSE"));
+        assert_eq!(code(responses[4]).as_deref(), Some("E_REQUEST_PARSE"));
+        assert_eq!(code(responses[6]).as_deref(), Some("E_REQUEST_PARSE"));
+        for i in [3, 5, 7] {
+            assert_eq!(
+                responses[i].get("status").and_then(Value::as_str),
+                Some("ok"),
+                "the session keeps serving after errors (response {i})"
+            );
+        }
+    }
+
+    #[test]
+    fn line_reader_caps_lines_and_skips_the_rest_of_an_over_long_one() {
+        let mut seen = Vec::new();
+        let input: &[u8] = b"abcd\n  \nabcde\nxyz\n\xff\nab";
+        read_lines(input, 4, |line| {
+            seen.push(line.map(str::to_string).map_err(|e| e.error.code));
+            true
+        });
+        let parse = Err(E_REQUEST_PARSE);
         assert_eq!(
-            responses[3].get("status").and_then(Value::as_str),
-            Some("ok"),
-            "the session keeps serving after errors"
+            seen,
+            vec![
+                Ok("abcd".to_string()),
+                parse.clone(),
+                Ok("xyz".to_string()),
+                parse,
+                Ok("ab".to_string()),
+            ]
         );
     }
 
