@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use msfu_distill::{Factory, FactoryConfig};
 use msfu_layout::Layout;
-use msfu_sim::{BatchEngine, SimConfig, SimEngine};
+use msfu_sim::{BatchEngine, SimConfig, SimEngine, SimResult};
 
 use crate::{Result, Strategy};
 
@@ -176,8 +176,25 @@ pub fn evaluate_mapped_with(
     engine.set_config(config.sim);
     let result = engine.run(factory.circuit(), layout)?;
     let critical_path_cycles = factory.circuit().critical_path_cycles(&config.sim.latency);
+    Ok(evaluation_record(
+        factory,
+        strategy_name,
+        &result,
+        critical_path_cycles,
+    ))
+}
+
+/// Assembles the [`Evaluation`] record of one simulation of `factory`,
+/// whose critical path under the run's latency model is
+/// `critical_path_cycles`.
+pub(crate) fn evaluation_record(
+    factory: &Factory,
+    strategy_name: &str,
+    result: &SimResult,
+    critical_path_cycles: u64,
+) -> Evaluation {
     let logical_qubits = factory.num_qubits();
-    Ok(Evaluation {
+    Evaluation {
         strategy: strategy_name.to_string(),
         factory: *factory.config(),
         latency_cycles: result.cycles,
@@ -188,7 +205,7 @@ pub fn evaluate_mapped_with(
         critical_path_cycles,
         critical_volume: critical_path_cycles * logical_qubits as u64,
         logical_qubits,
-    })
+    }
 }
 
 thread_local! {

@@ -34,9 +34,9 @@ use crate::Strategy;
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum ProgressEvent<'a> {
-    /// A sweep point finished evaluating. Parallel runs emit row events in
-    /// point order once the enclosing batch completes; serial runs emit them
-    /// immediately after each point.
+    /// A sweep point finished evaluating. Row events come in point order
+    /// once the enclosing batch completes; serial runs check for
+    /// cancellation before each one.
     RowCompleted {
         /// The sweep's name.
         name: &'a str,

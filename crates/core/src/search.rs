@@ -7,8 +7,8 @@
 //! portfolio search: a set of [`PortfolioEntry`] templates (e.g. randomised
 //! placement over an expansion ladder, force-directed over a temperature
 //! ladder, graph partitioning over seeds) is expanded into a deterministic
-//! candidate stream, evaluated in parallel batches — one reusable
-//! [`msfu_sim::SimEngine`] per worker thread — with the best-so-far
+//! candidate stream, evaluated in parallel batches through the sweep
+//! engine's lane-batched chunk pipeline — with the best-so-far
 //! *incumbent* tracked after every batch and the search stopping early when
 //! the incumbent stops improving (or a target is reached).
 //!
@@ -38,18 +38,15 @@
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
 use serde::{Serialize, Value};
 
-use msfu_distill::{Factory, FactoryConfig};
+use msfu_distill::FactoryConfig;
 use msfu_layout::{ForceDirectedConfig, MapperParams, ParamValue, StitchingConfig};
 
-use crate::cache::{evaluation_key, open_eval_cache, CacheStats, EvalCache};
-use crate::evaluate::{effective_factory, evaluate_mapped_with, with_thread_engine};
+use crate::cache::{open_eval_cache, CacheStats};
 use crate::progress::{ProgressEvent, RunControl};
 use crate::spec::{eval_from_json, factory_from_json, params_from_json, strategy_from_json};
-use crate::strategy::ResolvedStrategy;
-use crate::sweep::{SweepResults, SweepRow};
+use crate::sweep::{FactoryEntry, SweepPoint, SweepResults, SweepRow, SweepSpec};
 use crate::{CoreError, Evaluation, EvaluationConfig, Result, Strategy};
 
 /// What the search minimises.
@@ -222,15 +219,16 @@ pub struct SearchSpec {
     pub seed: u64,
     /// The candidate templates, interleaved round-robin.
     pub portfolio: Vec<PortfolioEntry>,
-    /// Share one content-addressed [`EvalCache`] across the search's workers
-    /// so candidates converging to the same layout simulate once. Enabled by
-    /// default; reports are byte-identical either way.
+    /// Share one content-addressed [`EvalCache`](crate::EvalCache) across
+    /// the search's workers so candidates converging to the same layout
+    /// simulate once. Enabled by default; reports are byte-identical either
+    /// way.
     pub use_eval_cache: bool,
     /// Root directory of the persistent cache tier (see
-    /// [`SweepSpec::cache_dir`](crate::SweepSpec)): candidates already
-    /// simulated by an earlier run — or by another process sharing the
-    /// directory — are served from disk. Reports are byte-identical with or
-    /// without it. `None` (default) keeps the cache memory-only.
+    /// [`SweepSpec::cache_dir`]): candidates already simulated by an
+    /// earlier run — or by another process sharing the directory — are
+    /// served from disk. Reports are byte-identical with or without it.
+    /// `None` (default) keeps the cache memory-only.
     pub cache_dir: Option<std::path::PathBuf>,
 }
 
@@ -359,30 +357,34 @@ impl SearchSpec {
 
     fn execute(&self, serial: bool, ctrl: &RunControl<'_>) -> Result<SearchOutcome> {
         self.validate()?;
-        let factory = Arc::new(Factory::build(&self.factory)?);
-        // Resolve each entry's registry mapper once; every candidate of the
-        // entry (seed scan, ladder rung) reuses the handle instead of
-        // re-entering the registry per evaluation.
-        let resolved: Vec<ResolvedStrategy> = self
-            .portfolio
-            .iter()
-            .map(|entry| entry.template.resolve())
-            .collect::<Result<_>>()?;
+        let factory = Arc::new(FactoryEntry::build(&self.factory)?);
+        // Resolve every entry's registry key once, so an unknown key fails
+        // before the first batch rather than when its candidate comes up.
+        for entry in &self.portfolio {
+            entry.template.resolve()?;
+        }
         let cache = open_eval_cache(self.use_eval_cache, self.cache_dir.as_deref())?;
+        // Each candidate batch is a sub-sweep over the one shared factory,
+        // evaluated through the sweep's chunk pipeline and the search's cache.
+        let sweep =
+            SweepSpec::new(self.name.clone(), self.eval).with_eval_cache(self.use_eval_cache);
         let mut outcome = self.run_with_evaluator(ctrl, |batch| {
-            let evaluate = |(g, s): &(usize, Strategy)| {
-                self.evaluate_candidate(
-                    &resolved[g % self.portfolio.len()],
-                    s,
-                    &factory,
-                    cache.as_ref(),
-                )
-            };
-            Ok(if serial {
-                batch.iter().map(evaluate).collect()
-            } else {
-                batch.par_iter().map(evaluate).collect()
-            })
+            let points: Vec<SweepPoint> = batch
+                .iter()
+                .map(|(_, strategy)| SweepPoint::new("", self.factory, strategy.clone()))
+                .collect();
+            let entries = vec![Ok(factory.clone()); points.len()];
+            let rows = sweep.evaluate_chunk(
+                &points,
+                &entries,
+                cache.as_ref(),
+                &mut sweep.fresh_batch_stats(),
+                !serial,
+            );
+            Ok(rows
+                .into_iter()
+                .map(|row| row.map(|row| row.evaluation))
+                .collect())
         })?;
         outcome.cache = cache.map(|c| c.stats()).unwrap_or_default();
         Ok(outcome)
@@ -565,34 +567,6 @@ impl SearchSpec {
             evaluated,
             incumbent: incumbent.as_ref().map(|i| i.value),
         });
-    }
-
-    fn evaluate_candidate(
-        &self,
-        resolved: &ResolvedStrategy,
-        strategy: &Strategy,
-        factory: &Factory,
-        cache: Option<&EvalCache>,
-    ) -> Result<Evaluation> {
-        let layout = resolved.map(strategy, factory)?;
-        let effective = effective_factory(factory, &layout)?;
-        let simulate = |engine: &mut msfu_sim::SimEngine| {
-            evaluate_mapped_with(
-                engine,
-                &effective,
-                &layout,
-                strategy.short_name(),
-                &self.eval,
-            )
-        };
-        match cache {
-            Some(cache) => cache.get_or_compute(
-                evaluation_key(&self.factory, &layout, &self.eval),
-                strategy.short_name(),
-                || with_thread_engine(self.eval.sim, simulate),
-            ),
-            None => with_thread_engine(self.eval.sim, simulate),
-        }
     }
 
     /// Decodes a search declared as JSON data.
@@ -1051,6 +1025,29 @@ mod tests {
         ] {
             let err = SearchSpec::from_json(bad).expect_err("must fail");
             assert!(err.to_string().contains(needle), "{bad} -> {err}");
+        }
+    }
+
+    #[test]
+    fn unknown_strategy_keys_fail_before_the_first_batch() {
+        // The first candidate meets the target, so only the up-front resolve
+        // of every portfolio entry can surface the unknown key.
+        let mut spec = quick_spec();
+        spec.portfolio.push(PortfolioEntry::fixed(Strategy::new(
+            "no_such_mapper",
+            MapperParams::new(),
+        )));
+        spec.batch_size = 1;
+        spec.target = Some(u64::MAX);
+        for err in [spec.run().unwrap_err(), spec.run_serial().unwrap_err()] {
+            assert!(
+                matches!(
+                    &err,
+                    CoreError::Layout(msfu_layout::LayoutError::UnknownMapper { name, .. })
+                        if name == "no_such_mapper"
+                ),
+                "{err}"
+            );
         }
     }
 

@@ -48,8 +48,8 @@
 //!   seedless grid. A duplicated seed is a spec error (it would silently
 //!   duplicate every row of the grid).
 //! * `lanes` (optional, default 8) — lane-batching width of the sweep's
-//!   simulation phase; `0` disables batching. Results are byte-identical at
-//!   any width.
+//!   simulation phase; `0` or `1` disables batching, so every point
+//!   simulates solo. Results are byte-identical at any width.
 //!
 //! Points are appended in document order: the `points` array first, then
 //! every grid (factories × strategies × seeds). A spec decoded from JSON is

@@ -41,11 +41,11 @@ use serde::{Deserialize, Serialize};
 use msfu_distill::{Factory, FactoryConfig};
 use msfu_graph::{metrics::MappingMetrics, InteractionGraph};
 use msfu_layout::Layout;
-use msfu_sim::{BatchLane, SimEngine, MAX_LANES};
+use msfu_sim::{BatchLane, MAX_LANES};
 
 use crate::cache::{evaluation_key, open_eval_cache, CacheStats, EvalCache};
 use crate::evaluate::{
-    effective_factory, evaluate_mapped_with, with_thread_batch_engine, with_thread_engine,
+    evaluate_mapped_with, evaluation_record, with_thread_batch_engine, with_thread_engine,
 };
 use crate::pipeline::{per_round_breakdown_with, RoundBreakdown};
 use crate::progress::{ProgressEvent, RunControl};
@@ -107,8 +107,12 @@ pub struct SweepSpec {
     /// Lane-batching width: lane-compatible points (same built factory, same
     /// grid dimensions) are simulated up to `lanes` at a time through one
     /// shared event wheel ([`BatchEngine`](msfu_sim::BatchEngine)). Rows are
-    /// byte-identical at any width; `0` or `1` disables batching. Defaults to
-    /// [`DEFAULT_LANES`]; values above [`MAX_LANES`] are clamped.
+    /// byte-identical at any width; `0` or `1` disables batching, so every
+    /// point simulates solo through the same chunk pipeline. Defaults to
+    /// [`DEFAULT_LANES`]; values above [`MAX_LANES`] are clamped. At any
+    /// width, runs map and simulate [`SWEEP_BATCH`](self) points at a time,
+    /// so a serial run's cancel or deadline can overrun by up to one chunk
+    /// of work.
     pub lanes: usize,
     /// Root directory of the persistent cache tier: previously simulated
     /// evaluations load from hash-bucketed segment files under it on open,
@@ -158,8 +162,9 @@ pub struct SweepOutcome {
     /// — making the counters identical for parallel and serial runs of a
     /// completed sweep.
     pub cache: CacheStats,
-    /// Lane-batching occupancy counters of this run (all zero when batching
-    /// is disabled). Planning is chunk-sequential and content-addressed, so
+    /// Lane-batching occupancy counters of this run (with batching off, no
+    /// batches and every uncached point solo). Planning is chunk-sequential
+    /// and content-addressed, so
     /// the counters are identical for parallel and serial runs of a
     /// completed sweep.
     pub batch: BatchStats,
@@ -176,8 +181,8 @@ pub struct BatchStats {
     pub lanes_filled: u64,
     /// Points that occupied a batch lane.
     pub points_batched: u64,
-    /// Points simulated solo (port-rewired circuits and other
-    /// lane-incompatible points).
+    /// Points simulated solo (port-rewired circuits, other lane-incompatible
+    /// points, and every uncached point when batching is off).
     pub points_solo: u64,
     /// Points that never occupied a lane because the evaluation cache
     /// already held (or was about to hold) their content address.
@@ -315,7 +320,8 @@ impl SweepSpec {
     }
 
     /// Sets the lane-batching width (builder style). `0` or `1` disables
-    /// batching; rows are byte-identical at any width.
+    /// batching (every point simulates solo); rows are byte-identical at any
+    /// width.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes;
         self
@@ -422,100 +428,12 @@ impl SweepSpec {
     /// Returns the first (in point order) factory-construction, placement or
     /// simulation error among the batches that ran.
     pub fn run_with(&self, ctrl: &RunControl<'_>) -> Result<SweepOutcome> {
-        let total = self.points.len();
-        let mut rows: Vec<SweepRow> = Vec::with_capacity(total);
-        let mut interrupted = ctrl.interrupted();
-        let eval_cache = open_eval_cache(self.use_eval_cache, self.cache_dir.as_deref())?;
-        let mut batch_stats = self.fresh_batch_stats();
-
-        if !interrupted {
-            // Build each distinct factory once, in parallel.
-            let mut distinct: Vec<FactoryConfig> = Vec::new();
-            for p in &self.points {
-                if !distinct.contains(&p.factory) {
-                    distinct.push(p.factory);
-                }
-            }
-            let built: Vec<crate::Result<Arc<FactoryEntry>>> = distinct
-                .par_iter()
-                .map(|config| Ok(Arc::new(FactoryEntry::build(config)?)))
-                .collect();
-            let mut cache: FactoryCache = HashMap::new();
-            for (config, entry) in distinct.iter().zip(built) {
-                cache.insert(*config, entry?);
-            }
-
-            for chunk in self.points.chunks(SWEEP_BATCH) {
-                if ctrl.interrupted() {
-                    interrupted = true;
-                    break;
-                }
-                let batch: Vec<crate::Result<SweepRow>> = if self.lanes > 1 {
-                    let entries: Vec<Result<Arc<FactoryEntry>>> = chunk
-                        .iter()
-                        .map(|point| {
-                            Ok(cache
-                                .get(&point.factory)
-                                .expect("every point's config was pre-built")
-                                .clone())
-                        })
-                        .collect();
-                    self.evaluate_chunk_batched(
-                        chunk,
-                        &entries,
-                        eval_cache.as_ref(),
-                        &mut batch_stats,
-                        true,
-                    )
-                } else {
-                    chunk
-                        .par_iter()
-                        .map(|point| {
-                            let entry = cache
-                                .get(&point.factory)
-                                .expect("every point's config was pre-built")
-                                .clone();
-                            // Each worker thread reuses one simulator engine
-                            // across every point it evaluates (arena reuse;
-                            // results are unaffected).
-                            with_thread_engine(self.eval.sim, |engine| {
-                                self.evaluate_point(point, &entry, engine, eval_cache.as_ref())
-                            })
-                        })
-                        .collect()
-                };
-                for row in batch {
-                    let index = rows.len();
-                    rows.push(row?);
-                    ctrl.emit(&ProgressEvent::RowCompleted {
-                        name: &self.name,
-                        index,
-                        total,
-                        row: &rows[index],
-                    });
-                }
-                ctrl.emit(&ProgressEvent::BatchFinished {
-                    name: &self.name,
-                    completed: rows.len(),
-                    total,
-                });
-            }
-        }
-
-        Ok(SweepOutcome {
-            results: SweepResults {
-                name: self.name.clone(),
-                rows,
-            },
-            interrupted,
-            cache: eval_cache.map(|c| c.stats()).unwrap_or_default(),
-            batch: batch_stats,
-        })
+        self.execute(true, ctrl)
     }
 
-    /// Executes every point sequentially on the calling thread (reference
-    /// implementation for determinism tests, and a baseline for measuring the
-    /// parallel speedup). The factory cache applies here too.
+    /// Executes every point on the calling thread (the reference
+    /// implementation for determinism tests). The factory cache applies here
+    /// too.
     ///
     /// # Errors
     ///
@@ -525,10 +443,13 @@ impl SweepSpec {
     }
 
     /// [`SweepSpec::run_serial`] under a [`RunControl`]: rows stream to the
-    /// control's sink as each point completes, and cancellation/deadline are
-    /// honoured between points (a serial "batch" is one point).
+    /// control's sink one at a time, and cancellation/deadline are honoured
+    /// between rows, so an interrupted run returns a row prefix cut at the
+    /// point where it noticed. Points are still mapped and simulated a
+    /// [`SWEEP_BATCH`](self)-point chunk at a time, so a cancel or deadline
+    /// can overrun by up to one chunk of work.
     ///
-    /// The calling thread's simulator engine is reused across calls, so a
+    /// The calling thread's simulator engines are reused across calls, so a
     /// long-lived process (e.g. `msfu serve`) pays the arena allocations
     /// once, not per job.
     ///
@@ -537,78 +458,56 @@ impl SweepSpec {
     /// Returns the first factory-construction, placement or simulation error
     /// among the points that ran.
     pub fn run_serial_with(&self, ctrl: &RunControl<'_>) -> Result<SweepOutcome> {
-        if self.lanes > 1 {
-            return self.run_serial_batched_with(ctrl);
-        }
-        let total = self.points.len();
-        let mut cache: FactoryCache = HashMap::new();
-        let eval_cache = open_eval_cache(self.use_eval_cache, self.cache_dir.as_deref())?;
-        with_thread_engine(self.eval.sim, |engine| {
-            let mut rows: Vec<SweepRow> = Vec::with_capacity(total);
-            let mut interrupted = false;
-            for point in &self.points {
-                if ctrl.interrupted() {
-                    interrupted = true;
-                    break;
-                }
-                let entry = self.entry_for(&mut cache, point.factory)?;
-                let index = rows.len();
-                rows.push(self.evaluate_point(point, &entry, engine, eval_cache.as_ref())?);
-                ctrl.emit(&ProgressEvent::RowCompleted {
-                    name: &self.name,
-                    index,
-                    total,
-                    row: &rows[index],
-                });
-            }
-            ctrl.emit(&ProgressEvent::BatchFinished {
-                name: &self.name,
-                completed: rows.len(),
-                total,
-            });
-            Ok(SweepOutcome {
-                results: SweepResults {
-                    name: self.name.clone(),
-                    rows,
-                },
-                interrupted,
-                cache: eval_cache.map(|c| c.stats()).unwrap_or_default(),
-                batch: BatchStats::default(),
-            })
-        })
+        self.execute(false, ctrl)
     }
 
-    /// [`SweepSpec::run_serial_with`] when lane batching is on: chunks are
-    /// planned exactly like the parallel run (same groups, same counters) but
-    /// every group and solo point simulates on the calling thread.
-    /// Cancellation is honoured between chunks and between row emissions, so
-    /// a cancelled run still streams the same row prefix the unbatched serial
-    /// path would.
-    fn run_serial_batched_with(&self, ctrl: &RunControl<'_>) -> Result<SweepOutcome> {
+    /// The one chunk walk behind every run. A parallel run builds each
+    /// distinct factory up front (in parallel), evaluates each chunk across
+    /// the worker pool and reports once per chunk; a serial run builds
+    /// factories on first use, checks for interruption between rows and
+    /// reports once at the end.
+    fn execute(&self, parallel: bool, ctrl: &RunControl<'_>) -> Result<SweepOutcome> {
         let total = self.points.len();
-        let mut cache: FactoryCache = HashMap::new();
+        let mut rows: Vec<SweepRow> = Vec::with_capacity(total);
+        let mut interrupted = parallel && ctrl.interrupted();
         let eval_cache = open_eval_cache(self.use_eval_cache, self.cache_dir.as_deref())?;
         let mut batch_stats = self.fresh_batch_stats();
-        let mut rows: Vec<SweepRow> = Vec::with_capacity(total);
-        let mut interrupted = false;
+        let mut factories: FactoryCache = HashMap::new();
+
+        if parallel && !interrupted {
+            let mut distinct: Vec<FactoryConfig> = Vec::new();
+            for p in &self.points {
+                if !distinct.contains(&p.factory) {
+                    distinct.push(p.factory);
+                }
+            }
+            let built: Vec<Result<Arc<FactoryEntry>>> = distinct
+                .par_iter()
+                .map(|config| Ok(Arc::new(FactoryEntry::build(config)?)))
+                .collect();
+            for (config, entry) in distinct.iter().zip(built) {
+                factories.insert(*config, entry?);
+            }
+        }
+
         'chunks: for chunk in self.points.chunks(SWEEP_BATCH) {
-            if ctrl.interrupted() {
+            if interrupted || ctrl.interrupted() {
                 interrupted = true;
                 break;
             }
             let entries: Vec<Result<Arc<FactoryEntry>>> = chunk
                 .iter()
-                .map(|point| self.entry_for(&mut cache, point.factory))
+                .map(|point| self.entry_for(&mut factories, point.factory))
                 .collect();
-            let batch = self.evaluate_chunk_batched(
+            let batch = self.evaluate_chunk(
                 chunk,
                 &entries,
                 eval_cache.as_ref(),
                 &mut batch_stats,
-                false,
+                parallel,
             );
             for row in batch {
-                if ctrl.interrupted() {
+                if !parallel && ctrl.interrupted() {
                     interrupted = true;
                     break 'chunks;
                 }
@@ -621,12 +520,14 @@ impl SweepSpec {
                     row: &rows[index],
                 });
             }
+            if parallel {
+                self.emit_batch_finished(ctrl, rows.len());
+            }
         }
-        ctrl.emit(&ProgressEvent::BatchFinished {
-            name: &self.name,
-            completed: rows.len(),
-            total,
-        });
+        if !parallel {
+            self.emit_batch_finished(ctrl, rows.len());
+        }
+
         Ok(SweepOutcome {
             results: SweepResults {
                 name: self.name.clone(),
@@ -638,14 +539,28 @@ impl SweepSpec {
         })
     }
 
+    fn emit_batch_finished(&self, ctrl: &RunControl<'_>, completed: usize) {
+        ctrl.emit(&ProgressEvent::BatchFinished {
+            name: &self.name,
+            completed,
+            total: self.points.len(),
+        });
+    }
+
+    /// The effective lane width: `lanes` clamped to [`MAX_LANES`], or 0 when
+    /// batching is off.
+    fn lane_width(&self) -> usize {
+        if self.lanes > 1 {
+            self.lanes.min(MAX_LANES)
+        } else {
+            0
+        }
+    }
+
     /// Zeroed run-level counters carrying this spec's effective lane width.
-    fn fresh_batch_stats(&self) -> BatchStats {
+    pub(crate) fn fresh_batch_stats(&self) -> BatchStats {
         BatchStats {
-            lane_capacity: if self.lanes > 1 {
-                self.lanes.min(MAX_LANES)
-            } else {
-                0
-            },
+            lane_capacity: self.lane_width(),
             ..BatchStats::default()
         }
     }
@@ -661,72 +576,6 @@ impl SweepSpec {
         let entry = Arc::new(FactoryEntry::build(&config)?);
         cache.insert(config, entry.clone());
         Ok(entry)
-    }
-
-    /// Evaluates one point against a shared, immutable factory, simulating
-    /// through the caller's reusable engine. With a cache, the mapping phase
-    /// always runs (it produces the content address) but the simulation of a
-    /// duplicate `(factory, layout, eval)` is answered from the shared map.
-    fn evaluate_point(
-        &self,
-        point: &SweepPoint,
-        entry: &FactoryEntry,
-        engine: &mut SimEngine,
-        cache: Option<&EvalCache>,
-    ) -> Result<SweepRow> {
-        let factory = &entry.factory;
-        let layout = point.strategy.map(factory)?;
-        let effective = effective_factory(factory, &layout)?;
-        let simulate = |engine: &mut SimEngine| {
-            evaluate_mapped_with(
-                engine,
-                &effective,
-                &layout,
-                point.strategy.short_name(),
-                &self.eval,
-            )
-        };
-        let evaluation = match cache {
-            Some(cache) => cache.get_or_compute(
-                evaluation_key(factory.config(), &layout, &self.eval),
-                point.strategy.short_name(),
-                || simulate(engine),
-            )?,
-            None => simulate(engine)?,
-        };
-        let breakdown = if self.collect_breakdowns {
-            Some(per_round_breakdown_with(
-                engine,
-                &effective,
-                &layout,
-                &self.eval.sim,
-            )?)
-        } else {
-            None
-        };
-        let metrics = if self.collect_mapping_metrics {
-            // The interaction graph depends only on the circuit, so points
-            // sharing an unrewired factory share one lazily built graph; a
-            // port-rewired circuit differs and gets its own.
-            let computed;
-            let graph = if layout.requires_port_rewiring() {
-                computed = InteractionGraph::from_circuit(effective.circuit());
-                &computed
-            } else {
-                entry
-                    .graph
-                    .get_or_init(|| InteractionGraph::from_circuit(factory.circuit()))
-            };
-            Some(MappingMetrics::compute(graph, &layout.mapping.to_points()))
-        } else {
-            None
-        };
-        Ok(SweepRow {
-            label: point.label.clone(),
-            evaluation,
-            breakdown,
-            metrics,
-        })
     }
 
     /// Maps one point: layout, rewired factory copy (for port-rewiring
@@ -748,12 +597,12 @@ impl SweepSpec {
         })
     }
 
-    /// Evaluates one chunk with lane batching: maps every point, plans
-    /// lane-compatible groups, simulates each group through one
-    /// [`BatchEngine`](msfu_sim::BatchEngine), then finalizes rows in point
-    /// order through the same cache accounting as the unbatched path — so
-    /// rows, errors and cache counters are byte-identical to it.
-    fn evaluate_chunk_batched(
+    /// Evaluates one chunk: maps every point, plans lane-compatible groups,
+    /// simulates each group through one [`BatchEngine`](msfu_sim::BatchEngine)
+    /// and every other point solo, then finalizes rows in point order through
+    /// the evaluation cache. With batching off every uncached point goes
+    /// solo — the reference the lane-equivalence tests compare against.
+    pub(crate) fn evaluate_chunk(
         &self,
         chunk: &[SweepPoint],
         entries: &[Result<Arc<FactoryEntry>>],
@@ -762,27 +611,21 @@ impl SweepSpec {
         parallel: bool,
     ) -> Vec<Result<SweepRow>> {
         let len = chunk.len();
-        let indices: Vec<usize> = (0..len).collect();
 
-        // Phase A: map every point. The mapping phase always runs (it
-        // produces the content address), exactly as in the unbatched path.
-        let map_one = |i: usize| -> Result<MappedPoint> {
+        // Phase A: map every point. The mapping phase always runs: it
+        // produces the content address.
+        let mapped: Vec<Result<MappedPoint>> = map_indices(parallel, len, |i| {
             let entry = entries[i].as_ref().map_err(Clone::clone)?;
             self.map_point(&chunk[i], entry)
-        };
-        let mapped: Vec<Result<MappedPoint>> = if parallel {
-            indices.par_iter().map(|&i| map_one(i)).collect()
-        } else {
-            indices.iter().map(|&i| map_one(i)).collect()
-        };
+        });
 
         // Phase B: plan lanes, sequentially in point order so the grouping
         // (and the counters) are identical for serial and parallel runs. The
         // first occurrence of each cacheable key gets a lane; chunk-internal
         // duplicates follow that lane; keys the cache already holds never
         // occupy a lane; port-rewired points simulate a private circuit and
-        // go solo.
-        let lane_cap = self.lanes.min(MAX_LANES);
+        // go solo, as does every point when batching is off.
+        let lane_cap = self.lane_width();
         let mut roles: Vec<Option<PointRole>> = vec![None; len];
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut open: HashMap<(usize, usize, usize), usize> = HashMap::new();
@@ -807,7 +650,9 @@ impl SweepSpec {
                 }
             }
             let gates = entry.factory.circuit().num_gates() as u64;
-            if m.rewired.is_some() || (lane_cap as u64).saturating_mul(gates) > u64::from(u32::MAX)
+            if lane_cap == 0
+                || m.rewired.is_some()
+                || (lane_cap as u64).saturating_mul(gates) > u64::from(u32::MAX)
             {
                 roles[i] = Some(PointRole::Solo);
                 stats.points_solo += 1;
@@ -840,18 +685,16 @@ impl SweepSpec {
         }
 
         // Phase C: simulate each group through one shared event wheel. The
-        // Evaluation assembly mirrors `evaluate_mapped_with` field for field;
-        // the batch engine guarantees each lane's SimResult is byte-identical
-        // to a solo run.
-        let simulate_group = |members: &Vec<usize>| -> Vec<(usize, Result<Evaluation>)> {
-            let first = members[0];
-            let entry = entries[first]
+        // batch engine guarantees each lane's SimResult is byte-identical to
+        // a solo run.
+        let group_results = map_indices(parallel, groups.len(), |g| {
+            let members = &groups[g];
+            let factory = &entries[members[0]]
                 .as_ref()
-                .expect("grouped points have a factory");
-            let factory = &entry.factory;
+                .expect("grouped points have a factory")
+                .factory;
             let circuit = factory.circuit();
             let critical_path_cycles = circuit.critical_path_cycles(&self.eval.sim.latency);
-            let logical_qubits = factory.num_qubits();
             let lanes: Vec<BatchLane<'_>> = members
                 .iter()
                 .map(|&i| {
@@ -870,35 +713,15 @@ impl SweepSpec {
                     .iter()
                     .zip(results)
                     .map(|(&i, lane)| {
+                        let name = chunk[i].strategy.short_name();
                         let evaluation = lane
-                            .map(|sim| Evaluation {
-                                strategy: chunk[i].strategy.short_name().to_string(),
-                                factory: *factory.config(),
-                                latency_cycles: sim.cycles,
-                                area: sim.area,
-                                volume: sim.volume(),
-                                stall_cycles: sim.stall_cycles,
-                                routing_conflicts: sim.routing_conflicts,
-                                critical_path_cycles,
-                                critical_volume: critical_path_cycles * logical_qubits as u64,
-                                logical_qubits,
-                            })
+                            .map(|sim| evaluation_record(factory, name, &sim, critical_path_cycles))
                             .map_err(CoreError::from);
                         (i, evaluation)
                     })
-                    .collect(),
+                    .collect::<Vec<_>>(),
             }
-        };
-        let group_results: Vec<Vec<(usize, Result<Evaluation>)>> = if parallel {
-            groups.par_iter().map(simulate_group).collect()
-        } else {
-            groups.iter().map(simulate_group).collect()
-        };
-        let mut lane_eval: Vec<Option<Result<Evaluation>>> = vec![None; len];
-        for (i, evaluation) in group_results.into_iter().flatten() {
-            lane_eval[i] = Some(evaluation);
-        }
-
+        });
         // Follower points clone their lane's result through the cache.
         let mut by_key: HashMap<&str, usize> = HashMap::new();
         for i in 0..len {
@@ -910,89 +733,88 @@ impl SweepSpec {
                 }
             }
         }
+        let mut lane_eval: Vec<Option<Result<Evaluation>>> = vec![None; len];
+        for (i, evaluation) in group_results.into_iter().flatten() {
+            lane_eval[i] = Some(evaluation);
+        }
 
-        // Phase D: finalize rows in point order through the exact cache
-        // accounting of the unbatched path — every cacheable point goes
+        // Phase D: finalize rows in point order. Every cacheable point goes
         // through `get_or_compute`, with the already-simulated value as its
-        // compute closure, so hit/miss counters and cached values match the
-        // unbatched run.
-        let finalize = |i: usize, engine: &mut SimEngine| -> Result<SweepRow> {
-            let point = &chunk[i];
-            let entry = entries[i].as_ref().map_err(Clone::clone)?;
-            let m = mapped[i].as_ref().map_err(Clone::clone)?;
-            let role = roles[i].expect("mapped points were planned");
-            let factory = &entry.factory;
-            let effective: &Factory = m.rewired.as_ref().unwrap_or(factory);
-            let name = point.strategy.short_name();
-            let lane_result = |i: usize| lane_eval[i].clone().expect("lane points were simulated");
-            let evaluation = match (eval_cache, m.key.clone()) {
-                (Some(cache), Some(key)) => cache.get_or_compute(key, name, || match role {
+        // compute closure, so hit/miss counters and cached values do not
+        // depend on the lane width.
+        map_indices(parallel, len, |i| {
+            with_thread_engine(self.eval.sim, |engine| {
+                let point = &chunk[i];
+                let entry = entries[i].as_ref().map_err(Clone::clone)?;
+                let m = mapped[i].as_ref().map_err(Clone::clone)?;
+                let factory = &entry.factory;
+                let effective: &Factory = m.rewired.as_ref().unwrap_or(factory);
+                let name = point.strategy.short_name();
+                let lane_result =
+                    |i: usize| lane_eval[i].clone().expect("lane points were simulated");
+                let mut compute = || match roles[i].expect("mapped points were planned") {
                     PointRole::Lane => lane_result(i),
-                    PointRole::Follower => match by_key.get(m.key.as_deref().unwrap_or_default()) {
-                        Some(&lane) => lane_result(lane).map(|mut evaluation| {
-                            evaluation.strategy = name.to_string();
-                            evaluation
-                        }),
-                        // Unreachable (a follower always has a lane in its
-                        // chunk); recompute solo for safety.
-                        None => {
-                            evaluate_mapped_with(engine, effective, &m.layout, name, &self.eval)
-                        }
-                    },
+                    PointRole::Follower => lane_result(
+                        by_key[m.key.as_deref().unwrap_or_default()],
+                    )
+                    .map(|mut evaluation| {
+                        evaluation.strategy = name.to_string();
+                        evaluation
+                    }),
                     PointRole::Cached | PointRole::Solo => {
                         evaluate_mapped_with(engine, effective, &m.layout, name, &self.eval)
                     }
-                })?,
-                _ => match role {
-                    PointRole::Lane => lane_result(i)?,
-                    _ => evaluate_mapped_with(engine, effective, &m.layout, name, &self.eval)?,
-                },
-            };
-            let breakdown = if self.collect_breakdowns {
-                Some(per_round_breakdown_with(
-                    engine,
-                    effective,
-                    &m.layout,
-                    &self.eval.sim,
-                )?)
-            } else {
-                None
-            };
-            let metrics = if self.collect_mapping_metrics {
-                let computed;
-                let graph = if m.layout.requires_port_rewiring() {
-                    computed = InteractionGraph::from_circuit(effective.circuit());
-                    &computed
-                } else {
-                    entry
-                        .graph
-                        .get_or_init(|| InteractionGraph::from_circuit(factory.circuit()))
                 };
-                Some(MappingMetrics::compute(
-                    graph,
-                    &m.layout.mapping.to_points(),
-                ))
-            } else {
-                None
-            };
-            Ok(SweepRow {
-                label: point.label.clone(),
-                evaluation,
-                breakdown,
-                metrics,
+                let evaluation = match (eval_cache, m.key.clone()) {
+                    (Some(cache), Some(key)) => cache.get_or_compute(key, name, compute)?,
+                    _ => compute()?,
+                };
+                let breakdown = if self.collect_breakdowns {
+                    Some(per_round_breakdown_with(
+                        engine,
+                        effective,
+                        &m.layout,
+                        &self.eval.sim,
+                    )?)
+                } else {
+                    None
+                };
+                let metrics = if self.collect_mapping_metrics {
+                    let computed;
+                    let graph = if m.layout.requires_port_rewiring() {
+                        computed = InteractionGraph::from_circuit(effective.circuit());
+                        &computed
+                    } else {
+                        entry
+                            .graph
+                            .get_or_init(|| InteractionGraph::from_circuit(factory.circuit()))
+                    };
+                    Some(MappingMetrics::compute(
+                        graph,
+                        &m.layout.mapping.to_points(),
+                    ))
+                } else {
+                    None
+                };
+                Ok(SweepRow {
+                    label: point.label.clone(),
+                    evaluation,
+                    breakdown,
+                    metrics,
+                })
             })
-        };
-        if parallel {
-            indices
-                .par_iter()
-                .map(|&i| with_thread_engine(self.eval.sim, |engine| finalize(i, engine)))
-                .collect()
-        } else {
-            indices
-                .iter()
-                .map(|&i| with_thread_engine(self.eval.sim, |engine| finalize(i, engine)))
-                .collect()
-        }
+        })
+    }
+}
+
+/// `f` over `0..len`, in index order; across the worker pool when
+/// `parallel`.
+fn map_indices<T: Send>(parallel: bool, len: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let indices: Vec<usize> = (0..len).collect();
+    if parallel {
+        indices.par_iter().map(|&i| f(i)).collect()
+    } else {
+        indices.iter().map(|&i| f(i)).collect()
     }
 }
 
@@ -1004,7 +826,7 @@ struct MappedPoint {
     key: Option<String>,
 }
 
-/// How one chunk point obtains its evaluation under lane batching.
+/// How one chunk point obtains its evaluation.
 #[derive(Debug, Clone, Copy)]
 enum PointRole {
     /// Occupies a batch lane (first occurrence of its key in the chunk).
@@ -1014,20 +836,20 @@ enum PointRole {
     Follower,
     /// The evaluation cache already holds the key: never occupies a lane.
     Cached,
-    /// Lane-incompatible (port-rewired circuit, or circuit × lanes would
-    /// overflow the wheel's event payload): simulated alone.
+    /// Lane-incompatible (batching off, port-rewired circuit, or circuit ×
+    /// lanes would overflow the wheel's event payload): simulated alone.
     Solo,
 }
 
 /// A cached factory plus lazily derived, factory-invariant artifacts shared
 /// by every point that maps it.
-struct FactoryEntry {
+pub(crate) struct FactoryEntry {
     factory: Factory,
     graph: OnceLock<InteractionGraph>,
 }
 
 impl FactoryEntry {
-    fn build(config: &FactoryConfig) -> Result<Self> {
+    pub(crate) fn build(config: &FactoryConfig) -> Result<Self> {
         Ok(FactoryEntry {
             factory: Factory::build(config)?,
             graph: OnceLock::new(),
@@ -1224,12 +1046,27 @@ mod tests {
 
     #[test]
     fn batch_stats_are_zero_when_batching_is_off() {
-        let outcome = small_spec()
-            .with_lanes(0)
-            .run_with(&RunControl::default())
-            .unwrap();
-        assert_eq!(outcome.batch, BatchStats::default());
-        assert_eq!(outcome.batch.occupancy(), 0.0);
+        // Width <= 1 dispatches no batches: every point is simulated solo or
+        // answered by the cache.
+        let spec = small_spec();
+        for lanes in [0, 1] {
+            let stats = spec
+                .clone()
+                .with_lanes(lanes)
+                .run_with(&RunControl::default())
+                .unwrap()
+                .batch;
+            assert_eq!(stats.lane_capacity, 0, "{lanes} lanes");
+            assert_eq!(stats.batches, 0, "{lanes} lanes");
+            assert_eq!(stats.lanes_filled, 0, "{lanes} lanes");
+            assert_eq!(stats.points_batched, 0, "{lanes} lanes");
+            assert_eq!(stats.occupancy(), 0.0, "{lanes} lanes");
+            assert_eq!(
+                stats.points_solo + stats.points_from_cache,
+                spec.points.len() as u64,
+                "{lanes} lanes"
+            );
+        }
     }
 
     #[test]
@@ -1268,6 +1105,74 @@ mod tests {
             .with_lanes(4);
         assert!(spec.run().is_err());
         assert!(spec.run_serial().is_err());
+    }
+
+    /// Records each progress event as a compact tag.
+    #[derive(Default)]
+    struct Recorder(std::sync::Mutex<Vec<String>>);
+
+    impl crate::progress::ProgressSink for Recorder {
+        fn emit(&self, event: &ProgressEvent<'_>) {
+            let tag = match event {
+                ProgressEvent::RowCompleted { index, .. } => format!("row {index}"),
+                ProgressEvent::BatchFinished {
+                    completed, total, ..
+                } => format!("batch {completed}/{total}"),
+                _ => "other".to_string(),
+            };
+            self.0.lock().unwrap().push(tag);
+        }
+    }
+
+    fn events(spec: &SweepSpec, parallel: bool, token: &crate::CancelToken) -> Vec<String> {
+        let recorder = Recorder::default();
+        let ctrl = RunControl::default()
+            .with_progress(&recorder)
+            .with_cancel(token);
+        if parallel {
+            spec.run_with(&ctrl).unwrap();
+        } else {
+            spec.run_serial_with(&ctrl).unwrap();
+        }
+        recorder.0.into_inner().unwrap()
+    }
+
+    #[test]
+    fn progress_events_keep_their_shape_in_every_mode() {
+        // A parallel run reports per chunk; a serial run streams rows and
+        // reports once at the end. A run cancelled up front evaluates nothing.
+        let mut spec = SweepSpec::new("events", EvaluationConfig::default());
+        for seed in 0..36 {
+            spec = spec.point("p", FactoryConfig::single_level(2), Strategy::random(seed));
+        }
+        let rows = |range: std::ops::Range<usize>| range.map(|i| format!("row {i}"));
+        let parallel: Vec<String> = rows(0..32)
+            .chain(["batch 32/36".to_string()])
+            .chain(rows(32..36))
+            .chain(["batch 36/36".to_string()])
+            .collect();
+        let serial: Vec<String> = rows(0..36).chain(["batch 36/36".to_string()]).collect();
+        let live = crate::CancelToken::new();
+        let cancelled = crate::CancelToken::new();
+        cancelled.cancel();
+        for lanes in [0, DEFAULT_LANES] {
+            let spec = spec.clone().with_lanes(lanes);
+            assert_eq!(
+                events(&spec, true, &live),
+                parallel,
+                "parallel, {lanes} lanes"
+            );
+            assert_eq!(events(&spec, false, &live), serial, "serial, {lanes} lanes");
+            assert!(
+                events(&spec, true, &cancelled).is_empty(),
+                "cancelled parallel, {lanes} lanes"
+            );
+            assert_eq!(
+                events(&spec, false, &cancelled),
+                ["batch 0/36"],
+                "cancelled serial, {lanes} lanes"
+            );
+        }
     }
 
     #[test]
