@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use msfu_distill::{Factory, FactoryConfig};
 use msfu_layout::{FactoryMapper, GraphPartitionMapper, LinearMapper};
-use msfu_sim::{SimConfig, Simulator};
+use msfu_sim::{SimConfig, SimEngine};
 
 fn bench_simulator(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulator");
@@ -20,7 +20,7 @@ fn bench_simulator(c: &mut Criterion) {
             &(&factory, &linear),
             |b, (f, l)| {
                 b.iter(|| {
-                    Simulator::new(SimConfig::default())
+                    SimEngine::new(SimConfig::default())
                         .run(f.circuit(), l)
                         .unwrap()
                 })
@@ -31,7 +31,7 @@ fn bench_simulator(c: &mut Criterion) {
             &(&factory, &gp),
             |b, (f, l)| {
                 b.iter(|| {
-                    Simulator::new(SimConfig::default())
+                    SimEngine::new(SimConfig::default())
                         .run(f.circuit(), l)
                         .unwrap()
                 })
@@ -42,7 +42,7 @@ fn bench_simulator(c: &mut Criterion) {
             &(&factory, &linear),
             |b, (f, l)| {
                 b.iter(|| {
-                    Simulator::new(SimConfig::dimension_ordered())
+                    SimEngine::new(SimConfig::dimension_ordered())
                         .run(f.circuit(), l)
                         .unwrap()
                 })
@@ -55,7 +55,7 @@ fn bench_simulator(c: &mut Criterion) {
     let layout = LinearMapper::new().map_factory(&two_level).unwrap();
     group.bench_function("adaptive/two-level-k2", |b| {
         b.iter(|| {
-            Simulator::new(SimConfig::default())
+            SimEngine::new(SimConfig::default())
                 .run(two_level.circuit(), &layout)
                 .unwrap()
         })

@@ -209,12 +209,18 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peeked a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // step. Both are ASCII, so the run ends on a char
+                    // boundary of the UTF-8 input.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -463,6 +469,50 @@ mod tests {
         assert!(from_str(&objects).is_err());
         // Hostile depth errors instead of overflowing the stack.
         assert!(from_str(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn strings_mixing_multibyte_text_and_escapes_round_trip() {
+        for text in [
+            "\"é日本",
+            "é\\日\n本🎉",
+            "🎉ü\t\"",
+            "\u{1}ß\\\"€",
+            "",
+            "ascii only",
+        ] {
+            let json = to_string(&ValueWrap(Value::Str(text.into()))).unwrap();
+            assert_eq!(from_str(&json).unwrap(), Value::Str(text.into()), "{json}");
+        }
+        assert_eq!(
+            from_str(r#""\u00e9é\n\u65e5本\"""#).unwrap(),
+            Value::Str("éé\n日本\"".into())
+        );
+    }
+
+    #[test]
+    fn unterminated_strings_are_errors() {
+        for bad in ["\"", "\"abc", "\"é日", "\"ab\\\"", "\"日\\n本"] {
+            let err = from_str(bad).unwrap_err();
+            assert!(
+                err.to_string().contains("unterminated string"),
+                "{bad:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_16_mib_string_parses_in_linear_time() {
+        // 16 MiB of two-byte characters, an escape, then an ASCII run.
+        let json = format!(
+            "{{\"id\":\"{}\\n{}\"}}",
+            "é".repeat(8 << 20),
+            "a".repeat(64)
+        );
+        let parsed = from_str(&json).unwrap();
+        let id = parsed.get("id").and_then(Value::as_str).unwrap();
+        assert_eq!(id.len(), (16 << 20) + 1 + 64);
+        assert!(id.starts_with("éé") && id.ends_with(&format!("é\n{}", "a".repeat(64))));
     }
 
     #[test]

@@ -10,13 +10,14 @@
 //! `[lane * stride + slot]` flat slices. A lane-active mask lets finished or
 //! errored lanes drop out without disturbing the rest.
 //!
-//! Each lane advances through exactly the event sequence the solo
-//! [`SimEngine`](crate::SimEngine) would produce: the shared wheel merely
-//! interleaves the lanes' completion times, and within one completion time
-//! the per-lane processing order is identical to the solo engine's. Every
-//! lane therefore yields a byte-identical [`SimResult`] — the
-//! `batch_equivalence` suite gates this the same way `engine_equivalence`
-//! gated the event-driven engine.
+//! This is the crate's only event loop: [`SimEngine`](crate::SimEngine) runs
+//! every simulation as a one-lane batch. Each lane advances through exactly
+//! the event sequence [`reference::run`](crate::reference::run) produces for
+//! it alone: the shared wheel merely interleaves the lanes' completion times,
+//! and within one completion time the per-lane processing order is the
+//! reference's. Every lane therefore yields a byte-identical [`SimResult`] —
+//! the `batch_equivalence` and `engine_equivalence` suites gate this against
+//! the reference.
 //!
 //! Lane compatibility rules: one circuit for the whole batch, equal mesh
 //! width and height across lanes (placements may differ), at most
@@ -67,10 +68,10 @@ impl<'a> BatchLane<'a> {
 
 /// The lane-batched braid network simulator.
 ///
-/// Construct one engine and call [`BatchEngine::run`] repeatedly: like
-/// [`SimEngine`](crate::SimEngine), each run resets but does not reallocate
-/// the arenas, so a sweep threads one batch engine through many batches
-/// without touching the allocator on the hot path.
+/// Construct one engine and call [`BatchEngine::run`] repeatedly: each run
+/// resets but does not reallocate the arenas, so a sweep threads one batch
+/// engine through many batches without touching the allocator on the hot
+/// path.
 #[derive(Debug, Default)]
 pub struct BatchEngine {
     config: SimConfig,
@@ -144,8 +145,8 @@ impl BatchEngine {
     /// The outer `Result` rejects incompatible batches
     /// ([`SimError::LaneMismatch`]: mismatched grid dimensions, more than
     /// [`MAX_LANES`] lanes, or an oversized `lanes × gates` product) before
-    /// any lane runs. The inner per-lane results carry exactly what the solo
-    /// [`SimEngine`](crate::SimEngine) would return for that lane — including
+    /// any lane runs. The inner per-lane results carry exactly what
+    /// [`reference::run`](crate::reference::run) returns for that lane — including
     /// per-lane [`SimError::UnmappedQubit`] / [`SimError::EmptyGrid`] /
     /// [`SimError::CycleLimitExceeded`] errors, which never disturb the other
     /// lanes.
@@ -193,7 +194,7 @@ impl BatchEngine {
         let area = width * height;
 
         // Lanes resolved without simulation: validation errors and the
-        // empty-circuit fast path, mirroring the solo engine's prologue.
+        // empty-circuit fast path, mirroring the reference's prologue.
         let mut out: Vec<Option<Result<SimResult>>> = Vec::with_capacity(k);
         self.active.clear();
         for lane in lanes {
@@ -276,9 +277,9 @@ impl BatchEngine {
             // Event loop: jump to the next completion time anywhere in the
             // batch, then advance exactly the lanes completing there. Each
             // lane sees only its own subsequence of event times — the same
-            // sequence the solo engine walks — and within one time the
+            // sequence a one-lane run walks — and within one time the
             // per-lane order (release cells, promote successors, check the
-            // limit, issue) matches the solo loop step for step.
+            // limit, issue) matches the reference loop step for step.
             while active_count > 0 {
                 let Some(t) = self.wheel.next_time() else {
                     // Unreachable defensively: an active lane always has at
@@ -352,7 +353,7 @@ impl BatchEngine {
             .collect())
     }
 
-    /// Mirrors the solo engine's prologue for one lane: validation errors
+    /// Mirrors the reference's prologue for one lane: validation errors
     /// and the empty-circuit fast path resolve the lane without simulating.
     fn prevalidate(
         &self,
@@ -384,8 +385,8 @@ impl BatchEngine {
         None
     }
 
-    /// Greedy issue passes for one lane at time `now`, identical to the solo
-    /// engine's inner loop: start every ready gate whose cells are free,
+    /// Greedy issue passes for one lane at time `now`, identical to the
+    /// reference's inner loop: start every ready gate whose cells are free,
     /// repeat until a full pass starts nothing.
     #[allow(clippy::too_many_arguments)]
     fn issue_passes(
@@ -485,8 +486,8 @@ impl BatchEngine {
     }
 
     /// After an issue pass: a lane with every gate done yields its result; a
-    /// lane with work left but nothing in flight is deadlocked (the solo
-    /// engine's `next_time() == None` branch).
+    /// lane with work left but nothing in flight is deadlocked (the
+    /// reference's empty-event-queue branch).
     fn resolve_after_issue(
         &mut self,
         l: usize,
@@ -509,7 +510,7 @@ impl BatchEngine {
     }
 
     /// Assembles one finished lane's [`SimResult`], byte-identical to the
-    /// solo engine's epilogue.
+    /// reference's epilogue.
     fn finish_lane(&self, l: usize, lane: &BatchLane<'_>, n: usize) -> SimResult {
         let base = l * n;
         let timings: Vec<GateTiming> = self.timings[base..base + n].to_vec();
@@ -529,7 +530,7 @@ impl BatchEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SimConfig, SimEngine};
+    use crate::{reference, SimConfig};
     use msfu_circuit::{CircuitBuilder, LatencyModel, QubitId, QubitRole};
     use msfu_layout::{Coord, Mapping};
 
@@ -560,11 +561,11 @@ mod tests {
     }
 
     #[test]
-    fn single_lane_matches_solo_engine() {
+    fn single_lane_matches_reference() {
         let c = crossing_circuit();
         let layout = msfu_layout::Layout::new(place_line(6, 6, 6));
         for config in [SimConfig::default(), SimConfig::dimension_ordered()] {
-            let solo = SimEngine::new(config).run(&c, &layout).unwrap();
+            let solo = reference::run(&config, &c, &layout).unwrap();
             let mut batch = BatchEngine::new(config);
             let results = batch.run(&c, &[BatchLane::new(&layout)]).unwrap();
             assert_eq!(results.len(), 1);
@@ -594,7 +595,7 @@ mod tests {
                 routing: lane.routing.unwrap(),
                 ..SimConfig::default()
             };
-            let solo = SimEngine::new(config).run(&c, lane.layout()).unwrap();
+            let solo = reference::run(&config, &c, lane.layout()).unwrap();
             assert_eq!(result.as_ref().unwrap(), &solo);
         }
     }
@@ -617,11 +618,11 @@ mod tests {
             results[0],
             Err(SimError::CycleLimitExceeded { .. })
         ));
-        let solo = SimEngine::new(config).run(&c, &diag).unwrap();
+        let solo = reference::run(&config, &c, &diag).unwrap();
         assert_eq!(results[1].as_ref().unwrap(), &solo);
-        // Solo agrees the line lane dies the same way.
+        // The reference agrees the line lane dies the same way.
         assert_eq!(
-            SimEngine::new(config).run(&c, &line).unwrap_err(),
+            reference::run(&config, &c, &line).unwrap_err(),
             results[0].clone().unwrap_err()
         );
     }
@@ -687,7 +688,7 @@ mod tests {
             .run(&c, &[BatchLane::new(&bad), BatchLane::new(&good)])
             .unwrap();
         assert!(matches!(results[0], Err(SimError::UnmappedQubit { .. })));
-        let solo = SimEngine::new(SimConfig::default()).run(&c, &good).unwrap();
+        let solo = reference::run(&SimConfig::default(), &c, &good).unwrap();
         assert_eq!(results[1].as_ref().unwrap(), &solo);
     }
 }

@@ -1,29 +1,24 @@
-//! The event-driven braid simulation engine.
+//! The braid simulation engine and the cell router behind it.
 //!
-//! [`SimEngine`] is the production simulator: time jumps from one
-//! gate-completion event to the next through a bucketed [`EventWheel`], idle
-//! spans between events are never stepped, and every piece of per-run state
-//! (ready set, busy grid, cell pool, routing scratch) lives in preallocated
-//! arenas that are reused run after run — a sweep threads one engine through
+//! [`SimEngine`] simulates one circuit under one placement. It owns a
+//! [`BatchEngine`] and runs every simulation as a one-lane batch, so
+//! [`BatchEngine::run`] holds the crate's only event loop. The engine keeps
+//! the batch engine's arenas, so a sweep can thread one `SimEngine` through
 //! thousands of simulations without touching the allocator on the hot path.
 //!
 //! The cell-acquisition machinery (static braid-path caching, adaptive
-//! Dijkstra routing, the merge buffers) lives in the [`Router`], shared with
-//! the lane-batched [`crate::batch::BatchEngine`]: the router takes the busy
-//! grid and the per-gate span slots as parameters, so the same code path
-//! serves one run or K lockstep lanes.
-//!
-//! [`Simulator`] is the stateless façade kept for API compatibility: it spins
-//! up a fresh engine per call. The original allocating implementation is
-//! preserved in [`crate::reference`] and the equivalence suite asserts both
-//! produce byte-identical [`SimResult`]s.
+//! Dijkstra routing, the merge buffers) lives in the [`Router`]: it takes the
+//! busy grid and the per-gate span slots as parameters, so the batch engine
+//! can serve K lockstep lanes from one router. The original allocating
+//! implementation is preserved in [`crate::reference`] and the equivalence
+//! suites assert that both produce byte-identical [`SimResult`]s.
 
-use msfu_circuit::{Circuit, Gate, GateId, QubitId};
+use msfu_circuit::{Circuit, Gate, QubitId};
 use msfu_layout::{Coord, Layout, Mapping, RoutingHints};
 
+use crate::batch::{BatchEngine, BatchLane};
 use crate::braid::{adaptive_path_into, DijkstraScratch};
-use crate::events::EventWheel;
-use crate::{GateTiming, Result, RoutingPolicy, SimConfig, SimError, SimResult};
+use crate::{Result, RoutingPolicy, SimConfig, SimResult};
 
 /// Sentinel span offset meaning "static cell set not yet computed".
 const UNCACHED: u32 = u32::MAX;
@@ -50,8 +45,7 @@ impl CellSpan {
     }
 }
 
-/// The cell pool and routing scratch shared by [`SimEngine`] and the
-/// lane-batched [`crate::batch::BatchEngine`].
+/// The cell pool and routing scratch of the lane-batched [`BatchEngine`].
 ///
 /// A router owns everything cell acquisition needs that is not per-run
 /// simulation state: the pool backing every [`CellSpan`], the Dijkstra
@@ -375,36 +369,14 @@ impl Router {
     }
 }
 
-/// The reusable event-driven braid network simulator.
+/// The reusable braid network simulator.
 ///
 /// See the crate-level documentation for the behavioural model. Construct one
-/// engine and call [`SimEngine::run`] repeatedly: each run resets, but does
-/// not reallocate, the internal arenas. For one-shot simulations the
-/// [`Simulator`] façade is equivalent.
+/// engine and call [`SimEngine::run`] repeatedly: each run is a one-lane
+/// [`BatchEngine`] batch, which resets but does not reallocate the arenas.
 #[derive(Debug, Default)]
 pub struct SimEngine {
-    config: SimConfig,
-    /// Unresolved dependency count per gate.
-    pending: Vec<u32>,
-    /// Ready-to-issue gates, kept sorted ascending (program order).
-    ready: Vec<u32>,
-    /// Snapshot of `ready` taken at the top of each issue pass.
-    candidates: Vec<u32>,
-    /// Cycle at which each gate became ready.
-    ready_time: Vec<u64>,
-    /// Busy flags per mesh cell.
-    busy: Vec<bool>,
-    /// Cached busy-state-independent cell set per gate (all gates under
-    /// dimension-ordered routing; single-qubit gates and barriers always).
-    static_cells: Vec<CellSpan>,
-    /// Cells currently reserved by each active gate.
-    reserved: Vec<CellSpan>,
-    /// Completion-event queue.
-    wheel: EventWheel,
-    /// Gates completing at the current event time (drain buffer).
-    completions: Vec<u32>,
-    /// Cell pool and routing scratch.
-    router: Router,
+    batch: BatchEngine,
 }
 
 impl SimEngine {
@@ -412,19 +384,18 @@ impl SimEngine {
     /// grow to the largest circuit/mesh simulated.
     pub fn new(config: SimConfig) -> Self {
         SimEngine {
-            config,
-            ..SimEngine::default()
+            batch: BatchEngine::new(config),
         }
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &SimConfig {
-        &self.config
+        self.batch.config()
     }
 
     /// Replaces the configuration for subsequent runs, keeping the arenas.
     pub fn set_config(&mut self, config: SimConfig) {
-        self.config = config;
+        self.batch.set_config(config);
     }
 
     /// Simulates `circuit` under the placement and routing hints of `layout`.
@@ -435,205 +406,14 @@ impl SimEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnmappedQubit`] when a gate references an unplaced
-    /// qubit, [`SimError::EmptyGrid`] for an empty mesh, and
-    /// [`SimError::CycleLimitExceeded`] if the simulation runs past the
-    /// configured limit.
+    /// Returns [`SimError::UnmappedQubit`](crate::SimError::UnmappedQubit)
+    /// when a gate references an unplaced qubit,
+    /// [`SimError::EmptyGrid`](crate::SimError::EmptyGrid) for an empty mesh,
+    /// and [`SimError::CycleLimitExceeded`](crate::SimError::CycleLimitExceeded)
+    /// if the simulation runs past the configured limit.
     pub fn run(&mut self, circuit: &Circuit, layout: &Layout) -> Result<SimResult> {
-        let mapping = &layout.mapping;
-        if mapping.grid_area() == 0 {
-            return Err(SimError::EmptyGrid);
-        }
-        for gate in circuit.gates() {
-            for q in gate.qubits() {
-                if mapping.position(q).is_none() {
-                    return Err(SimError::UnmappedQubit { qubit: q });
-                }
-            }
-        }
-
-        let n = circuit.num_gates();
-        if n == 0 {
-            return Ok(SimResult {
-                cycles: 0,
-                area: mapping.used_area(),
-                timings: Vec::new(),
-                stall_cycles: 0,
-                stalled_gates: 0,
-                routing_conflicts: 0,
-            });
-        }
-
-        let dag = circuit.dependency_dag();
-        self.reset(n, mapping, circuit, &dag);
-
-        // The output is owned by the result, so timings are the one per-run
-        // allocation; every gate is written exactly once when it issues.
-        let zero = GateTiming {
-            ready: 0,
-            start: 0,
-            finish: 0,
-        };
-        let mut timings: Vec<GateTiming> = vec![zero; n];
-
-        let width = mapping.width();
-        let gates = circuit.gates();
-        let mut now: u64 = 0;
-        let mut completed = 0usize;
-        let mut routing_conflicts: u64 = 0;
-        let mut max_finish: u64 = 0;
-
-        while completed < n {
-            if now > self.config.cycle_limit {
-                return Err(SimError::CycleLimitExceeded {
-                    limit: self.config.cycle_limit,
-                });
-            }
-
-            // Issue passes: greedily start every ready gate whose cells are
-            // free, repeating until a full pass starts nothing. Gates made
-            // ready mid-pass (zero-duration completions) join the next pass.
-            loop {
-                let mut started_any = false;
-                self.candidates.clear();
-                self.candidates.extend_from_slice(&self.ready);
-                for i in 0..self.candidates.len() {
-                    let g = self.candidates[i] as usize;
-                    let gate = &gates[g];
-                    let acquired = self.router.try_acquire(
-                        gate,
-                        self.config.routing,
-                        mapping,
-                        &layout.hints,
-                        &self.busy,
-                        &mut self.static_cells[g],
-                        &mut self.reserved[g],
-                    );
-                    if !acquired {
-                        routing_conflicts += 1;
-                        continue;
-                    }
-                    let span = self.reserved[g];
-                    for k in span.start..span.start + span.len {
-                        let c = self.router.cells()[k as usize];
-                        self.busy[c.row * width + c.col] = true;
-                    }
-                    let duration = self.config.latency.cycles(gate);
-                    let finish = now + duration;
-                    timings[g] = GateTiming {
-                        ready: self.ready_time[g],
-                        start: now,
-                        finish,
-                    };
-                    let pos = self
-                        .ready
-                        .binary_search(&(g as u32))
-                        .expect("issued gate was ready");
-                    self.ready.remove(pos);
-                    if duration == 0 {
-                        completed += 1;
-                        max_finish = max_finish.max(finish);
-                        self.complete(g, now, &dag);
-                    } else {
-                        self.wheel.schedule(finish, g as u32);
-                    }
-                    started_any = true;
-                }
-                if !started_any {
-                    break;
-                }
-            }
-
-            if completed == n {
-                break;
-            }
-
-            // Jump straight to the next completion event.
-            let Some(finish) = self.wheel.next_time() else {
-                // Nothing active and nothing could start: the ready gates are
-                // permanently blocked (cannot happen on an empty mesh, but
-                // guard against it rather than spinning forever).
-                return Err(SimError::CycleLimitExceeded {
-                    limit: self.config.cycle_limit,
-                });
-            };
-            now = finish;
-            self.completions.clear();
-            let mut completions = std::mem::take(&mut self.completions);
-            self.wheel.advance_to(now, &mut completions);
-            for &gc in &completions {
-                let g = gc as usize;
-                let span = self.reserved[g];
-                for k in span.start..span.start + span.len {
-                    let c = self.router.cells()[k as usize];
-                    self.busy[c.row * width + c.col] = false;
-                }
-                completed += 1;
-                max_finish = max_finish.max(now);
-                self.complete(g, now, &dag);
-            }
-            self.completions = completions;
-        }
-
-        let stall_cycles: u64 = timings.iter().map(GateTiming::stall).sum();
-        let stalled_gates = timings.iter().filter(|t| t.stall() > 0).count();
-        Ok(SimResult {
-            cycles: max_finish,
-            area: mapping.used_area(),
-            timings,
-            stall_cycles,
-            stalled_gates,
-            routing_conflicts,
-        })
-    }
-
-    /// Clears and sizes every arena for a run of `n` gates on `mapping`.
-    fn reset(
-        &mut self,
-        n: usize,
-        mapping: &Mapping,
-        circuit: &Circuit,
-        dag: &msfu_circuit::DependencyDag,
-    ) {
-        self.pending.clear();
-        self.pending
-            .extend((0..n).map(|g| dag.predecessors(GateId::new(g as u32)).len() as u32));
-        self.ready.clear();
-        self.ready
-            .extend((0..n as u32).filter(|&g| self.pending[g as usize] == 0));
-        self.ready_time.clear();
-        self.ready_time.resize(n, 0);
-        self.static_cells.clear();
-        self.static_cells.resize(n, CellSpan::UNCACHED);
-        self.reserved.clear();
-        self.reserved.resize(n, CellSpan::EMPTY);
-        let area = mapping.grid_area();
-        self.busy.clear();
-        self.busy.resize(area, false);
-        self.router.reset(area);
-        let max_duration = circuit
-            .gates()
-            .iter()
-            .map(|g| self.config.latency.cycles(g))
-            .max()
-            .unwrap_or(1);
-        self.wheel.reset(max_duration.max(1));
-    }
-
-    /// Marks a gate complete at `now`, promoting newly unblocked successors.
-    fn complete(&mut self, g: usize, now: u64, dag: &msfu_circuit::DependencyDag) {
-        for succ in dag.successors(GateId::new(g as u32)) {
-            let s = succ.index();
-            self.pending[s] -= 1;
-            if self.pending[s] == 0 {
-                self.ready_time[s] = now;
-                let pos = self
-                    .ready
-                    .binary_search(&(s as u32))
-                    .expect_err("a gate becomes ready exactly once");
-                self.ready.insert(pos, s as u32);
-            }
-        }
+        let mut results = self.batch.run(circuit, &[BatchLane::new(layout)])?;
+        results.pop().expect("a one-lane batch yields one result")
     }
 }
 
@@ -642,44 +422,11 @@ pub(crate) fn pos(mapping: &Mapping, q: QubitId) -> Coord {
     mapping.position(q).expect("validated before simulation")
 }
 
-/// The stateless braid network simulator façade.
-///
-/// Each [`Simulator::run`] call drives a fresh [`SimEngine`]; hold a
-/// `SimEngine` directly to amortise its arenas across many runs.
-#[derive(Debug, Clone)]
-pub struct Simulator {
-    config: SimConfig,
-}
-
-impl Simulator {
-    /// Creates a simulator with the given configuration.
-    pub fn new(config: SimConfig) -> Self {
-        Simulator { config }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
-    /// Simulates `circuit` under the placement and routing hints of `layout`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnmappedQubit`] when a gate references an unplaced
-    /// qubit, [`SimError::EmptyGrid`] for an empty mesh, and
-    /// [`SimError::CycleLimitExceeded`] if the simulation runs past the
-    /// configured limit.
-    pub fn run(&self, circuit: &Circuit, layout: &Layout) -> Result<SimResult> {
-        SimEngine::new(self.config).run(circuit, layout)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimError;
     use msfu_circuit::{CircuitBuilder, LatencyModel, QubitRole};
-    use msfu_layout::Mapping;
 
     fn place_line(n: u32) -> Mapping {
         let mut m = Mapping::new(n as usize, n as usize, 1);
@@ -703,7 +450,7 @@ mod tests {
         b.meas_x(q[2]).unwrap();
         let c = b.build();
         let layout = simple_layout(place_line(3));
-        let result = Simulator::new(SimConfig::default())
+        let result = SimEngine::new(SimConfig::default())
             .run(&c, &layout)
             .unwrap();
         let model = LatencyModel::default();
@@ -720,7 +467,7 @@ mod tests {
         b.cnot(q[2], q[3]).unwrap();
         let c = b.build();
         let layout = simple_layout(place_line(4));
-        let result = Simulator::new(SimConfig::default())
+        let result = SimEngine::new(SimConfig::default())
             .run(&c, &layout)
             .unwrap();
         let model = LatencyModel::default();
@@ -738,7 +485,7 @@ mod tests {
         b.cnot(q[1], q[2]).unwrap();
         let c = b.build();
         let layout = simple_layout(place_line(4));
-        let result = Simulator::new(SimConfig::dimension_ordered())
+        let result = SimEngine::new(SimConfig::dimension_ordered())
             .run(&c, &layout)
             .unwrap();
         let model = LatencyModel::default();
@@ -759,7 +506,7 @@ mod tests {
         for i in 0..4u32 {
             m.place(QubitId::new(i), Coord::new(0, i as usize)).unwrap();
         }
-        let result = Simulator::new(SimConfig::default())
+        let result = SimEngine::new(SimConfig::default())
             .run(&c, &simple_layout(m))
             .unwrap();
         let model = LatencyModel::default();
@@ -779,7 +526,7 @@ mod tests {
         b.h(q[1]).unwrap();
         let c = b.build();
         let layout = simple_layout(place_line(2));
-        let result = Simulator::new(SimConfig::default())
+        let result = SimEngine::new(SimConfig::default())
             .run(&c, &layout)
             .unwrap();
         let model = LatencyModel::default();
@@ -804,7 +551,7 @@ mod tests {
         // The braid must pass through the waypoint; with a single gate the
         // latency is unchanged but the reservation is longer, which we can
         // only observe indirectly: the run still succeeds.
-        let result = Simulator::new(SimConfig::default())
+        let result = SimEngine::new(SimConfig::default())
             .run(&c, &layout)
             .unwrap();
         assert_eq!(result.cycles, LatencyModel::default().cnot);
@@ -817,7 +564,7 @@ mod tests {
         b.cnot(q[0], q[1]).unwrap();
         let c = b.build();
         let m = Mapping::new(2, 2, 2); // nothing placed
-        let err = Simulator::new(SimConfig::default())
+        let err = SimEngine::new(SimConfig::default())
             .run(&c, &simple_layout(m))
             .unwrap_err();
         assert!(matches!(err, SimError::UnmappedQubit { .. }));
@@ -827,7 +574,7 @@ mod tests {
     fn empty_circuit_takes_zero_cycles() {
         let c = CircuitBuilder::new("empty").build();
         let layout = simple_layout(Mapping::new(0, 1, 1));
-        let result = Simulator::new(SimConfig::default())
+        let result = SimEngine::new(SimConfig::default())
             .run(&c, &layout)
             .unwrap();
         assert_eq!(result.cycles, 0);
@@ -841,7 +588,7 @@ mod tests {
         b.cxx(q[0], vec![q[1], q[2], q[3]]).unwrap();
         let c = b.build();
         let layout = simple_layout(place_line(4));
-        let result = Simulator::new(SimConfig::default())
+        let result = SimEngine::new(SimConfig::default())
             .run(&c, &layout)
             .unwrap();
         let model = LatencyModel::default();
@@ -857,7 +604,7 @@ mod tests {
         let mut m = Mapping::new(2, 10, 10);
         m.place(QubitId::new(0), Coord::new(0, 0)).unwrap();
         m.place(QubitId::new(1), Coord::new(0, 3)).unwrap();
-        let result = Simulator::new(SimConfig::default())
+        let result = SimEngine::new(SimConfig::default())
             .run(&c, &simple_layout(m))
             .unwrap();
         assert_eq!(result.area, 4);

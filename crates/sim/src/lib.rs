@@ -31,11 +31,11 @@
 //! ```
 //! use msfu_distill::{Factory, FactoryConfig};
 //! use msfu_layout::{FactoryMapper, LinearMapper};
-//! use msfu_sim::{SimConfig, Simulator};
+//! use msfu_sim::{SimConfig, SimEngine};
 //!
 //! let factory = Factory::build(&FactoryConfig::single_level(2)).unwrap();
 //! let layout = LinearMapper::new().map_factory(&factory).unwrap();
-//! let result = Simulator::new(SimConfig::default())
+//! let result = SimEngine::new(SimConfig::default())
 //!     .run(factory.circuit(), &layout)
 //!     .unwrap();
 //! assert!(result.cycles > 0);
@@ -59,7 +59,7 @@ pub use braid::{
     adaptive_path, adaptive_path_into, dimension_ordered_path, BraidPath, DijkstraScratch,
 };
 pub use config::{RoutingPolicy, SimConfig};
-pub use engine::{SimEngine, Simulator};
+pub use engine::SimEngine;
 pub use error::SimError;
 pub use stats::{GateTiming, SimResult};
 

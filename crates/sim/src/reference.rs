@@ -1,13 +1,14 @@
 //! The original per-run braid simulator, kept as a reference implementation.
 //!
-//! [`crate::SimEngine`] is the production engine: it reuses its arenas across
-//! runs, caches static cell sets and drives time through a bucketed event
-//! wheel. This module preserves the straightforward implementation it
-//! replaced — fresh allocations everywhere, `BTreeSet` ready queue,
-//! `BinaryHeap` event queue, braid paths materialised through [`BraidPath`] on
-//! every routing attempt. It exists so differential tests (and the perf
-//! harness) can assert, run after run, that the optimised engine produces
-//! byte-identical [`SimResult`]s; it is not meant to be used for new code.
+//! [`crate::BatchEngine`] is the production event loop ([`crate::SimEngine`]
+//! runs it one lane at a time): it reuses its arenas across runs, caches
+//! static cell sets and drives time through a bucketed event wheel. This
+//! module preserves the straightforward implementation it replaced — fresh
+//! allocations everywhere, `BTreeSet` ready queue, `BinaryHeap` event queue,
+//! braid paths materialised through [`BraidPath`] on every routing attempt.
+//! It is the independent oracle: differential tests assert, run after run and
+//! lane by lane, that the production engines produce byte-identical
+//! [`SimResult`]s. It is not meant to be used for new code.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -20,9 +21,10 @@ use crate::{GateTiming, Result, RoutingPolicy, SimConfig, SimError, SimResult};
 
 /// Simulates `circuit` under `layout` with the reference algorithm.
 ///
-/// Behaviourally identical to [`crate::SimEngine::run`] (asserted by the
-/// equivalence suite in `tests/engine_equivalence.rs`), roughly an order of
-/// magnitude slower on contended meshes.
+/// Behaviourally identical to [`crate::SimEngine::run`] and to every lane of
+/// [`crate::BatchEngine::run`] (asserted by `tests/engine_equivalence.rs` and
+/// `tests/batch_equivalence.rs`), roughly an order of magnitude slower on
+/// contended meshes.
 ///
 /// # Errors
 ///

@@ -11,12 +11,12 @@ use msfu::layout::{
     FactoryMapper, ForceDirectedConfig, ForceDirectedMapper, GraphPartitionMapper, LinearMapper,
     RandomMapper,
 };
-use msfu::sim::{SimConfig, Simulator};
+use msfu::sim::{SimConfig, SimEngine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let factory = Factory::build(&FactoryConfig::single_level(8))?;
     let graph = InteractionGraph::from_circuit(factory.circuit());
-    let simulator = Simulator::new(SimConfig::default());
+    let mut simulator = SimEngine::new(SimConfig::default());
 
     let mappers: Vec<(&str, Box<dyn FactoryMapper>)> = vec![
         ("random", Box::new(RandomMapper::new(3))),

@@ -1,6 +1,6 @@
 //! Differential test: every lane of a [`msfu::sim::BatchEngine`] batch must
 //! produce a byte-identical [`msfu::sim::SimResult`] to a solo
-//! [`msfu::sim::SimEngine`] run of the same circuit and layout — same cycles,
+//! [`msfu::sim::reference::run`] of the same circuit and layout — same cycles,
 //! same per-gate timings, same stall statistics, same routing-conflict counts
 //! — across a seeded grid of factory configurations, mapping strategies and
 //! routing policies.
@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use msfu::core::{EvaluationConfig, Strategy, SweepSpec};
 use msfu::distill::{Factory, FactoryConfig, ReusePolicy};
 use msfu::layout::{ForceDirectedConfig, Layout, StitchingConfig};
-use msfu::sim::{BatchEngine, BatchLane, SimConfig, SimEngine, SimError};
+use msfu::sim::{reference, BatchEngine, BatchLane, SimConfig, SimEngine, SimError};
 
 /// A cheap force-directed configuration so the sweep stays fast.
 fn cheap_fd(seed: u64) -> Strategy {
@@ -48,13 +48,12 @@ fn seeded_strategies(seed: u64) -> Vec<Strategy> {
 /// Runs the full seeded grid — 2 shapes × 2 reuse policies × 3 seeds × 5
 /// strategies = 60 configs — through ONE reused [`BatchEngine`], batching
 /// lane-compatible layouts (same factory circuit, same grid dimensions)
-/// together, and asserts each lane byte-identical to a solo [`SimEngine`]
-/// run. Port-rewired layouts (hierarchical stitching) simulate a different
+/// together, and asserts each lane byte-identical to a solo
+/// [`reference::run`]. Port-rewired layouts (hierarchical stitching) simulate a different
 /// effective circuit, so each runs as its own single-lane batch — which also
 /// exercises the K=1 path.
 fn assert_lanes_match_solo(sim: SimConfig) {
     let mut batch = BatchEngine::new(sim);
-    let mut solo = SimEngine::new(sim);
     let mut lanes_checked = 0usize;
     let mut multi_lane_batches = 0usize;
     for base in [FactoryConfig::single_level(4), FactoryConfig::two_level(2)] {
@@ -86,7 +85,7 @@ fn assert_lanes_match_solo(sim: SimConfig) {
                 let results = batch.run(factory.circuit(), &lanes).unwrap();
                 assert_eq!(results.len(), layouts.len());
                 for (layout, got) in layouts.iter().zip(results) {
-                    let expect = solo.run(factory.circuit(), layout).unwrap();
+                    let expect = reference::run(&sim, factory.circuit(), layout).unwrap();
                     assert_eq!(
                         got.as_ref().expect("grid lanes all complete"),
                         &expect,
@@ -100,7 +99,7 @@ fn assert_lanes_match_solo(sim: SimConfig) {
                 let results = batch
                     .run(effective.circuit(), &[BatchLane::new(layout)])
                     .unwrap();
-                let expect = solo.run(effective.circuit(), layout).unwrap();
+                let expect = reference::run(&sim, effective.circuit(), layout).unwrap();
                 assert_eq!(
                     results[0].as_ref().expect("rewired lane completes"),
                     &expect,
@@ -168,15 +167,13 @@ fn cycle_limit_aborts_one_lane_without_disturbing_the_others() {
     let mut batch = BatchEngine::new(sim);
     let lanes = [BatchLane::new(&good), BatchLane::new(&bad)];
     let results = batch.run(factory.circuit(), &lanes).unwrap();
-    // The surviving lane is byte-identical to its solo run under the same
-    // limit; the aborted lane reports exactly the solo engine's error.
-    let mut solo = SimEngine::new(sim);
-    let expect_good = solo.run(factory.circuit(), &good).unwrap();
+    // The surviving lane is byte-identical to its reference run under the
+    // same limit; the aborted lane reports exactly the reference's error.
+    let expect_good = reference::run(&sim, factory.circuit(), &good).unwrap();
     assert_eq!(results[0].as_ref().unwrap(), &expect_good);
     let got_err = results[1].as_ref().expect_err("bad lane must abort");
-    let solo_err = solo
-        .run(factory.circuit(), &bad)
-        .expect_err("solo bad run must abort");
+    let solo_err =
+        reference::run(&sim, factory.circuit(), &bad).expect_err("reference bad run must abort");
     assert_eq!(got_err, &solo_err);
     assert!(matches!(got_err, SimError::CycleLimitExceeded { .. }));
 }
@@ -189,9 +186,8 @@ fn all_lanes_can_abort_on_the_cycle_limit() {
     let mut batch = BatchEngine::new(sim);
     let lanes = [BatchLane::new(&good), BatchLane::new(&bad)];
     let results = batch.run(factory.circuit(), &lanes).unwrap();
-    let mut solo = SimEngine::new(sim);
     for (layout, got) in [&good, &bad].into_iter().zip(&results) {
-        let solo_err = solo.run(factory.circuit(), layout).expect_err("must abort");
+        let solo_err = reference::run(&sim, factory.circuit(), layout).expect_err("must abort");
         assert_eq!(got.as_ref().expect_err("lane must abort"), &solo_err);
     }
 }

@@ -8,7 +8,7 @@ use msfu::graph::{metrics, planarity, InteractionGraph};
 use msfu::layout::{
     FactoryMapper, ForceDirectedConfig, HierarchicalStitchingMapper, LinearMapper, StitchingConfig,
 };
-use msfu::sim::{SimConfig, Simulator};
+use msfu::sim::{SimConfig, SimEngine};
 
 fn cheap_fd(seed: u64) -> Strategy {
     Strategy::force_directed(ForceDirectedConfig {
@@ -130,7 +130,7 @@ fn stitching_hops_do_not_break_simulation() {
     assert!(!layout.hints.is_empty());
     // The layout's port rebinding must be applied before simulating.
     let effective = factory.apply_port_assignment(&layout.ports).unwrap();
-    let result = Simulator::new(SimConfig::default())
+    let result = SimEngine::new(SimConfig::default())
         .run(effective.circuit(), &layout)
         .unwrap();
     assert!(
@@ -146,10 +146,10 @@ fn adaptive_routing_is_no_worse_than_dimension_ordered() {
     let config = FactoryConfig::single_level(6);
     let factory = Factory::build(&config).unwrap();
     let layout = LinearMapper::new().map_factory(&factory).unwrap();
-    let adaptive = Simulator::new(SimConfig::default())
+    let adaptive = SimEngine::new(SimConfig::default())
         .run(factory.circuit(), &layout)
         .unwrap();
-    let fixed = Simulator::new(SimConfig::dimension_ordered())
+    let fixed = SimEngine::new(SimConfig::dimension_ordered())
         .run(factory.circuit(), &layout)
         .unwrap();
     assert!(adaptive.cycles <= fixed.cycles);
@@ -175,7 +175,7 @@ fn better_metrics_translate_into_lower_latency_end_to_end() {
     // not be the faster one.
     let factory = Factory::build(&FactoryConfig::single_level(8)).unwrap();
     let graph = InteractionGraph::from_circuit(factory.circuit());
-    let sim = Simulator::new(SimConfig::default());
+    let mut sim = SimEngine::new(SimConfig::default());
 
     let linear = LinearMapper::new().map_factory(&factory).unwrap();
     let random = msfu::layout::RandomMapper::new(17)

@@ -14,7 +14,7 @@ use msfu::circuit::{LatencyModel, Schedule};
 use msfu::distill::{error_model, Factory, FactoryConfig, ReusePolicy};
 use msfu::graph::{correlation, InteractionGraph};
 use msfu::layout::{FactoryMapper, GraphPartitionMapper, LinearMapper, RandomMapper};
-use msfu::sim::{SimConfig, Simulator};
+use msfu::sim::{SimConfig, SimEngine};
 
 /// Number of random cases per property (kept close to the old proptest
 /// configuration).
@@ -154,7 +154,7 @@ fn simulated_latency_is_bounded_by_critical_path_and_serial_sum() {
         let factory = Factory::build(&FactoryConfig::single_level(k)).unwrap();
         let layout = random_slack_layout(seed, &factory);
         let config = SimConfig::default();
-        let result = Simulator::new(config)
+        let result = SimEngine::new(config)
             .run(factory.circuit(), &layout)
             .unwrap();
         let model = LatencyModel::default();
