@@ -30,10 +30,6 @@
 //!   the full [`SweepResults`] plus a [`SweepPerf`] stamp of what the run
 //!   measured itself (wall time, mode, point count, cache counters), which
 //!   `bench-diff` gates run over run.
-//!
-//! Criterion benches (`cargo bench -p msfu-bench`) measure the runtime
-//! scalability of the mapping algorithms themselves (Section VI-B3) and the
-//! ablations called out in DESIGN.md.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -485,8 +481,10 @@ pub fn run_stream_spec(
 /// stall whenever two braids would intersect (Section VIII-A); the harness
 /// therefore uses dimension-ordered routing, so that mapping quality (edge
 /// crossings, lengths) translates into realised latency the same way it does
-/// in the paper. Adaptive routing remains available as an ablation
-/// (`benches/ablation.rs`).
+/// in the paper. Adaptive routing stays the library default
+/// ([`SimConfig::default`](msfu_sim::SimConfig::default));
+/// `tests/end_to_end.rs` checks that it is never slower than
+/// dimension-ordered routing.
 pub fn harness_eval_config() -> EvaluationConfig {
     EvaluationConfig::default().with_sim(msfu_sim::SimConfig::dimension_ordered())
 }

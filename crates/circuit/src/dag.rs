@@ -89,16 +89,6 @@ impl DependencyDag {
             .collect()
     }
 
-    /// A topological order of the gates. Because predecessors always precede
-    /// their dependents in program order, program order itself is topological;
-    /// this method exists for clarity and for use by consumers that shuffle
-    /// gate identifiers.
-    pub fn topological_order(&self) -> Vec<GateId> {
-        (0..self.num_gates())
-            .map(|i| GateId::new(i as u32))
-            .collect()
-    }
-
     /// ASAP level of each gate: the length (in gates) of the longest
     /// dependency chain ending at the gate, with roots at level zero.
     pub fn asap_levels(&self) -> Vec<usize> {
@@ -141,23 +131,6 @@ impl DependencyDag {
             max_finish = max_finish.max(finish[i]);
         }
         max_finish
-    }
-
-    /// Earliest start time in cycles for each gate under unlimited resources.
-    pub fn asap_start_cycles(&self, circuit: &Circuit, model: &LatencyModel) -> Vec<u64> {
-        let n = self.num_gates();
-        let mut finish = vec![0u64; n];
-        let mut start = vec![0u64; n];
-        for i in 0..n {
-            let s = self.predecessors[i]
-                .iter()
-                .map(|p| finish[p.index()])
-                .max()
-                .unwrap_or(0);
-            start[i] = s;
-            finish[i] = s + model.cycles(&circuit.gates()[i]);
-        }
-        start
     }
 }
 
@@ -224,15 +197,6 @@ mod tests {
         let expected = model.single_qubit + 2 * model.cnot + model.measure;
         assert_eq!(dag.critical_path_cycles(&c, &model), expected);
         assert_eq!(c.critical_path_cycles(&model), expected);
-    }
-
-    #[test]
-    fn asap_start_cycles_monotone_along_chains() {
-        let c = chain_circuit();
-        let dag = c.dependency_dag();
-        let starts = dag.asap_start_cycles(&c, &LatencyModel::default());
-        assert!(starts.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(starts[0], 0);
     }
 
     #[test]

@@ -12,12 +12,10 @@
 //!   magic-state injection (`InjectT`/`InjectTdg`), measurement and barriers.
 //! * [`Circuit`] and [`CircuitBuilder`] — gate sequences with validation.
 //! * [`DependencyDag`] — data-hazard dependency analysis (the braid simulator
-//!   of the paper treats any shared-qubit hazard as a true dependency).
-//! * [`Schedule`] — ASAP level scheduling and critical-path analysis, which
-//!   provides the "theoretical lower bound" curves of Fig. 7 in the paper.
+//!   of the paper treats any shared-qubit hazard as a true dependency) and
+//!   the critical-path lower bound of Fig. 7.
 //! * [`LatencyModel`] — per-gate logical cycle costs.
 //! * [`stats`] — gate/T-count statistics.
-//! * [`scaffold`] — a Scaffold-flavoured textual assembly emitter and parser.
 //!
 //! # Example
 //!
@@ -41,14 +39,11 @@
 
 mod builder;
 mod circuit;
-pub mod commute;
 mod dag;
 mod error;
 mod gate;
 mod latency;
 mod qubit;
-pub mod scaffold;
-mod schedule;
 pub mod stats;
 
 pub use builder::CircuitBuilder;
@@ -58,7 +53,6 @@ pub use error::CircuitError;
 pub use gate::{Gate, GateId, GateKind};
 pub use latency::LatencyModel;
 pub use qubit::{QubitId, QubitRegister, QubitRole};
-pub use schedule::{Schedule, TimeStep};
 
 /// Convenience result alias used by fallible APIs in this crate.
 pub type Result<T> = std::result::Result<T, CircuitError>;

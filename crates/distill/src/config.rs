@@ -93,13 +93,17 @@ impl FactoryConfig {
         if capacity == 0 {
             return Err(DistillError::ZeroCapacity);
         }
+        let not_a_power = DistillError::CapacityNotAPower { capacity, levels };
+        let Ok(exp) = u32::try_from(levels) else {
+            return Err(not_a_power);
+        };
         let k = (capacity as f64).powf(1.0 / levels as f64).round() as usize;
-        for candidate in [k.saturating_sub(1), k, k + 1] {
-            if candidate >= 1 && candidate.pow(levels as u32) == capacity {
+        for candidate in [k.saturating_sub(1), k, k.saturating_add(1)] {
+            if candidate >= 1 && candidate.checked_pow(exp) == Some(capacity) {
                 return Ok(Self::new(candidate, levels));
             }
         }
-        Err(DistillError::CapacityNotAPower { capacity, levels })
+        Err(not_a_power)
     }
 
     /// Sets the reuse policy.
@@ -129,43 +133,60 @@ impl FactoryConfig {
         Ok(())
     }
 
+    // The sizes below saturate at `usize::MAX` instead of wrapping, so a
+    // configuration too large to build never reports a small size.
+
     /// Number of raw input states consumed by one module: `3k + 8`.
     pub fn inputs_per_module(&self) -> usize {
-        3 * self.k + 8
+        self.k.saturating_mul(3).saturating_add(8)
     }
 
     /// Number of ancillary qubits used by one module: `k + 5`.
     pub fn ancillas_per_module(&self) -> usize {
-        self.k + 5
+        self.k.saturating_add(5)
     }
 
     /// Number of logical qubits in one module: `5k + 13`.
     pub fn qubits_per_module(&self) -> usize {
-        5 * self.k + 13
+        self.k.saturating_mul(5).saturating_add(13)
     }
 
     /// Total output capacity of the factory: `k^levels`.
     pub fn capacity(&self) -> usize {
-        self.k.pow(self.levels as u32)
+        checked_pow(self.k, self.levels).unwrap_or(usize::MAX)
     }
 
     /// Total number of raw input states consumed: `(3k+8)^levels`.
     pub fn total_raw_inputs(&self) -> usize {
-        self.inputs_per_module().pow(self.levels as u32)
+        checked_pow(self.inputs_per_module(), self.levels).unwrap_or(usize::MAX)
     }
 
     /// Number of modules in round `round` (0-based): `(3k+8)^(ℓ-1-round) · k^round`.
     pub fn modules_in_round(&self, round: usize) -> usize {
-        debug_assert!(round < self.levels);
-        self.inputs_per_module()
-            .pow((self.levels - 1 - round) as u32)
-            * self.k.pow(round as u32)
+        self.checked_modules_in_round(round).unwrap_or(usize::MAX)
     }
 
-    /// Total number of modules across all rounds.
+    /// Total number of modules across all rounds. Round 0 is the largest, so
+    /// for a huge `levels` the sum overflows there and stops at once.
     pub fn total_modules(&self) -> usize {
-        (0..self.levels).map(|r| self.modules_in_round(r)).sum()
+        (0..self.levels)
+            .try_fold(0usize, |sum, r| {
+                sum.checked_add(self.checked_modules_in_round(r)?)
+            })
+            .unwrap_or(usize::MAX)
     }
+
+    /// [`Self::modules_in_round`], or `None` when it does not fit in `usize`.
+    fn checked_modules_in_round(&self, round: usize) -> Option<usize> {
+        debug_assert!(round < self.levels);
+        checked_pow(self.inputs_per_module(), self.levels - 1 - round)?
+            .checked_mul(checked_pow(self.k, round)?)
+    }
+}
+
+/// `base^exp`, or `None` when the power does not fit in `usize`.
+fn checked_pow(base: usize, exp: usize) -> Option<usize> {
+    base.checked_pow(u32::try_from(exp).ok()?)
 }
 
 #[cfg(test)]

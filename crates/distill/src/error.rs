@@ -18,10 +18,10 @@ pub enum DistillError {
         /// The requested number of levels.
         levels: usize,
     },
-    /// The requested configuration is too large to build in memory.
+    /// The requested configuration is too large to build in memory: it needs
+    /// more logical qubits than the hard limit (possibly more than fit in a
+    /// `usize`).
     TooLarge {
-        /// The number of logical qubits the configuration would require.
-        qubits: usize,
         /// The configured hard limit.
         limit: usize,
     },
@@ -41,9 +41,9 @@ impl fmt::Display for DistillError {
                 f,
                 "total capacity {capacity} is not an exact {levels}-th power of an integer"
             ),
-            DistillError::TooLarge { qubits, limit } => write!(
+            DistillError::TooLarge { limit } => write!(
                 f,
-                "configuration requires {qubits} logical qubits which exceeds the limit of {limit}"
+                "configuration requires more than the limit of {limit} logical qubits"
             ),
             DistillError::InvalidPortSwap => {
                 write!(
@@ -84,12 +84,9 @@ mod tests {
         }
         .to_string()
         .contains('5'));
-        assert!(DistillError::TooLarge {
-            qubits: 10,
-            limit: 5
-        }
-        .to_string()
-        .contains("10"));
+        assert!(DistillError::TooLarge { limit: 5 }
+            .to_string()
+            .contains('5'));
     }
 
     #[test]

@@ -100,10 +100,13 @@ impl Factory {
     /// if circuit construction fails (a generator bug).
     pub fn build(config: &FactoryConfig) -> Result<Self> {
         config.validate()?;
-        let worst_case_qubits = config.total_modules() * config.qubits_per_module();
+        // The sizes saturate instead of wrapping, so an overflow also lands
+        // above the limit.
+        let worst_case_qubits = config
+            .total_modules()
+            .saturating_mul(config.qubits_per_module());
         if worst_case_qubits > MAX_LOGICAL_QUBITS {
             return Err(DistillError::TooLarge {
-                qubits: worst_case_qubits,
                 limit: MAX_LOGICAL_QUBITS,
             });
         }
@@ -725,6 +728,63 @@ mod tests {
     fn rejects_oversized_configurations() {
         let err = Factory::build(&FactoryConfig::new(20, 4)).unwrap_err();
         assert!(matches!(err, DistillError::TooLarge { .. }));
+    }
+
+    #[test]
+    fn hostile_sizes_fail_fast_with_typed_errors() {
+        let too_large = DistillError::TooLarge {
+            limit: MAX_LOGICAL_QUBITS,
+        };
+        // (label, config or from_total_capacity error, expected error)
+        let cases = [
+            ("k=2 levels=40", Ok(FactoryConfig::new(2, 40)), &too_large),
+            (
+                "k=2 levels=1e8",
+                Ok(FactoryConfig::new(2, 100_000_000)),
+                &too_large,
+            ),
+            (
+                "k=2 levels=2^32",
+                Ok(FactoryConfig::new(2, 1 << 32)),
+                &too_large,
+            ),
+            // 5k + 13 wraps to 102 in unchecked arithmetic.
+            (
+                "k=(2^64+89)/5",
+                Ok(FactoryConfig::new(3_689_348_814_741_910_341, 1)),
+                &too_large,
+            ),
+            (
+                "capacity=4 levels=2^32+2",
+                FactoryConfig::from_total_capacity(4, (1 << 32) + 2),
+                &DistillError::CapacityNotAPower {
+                    capacity: 4,
+                    levels: (1 << 32) + 2,
+                },
+            ),
+        ];
+        for (label, config, expected) in cases {
+            let start = std::time::Instant::now();
+            let err = config.and_then(|c| Factory::build(&c)).unwrap_err();
+            assert!(start.elapsed().as_secs_f64() < 1.0, "{label} took too long");
+            assert_eq!(&err, expected, "{label}");
+            // Never a wrapped count such as 14^39 mod 2^64 = 7945669156634886144.
+            assert!(!err.to_string().contains("7945669156634886144"), "{label}");
+        }
+        let huge = FactoryConfig::new(2, 1 << 32);
+        assert_eq!(huge.capacity(), usize::MAX);
+        assert_eq!(huge.total_modules(), usize::MAX);
+        assert_eq!(FactoryConfig::new(2, 40).modules_in_round(0), usize::MAX);
+
+        // A valid two-level config still builds with its usual shape.
+        let config = FactoryConfig::from_total_capacity(4, 2).unwrap();
+        let f = Factory::build(&config).unwrap();
+        assert_eq!((config.k, config.levels), (2, 2));
+        assert_eq!(f.capacity(), 4);
+        assert_eq!(config.total_modules(), 16);
+        assert_eq!(f.rounds()[0].num_modules(), 14);
+        assert_eq!(f.rounds()[1].num_modules(), 2);
+        assert_eq!(f, Factory::build(&FactoryConfig::two_level(2)).unwrap());
     }
 
     #[test]

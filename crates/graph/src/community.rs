@@ -1,19 +1,16 @@
 //! Community detection on interaction graphs (Section VI-B1 of the paper).
 //!
-//! Two detectors are provided:
+//! [`louvain`] is greedy modularity optimisation (Blondel et al.), the
+//! detector used to drive the community-structure forces of the
+//! force-directed mapper.
 //!
-//! * [`louvain`] — greedy modularity optimisation (Blondel et al.), the
-//!   detector used to drive the community-structure forces of the
-//!   force-directed mapper.
-//! * [`label_propagation`] — a cheaper detector useful for very large graphs.
-//!
-//! Both detectors run entirely on index-addressed scratch arrays over the CSR
-//! adjacency — no per-vertex maps in the inner loops — and are deterministic
-//! by construction: candidate communities/labels are visited in ascending
-//! index order. The Louvain coarsening loop aggregates levels into reused
-//! buffers ([`CommunityScratch`]) instead of cloning and rebuilding the graph
-//! per level; [`louvain_with`] lets long-lived callers reuse one scratch
-//! across many detections.
+//! The detector runs entirely on index-addressed scratch arrays over the CSR
+//! adjacency — no per-vertex maps in the inner loops — and is deterministic
+//! by construction: candidate communities are visited in ascending index
+//! order. The coarsening loop aggregates levels into reused buffers
+//! ([`CommunityScratch`]) instead of cloning and rebuilding the graph per
+//! level; [`louvain_with`] lets long-lived callers reuse one scratch across
+//! many detections.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -97,11 +94,10 @@ pub fn modularity(graph: &InteractionGraph, assignment: &[usize]) -> f64 {
     q
 }
 
-/// Reusable buffers for [`louvain_with`] and [`label_propagation_with`]: the
-/// aggregated work graph (double-buffered canonical edge lists plus a CSR
-/// rebuilt in place per level) and the index-addressed local-moving state.
-/// One scratch can serve any number of detections on graphs of any size —
-/// buffers only ever grow.
+/// Reusable buffers for [`louvain_with`]: the aggregated work graph
+/// (double-buffered canonical edge lists plus a CSR rebuilt in place per
+/// level) and the index-addressed local-moving state. One scratch can serve
+/// any number of detections on graphs of any size — buffers only ever grow.
 #[derive(Debug, Clone, Default)]
 pub struct CommunityScratch {
     // Aggregated work graph (level > 0), coarsened in place.
@@ -114,7 +110,7 @@ pub struct CommunityScratch {
     next_self_loops: Vec<f64>,
     vertex_of: Vec<usize>,
     raw_to_dense: Vec<usize>,
-    // Local-moving / voting state.
+    // Local-moving state.
     community: Vec<usize>,
     degree: Vec<f64>,
     community_degree: Vec<f64>,
@@ -373,85 +369,6 @@ fn local_moving<R: Rng>(
     any_moved
 }
 
-/// Label-propagation community detection: every vertex repeatedly adopts the
-/// most common label among its neighbours (ties broken towards the smallest
-/// label), until a fixed point or `max_iters` sweeps.
-pub fn label_propagation<R: Rng>(
-    graph: &InteractionGraph,
-    max_iters: usize,
-    rng: &mut R,
-) -> Communities {
-    label_propagation_with(graph, max_iters, rng, &mut CommunityScratch::default())
-}
-
-/// [`label_propagation`] against caller-held [`CommunityScratch`] (vote
-/// buffers are reused across sweeps and calls). Results are identical to
-/// [`label_propagation`].
-pub fn label_propagation_with<R: Rng>(
-    graph: &InteractionGraph,
-    max_iters: usize,
-    rng: &mut R,
-    scratch: &mut CommunityScratch,
-) -> Communities {
-    let n = graph.num_vertices();
-    let mut labels: Vec<usize> = (0..n).collect();
-    scratch.order.clear();
-    scratch.order.extend(0..n);
-    if scratch.weight_to.len() < n {
-        scratch.weight_to.resize(n, 0.0);
-        scratch.stamp.resize(n, 0);
-    }
-    for _ in 0..max_iters {
-        scratch.order.shuffle(rng);
-        let mut changed = false;
-        for &v in scratch.order.iter() {
-            if graph.degree(v) == 0 {
-                continue;
-            }
-            scratch.stamp_gen += 1;
-            scratch.touched.clear();
-            for (nb, w) in graph.neighbors(v) {
-                let l = labels[*nb];
-                if scratch.stamp[l] != scratch.stamp_gen {
-                    scratch.stamp[l] = scratch.stamp_gen;
-                    scratch.weight_to[l] = 0.0;
-                    scratch.touched.push(l);
-                }
-                scratch.weight_to[l] += *w;
-            }
-            scratch.touched.sort_unstable();
-            // Max vote over ascending labels; on weight ties the *larger*
-            // label encountered later wins only if strictly heavier, i.e.
-            // ties resolve towards the smallest label.
-            let mut best: Option<(usize, f64)> = None;
-            for &l in scratch.touched.iter() {
-                let w = scratch.weight_to[l];
-                best = match best {
-                    None => Some((l, w)),
-                    Some((bl, bw)) => {
-                        let keep = bw.partial_cmp(&w).unwrap().then(l.cmp(&bl))
-                            == std::cmp::Ordering::Greater;
-                        if keep {
-                            Some((bl, bw))
-                        } else {
-                            Some((l, w))
-                        }
-                    }
-                };
-            }
-            let best = best.map(|(l, _)| l).unwrap_or(labels[v]);
-            if best != labels[v] {
-                labels[v] = best;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    Communities::from_assignment(labels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,15 +415,6 @@ mod tests {
         let c = louvain(&g, &mut rng());
         let singletons: Vec<usize> = (0..g.num_vertices()).collect();
         assert!(modularity(&g, &c.assignment) > modularity(&g, &singletons));
-    }
-
-    #[test]
-    fn label_propagation_also_finds_cliques() {
-        let g = two_cliques();
-        let c = label_propagation(&g, 50, &mut rng());
-        assert!(c.count <= 3, "expected few communities, found {}", c.count);
-        // The two clique cores must not share a community.
-        assert_ne!(c.assignment[1], c.assignment[6]);
     }
 
     #[test]

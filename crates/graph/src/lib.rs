@@ -12,15 +12,13 @@
 //!   plus a combined [`metrics::MappingMetrics`] record.
 //! * [`correlation`] — Pearson correlation, used to reproduce the r-values of
 //!   Fig. 6.
-//! * [`community`] — Louvain modularity optimisation and label propagation
-//!   for community detection (Section VI-B1).
+//! * [`community`] — Louvain modularity optimisation for community
+//!   detection (Section VI-B1).
 //! * [`partition`] — multilevel recursive bisection (heavy-edge matching,
 //!   greedy growth, boundary refinement), the METIS-style engine behind the
 //!   graph-partitioning mapper (Section VI-B2).
-//! * [`spectral`] — Fiedler-vector spectral bisection.
 //! * [`kmeans`] — KMeans++ clustering of 2-D points (used by the
 //!   community-structure forces of the force-directed mapper).
-//! * [`planarity`] — Euler-bound planarity estimates for interaction graphs.
 //!
 //! # Example
 //!
@@ -44,7 +42,5 @@ mod graph;
 pub mod kmeans;
 pub mod metrics;
 pub mod partition;
-pub mod planarity;
-pub mod spectral;
 
 pub use graph::InteractionGraph;

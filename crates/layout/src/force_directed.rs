@@ -5,7 +5,7 @@
 //! fields — vertex–vertex attraction towards the neighbourhood centroid,
 //! edge–edge repulsion between edge midpoints, and magnetic-dipole rotation —
 //! and moving vertices one grid step along their net force. Moves are
-//! accepted by a simulated-annealing criterion over a cost combining weighted
+//! accepted by a simulated-annealing rule over a cost combining weighted
 //! edge length and edge crossings. Community-structure escape moves
 //! (Louvain communities + KMeans cluster re-joining) periodically perturb the
 //! placement out of local minima.
@@ -310,7 +310,7 @@ impl ForceDirectedMapper {
     }
 
     /// Attempts to move vertex `v` to `target` (relocating into a free cell or
-    /// swapping with the occupant), accepting by the annealing criterion.
+    /// swapping with the occupant), accepting by the annealing rule.
     /// Deltas come from the pruned evaluators; accepted moves refresh the
     /// scratch bounding boxes of the affected edge stars.
     #[allow(clippy::too_many_arguments)]

@@ -170,10 +170,7 @@ mod tests {
                 "E_FACTORY_CAPACITY_NOT_A_POWER",
             ),
             (
-                CoreError::Distill(DistillError::TooLarge {
-                    qubits: 10,
-                    limit: 5,
-                }),
+                CoreError::Distill(DistillError::TooLarge { limit: 5 }),
                 "E_FACTORY_TOO_LARGE",
             ),
             (

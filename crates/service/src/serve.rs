@@ -690,6 +690,62 @@ mod tests {
     }
 
     #[test]
+    fn hostile_factory_sizes_get_typed_errors_and_serving_continues() {
+        // Each of these once looped ~`levels` times in the size check (or
+        // accepted a truncated `levels` as u32) and hung the session.
+        let hostile = [
+            (r#"{"k": 2, "levels": 100000000}"#, "E_FACTORY_TOO_LARGE"),
+            (r#"{"k": 2, "levels": 4294967296}"#, "E_FACTORY_TOO_LARGE"),
+            (
+                r#"{"capacity": 4, "levels": 4294967298}"#,
+                "E_FACTORY_CAPACITY_NOT_A_POWER",
+            ),
+        ];
+        let request = |id: &str, kind: &str, factory: &str| match kind {
+            "evaluate" => format!(
+                r#"{{"protocol_version": 1, "id": "{id}", "kind": "evaluate", "factory": {factory}, "strategy": {{"strategy": "linear"}}}}"#
+            ),
+            "sweep" => format!(
+                r#"{{"protocol_version": 1, "id": "{id}", "kind": "sweep", "sweep": {{"name": "s", "points": [{{"label": "p", "factory": {factory}, "strategy": {{"strategy": "linear"}}}}]}}}}"#
+            ),
+            _ => format!(
+                r#"{{"protocol_version": 1, "id": "{id}", "kind": "stream", "stream": {{"name": "t", "horizon": 100, "arrivals": {{"process": "poisson", "rate": 0.02}}, "fleet": [{{"factory": {factory}}}], "classes": [{{"name": "c", "strategy": {{"strategy": "linear"}}}}]}}}}"#
+            ),
+        };
+        let mut lines = String::new();
+        let mut expected = Vec::new();
+        for (factory, code) in hostile {
+            for kind in ["evaluate", "sweep", "stream"] {
+                lines += &request("bad", kind, factory);
+                lines += "\n";
+                lines += &request("ok", kind, r#"{"k": 2}"#);
+                lines += "\n";
+                expected.push((kind, code));
+            }
+        }
+        let (summary, values) = session(&lines);
+        assert_eq!(summary.responses, 2 * expected.len());
+        assert_eq!(summary.errors, expected.len());
+        let responses = responses(&values);
+        for (pair, (kind, code)) in responses.chunks(2).zip(expected) {
+            assert_eq!(
+                pair[0]
+                    .get("error")
+                    .and_then(|e| e.get("code"))
+                    .and_then(Value::as_str),
+                Some(code),
+                "{kind}: {:?}",
+                pair[0]
+            );
+            assert_eq!(
+                pair[1].get("status").and_then(Value::as_str),
+                Some("ok"),
+                "{kind}: the next request is served"
+            );
+        }
+    }
+
+    #[test]
     fn line_reader_caps_lines_and_skips_the_rest_of_an_over_long_one() {
         let mut seen = Vec::new();
         let input: &[u8] = b"abcd\n  \nabcde\nxyz\n\xff\nab";

@@ -4,7 +4,7 @@
 
 use msfu::core::{evaluate, evaluate_factory, pipeline, EvaluationConfig, Strategy};
 use msfu::distill::{Factory, FactoryConfig, ReusePolicy};
-use msfu::graph::{metrics, planarity, InteractionGraph};
+use msfu::graph::{metrics, InteractionGraph};
 use msfu::layout::{
     FactoryMapper, ForceDirectedConfig, HierarchicalStitchingMapper, LinearMapper, StitchingConfig,
 };
@@ -97,11 +97,13 @@ fn round_interaction_graphs_are_planar_but_the_two_level_graph_is_denser() {
     let factory = Factory::build(&FactoryConfig::two_level(2)).unwrap();
     let round0 = InteractionGraph::from_circuit(&factory.round_circuit(0));
     let full = InteractionGraph::from_circuit(factory.circuit());
+    // Edge density relative to the planar Euler bound |E| <= 3|V| - 6.
+    let density = |g: &InteractionGraph| g.num_edges() as f64 / (3 * g.num_vertices() - 6) as f64;
     // Single rounds satisfy the planar Euler bound comfortably.
-    assert!(planarity::satisfies_euler_bound(&round0));
+    assert!(density(&round0) <= 1.0);
     // The permutation edges strictly increase the edge density.
     assert!(
-        planarity::planar_density_ratio(&full) > planarity::planar_density_ratio(&round0),
+        density(&full) > density(&round0),
         "permutation edges must increase graph density"
     );
 }

@@ -1,6 +1,6 @@
 //! Randomised property tests over the core data structures and invariants of
-//! the toolchain: factory structure, mapping validity, schedule legality,
-//! simulator bounds and the error model.
+//! the toolchain: factory structure, mapping validity, simulator bounds and
+//! the error model.
 //!
 //! The build environment cannot fetch `proptest`, so these use a small seeded
 //! generator loop instead: every property is checked over a deterministic
@@ -10,7 +10,7 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use msfu::circuit::{LatencyModel, Schedule};
+use msfu::circuit::LatencyModel;
 use msfu::distill::{error_model, Factory, FactoryConfig, ReusePolicy};
 use msfu::graph::{correlation, InteractionGraph};
 use msfu::layout::{FactoryMapper, GraphPartitionMapper, LinearMapper, RandomMapper};
@@ -116,30 +116,6 @@ fn mappings_are_always_injective_and_complete() {
                 );
                 assert!(pos.row < layout.mapping.height());
                 assert!(pos.col < layout.mapping.width());
-            }
-        }
-    }
-}
-
-#[test]
-fn asap_schedules_respect_dependencies() {
-    let mut rng = ChaCha8Rng::seed_from_u64(103);
-    for _ in 0..CASES {
-        let config = small_factory_config(&mut rng);
-        let factory = Factory::build(&config).unwrap();
-        let circuit = factory.circuit();
-        let schedule = Schedule::asap(circuit);
-        assert_eq!(schedule.num_gates(), circuit.num_gates(), "{config:?}");
-        // Gates sharing a qubit never share a timestep.
-        for step in schedule.steps() {
-            let mut used: std::collections::HashSet<u32> = Default::default();
-            for g in step.gates() {
-                for q in circuit.gate(*g).qubits() {
-                    assert!(
-                        used.insert(q.raw()),
-                        "qubit reused within a timestep ({config:?})"
-                    );
-                }
             }
         }
     }
