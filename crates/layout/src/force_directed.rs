@@ -106,12 +106,16 @@ impl ForceDirectedMapper {
     /// Refines an existing placement of `graph` by force-directed annealing
     /// and returns the best placement found (by total cost).
     ///
-    /// Move candidates are priced by the delta-cost evaluators of
-    /// [`CostModel`] — only the edges incident to the moved vertex are
-    /// examined, with every other edge rejected against cached bounding boxes
-    /// before any segment-intersection test — over scratch buffers reused
-    /// across sweeps *and* across refinement calls (thread-local). Results
-    /// are byte-identical to the full-recompute
+    /// Moves are priced from a crossing ledger kept in [`CostScratch`]: for
+    /// every edge, the non-adjacent edges that cross it. A move's "before"
+    /// cost is read from the ledger in O(degree); its "after" cost scans only
+    /// the moved vertex's edge star, rejecting every other edge against
+    /// cached bounding boxes before any segment-intersection test, and
+    /// records the crossings it counts. An accepted move installs those
+    /// records in place of the moved edges' old lists, and the per-sweep
+    /// best tracking reads the total from the ledger in O(m). The scratch is
+    /// reused across sweeps *and* across refinement calls (thread-local).
+    /// Results are byte-identical to the full-recompute
     /// [`reference`](crate::reference) pipeline; see
     /// `tests/refine_equivalence.rs`.
     pub fn refine(&self, graph: &InteractionGraph, initial: &Mapping) -> Result<Mapping> {
@@ -132,7 +136,7 @@ impl ForceDirectedMapper {
         cost_model.prepare(&mut s.cost, &positions);
 
         let mut best_mapping = mapping.clone();
-        let mut best_cost = cost_model.total_pruned(&s.cost, &positions);
+        let mut best_cost = cost_model.ledger_total(&s.cost, &positions);
 
         let poles = if cfg.dipole > 0.0 {
             Some(pole_coloring(graph))
@@ -211,7 +215,7 @@ impl ForceDirectedMapper {
             }
 
             // Track the best placement by exact cost.
-            let current_cost = cost_model.total_pruned(&s.cost, &positions);
+            let current_cost = cost_model.ledger_total(&s.cost, &positions);
             if current_cost < best_cost {
                 best_cost = current_cost;
                 best_mapping = mapping.clone();
@@ -311,8 +315,8 @@ impl ForceDirectedMapper {
 
     /// Attempts to move vertex `v` to `target` (relocating into a free cell or
     /// swapping with the occupant), accepting by the annealing rule.
-    /// Deltas come from the pruned evaluators; accepted moves refresh the
-    /// scratch bounding boxes of the affected edge stars.
+    /// "Before" costs come from the crossing ledger, "after" costs from the
+    /// recording star scans; accepted moves are committed to the ledger.
     #[allow(clippy::too_many_arguments)]
     fn try_move(
         &self,
@@ -331,16 +335,18 @@ impl ForceDirectedMapper {
         };
         match mapping.occupant(target) {
             None => {
-                let delta =
-                    cost_model.move_delta_pruned(cost_scratch, v, positions, target.to_point());
-                if accept(delta, rng) {
+                let before = cost_model.ledger_contribution(cost_scratch, v, positions);
+                let original = positions[v];
+                positions[v] = target.to_point();
+                let after = cost_model.vertex_contribution_pruned(cost_scratch, v, positions, None);
+                if accept(after - before, rng) {
                     mapping
                         .relocate(qubit, target)
                         .expect("target cell verified free and in bounds");
-                    positions[v] = target.to_point();
-                    cost_model.note_move(cost_scratch, v, positions);
+                    cost_model.commit_move(cost_scratch, &[v], positions);
                     true
                 } else {
+                    positions[v] = original;
                     false
                 }
             }
@@ -348,8 +354,8 @@ impl ForceDirectedMapper {
                 let u = other.index();
                 let pv = positions[v];
                 let pu = positions[u];
-                let before = cost_model.vertex_contribution_pruned(cost_scratch, v, positions)
-                    + cost_model.vertex_contribution_pruned(cost_scratch, u, positions);
+                let before = cost_model.ledger_contribution(cost_scratch, v, positions)
+                    + cost_model.ledger_contribution(cost_scratch, u, positions);
                 positions[v] = pu;
                 positions[u] = pv;
                 // The swapped vertices' edge boxes must track the trial
@@ -357,11 +363,12 @@ impl ForceDirectedMapper {
                 // edges looked up from the scratch.
                 cost_model.note_move(cost_scratch, v, positions);
                 cost_model.note_move(cost_scratch, u, positions);
-                let after = cost_model.vertex_contribution_pruned(cost_scratch, v, positions)
-                    + cost_model.vertex_contribution_pruned(cost_scratch, u, positions);
+                let after = cost_model.vertex_contribution_pruned(cost_scratch, v, positions, None)
+                    + cost_model.vertex_contribution_pruned(cost_scratch, u, positions, Some(v));
                 let delta = after - before;
                 if accept(delta, rng) {
                     mapping.swap(qubit, other).expect("both qubits are placed");
+                    cost_model.commit_move(cost_scratch, &[v, u], positions);
                     true
                 } else {
                     positions[v] = pv;
@@ -445,8 +452,8 @@ impl ForceDirectedMapper {
 }
 
 /// Buffers reused across sweeps and across refinement calls on the same
-/// thread: the force fields, the visit order, the pruned cost model's
-/// bounding-box state, the Louvain aggregation buffers and the k-means
+/// thread: the force fields, the visit order, the cost model's boxes and
+/// crossing ledger, the Louvain aggregation buffers and the k-means
 /// accumulators of the community escape moves.
 #[derive(Debug, Default)]
 struct RefineScratch {

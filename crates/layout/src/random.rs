@@ -10,11 +10,15 @@ use msfu_distill::Factory;
 
 use crate::{Coord, FactoryMapper, Layout, LayoutError, Mapping, Result};
 
+/// Largest grid a [`RandomMapper`] builds, in cells per placed qubit. A larger
+/// expansion is rejected rather than allocated.
+const MAX_CELLS_PER_QUBIT: usize = 64;
+
 /// Places qubits uniformly at random onto a square grid.
 ///
 /// The grid side is `ceil(sqrt(n · expansion))`; an expansion factor of 1.0
 /// gives the most compact square that holds all qubits, larger values leave
-/// free cells as routing slack.
+/// free cells as routing slack, up to 64 cells per qubit.
 #[derive(Debug, Clone)]
 pub struct RandomMapper {
     seed: u64,
@@ -39,13 +43,29 @@ impl RandomMapper {
     /// Produces a random placement of `num_qubits` qubits, independent of any
     /// factory structure. Useful for the Fig. 6 study which randomises the
     /// mapping of a fixed circuit.
+    ///
+    /// # Errors
+    ///
+    /// [`LayoutError::InvalidMapperParam`] when the expansion is not finite
+    /// or asks for more than 64 cells per qubit.
     pub fn map_qubits(&self, num_qubits: usize) -> Result<Mapping> {
         if num_qubits == 0 {
             return Err(LayoutError::UnsupportedFactory {
                 reason: "no qubits to place".into(),
             });
         }
+        // An infinite or huge expansion saturates the cast, so the checked
+        // square below fails instead of allocating.
         let side = ((num_qubits as f64 * self.expansion).sqrt().ceil() as usize).max(1);
+        side.checked_mul(side)
+            .filter(|cells| *cells <= num_qubits.saturating_mul(MAX_CELLS_PER_QUBIT))
+            .ok_or_else(|| LayoutError::InvalidMapperParam {
+                mapper: "random".into(),
+                reason: format!(
+                    "expansion {:?} exceeds {MAX_CELLS_PER_QUBIT} cells per qubit",
+                    self.expansion
+                ),
+            })?;
         let mut mapping = Mapping::new(num_qubits, side, side);
         let mut cells: Vec<Coord> = (0..side)
             .flat_map(|r| (0..side).map(move |c| Coord::new(r, c)))
@@ -119,6 +139,27 @@ mod tests {
     #[test]
     fn zero_qubits_is_an_error() {
         assert!(RandomMapper::new(0).map_qubits(0).is_err());
+    }
+
+    #[test]
+    fn oversized_or_infinite_expansion_is_a_typed_error() {
+        for expansion in [1e12, 1e300, f64::INFINITY, 65.0] {
+            assert!(
+                matches!(
+                    RandomMapper::new(1)
+                        .with_expansion(expansion)
+                        .map_qubits(16),
+                    Err(LayoutError::InvalidMapperParam { .. })
+                ),
+                "expansion {expansion}"
+            );
+        }
+        // Exactly the cap: a 32 x 32 grid for 16 qubits.
+        let m = RandomMapper::new(1)
+            .with_expansion(64.0)
+            .map_qubits(16)
+            .unwrap();
+        assert_eq!(m.grid_area(), 16 * MAX_CELLS_PER_QUBIT);
     }
 
     #[test]

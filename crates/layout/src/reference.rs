@@ -6,10 +6,9 @@
 //! the complete edge list per incident edge, and every sweep re-evaluates the
 //! exact total with [`CostModel::total`]. The production
 //! [`ForceDirectedMapper::refine`](crate::ForceDirectedMapper::refine)
-//! replaces those with bounding-box-pruned evaluators over reusable scratch;
-//! `tests/refine_equivalence.rs` asserts both produce byte-identical mappings
-//! across seeded configurations, and `msfu_bench::perf` times this module
-//! against the production path to record the mapping-phase speedup.
+//! replaces those with a per-edge crossing ledger and bounding-box-pruned
+//! star scans over reusable scratch; `tests/refine_equivalence.rs` asserts
+//! both produce byte-identical mappings across seeded configurations.
 
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};

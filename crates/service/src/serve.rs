@@ -746,6 +746,47 @@ mod tests {
     }
 
     #[test]
+    fn hostile_random_expansions_get_typed_errors_and_serving_continues() {
+        // 1e300 once panicked on a capacity overflow and 1e12 aborted on a
+        // 184 TB allocation, killing the session.
+        let ok = r#"{"protocol_version": 1, "id": "ok", "kind": "evaluate", "factory": {"k": 2}, "strategy": {"strategy": "linear"}}"#;
+        let mut lines = String::new();
+        for expansion in ["1e300", "1e12"] {
+            lines += &format!(
+                r#"{{"protocol_version": 1, "id": "bad", "kind": "evaluate", "factory": {{"k": 2}}, "strategy": {{"strategy": "random", "expansion": {expansion}}}}}"#
+            );
+            lines += "\n";
+            lines += ok;
+            lines += "\n";
+            lines += &format!(
+                r#"{{"protocol_version": 1, "id": "bad", "kind": "search", "search": {{"name": "s", "factory": {{"k": 2}}, "budget": 4, "portfolio": [{{"strategy": {{"strategy": "linear"}}, "seeded": false}}, {{"strategy": {{"strategy": "random", "seed": 1}}, "ladder": [{{}}, {{"expansion": {expansion}}}]}}]}}}}"#
+            );
+            lines += "\n";
+            lines += ok;
+            lines += "\n";
+        }
+        let (summary, values) = session(&lines);
+        assert_eq!(summary.responses, 8);
+        assert_eq!(summary.errors, 4);
+        for pair in responses(&values).chunks(2) {
+            assert_eq!(
+                pair[0]
+                    .get("error")
+                    .and_then(|e| e.get("code"))
+                    .and_then(Value::as_str),
+                Some("E_INVALID_STRATEGY_PARAM"),
+                "{:?}",
+                pair[0]
+            );
+            assert_eq!(
+                pair[1].get("status").and_then(Value::as_str),
+                Some("ok"),
+                "the next request is served"
+            );
+        }
+    }
+
+    #[test]
     fn line_reader_caps_lines_and_skips_the_rest_of_an_over_long_one() {
         let mut seen = Vec::new();
         let input: &[u8] = b"abcd\n  \nabcde\nxyz\n\xff\nab";

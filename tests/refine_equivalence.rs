@@ -97,6 +97,28 @@ fn equivalence_holds_from_random_starts_and_ablated_configs() {
 }
 
 #[test]
+fn equivalence_holds_on_the_two_level_capacity_4_graph() {
+    // A two-level graph the serve mix refines (660 qubits, 1 010 edges),
+    // under its force-directed configuration cut to 5 sweeps (so the debug
+    // build stays fast) with one round of community moves.
+    let factory = Factory::build(&FactoryConfig::two_level(4)).expect("factory builds");
+    let graph = InteractionGraph::from_circuit(factory.circuit());
+    assert_eq!((graph.num_vertices(), graph.num_edges()), (660, 1010));
+    let linear = LinearMapper::new()
+        .map_factory(&factory)
+        .expect("linear start")
+        .mapping;
+    let cfg = ForceDirectedConfig {
+        seed: 42,
+        iterations: 5,
+        repulsion_sample: 8000,
+        community_interval: 5,
+        ..ForceDirectedConfig::default()
+    };
+    refine_pair(&cfg, &graph, &linear);
+}
+
+#[test]
 fn full_mapping_path_matches_reference_refinement() {
     // The production map_factory (linear start + refine) must equal a
     // manually assembled linear start + reference refine.
