@@ -24,12 +24,12 @@ pub enum CoreError {
         /// Explanation of the problem (field path and what was expected).
         reason: String,
     },
-    /// A stream job named a scheduler that is not registered.
+    /// A stream job named a scheduler outside the built-in line-up.
     UnknownScheduler {
         /// The requested scheduler name.
         name: String,
-        /// The registered scheduler names, sorted.
-        known: Vec<String>,
+        /// The built-in scheduler names, sorted.
+        known: &'static [&'static str],
     },
     /// A remote worker failed, or its payload could not be decoded.
     ///

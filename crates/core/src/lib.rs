@@ -7,9 +7,9 @@
 //!
 //! The crate glues the substrates together:
 //!
-//! * [`Strategy`] — mapping strategies as *registry keys*: the Table I
-//!   built-ins (`Random`, `Line`, `FD`, `GP`, `HS`) plus anything added
-//!   through [`register_strategy`].
+//! * [`Strategy`] — mapping strategies as plain data: one of the five
+//!   Table I strategies (`Random`, `Line`, `FD`, `GP`, `HS`) by key, plus
+//!   its parameters.
 //! * [`evaluate`] — one factory configuration × one strategy → an
 //!   [`Evaluation`] record (realised latency, area, volume, stalls, and the
 //!   critical-path lower bound).
@@ -27,7 +27,7 @@
 //!   incumbent report.
 //! * [`stream`] — the streaming workload: stochastic online distillation
 //!   traffic (Poisson / bursty / adversarial-trace arrivals) scheduled over
-//!   a fixed factory fleet by pluggable, registry-keyed schedulers, with
+//!   a fixed factory fleet by four built-in, name-keyed schedulers, with
 //!   latency-percentile / throughput / utilization reports.
 //! * [`stats`] — the shared nearest-rank percentile helpers behind those
 //!   reports.
@@ -88,11 +88,8 @@ pub use search::{
 };
 pub use serdes::{BinCodec, CodecError, FORMAT_VERSION};
 pub use stats::{nearest_rank, percentiles, Percentiles};
-pub use strategy::{register_strategy, registered_strategies, ResolvedStrategy, Strategy};
-pub use stream::{
-    register_stream_scheduler, registered_stream_schedulers, ArrivalProcess, JobClass,
-    SchedulerRegistry, SchedulerRun, StreamOutcome, StreamReport, StreamScheduler, StreamSpec,
-};
+pub use strategy::Strategy;
+pub use stream::{ArrivalProcess, JobClass, SchedulerRun, StreamOutcome, StreamReport, StreamSpec};
 pub use sweep::{
     BatchStats, SweepIndex, SweepOutcome, SweepPoint, SweepResults, SweepRow, SweepSpec,
     DEFAULT_LANES,

@@ -1,8 +1,8 @@
-//! Portfolio search over the open strategy registry.
+//! Portfolio search over the strategy line-up.
 //!
 //! The paper compares a fixed line-up of five strategies; with the
 //! event-driven engine making simulation cheap and strategies being plain
-//! registry data, a better question becomes *which strategy variant and seed
+//! data, a better question becomes *which strategy variant and seed
 //! minimises the objective for this factory*. This module answers it with a
 //! portfolio search: a set of [`PortfolioEntry`] templates (e.g. randomised
 //! placement over an expansion ladder, force-directed over a temperature
@@ -41,13 +41,19 @@ use std::sync::Arc;
 use serde::{Serialize, Value};
 
 use msfu_distill::FactoryConfig;
-use msfu_layout::{ForceDirectedConfig, MapperParams, ParamValue, StitchingConfig};
+use msfu_layout::{
+    check_mapper_name, ForceDirectedConfig, MapperParams, ParamValue, StitchingConfig,
+};
 
 use crate::cache::{open_eval_cache, CacheStats};
 use crate::progress::{ProgressEvent, RunControl};
 use crate::spec::{eval_from_json, factory_from_json, params_from_json, strategy_from_json};
 use crate::sweep::{FactoryEntry, SweepPoint, SweepResults, SweepRow, SweepSpec};
 use crate::{CoreError, Evaluation, EvaluationConfig, Result, Strategy};
+
+/// Hard cap on `batch_size`, so a typo'd size fails fast as a typed spec
+/// error instead of reserving memory for the batch up front.
+const MAX_BATCH_SIZE: usize = 4_096;
 
 /// What the search minimises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
@@ -115,7 +121,7 @@ pub struct PortfolioEntry {
     /// Report label for candidates of this entry (becomes
     /// [`Evaluation::strategy`]).
     pub label: String,
-    /// The base strategy (registry key + base parameters).
+    /// The base strategy (line-up key + base parameters).
     pub template: Strategy,
     /// Parameter overrides cycled over the entry's candidate stream
     /// (candidate *n* applies `ladder[n % ladder.len()]`); empty for a plain
@@ -308,6 +314,9 @@ impl SearchSpec {
         if self.batch_size == 0 {
             return fail("batch_size must be at least 1");
         }
+        if self.batch_size > MAX_BATCH_SIZE {
+            return fail(&format!("batch_size must be at most {MAX_BATCH_SIZE}"));
+        }
         Ok(())
     }
 
@@ -315,9 +324,9 @@ impl SearchSpec {
     ///
     /// # Errors
     ///
-    /// Returns a spec error for an empty portfolio or zero budget/batch
-    /// size, and propagates the first (in candidate order) factory, mapping
-    /// or simulation failure.
+    /// Returns a spec error for an empty portfolio, a zero budget, or a batch
+    /// size of zero or above 4 096, and propagates the first (in candidate
+    /// order) factory, mapping or simulation failure.
     pub fn run(&self) -> Result<SearchReport> {
         Ok(self.execute(false, &RunControl::default())?.report)
     }
@@ -358,10 +367,10 @@ impl SearchSpec {
     fn execute(&self, serial: bool, ctrl: &RunControl<'_>) -> Result<SearchOutcome> {
         self.validate()?;
         let factory = Arc::new(FactoryEntry::build(&self.factory)?);
-        // Resolve every entry's registry key once, so an unknown key fails
-        // before the first batch rather than when its candidate comes up.
+        // Check every entry's key up front, so an unknown key fails before
+        // the first batch rather than when its candidate comes up.
         for entry in &self.portfolio {
-            entry.template.resolve()?;
+            check_mapper_name(entry.template.key())?;
         }
         let cache = open_eval_cache(self.use_eval_cache, self.cache_dir.as_deref())?;
         // Each candidate batch is a sub-sweep over the one shared factory,
@@ -405,9 +414,9 @@ impl SearchSpec {
     ///
     /// # Errors
     ///
-    /// Returns a spec error for an empty portfolio or zero budget/batch
-    /// size, and propagates the first (in candidate order) evaluation error
-    /// the closure reports.
+    /// Returns a spec error for an empty portfolio, a zero budget, or a batch
+    /// size of zero or above 4 096, and propagates the first (in candidate
+    /// order) evaluation error the closure reports.
     pub fn run_with_evaluator<F>(
         &self,
         ctrl: &RunControl<'_>,
@@ -957,6 +966,20 @@ mod tests {
         let mut spec = quick_spec();
         spec.batch_size = 0;
         assert!(spec.run().is_err());
+    }
+
+    #[test]
+    fn huge_batch_size_is_a_spec_error() {
+        let mut spec = quick_spec();
+        spec.batch_size = 1_000_000_000_000_000;
+        for err in [spec.run().unwrap_err(), spec.run_serial().unwrap_err()] {
+            assert_eq!(
+                err,
+                CoreError::Spec {
+                    reason: format!("search `{}`: batch_size must be at most 4096", spec.name),
+                }
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Sweep grids declared as JSON data.
 //!
-//! With strategies rebased onto registry keys, an entire sweep —
+//! With strategies named by line-up keys, an entire sweep —
 //! strategies, their parameters, factory configurations, seeds and the
 //! routing policy — is expressible as data, with no Rust changes. This
 //! module decodes that JSON form into a [`SweepSpec`] via the workspace's
@@ -37,11 +37,11 @@
 //!   (which must be an exact `levels`-th power); `levels` defaults to 1,
 //!   `reuse` (`"R"`/`"NR"`, or the long spellings) to `"R"`, `barriers` to
 //!   `true`.
-//! * `strategy` / `strategies` — `strategy` names a registry key (built-in or
-//!   custom); every other field is passed to the mapper's builder as a typed
-//!   parameter, so unknown keys and type mismatches are errors, not silent
-//!   defaults. An optional `label` overrides the report label (built-ins
-//!   default to their Table I row names).
+//! * `strategy` / `strategies` — `strategy` names one of the five line-up
+//!   keys (see [`msfu_layout::build_mapper`]); every other field is passed
+//!   to the mapper as a typed parameter, so unknown keys and type mismatches
+//!   are errors, not silent defaults. An optional `label` overrides the
+//!   report label (the keys default to their Table I row names).
 //! * `grids` may carry a `seeds` array: every strategy of the grid is then
 //!   instantiated once per seed (innermost loop) with its `seed` parameter
 //!   overridden — note the `linear` built-in takes no seed and must live in a
@@ -192,7 +192,7 @@ pub fn params_from_json(value: &Value) -> Result<MapperParams> {
     Ok(params)
 }
 
-/// The Table I labels the built-in registry keys default to, mirroring the
+/// The Table I labels the line-up keys default to, mirroring the
 /// [`Strategy`] constructors.
 fn default_label(key: &str, params: &MapperParams) -> Option<&'static str> {
     match key {
@@ -209,16 +209,16 @@ fn default_label(key: &str, params: &MapperParams) -> Option<&'static str> {
     }
 }
 
-/// Decodes a strategy object: `strategy` names the registry key, `label`
+/// Decodes a strategy object: `strategy` names the line-up key, `label`
 /// optionally overrides the report label, every other field becomes a typed
 /// mapper parameter.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Spec`] for a missing key or a parameter value that
-/// is not a number, boolean or string. (An *unknown* registry key or
-/// parameter name only surfaces when the strategy is built, because the
-/// registry is open — the key may be registered after parsing.)
+/// is not a number, boolean or string. (An *unknown* key or parameter name
+/// only surfaces when the strategy is checked or built, so decoding stays
+/// purely structural.)
 pub fn strategy_from_json(value: &Value) -> Result<Strategy> {
     let ctx = "strategy";
     let entries = as_object(value, ctx)?;

@@ -1,79 +1,23 @@
-//! Mapping strategies as registry keys.
+//! Mapping strategies as named line-up entries.
 //!
-//! A [`Strategy`] names an entry of the process-wide mapper registry (see
-//! [`register_strategy`]) plus the parameter bag to instantiate it with and a
-//! short display label. The five strategies of the paper's Table I are
-//! pre-registered built-ins with dedicated constructors
-//! ([`Strategy::random`], [`Strategy::linear`], [`Strategy::force_directed`],
-//! [`Strategy::graph_partition`], [`Strategy::hierarchical_stitching`]), but
-//! the line-up is open: any mapper registered through [`register_strategy`]
-//! can be swept, searched and benchmarked exactly like the built-ins, and a
-//! strategy is plain *data* — constructible from a JSON sweep spec with no
-//! Rust changes (see [`crate::spec`]).
-
-use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
+//! A [`Strategy`] names one of the five strategies of the paper's Table I
+//! (the keys [`msfu_layout::build_mapper`] matches) plus the parameter bag to
+//! instantiate it with and a short display label. Each has a dedicated
+//! constructor ([`Strategy::random`], [`Strategy::linear`],
+//! [`Strategy::force_directed`], [`Strategy::graph_partition`],
+//! [`Strategy::hierarchical_stitching`]), and a strategy is plain *data* —
+//! constructible from a JSON sweep spec with no Rust changes (see
+//! [`crate::spec`]).
 
 use msfu_distill::Factory;
 use msfu_layout::{
-    FactoryMapper, ForceDirectedConfig, Layout, MapperBuilder, MapperParams, MapperRegistry,
-    ParamValue, Result as LayoutResult, StitchingConfig,
+    build_mapper, ForceDirectedConfig, Layout, MapperParams, ParamValue, StitchingConfig,
 };
 use serde::{Serialize, Value};
 
 use crate::Result;
 
-/// The process-wide strategy registry behind [`Strategy::map`].
-fn global_registry() -> &'static RwLock<MapperRegistry> {
-    static REGISTRY: OnceLock<RwLock<MapperRegistry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| RwLock::new(MapperRegistry::with_builtins()))
-}
-
-fn read_registry() -> RwLockReadGuard<'static, MapperRegistry> {
-    global_registry()
-        .read()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Registers a custom mapping strategy under `name` in the process-wide
-/// registry, making it usable by every [`Strategy`], sweep and search in the
-/// process.
-///
-/// # Errors
-///
-/// Returns [`msfu_layout::LayoutError::DuplicateMapper`] if the name is
-/// already registered (the five paper built-ins are pre-registered).
-///
-/// # Example
-///
-/// ```
-/// use msfu_core::{register_strategy, Strategy};
-/// use msfu_layout::{FactoryMapper, LinearMapper, ParamReader};
-///
-/// // Idempotent in doctests: ignore the duplicate error on re-run.
-/// let _ = register_strategy("linear_again", |params| {
-///     ParamReader::new("linear_again", params).finish()?;
-///     Ok(Box::new(LinearMapper::new()) as Box<dyn FactoryMapper>)
-/// });
-/// assert!(msfu_core::registered_strategies().contains(&"linear_again".to_string()));
-/// ```
-pub fn register_strategy(
-    name: impl Into<String>,
-    builder: impl Fn(&MapperParams) -> LayoutResult<Box<dyn FactoryMapper>> + Send + Sync + 'static,
-) -> Result<()> {
-    global_registry()
-        .write()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .register(name, builder)
-        .map_err(Into::into)
-}
-
-/// The names currently registered in the process-wide strategy registry,
-/// sorted.
-pub fn registered_strategies() -> Vec<String> {
-    read_registry().names()
-}
-
-/// A qubit-mapping strategy: a registry key, its instantiation parameters and
+/// A qubit-mapping strategy: a line-up key, its instantiation parameters and
 /// a report label.
 ///
 /// Equality is structural (same key, same label, same parameters), and the
@@ -88,7 +32,7 @@ pub struct Strategy {
 }
 
 impl Strategy {
-    /// Creates a strategy for registry entry `key` with `params`; the label
+    /// Creates a strategy for line-up key `key` with `params`; the label
     /// defaults to the key (see [`Strategy::with_label`]).
     pub fn new(key: impl Into<String>, params: MapperParams) -> Self {
         let key = key.into();
@@ -113,7 +57,7 @@ impl Strategy {
         self
     }
 
-    /// The registry key the strategy resolves through.
+    /// The line-up key naming the strategy's mapper.
     pub fn key(&self) -> &str {
         &self.key
     }
@@ -194,59 +138,17 @@ impl Strategy {
         ]
     }
 
-    /// Maps a factory using this strategy, resolving the mapper through the
-    /// process-wide registry. The factory is never mutated: strategies that
-    /// want the factory's output ports rewired (hierarchical stitching)
-    /// record the rebinding on the returned [`Layout`], which the evaluation
-    /// layer applies to a private copy before simulating.
+    /// Maps a factory using this strategy. The factory is never mutated:
+    /// strategies that want the factory's output ports rewired (hierarchical
+    /// stitching) record the rebinding on the returned [`Layout`], which the
+    /// evaluation layer applies to a private copy before simulating.
     ///
     /// # Errors
     ///
-    /// Returns an error for an unknown registry key or rejected parameters,
-    /// and propagates mapping failures from the underlying mapper.
+    /// Returns an error for an unknown key or rejected parameters, and
+    /// propagates mapping failures from the underlying mapper.
     pub fn map(&self, factory: &Factory) -> Result<Layout> {
-        let mapper = read_registry().build(&self.key, &self.params)?;
-        Ok(mapper.map_factory(factory)?)
-    }
-
-    /// Resolves the strategy's registry entry once, returning a handle that
-    /// maps without re-entering the registry. Hot loops that expand one
-    /// strategy template into many parameterisations — a portfolio entry's
-    /// seed ladder — resolve per template instead of per candidate.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for an unknown registry key.
-    pub fn resolve(&self) -> Result<ResolvedStrategy> {
-        Ok(ResolvedStrategy {
-            builder: read_registry().resolve(&self.key)?,
-        })
-    }
-}
-
-/// A pre-resolved registry entry: the shared builder of one mapper key,
-/// detached from the registry lock (see [`Strategy::resolve`]).
-#[derive(Clone)]
-pub struct ResolvedStrategy {
-    builder: Arc<MapperBuilder>,
-}
-
-impl std::fmt::Debug for ResolvedStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResolvedStrategy").finish_non_exhaustive()
-    }
-}
-
-impl ResolvedStrategy {
-    /// Maps `factory` with `strategy`'s parameters through the pre-resolved
-    /// builder. `strategy` must carry the key this handle was resolved from
-    /// (candidates derived from the same template always do).
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter rejections and mapping failures.
-    pub fn map(&self, strategy: &Strategy, factory: &Factory) -> Result<Layout> {
-        let mapper = (self.builder)(strategy.params())?;
+        let mapper = build_mapper(&self.key, &self.params)?;
         Ok(mapper.map_factory(factory)?)
     }
 }
@@ -345,43 +247,12 @@ mod tests {
     #[test]
     fn unknown_key_surfaces_a_registry_error() {
         let factory = Factory::build(&FactoryConfig::single_level(2)).unwrap();
-        let err = Strategy::new("no_such_mapper", MapperParams::new())
-            .map(&factory)
-            .expect_err("unknown key fails");
-        assert!(err.to_string().contains("no_such_mapper"), "{err}");
-        assert!(err.to_string().contains("linear"), "{err}");
-    }
-
-    #[test]
-    fn registered_custom_strategy_is_mappable() {
-        use msfu_layout::{LinearMapper, ParamReader};
-        // Global registry: register once, tolerate re-runs in the same
-        // process.
-        let _ = register_strategy("test_custom_linear", |params| {
-            ParamReader::new("test_custom_linear", params).finish()?;
-            Ok(Box::new(LinearMapper::new()) as Box<dyn FactoryMapper>)
-        });
-        assert!(registered_strategies().contains(&"test_custom_linear".to_string()));
-
-        let factory = Factory::build(&FactoryConfig::single_level(2)).unwrap();
-        let custom = Strategy::new("test_custom_linear", MapperParams::new());
-        let builtin = Strategy::linear();
+        let strategy = Strategy::new("no_such_mapper", MapperParams::new());
+        let err = strategy.map(&factory).expect_err("unknown key fails");
         assert_eq!(
-            custom.map(&factory).unwrap(),
-            builtin.map(&factory).unwrap()
+            err.to_string(),
+            "qubit placement failed: no mapping strategy registered under `no_such_mapper` \
+             (registered: force_directed, graph_partition, hierarchical_stitching, linear, random)"
         );
-    }
-
-    #[test]
-    fn duplicate_global_registration_errors() {
-        let _ = register_strategy("test_dup", |params| {
-            msfu_layout::ParamReader::new("test_dup", params).finish()?;
-            Ok(Box::new(msfu_layout::LinearMapper::new()) as Box<dyn FactoryMapper>)
-        });
-        let second = register_strategy("test_dup", |params| {
-            msfu_layout::ParamReader::new("test_dup", params).finish()?;
-            Ok(Box::new(msfu_layout::LinearMapper::new()) as Box<dyn FactoryMapper>)
-        });
-        assert!(second.is_err());
     }
 }

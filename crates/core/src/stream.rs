@@ -12,9 +12,8 @@
 //! real evaluation pipeline (through [`EvalCache`], so repeated
 //! (config, strategy) lookups are near-free), and retire.
 //!
-//! Schedulers are pluggable through the same name-keyed registry pattern as
-//! mappers: the built-ins are `fifo`, `priority`, `capacity_aware` and
-//! `reuse_aware`, and [`register_stream_scheduler`] opens the line-up.
+//! Schedulers are named like mappers, from a closed line-up of four: `fifo`,
+//! `priority`, `capacity_aware` and `reuse_aware`.
 //!
 //! Determinism is non-negotiable: arrivals come from a `ChaCha8` stream
 //! seeded by the spec, every tie-break is fixed (completions before arrivals
@@ -40,11 +39,11 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
 use msfu_distill::{Factory, FactoryConfig};
+use msfu_layout::check_mapper_name;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize, Value};
@@ -54,13 +53,17 @@ use crate::evaluate::{effective_factory, evaluate_mapped_with, with_thread_engin
 use crate::progress::{ProgressEvent, RunControl};
 use crate::spec::{eval_from_json, factory_from_json, strategy_from_json};
 use crate::stats::percentiles;
-use crate::strategy::{ResolvedStrategy, Strategy};
+use crate::strategy::Strategy;
 use crate::sweep::{SweepResults, SweepRow};
 use crate::{CoreError, Evaluation, EvaluationConfig, Result};
 
 /// Hard cap on the number of generated arrivals, so a typo'd rate fails fast
 /// as a typed spec error instead of exhausting memory.
 const MAX_ARRIVALS: u64 = 2_000_000;
+
+/// Hard cap on the expanded fleet size (the sum of every entry's `count`),
+/// so a typo'd count fails fast instead of exhausting memory.
+const MAX_SERVERS: u64 = 10_000;
 
 fn stream_err(reason: impl Into<String>) -> CoreError {
     CoreError::StreamSpec {
@@ -69,55 +72,51 @@ fn stream_err(reason: impl Into<String>) -> CoreError {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler plug-in surface
+// Schedulers
 // ---------------------------------------------------------------------------
+
+/// The built-in scheduler names, sorted — the `known` list of
+/// [`CoreError::UnknownScheduler`].
+const SCHEDULER_NAMES: [&str; 4] = ["capacity_aware", "fifo", "priority", "reuse_aware"];
 
 /// A job waiting for a server, as shown to schedulers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueuedJob {
-    /// Global job id (index in arrival order).
-    pub job: u64,
+pub(crate) struct QueuedJob {
     /// Index of the job's class in the spec's `classes`.
-    pub class: usize,
-    /// Cycle the job arrived at.
-    pub arrived: u64,
+    pub(crate) class: usize,
     /// The class's priority (higher is more urgent).
-    pub priority: u64,
+    pub(crate) priority: u64,
 }
 
 /// One fleet server, as shown to schedulers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerView {
+pub(crate) struct ServerView {
     /// Whether the server is currently occupied by a job.
-    pub busy: bool,
+    pub(crate) busy: bool,
     /// Output states per factory execution (`FactoryConfig::capacity`).
-    pub capacity: usize,
-    /// Distillation levels of the server's factory.
-    pub levels: usize,
+    pub(crate) capacity: usize,
     /// Class of the last job the server ran, if any (reuse signal).
-    pub last_class: Option<usize>,
+    pub(crate) last_class: Option<usize>,
 }
 
 /// The read-only dispatch snapshot a [`StreamScheduler`] decides from.
 #[derive(Debug)]
-pub struct SchedulerView<'a> {
-    /// Current simulation cycle.
-    pub now: u64,
+pub(crate) struct SchedulerView<'a> {
     /// Jobs waiting for a server, in arrival order.
-    pub queue: &'a [QueuedJob],
+    pub(crate) queue: &'a [QueuedJob],
     /// The fleet, one entry per server, in fixed spec order.
-    pub servers: &'a [ServerView],
+    pub(crate) servers: &'a [ServerView],
     feasible: &'a [Vec<bool>],
 }
 
 impl SchedulerView<'_> {
     /// Whether `server` satisfies the level/capacity demands of `class`.
-    pub fn feasible(&self, class: usize, server: usize) -> bool {
+    fn feasible(&self, class: usize, server: usize) -> bool {
         self.feasible[class][server]
     }
 
     /// Indices of free servers feasible for `class`, ascending.
-    pub fn free_feasible<'b>(&'b self, class: usize) -> impl Iterator<Item = usize> + 'b {
+    fn free_feasible<'b>(&'b self, class: usize) -> impl Iterator<Item = usize> + 'b {
         self.servers
             .iter()
             .enumerate()
@@ -126,20 +125,36 @@ impl SchedulerView<'_> {
     }
 }
 
-/// A pluggable placement policy for the streaming simulator.
+/// A placement policy for the streaming simulator.
 ///
 /// At every dispatch opportunity the engine calls [`select`] repeatedly until
 /// it returns `None`; each `Some((queue_index, server_index))` assigns the
 /// queued job at `queue_index` to the free server at `server_index` and the
 /// view is rebuilt. A selection that is out of bounds, targets a busy server
 /// or violates feasibility ends dispatching for the current cycle — the
-/// engine never panics on a misbehaving plug-in, and stays deterministic.
+/// engine never panics on a misbehaving policy, and stays deterministic.
 ///
 /// [`select`]: StreamScheduler::select
-pub trait StreamScheduler: Send + Sync {
+pub(crate) trait StreamScheduler {
     /// Picks the next `(queue_index, server_index)` assignment, or `None` to
     /// wait for the next event.
     fn select(&self, view: &SchedulerView<'_>) -> Option<(usize, usize)>;
+}
+
+/// The built-in scheduler named `name`.
+fn scheduler(name: &str) -> Result<&'static dyn StreamScheduler> {
+    Ok(match name {
+        "fifo" => &Fifo,
+        "priority" => &Priority,
+        "capacity_aware" => &CapacityAware,
+        "reuse_aware" => &ReuseAware,
+        _ => {
+            return Err(CoreError::UnknownScheduler {
+                name: name.to_string(),
+                known: &SCHEDULER_NAMES,
+            })
+        }
+    })
 }
 
 /// `fifo`: oldest job first, placed on the lowest-index free feasible server.
@@ -223,134 +238,6 @@ impl StreamScheduler for ReuseAware {
         }
         None
     }
-}
-
-/// Builds one scheduler instance; registered under a name in a
-/// [`SchedulerRegistry`].
-pub type SchedulerBuilder = dyn Fn() -> Box<dyn StreamScheduler> + Send + Sync;
-
-/// A name-keyed registry of stream schedulers — the mapper-registry pattern
-/// applied to placement policies.
-///
-/// Names iterate in sorted (BTree) order, so listings and error messages are
-/// deterministic.
-pub struct SchedulerRegistry {
-    builders: BTreeMap<String, Arc<SchedulerBuilder>>,
-}
-
-impl SchedulerRegistry {
-    /// An empty registry (no schedulers).
-    pub fn empty() -> Self {
-        SchedulerRegistry {
-            builders: BTreeMap::new(),
-        }
-    }
-
-    /// A registry pre-loaded with the four built-ins: `fifo`, `priority`,
-    /// `capacity_aware`, `reuse_aware`.
-    pub fn with_builtins() -> Self {
-        let mut registry = SchedulerRegistry::empty();
-        let builtin = |registry: &mut SchedulerRegistry,
-                       name: &str,
-                       builder: fn() -> Box<dyn StreamScheduler>| {
-            registry
-                .register(name, builder)
-                .expect("built-in scheduler names are unique");
-        };
-        builtin(&mut registry, "fifo", || Box::new(Fifo));
-        builtin(&mut registry, "priority", || Box::new(Priority));
-        builtin(&mut registry, "capacity_aware", || Box::new(CapacityAware));
-        builtin(&mut registry, "reuse_aware", || Box::new(ReuseAware));
-        registry
-    }
-
-    /// Registers `builder` under `name`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::StreamSpec`] if the name is already taken.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        builder: impl Fn() -> Box<dyn StreamScheduler> + Send + Sync + 'static,
-    ) -> Result<()> {
-        let name = name.into();
-        if self.builders.contains_key(&name) {
-            return Err(stream_err(format!(
-                "scheduler `{name}` is already registered"
-            )));
-        }
-        self.builders.insert(name, Arc::new(builder));
-        Ok(())
-    }
-
-    /// The registered scheduler names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.builders.keys().cloned().collect()
-    }
-
-    /// Whether `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.builders.contains_key(name)
-    }
-
-    /// Instantiates the scheduler registered under `name`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownScheduler`] (with the sorted known-names
-    /// list) if nothing is registered under `name`.
-    pub fn build(&self, name: &str) -> Result<Box<dyn StreamScheduler>> {
-        match self.builders.get(name) {
-            Some(builder) => Ok(builder()),
-            None => Err(CoreError::UnknownScheduler {
-                name: name.to_string(),
-                known: self.names(),
-            }),
-        }
-    }
-}
-
-impl Default for SchedulerRegistry {
-    fn default() -> Self {
-        SchedulerRegistry::with_builtins()
-    }
-}
-
-/// The process-wide scheduler registry behind [`StreamSpec::run`].
-fn global_schedulers() -> &'static RwLock<SchedulerRegistry> {
-    static REGISTRY: OnceLock<RwLock<SchedulerRegistry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| RwLock::new(SchedulerRegistry::with_builtins()))
-}
-
-fn read_schedulers() -> RwLockReadGuard<'static, SchedulerRegistry> {
-    global_schedulers()
-        .read()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Registers a custom stream scheduler under `name` in the process-wide
-/// registry, making it usable by every [`StreamSpec`] in the process —
-/// including specs declared as JSON.
-///
-/// # Errors
-///
-/// Returns [`CoreError::StreamSpec`] if the name is already registered (the
-/// four built-ins are pre-registered).
-pub fn register_stream_scheduler(
-    name: impl Into<String>,
-    builder: impl Fn() -> Box<dyn StreamScheduler> + Send + Sync + 'static,
-) -> Result<()> {
-    global_schedulers()
-        .write()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .register(name, builder)
-}
-
-/// The names currently registered in the process-wide scheduler registry,
-/// sorted.
-pub fn registered_stream_schedulers() -> Vec<String> {
-    read_schedulers().names()
 }
 
 // ---------------------------------------------------------------------------
@@ -791,7 +678,7 @@ impl StreamSpec {
     /// [`CoreError::StreamSpec`] for structural problems (zero horizon,
     /// empty fleet/classes, non-positive rates, infeasible classes, duplicate
     /// scheduler names, …); [`CoreError::UnknownScheduler`] when a scheduler
-    /// name is not in the process-wide registry.
+    /// name is not one of the four built-ins.
     pub fn validate(&self) -> Result<()> {
         let fail = |reason: String| -> CoreError {
             stream_err(format!("stream `{}`: {reason}", self.name))
@@ -807,9 +694,16 @@ impl StreamSpec {
                 "the fleet is empty — declare at least one server".to_string(),
             ));
         }
+        let mut servers = 0_u64;
         for (i, entry) in self.fleet.iter().enumerate() {
             if entry.count == 0 {
                 return Err(fail(format!("fleet[{i}]: `count` must be at least 1")));
+            }
+            servers = servers.saturating_add(entry.count as u64);
+            if servers > MAX_SERVERS {
+                return Err(fail(format!(
+                    "the fleet holds more than {MAX_SERVERS} servers"
+                )));
             }
             entry
                 .factory
@@ -853,19 +747,13 @@ impl StreamSpec {
         if self.schedulers.is_empty() {
             return Err(fail("no schedulers requested".to_string()));
         }
-        let registry = read_schedulers();
         let mut seen: Vec<&str> = Vec::new();
         for name in &self.schedulers {
             if seen.contains(&name.as_str()) {
                 return Err(fail(format!("schedulers: duplicate scheduler `{name}`")));
             }
             seen.push(name);
-            if !registry.contains(name) {
-                return Err(CoreError::UnknownScheduler {
-                    name: name.clone(),
-                    known: registry.names(),
-                });
-            }
+            scheduler(name)?;
         }
         Ok(())
     }
@@ -893,13 +781,11 @@ impl StreamSpec {
     /// Same as [`StreamSpec::run`].
     pub fn run_with(&self, ctrl: &RunControl<'_>) -> Result<StreamOutcome> {
         self.validate()?;
-        let schedulers: Vec<Box<dyn StreamScheduler>> = {
-            let registry = read_schedulers();
-            self.schedulers
-                .iter()
-                .map(|name| registry.build(name))
-                .collect::<Result<_>>()?
-        };
+        let schedulers: Vec<&dyn StreamScheduler> = self
+            .schedulers
+            .iter()
+            .map(|name| scheduler(name))
+            .collect::<Result<_>>()?;
 
         // Expand fleet entries into servers, in spec order.
         let mut server_entry: Vec<usize> = Vec::new();
@@ -925,6 +811,7 @@ impl StreamSpec {
 
         let weights: Vec<u64> = self.classes.iter().map(|c| c.weight).collect();
         let arrivals = self.arrivals.generate(self.seed, self.horizon, &weights)?;
+        self.check_cycle_range(&service, arrivals.len(), server_entry.len())?;
 
         let mut runs = Vec::with_capacity(self.schedulers.len());
         let mut interrupted = false;
@@ -935,7 +822,7 @@ impl StreamSpec {
             }
             runs.push(self.simulate(
                 &self.schedulers[i],
-                scheduler.as_ref(),
+                *scheduler,
                 &arrivals,
                 &server_entry,
                 &service,
@@ -976,23 +863,26 @@ impl StreamSpec {
             .iter()
             .map(Factory::build)
             .collect::<std::result::Result<_, _>>()?;
-        let resolved: Vec<ResolvedStrategy> = self
-            .classes
-            .iter()
-            .map(|class| class.strategy.resolve())
-            .collect::<Result<_>>()?;
+        for class in &self.classes {
+            check_mapper_name(class.strategy.key())?;
+        }
         let mut matrix = Vec::with_capacity(self.classes.len());
-        for (c, class) in self.classes.iter().enumerate() {
+        for class in &self.classes {
             let mut row = Vec::with_capacity(entry_configs.len());
             for (e, config) in entry_configs.iter().enumerate() {
                 if !class.feasible_on(config) {
                     row.push(None);
                     continue;
                 }
-                let evaluation =
-                    self.evaluate_class(&resolved[c], class, config, &factories[e], cache)?;
+                let evaluation = self.evaluate_class(class, config, &factories[e], cache)?;
                 let executions = class.volume.div_ceil(config.capacity() as u64).max(1);
-                row.push(Some(evaluation.latency_cycles.max(1) * executions));
+                let cycles = evaluation.latency_cycles.max(1).checked_mul(executions);
+                row.push(Some(cycles.ok_or_else(|| {
+                    stream_err(format!(
+                        "stream `{}`: class `{}` needs more than 2^64 service cycles",
+                        self.name, class.name
+                    ))
+                })?));
             }
             matrix.push(row);
         }
@@ -1001,13 +891,12 @@ impl StreamSpec {
 
     fn evaluate_class(
         &self,
-        resolved: &ResolvedStrategy,
         class: &JobClass,
         config: &FactoryConfig,
         factory: &Factory,
         cache: Option<&EvalCache>,
     ) -> Result<Evaluation> {
-        let layout = resolved.map(&class.strategy, factory)?;
+        let layout = class.strategy.map(factory)?;
         let effective = effective_factory(factory, &layout)?;
         let simulate = |engine: &mut msfu_sim::SimEngine| {
             evaluate_mapped_with(
@@ -1025,6 +914,33 @@ impl StreamSpec {
                 || with_thread_engine(self.eval.sim, simulate),
             ),
             None => with_thread_engine(self.eval.sim, simulate),
+        }
+    }
+
+    /// Bounds every cycle count [`StreamSpec::simulate`] can produce, so its
+    /// arithmetic never wraps. Each completion lands at most one occupancy
+    /// (setup plus the longest service time) after an earlier event, so no
+    /// event passes `horizon + arrivals × occupancy`; latency sums and
+    /// utilisation denominators scale that by the arrival or server count.
+    fn check_cycle_range(
+        &self,
+        service: &[Vec<Option<u64>>],
+        arrivals: usize,
+        servers: usize,
+    ) -> Result<()> {
+        let longest = service.iter().flatten().flatten().copied().max();
+        let latest = longest
+            .unwrap_or(0)
+            .checked_add(self.setup_cycles)
+            .and_then(|occupancy| occupancy.checked_mul(arrivals as u64))
+            .and_then(|busy| busy.checked_add(self.horizon))
+            .and_then(|latest| latest.checked_mul(arrivals.max(servers) as u64));
+        match latest {
+            Some(_) => Ok(()),
+            None => Err(stream_err(format!(
+                "stream `{}`: `setup_cycles` plus service times overflow the 64-bit cycle clock",
+                self.name
+            ))),
         }
     }
 
@@ -1114,9 +1030,7 @@ impl StreamSpec {
                     .map(|&job| {
                         let class = jobs[job as usize].class;
                         QueuedJob {
-                            job,
                             class,
-                            arrived: jobs[job as usize].arrived,
                             priority: self.classes[class].priority,
                         }
                     })
@@ -1126,12 +1040,10 @@ impl StreamSpec {
                     .map(|s| ServerView {
                         busy: s.busy,
                         capacity: self.fleet[s.entry].factory.capacity(),
-                        levels: self.fleet[s.entry].factory.levels,
                         last_class: s.last_class,
                     })
                     .collect();
                 let view = SchedulerView {
-                    now,
                     queue: &queued,
                     servers: &views,
                     feasible,
@@ -1566,7 +1478,7 @@ pub struct ClassStats {
 /// The metrics of one scheduler's replay of the arrival sequence.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerRun {
-    /// The scheduler's registry name.
+    /// The scheduler's name.
     pub scheduler: String,
     /// Jobs completed (every admitted job drains, so this equals the arrival
     /// count).
@@ -1956,79 +1868,76 @@ mod tests {
                 quick_spec().with_arrivals(ArrivalProcess::Poisson { rate: 1e9 }),
                 "expected arrivals",
             ),
+            (
+                {
+                    let mut s = quick_spec();
+                    s.fleet[0].count = 1_000_000_000_000_000;
+                    s
+                },
+                "the fleet holds more than 10000 servers",
+            ),
+            (
+                {
+                    let mut s = quick_spec();
+                    s.classes[0].volume = u64::MAX;
+                    s
+                },
+                "class `probe` needs more than 2^64 service cycles",
+            ),
+            (
+                quick_spec().with_setup_cycles(u64::MAX - 10),
+                "overflow the 64-bit cycle clock",
+            ),
         ];
         for (spec, needle) in cases {
-            let err = spec.validate().unwrap_err().to_string();
+            let err = spec.run().unwrap_err();
+            assert!(
+                matches!(err, CoreError::StreamSpec { .. }),
+                "expected a stream-spec error, got `{err}`"
+            );
+            let err = err.to_string();
             assert!(err.contains(needle), "expected `{needle}` in `{err}`");
         }
     }
 
     #[test]
     fn unknown_scheduler_lists_known_names() {
-        let spec = quick_spec().with_schedulers(&["dance"]);
-        let err = spec.validate().unwrap_err();
-        match &err {
-            CoreError::UnknownScheduler { name, known } => {
-                assert_eq!(name, "dance");
-                for builtin in ["capacity_aware", "fifo", "priority", "reuse_aware"] {
-                    assert!(known.contains(&builtin.to_string()));
-                }
-            }
-            other => panic!("expected UnknownScheduler, got {other:?}"),
-        }
-        assert!(err.to_string().contains("unknown stream scheduler `dance`"));
-        assert!(err.to_string().contains("fifo"));
-    }
-
-    #[test]
-    fn registry_is_open_and_strict() {
-        let mut registry = SchedulerRegistry::with_builtins();
+        let err = quick_spec()
+            .with_schedulers(&["dance"])
+            .validate()
+            .unwrap_err();
         assert_eq!(
-            registry.names(),
-            vec!["capacity_aware", "fifo", "priority", "reuse_aware"]
+            err.to_string(),
+            "unknown stream scheduler `dance` (known: capacity_aware, fifo, priority, reuse_aware)"
         );
-        registry
-            .register("always_pass", || {
-                struct Pass;
-                impl StreamScheduler for Pass {
-                    fn select(&self, _view: &SchedulerView<'_>) -> Option<(usize, usize)> {
-                        None
-                    }
-                }
-                Box::new(Pass)
-            })
-            .unwrap();
-        let err = registry
-            .register("fifo", || Box::new(Fifo))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("`fifo` is already registered"));
-        assert!(registry.build("always_pass").is_ok());
+        for name in SCHEDULER_NAMES {
+            assert!(scheduler(name).is_ok(), "{name}");
+        }
     }
 
     #[test]
     fn misbehaving_scheduler_cannot_wedge_the_engine() {
         // A scheduler that always returns an out-of-bounds pick: the engine
         // must terminate (jobs simply never start) instead of looping.
-        let _ = register_stream_scheduler("out_of_bounds", || {
-            struct Bad;
-            impl StreamScheduler for Bad {
-                fn select(&self, view: &SchedulerView<'_>) -> Option<(usize, usize)> {
-                    Some((view.queue.len() + 7, 0))
-                }
+        struct Bad;
+        impl StreamScheduler for Bad {
+            fn select(&self, view: &SchedulerView<'_>) -> Option<(usize, usize)> {
+                Some((view.queue.len() + 7, 0))
             }
-            Box::new(Bad)
-        });
+        }
         let spec = StreamSpec::new("bad")
-            .with_horizon(50)
-            .with_arrivals(ArrivalProcess::Trace {
-                events: vec![TraceEvent { at: 1, class: 0 }],
-            })
             .server(FactoryConfig::single_level(2), 1)
-            .class(JobClass::new("only", Strategy::linear()))
-            .with_schedulers(&["out_of_bounds"]);
-        let report = spec.run().unwrap();
-        assert_eq!(report.runs[0].completed, 0);
+            .class(JobClass::new("only", Strategy::linear()));
+        let arrivals = [Arrival { at: 1, class: 0 }];
+        let run = spec.simulate(
+            "bad",
+            &Bad,
+            &arrivals,
+            &[0],
+            &[vec![Some(10)]],
+            &[vec![true]],
+        );
+        assert_eq!(run.completed, 0);
     }
 
     #[test]

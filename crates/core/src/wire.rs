@@ -181,7 +181,7 @@ pub fn factory_to_spec_value(factory: &FactoryConfig) -> Value {
 }
 
 /// Encodes a strategy in the spec form accepted by
-/// [`strategy_from_json`](crate::spec::strategy_from_json): the registry
+/// [`strategy_from_json`](crate::spec::strategy_from_json): the line-up
 /// key, an *explicit* label, and the flattened parameter bag (already in
 /// sorted key order courtesy of `MapperParams`).
 pub fn strategy_to_spec_value(strategy: &Strategy) -> Value {

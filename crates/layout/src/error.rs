@@ -48,17 +48,12 @@ pub enum LayoutError {
         /// The unmapped qubit.
         qubit: QubitId,
     },
-    /// A registry lookup used a name no strategy is registered under.
+    /// A strategy name outside the built-in line-up.
     UnknownMapper {
         /// The requested name.
         name: String,
-        /// The names that are registered, sorted.
-        known: Vec<String>,
-    },
-    /// A strategy was registered under a name that is already taken.
-    DuplicateMapper {
-        /// The contested name.
-        name: String,
+        /// The built-in names, sorted.
+        known: &'static [&'static str],
     },
     /// A mapper builder rejected its parameter bag (unknown key, type
     /// mismatch, or out-of-range value).
@@ -103,9 +98,6 @@ impl fmt::Display for LayoutError {
                 "no mapping strategy registered under `{name}` (registered: {})",
                 known.join(", ")
             ),
-            LayoutError::DuplicateMapper { name } => {
-                write!(f, "a mapping strategy is already registered under `{name}`")
-            }
             LayoutError::InvalidMapperParam { mapper, reason } => {
                 write!(f, "invalid parameters for mapper `{mapper}`: {reason}")
             }

@@ -468,7 +468,7 @@ struct RefineScratch {
 }
 
 thread_local! {
-    /// One refinement scratch per thread: the registry builds a fresh mapper
+    /// One refinement scratch per thread: `build_mapper` makes a fresh mapper
     /// per `Strategy::map`, so per-mapper storage would defeat reuse — sweep
     /// and search worker threads instead share these arenas across every
     /// placement they refine.

@@ -18,11 +18,9 @@
 //!   reuse region selection, output-port reassignment and Valiant-style
 //!   annealed intermediate hops for the inter-round permutation.
 //!
-//! The line-up is open, not closed: every strategy implements the dyn-safe
-//! [`FactoryMapper`] trait, and the [`MapperRegistry`] resolves
-//! `(name, params)` pairs into boxed mappers — the five paper strategies are
-//! registered as built-ins, and callers can register their own (see the
-//! `registry` module docs).
+//! Every strategy implements the dyn-safe [`FactoryMapper`] trait, and
+//! [`build_mapper`] turns a `(name, params)` pair into a boxed mapper of the
+//! five-strategy line-up.
 //!
 //! The common currency is the [`Mapping`] (logical qubit → grid cell) plus
 //! optional [`RoutingHints`] (per-interaction waypoints) consumed by the braid
@@ -65,10 +63,7 @@ pub use linear::LinearMapper;
 pub use mapper::{FactoryMapper, Layout};
 pub use mapping::{Coord, Mapping};
 pub use random::RandomMapper;
-pub use registry::{
-    force_directed_config_from_params, stitching_config_from_params, MapperBuilder, MapperParams,
-    MapperRegistry, ParamReader, ParamValue,
-};
+pub use registry::{build_mapper, check_mapper_name, MapperParams, ParamValue};
 pub use stitching::{HierarchicalStitchingMapper, HopStrategy, StitchingConfig};
 
 /// Convenience result alias used by fallible APIs in this crate.

@@ -1,11 +1,8 @@
-//! The open, name-keyed mapper registry.
+//! Name dispatch over the paper's five mapping strategies.
 //!
-//! The paper evaluates a fixed line-up of five placement strategies, but
-//! nothing about the pipeline requires the line-up to be closed: any type
-//! implementing [`FactoryMapper`] can be simulated and swept. This module
-//! provides the extension point — a [`MapperRegistry`] that resolves a
-//! `(name, params)` pair into a boxed mapper, with the five paper strategies
-//! pre-registered as built-ins:
+//! The paper evaluates a fixed line-up of five placement strategies, and
+//! [`build_mapper`] turns a `(name, params)` pair into one of them as a boxed
+//! [`FactoryMapper`]. It matches five keys:
 //!
 //! | key                        | mapper                              | params |
 //! |----------------------------|-------------------------------------|--------|
@@ -17,7 +14,7 @@
 //!
 //! Parameters travel as a [`MapperParams`] bag of typed values, which is what
 //! makes strategies declarable as *data* (e.g. a JSON sweep spec) rather than
-//! code. Builders are strict: an unknown parameter key or a type mismatch is
+//! code. Building is strict: an unknown parameter key or a type mismatch is
 //! an error, not a silent default, so a typo in a spec file cannot quietly
 //! change an experiment.
 //!
@@ -25,11 +22,10 @@
 //!
 //! ```
 //! use msfu_distill::{Factory, FactoryConfig};
-//! use msfu_layout::{MapperParams, MapperRegistry};
+//! use msfu_layout::{build_mapper, MapperParams};
 //!
-//! let registry = MapperRegistry::with_builtins();
 //! let params = MapperParams::new().with_u64("seed", 7);
-//! let mapper = registry.build("random", &params).unwrap();
+//! let mapper = build_mapper("random", &params).unwrap();
 //! let factory = Factory::build(&FactoryConfig::single_level(2)).unwrap();
 //! assert!(mapper.map_factory(&factory).unwrap().mapping.is_complete());
 //! ```
@@ -250,7 +246,7 @@ impl From<StitchingConfig> for MapperParams {
 
 /// Strict reader over a [`MapperParams`] bag: typed accessors with defaults,
 /// plus detection of unknown keys so a misspelled parameter is an error.
-pub struct ParamReader<'a> {
+pub(crate) struct ParamReader<'a> {
     mapper: &'a str,
     params: &'a MapperParams,
     consumed: BTreeSet<&'a str>,
@@ -258,7 +254,7 @@ pub struct ParamReader<'a> {
 
 impl<'a> ParamReader<'a> {
     /// Starts reading `params` on behalf of mapper `mapper` (used in errors).
-    pub fn new(mapper: &'a str, params: &'a MapperParams) -> Self {
+    pub(crate) fn new(mapper: &'a str, params: &'a MapperParams) -> Self {
         ParamReader {
             mapper,
             params,
@@ -282,7 +278,7 @@ impl<'a> ParamReader<'a> {
     }
 
     /// Reads an unsigned integer, falling back to `default` when absent.
-    pub fn u64_or(&mut self, key: &'a str, default: u64) -> Result<u64> {
+    pub(crate) fn u64_or(&mut self, key: &'a str, default: u64) -> Result<u64> {
         match self.take(key) {
             None => Ok(default),
             Some(ParamValue::U64(v)) => Ok(*v),
@@ -291,13 +287,13 @@ impl<'a> ParamReader<'a> {
     }
 
     /// Reads a `usize`, falling back to `default` when absent.
-    pub fn usize_or(&mut self, key: &'a str, default: usize) -> Result<usize> {
+    pub(crate) fn usize_or(&mut self, key: &'a str, default: usize) -> Result<usize> {
         Ok(self.u64_or(key, default as u64)? as usize)
     }
 
     /// Reads a float (integers are accepted and widened), falling back to
     /// `default` when absent.
-    pub fn f64_or(&mut self, key: &'a str, default: f64) -> Result<f64> {
+    pub(crate) fn f64_or(&mut self, key: &'a str, default: f64) -> Result<f64> {
         match self.take(key) {
             None => Ok(default),
             Some(ParamValue::F64(v)) => Ok(*v),
@@ -307,7 +303,7 @@ impl<'a> ParamReader<'a> {
     }
 
     /// Reads a boolean, falling back to `default` when absent.
-    pub fn bool_or(&mut self, key: &'a str, default: bool) -> Result<bool> {
+    pub(crate) fn bool_or(&mut self, key: &'a str, default: bool) -> Result<bool> {
         match self.take(key) {
             None => Ok(default),
             Some(ParamValue::Bool(v)) => Ok(*v),
@@ -316,7 +312,7 @@ impl<'a> ParamReader<'a> {
     }
 
     /// Reads a string, falling back to `default` when absent.
-    pub fn str_or(&mut self, key: &'a str, default: &str) -> Result<String> {
+    pub(crate) fn str_or(&mut self, key: &'a str, default: &str) -> Result<String> {
         match self.take(key) {
             None => Ok(default.to_string()),
             Some(ParamValue::Str(v)) => Ok(v.clone()),
@@ -327,7 +323,7 @@ impl<'a> ParamReader<'a> {
     /// Finishes reading: any parameter key never consumed by an accessor is
     /// an [`LayoutError::InvalidMapperParam`] (strict by design — a spec typo
     /// must not silently fall back to a default).
-    pub fn finish(self) -> Result<()> {
+    pub(crate) fn finish(self) -> Result<()> {
         let unknown: Vec<&str> = self
             .params
             .iter()
@@ -348,7 +344,9 @@ impl<'a> ParamReader<'a> {
 /// Reads a full [`ForceDirectedConfig`] out of a parameter bag (defaults from
 /// [`ForceDirectedConfig::default`]); the exact inverse of the
 /// `From<ForceDirectedConfig>` conversion.
-pub fn force_directed_config_from_params(params: &MapperParams) -> Result<ForceDirectedConfig> {
+pub(crate) fn force_directed_config_from_params(
+    params: &MapperParams,
+) -> Result<ForceDirectedConfig> {
     let d = ForceDirectedConfig::default();
     let mut r = ParamReader::new("force_directed", params);
     let cfg = ForceDirectedConfig {
@@ -375,7 +373,7 @@ pub fn force_directed_config_from_params(params: &MapperParams) -> Result<ForceD
 /// Reads a full [`StitchingConfig`] out of a parameter bag (defaults from
 /// [`StitchingConfig::default`]); the exact inverse of the
 /// `From<StitchingConfig>` conversion.
-pub fn stitching_config_from_params(params: &MapperParams) -> Result<StitchingConfig> {
+pub(crate) fn stitching_config_from_params(params: &MapperParams) -> Result<StitchingConfig> {
     let d = StitchingConfig::default();
     let mut r = ParamReader::new("hierarchical_stitching", params);
     let hop_name = r.str_or("hop_strategy", d.hop_strategy.name())?;
@@ -398,160 +396,80 @@ pub fn stitching_config_from_params(params: &MapperParams) -> Result<StitchingCo
     Ok(cfg)
 }
 
-/// A function that instantiates a mapper from a parameter bag.
-pub type MapperBuilder = dyn Fn(&MapperParams) -> Result<Box<dyn FactoryMapper>> + Send + Sync;
+/// The built-in mapper keys, sorted — the `known` list of
+/// [`LayoutError::UnknownMapper`] and the keys [`build_mapper`] matches.
+const MAPPER_NAMES: [&str; 5] = [
+    "force_directed",
+    "graph_partition",
+    "hierarchical_stitching",
+    "linear",
+    "random",
+];
 
-/// An open, name-keyed registry of placement strategies.
+/// Checks that `name` is one of the five keys [`build_mapper`] matches, so
+/// callers can reject an unknown key before building anything.
 ///
-/// Every entry maps a canonical name to a [`MapperBuilder`]; resolving a
-/// `(name, params)` pair yields a fresh boxed [`FactoryMapper`]. Names are
-/// unique — registering the same name twice is an error, and looking up an
-/// unknown name reports the names that *are* registered.
+/// # Errors
 ///
-/// Builders are reference-counted: [`MapperRegistry::resolve`] hands out a
-/// shared handle to the builder itself, so hot loops (e.g. a portfolio
-/// search expanding one entry into many seeded candidates) look a name up
-/// once and instantiate mappers without re-entering the registry.
-pub struct MapperRegistry {
-    builders: BTreeMap<String, std::sync::Arc<MapperBuilder>>,
-}
-
-impl fmt::Debug for MapperRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MapperRegistry")
-            .field("names", &self.names())
-            .finish()
-    }
-}
-
-impl Default for MapperRegistry {
-    fn default() -> Self {
-        Self::with_builtins()
-    }
-}
-
-impl MapperRegistry {
-    /// Creates a registry with no entries.
-    pub fn empty() -> Self {
-        MapperRegistry {
-            builders: BTreeMap::new(),
-        }
-    }
-
-    /// Creates a registry pre-populated with the five paper strategies
-    /// (`random`, `linear`, `force_directed`, `graph_partition`,
-    /// `hierarchical_stitching`).
-    pub fn with_builtins() -> Self {
-        let mut registry = Self::empty();
-        registry
-            .register("random", |params: &MapperParams| {
-                let mut r = ParamReader::new("random", params);
-                let seed = r.u64_or("seed", 0)?;
-                let expansion = r.f64_or("expansion", 1.0)?;
-                r.finish()?;
-                Ok(Box::new(RandomMapper::new(seed).with_expansion(expansion))
-                    as Box<dyn FactoryMapper>)
-            })
-            .expect("builtin names are distinct");
-        registry
-            .register("linear", |params: &MapperParams| {
-                ParamReader::new("linear", params).finish()?;
-                Ok(Box::new(LinearMapper::new()) as Box<dyn FactoryMapper>)
-            })
-            .expect("builtin names are distinct");
-        registry
-            .register("force_directed", |params: &MapperParams| {
-                let cfg = force_directed_config_from_params(params)?;
-                Ok(Box::new(ForceDirectedMapper::with_config(cfg)) as Box<dyn FactoryMapper>)
-            })
-            .expect("builtin names are distinct");
-        registry
-            .register("graph_partition", |params: &MapperParams| {
-                let mut r = ParamReader::new("graph_partition", params);
-                let seed = r.u64_or("seed", 0)?;
-                r.finish()?;
-                Ok(Box::new(GraphPartitionMapper::new(seed)) as Box<dyn FactoryMapper>)
-            })
-            .expect("builtin names are distinct");
-        registry
-            .register("hierarchical_stitching", |params: &MapperParams| {
-                let cfg = stitching_config_from_params(params)?;
-                Ok(Box::new(HierarchicalStitchingMapper::with_config(cfg))
-                    as Box<dyn FactoryMapper>)
-            })
-            .expect("builtin names are distinct");
-        registry
-    }
-
-    /// Registers a strategy under `name`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LayoutError::DuplicateMapper`] if `name` is already taken —
-    /// silently replacing a strategy would let two sweeps disagree about what
-    /// a name means.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        builder: impl Fn(&MapperParams) -> Result<Box<dyn FactoryMapper>> + Send + Sync + 'static,
-    ) -> Result<()> {
-        let name = name.into();
-        if self.builders.contains_key(&name) {
-            return Err(LayoutError::DuplicateMapper { name });
-        }
-        self.builders.insert(name, std::sync::Arc::new(builder));
+/// Returns [`LayoutError::UnknownMapper`] (listing the five keys, sorted).
+pub fn check_mapper_name(name: &str) -> Result<()> {
+    if MAPPER_NAMES.contains(&name) {
         Ok(())
+    } else {
+        Err(unknown_mapper(name))
     }
+}
 
-    /// Whether `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.builders.contains_key(name)
+fn unknown_mapper(name: &str) -> LayoutError {
+    LayoutError::UnknownMapper {
+        name: name.to_string(),
+        known: &MAPPER_NAMES,
     }
+}
 
-    /// The registered names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.builders.keys().cloned().collect()
-    }
-
-    /// Instantiates the mapper registered under `name` with `params`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LayoutError::UnknownMapper`] for an unregistered name (the
-    /// error lists the registered names), and propagates parameter errors
-    /// from the builder.
-    pub fn build(&self, name: &str, params: &MapperParams) -> Result<Box<dyn FactoryMapper>> {
-        self.resolve(name)?(params)
-    }
-
-    /// Resolves `name` to a shared handle on its builder, so callers that
-    /// instantiate many parameterisations of one strategy (seed scans,
-    /// parameter ladders) pay the lookup — and any registry lock around it —
-    /// once.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LayoutError::UnknownMapper`] for an unregistered name (the
-    /// error lists the registered names).
-    pub fn resolve(&self, name: &str) -> Result<std::sync::Arc<MapperBuilder>> {
-        self.builders
-            .get(name)
-            .cloned()
-            .ok_or_else(|| LayoutError::UnknownMapper {
-                name: name.to_string(),
-                known: self.names(),
-            })
-    }
+/// Instantiates the mapper named `name` with `params`.
+///
+/// # Errors
+///
+/// Returns [`LayoutError::UnknownMapper`] for a name outside the five keys,
+/// and [`LayoutError::InvalidMapperParam`] for an unknown parameter key or a
+/// type mismatch.
+pub fn build_mapper(name: &str, params: &MapperParams) -> Result<Box<dyn FactoryMapper>> {
+    Ok(match name {
+        "random" => {
+            let mut r = ParamReader::new("random", params);
+            let seed = r.u64_or("seed", 0)?;
+            let expansion = r.f64_or("expansion", 1.0)?;
+            r.finish()?;
+            Box::new(RandomMapper::new(seed).with_expansion(expansion))
+        }
+        "linear" => {
+            ParamReader::new("linear", params).finish()?;
+            Box::new(LinearMapper::new())
+        }
+        "force_directed" => Box::new(ForceDirectedMapper::with_config(
+            force_directed_config_from_params(params)?,
+        )),
+        "graph_partition" => {
+            let mut r = ParamReader::new("graph_partition", params);
+            let seed = r.u64_or("seed", 0)?;
+            r.finish()?;
+            Box::new(GraphPartitionMapper::new(seed))
+        }
+        "hierarchical_stitching" => Box::new(HierarchicalStitchingMapper::with_config(
+            stitching_config_from_params(params)?,
+        )),
+        _ => return Err(unknown_mapper(name)),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Layout;
     use msfu_distill::{Factory, FactoryConfig};
 
-    // The registry stores strategies as trait objects; this fails to compile
-    // if `FactoryMapper` ever loses object safety.
+    // `build_mapper` returns strategies as trait objects; this fails to
+    // compile if `FactoryMapper` ever loses object safety.
     const _: Option<&dyn FactoryMapper> = None;
 
     fn factory() -> Factory {
@@ -560,20 +478,19 @@ mod tests {
 
     #[test]
     fn builtins_are_registered_and_build() {
-        let registry = MapperRegistry::with_builtins();
-        assert_eq!(
-            registry.names(),
-            vec![
-                "force_directed",
-                "graph_partition",
-                "hierarchical_stitching",
-                "linear",
-                "random",
-            ]
-        );
+        let mut sorted = MAPPER_NAMES;
+        sorted.sort_unstable();
+        assert_eq!(sorted, MAPPER_NAMES, "MAPPER_NAMES must stay sorted");
         let f = factory();
-        for name in ["random", "linear", "graph_partition"] {
-            let mapper = registry.build(name, &MapperParams::new()).unwrap();
+        let cheap_fd = MapperParams::new()
+            .with_u64("iterations", 2)
+            .with_u64("repulsion_sample", 50);
+        for name in MAPPER_NAMES {
+            let params = match name {
+                "force_directed" => cheap_fd.clone(),
+                _ => MapperParams::new(),
+            };
+            let mapper = build_mapper(name, &params).unwrap();
             assert!(
                 mapper.map_factory(&f).unwrap().mapping.is_complete(),
                 "{name}"
@@ -583,103 +500,36 @@ mod tests {
 
     #[test]
     fn unknown_name_lists_known_names() {
-        let registry = MapperRegistry::with_builtins();
-        let err = registry
-            .build("does_not_exist", &MapperParams::new())
+        let err = build_mapper("does_not_exist", &MapperParams::new())
             .err()
             .expect("lookup fails");
-        match &err {
-            LayoutError::UnknownMapper { name, known } => {
-                assert_eq!(name, "does_not_exist");
-                assert!(known.contains(&"linear".to_string()));
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-        assert!(err.to_string().contains("linear"));
-    }
-
-    #[test]
-    fn duplicate_registration_is_an_error() {
-        let mut registry = MapperRegistry::with_builtins();
-        let err = registry
-            .register("linear", |p| {
-                ParamReader::new("linear", p).finish()?;
-                Ok(Box::new(LinearMapper::new()) as Box<dyn FactoryMapper>)
-            })
-            .unwrap_err();
+        assert_eq!(err, check_mapper_name("does_not_exist").unwrap_err());
         assert_eq!(
-            err,
-            LayoutError::DuplicateMapper {
-                name: "linear".to_string()
-            }
+            err.to_string(),
+            "no mapping strategy registered under `does_not_exist` (registered: \
+             force_directed, graph_partition, hierarchical_stitching, linear, random)"
         );
     }
 
     #[test]
-    fn custom_strategies_can_be_registered() {
-        struct Reversed;
-        impl FactoryMapper for Reversed {
-            fn name(&self) -> &'static str {
-                "reversed"
-            }
-            fn map_factory(&self, factory: &Factory) -> Result<Layout> {
-                // A deliberately silly custom strategy: the linear layout
-                // with qubit ids reversed.
-                let base = LinearMapper::new().map_factory(factory)?;
-                let n = factory.num_qubits() as u32;
-                let mut mapping = crate::Mapping::new(
-                    factory.num_qubits(),
-                    base.mapping.width(),
-                    base.mapping.height(),
-                );
-                for q in 0..n {
-                    let pos = base
-                        .mapping
-                        .position(msfu_circuit::QubitId::new(q))
-                        .unwrap();
-                    mapping.place(msfu_circuit::QubitId::new(n - 1 - q), pos)?;
-                }
-                Ok(Layout::new(mapping))
-            }
-        }
-        let mut registry = MapperRegistry::empty();
-        registry
-            .register("reversed", |p| {
-                ParamReader::new("reversed", p).finish()?;
-                Ok(Box::new(Reversed) as Box<dyn FactoryMapper>)
-            })
-            .unwrap();
-        let layout = registry
-            .build("reversed", &MapperParams::new())
-            .unwrap()
-            .map_factory(&factory())
-            .unwrap();
-        assert!(layout.mapping.is_complete());
-    }
-
-    #[test]
     fn unknown_parameter_is_rejected() {
-        let registry = MapperRegistry::with_builtins();
         let params = MapperParams::new().with_u64("sede", 1); // typo
-        let err = registry.build("random", &params).err().expect("typo fails");
+        let err = build_mapper("random", &params).err().expect("typo fails");
         assert!(err.to_string().contains("sede"), "{err}");
     }
 
     #[test]
     fn type_mismatch_is_rejected() {
-        let registry = MapperRegistry::with_builtins();
         let params = MapperParams::new().with_str("seed", "not-a-number");
-        assert!(registry.build("random", &params).is_err());
+        assert!(build_mapper("random", &params).is_err());
     }
 
     #[test]
     fn registry_built_mappers_match_direct_construction() {
         let f = Factory::build(&FactoryConfig::two_level(2)).unwrap();
-        let registry = MapperRegistry::with_builtins();
 
         let direct = RandomMapper::new(9).map_factory(&f).unwrap();
-        let via = registry
-            .build("random", &MapperParams::new().with_u64("seed", 9))
+        let via = build_mapper("random", &MapperParams::new().with_u64("seed", 9))
             .unwrap()
             .map_factory(&f)
             .unwrap();
@@ -692,8 +542,7 @@ mod tests {
         let direct = HierarchicalStitchingMapper::with_config(cfg)
             .map_factory(&f)
             .unwrap();
-        let via = registry
-            .build("hierarchical_stitching", &MapperParams::from(cfg))
+        let via = build_mapper("hierarchical_stitching", &MapperParams::from(cfg))
             .unwrap()
             .map_factory(&f)
             .unwrap();

@@ -28,7 +28,7 @@ pub const E_SPEC_PARSE: &str = "E_SPEC_PARSE";
 /// A streaming-workload specification could not be decoded or failed
 /// validation.
 pub const E_STREAM_SPEC: &str = "E_STREAM_SPEC";
-/// A stream job named a scheduler that is not registered.
+/// A stream job named a scheduler outside the built-in line-up.
 pub const E_UNKNOWN_SCHEDULER: &str = "E_UNKNOWN_SCHEDULER";
 /// Fallback for pipeline errors introduced after this build (the wrapped
 /// error enums are `#[non_exhaustive]`).
@@ -49,7 +49,6 @@ pub const E_SHARD_RETRY_EXHAUSTED: &str = "E_SHARD_RETRY_EXHAUSTED";
 /// here, and renaming one is caught as a breaking change.
 pub const ALL_ERROR_CODES: &[&str] = &[
     "E_CIRCUIT",
-    "E_DUPLICATE_STRATEGY",
     "E_FACTORY_CAPACITY_NOT_A_POWER",
     "E_FACTORY_INVALID_PORT_SWAP",
     "E_FACTORY_TOO_LARGE",
@@ -117,7 +116,6 @@ fn layout_code(error: &LayoutError) -> &'static str {
         LayoutError::UnsupportedFactory { .. } => "E_LAYOUT_UNSUPPORTED_FACTORY",
         LayoutError::Unmapped { .. } => "E_LAYOUT_UNMAPPED_QUBIT",
         LayoutError::UnknownMapper { .. } => "E_UNKNOWN_STRATEGY",
-        LayoutError::DuplicateMapper { .. } => "E_DUPLICATE_STRATEGY",
         LayoutError::InvalidMapperParam { .. } => "E_INVALID_STRATEGY_PARAM",
         _ => E_INTERNAL,
     }
@@ -150,7 +148,7 @@ mod tests {
             (
                 CoreError::UnknownScheduler {
                     name: "x".into(),
-                    known: vec!["fifo".into()],
+                    known: &["fifo"],
                 },
                 "E_UNKNOWN_SCHEDULER",
             ),
@@ -219,13 +217,9 @@ mod tests {
             (
                 CoreError::Layout(LayoutError::UnknownMapper {
                     name: "x".into(),
-                    known: vec![],
+                    known: &[],
                 }),
                 "E_UNKNOWN_STRATEGY",
-            ),
-            (
-                CoreError::Layout(LayoutError::DuplicateMapper { name: "x".into() }),
-                "E_DUPLICATE_STRATEGY",
             ),
             (
                 CoreError::Layout(LayoutError::InvalidMapperParam {
@@ -293,7 +287,6 @@ mod tests {
     fn golden_code_list_is_exact() {
         let expected = [
             "E_CIRCUIT",
-            "E_DUPLICATE_STRATEGY",
             "E_FACTORY_CAPACITY_NOT_A_POWER",
             "E_FACTORY_INVALID_PORT_SWAP",
             "E_FACTORY_TOO_LARGE",

@@ -1,13 +1,11 @@
-//! Integration tests for the open strategy registry and data-declared
-//! sweeps: a sweep written purely as JSON must reproduce the hand-coded
-//! fig7 quick-mode report byte-identically, custom registered strategies
-//! must flow through the sweep engine like built-ins, and the portfolio
+//! Integration tests for data-declared sweeps and searches over the
+//! strategy line-up: a sweep written purely as JSON must reproduce the
+//! hand-coded fig7 quick-mode report byte-identically, and the portfolio
 //! search must never end worse than the best paper-lineup strategy (the
 //! line-up is contained in the default portfolio).
 
-use msfu::core::{register_strategy, EvaluationConfig, SearchSpec, Strategy, SweepSpec};
+use msfu::core::{SearchSpec, Strategy, SweepSpec};
 use msfu::distill::FactoryConfig;
-use msfu::layout::{FactoryMapper, LinearMapper, MapperParams, ParamReader};
 use msfu_bench::{fig7_spec, harness_eval_config, Mode};
 
 #[test]
@@ -29,39 +27,6 @@ fn json_declared_fig7_quick_is_byte_identical_to_the_hand_coded_sweep() {
         serde_json::to_string_pretty(&json_results).unwrap(),
         serde_json::to_string_pretty(&hand_results).unwrap(),
     );
-}
-
-#[test]
-fn custom_registered_strategy_sweeps_like_a_builtin() {
-    // A custom strategy registered at runtime: the linear baseline under a
-    // new name, parameterised by a row offset it validates strictly.
-    let _ = register_strategy("offset_linear", |params| {
-        let mut reader = ParamReader::new("offset_linear", params);
-        let _offset = reader.u64_or("offset", 0)?;
-        reader.finish()?;
-        Ok(Box::new(LinearMapper::new()) as Box<dyn FactoryMapper>)
-    });
-
-    let custom = Strategy::new("offset_linear", MapperParams::new().with_u64("offset", 0))
-        .with_label("OffL");
-    let results = SweepSpec::new("custom", EvaluationConfig::default())
-        .point("p", FactoryConfig::single_level(2), custom)
-        .point("p", FactoryConfig::single_level(2), Strategy::linear())
-        .run()
-        .unwrap();
-    assert_eq!(results.rows[0].evaluation.strategy, "OffL");
-    // Identical placements -> identical evaluations, label aside.
-    assert_eq!(
-        results.rows[0].evaluation.volume,
-        results.rows[1].evaluation.volume
-    );
-
-    // A typo in the custom strategy's parameters is a hard error.
-    let typo = Strategy::new("offset_linear", MapperParams::new().with_u64("offest", 1));
-    let failed = SweepSpec::new("typo", EvaluationConfig::default())
-        .point("p", FactoryConfig::single_level(2), typo)
-        .run();
-    assert!(failed.is_err());
 }
 
 #[test]
