@@ -134,7 +134,7 @@ fn load_reports(path: &Path) -> Result<Vec<(String, Value)>, String> {
     Ok(out)
 }
 
-/// The sweep rows of a report — `results.rows` for [`msfu_bench::BenchReport`]
+/// The sweep rows of a report — `results.rows` for `BENCH_<name>.json`
 /// documents, `rows` for legacy bare `SweepResults` documents.
 fn rows(report: &Value) -> Option<&Vec<Value>> {
     report

@@ -14,18 +14,19 @@
 //!   row, in the same shape the figure binaries emit so `bench-diff` gates
 //!   search results too.
 //! * `--cache-dir DIR` — point the search at a persistent evaluation-cache
-//!   directory (overrides the spec's own `cache_dir`): already simulated
+//!   directory (the default; the spec's own `cache_dir` wins): already simulated
 //!   candidates are served from disk, new ones are appended, and results
 //!   stay byte-identical either way.
 //!
 //! Like the figure binaries, this is a thin wrapper over the service
-//! façade: it builds a search [`Request`](msfu_service::Request) via
-//! [`msfu_bench::run_search_spec`] and only formats the returned report.
+//! façade: it runs a search [`Request`] through
+//! [`msfu_bench::run_request`] and only formats the returned report.
 
 use std::process::ExitCode;
 
-use msfu_bench::run_search_spec;
+use msfu_bench::{run_request, HarnessArgs, Mode};
 use msfu_core::{SearchReport, SearchSpec};
+use msfu_service::{Payload, Request};
 
 fn print_report(report: &SearchReport) {
     println!(
@@ -114,7 +115,16 @@ fn run() -> Result<(), String> {
     let text =
         std::fs::read_to_string(&spec_path).map_err(|e| format!("cannot read {spec_path}: {e}"))?;
     let spec = SearchSpec::from_json(&text).map_err(|e| e.to_string())?;
-    let report = run_search_spec(&spec, serial, json, cache_dir.as_deref())?;
+    let args = HarnessArgs {
+        mode: Mode::Quick,
+        serial,
+        json,
+        cache_dir,
+    };
+    let Payload::Search(report) = run_request(Request::search(spec.name.clone(), spec), &args)?
+    else {
+        unreachable!("a search request yields a search payload");
+    };
     print_report(&report);
     Ok(())
 }

@@ -12,18 +12,19 @@
 //!   and `throughput` rows per scheduler, in the same shape the figure
 //!   binaries emit so `bench-diff` gates streaming results too.
 //! * `--cache-dir DIR` — point the run at a persistent evaluation-cache
-//!   directory (overrides the spec's own `cache_dir`): per-class service
+//!   directory (the default; the spec's own `cache_dir` wins): per-class service
 //!   times already simulated are served from disk, new ones are appended,
 //!   and results stay byte-identical either way.
 //!
 //! Like the figure binaries, this is a thin wrapper over the service
-//! façade: it builds a stream [`Request`](msfu_service::Request) via
-//! [`msfu_bench::run_stream_spec`] and only formats the returned report.
+//! façade: it runs a stream [`Request`] through
+//! [`msfu_bench::run_request`] and only formats the returned report.
 
 use std::process::ExitCode;
 
-use msfu_bench::run_stream_spec;
+use msfu_bench::{run_request, HarnessArgs, Mode};
 use msfu_core::{StreamReport, StreamSpec};
+use msfu_service::{Payload, Request};
 
 fn print_report(report: &StreamReport) {
     println!(
@@ -85,7 +86,16 @@ fn run() -> Result<(), String> {
     let text =
         std::fs::read_to_string(&spec_path).map_err(|e| format!("cannot read {spec_path}: {e}"))?;
     let spec = StreamSpec::from_json(&text).map_err(|e| e.to_string())?;
-    let report = run_stream_spec(&spec, serial, json, cache_dir.as_deref())?;
+    let args = HarnessArgs {
+        mode: Mode::Quick,
+        serial,
+        json,
+        cache_dir,
+    };
+    let Payload::Stream(report) = run_request(Request::stream(spec.name.clone(), spec), &args)?
+    else {
+        unreachable!("a stream request yields a stream payload");
+    };
     print_report(&report);
     Ok(())
 }

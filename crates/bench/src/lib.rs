@@ -5,10 +5,12 @@
 //!
 //! Every binary is a thin *declarative* layer over the parallel sweep engine
 //! of `msfu_core::sweep`: it assembles one [`SweepSpec`] naming all of its
-//! `FactoryConfig × Strategy` points, hands it to [`run_spec`] (which executes
-//! the grid across all cores with each distinct factory built exactly once),
-//! and then only formats rows out of the returned [`SweepResults`]. None of
-//! the binaries contains an evaluation loop of its own.
+//! `FactoryConfig × Strategy` points, hands it to [`run_spec`] (which runs
+//! it as a request through the same [`msfu_service::Session`] path as
+//! `msfu run` and `msfu serve`, with each distinct factory built exactly
+//! once), and then only formats rows out of the returned [`SweepResults`].
+//! None of the binaries contains an evaluation loop of its own; the
+//! `search` and `stream` binaries go through the same [`run_request`].
 //!
 //! | Binary    | Paper artefact | Content |
 //! |-----------|----------------|---------|
@@ -25,26 +27,24 @@
 //! * `serial` — run the sweep sequentially instead of in parallel (the
 //!   baseline for speedup measurements; results are bit-identical);
 //! * `--cache-dir <DIR>` — serve already simulated evaluations from a
-//!   persistent cache directory (rows are byte-identical either way);
-//! * `--json` — additionally write a [`BenchReport`] to `BENCH_<name>.json`:
-//!   the full [`SweepResults`] plus a [`SweepPerf`] stamp of what the run
-//!   measured itself (wall time, mode, point count, cache counters), which
-//!   `bench-diff` gates run over run.
+//!   persistent cache directory, unless the spec names its own (rows are
+//!   byte-identical either way);
+//! * `--json` — additionally write `BENCH_<name>.json`, the same document
+//!   `msfu serve --bench-dir` writes: `{name, perf, results}` (plus the
+//!   full `search` / `stream` report), where `perf` is the response's
+//!   `{wall_seconds, serial, cache}` stamp that `bench-diff` gates run over
+//!   run.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+use std::path::Path;
 use std::time::Duration;
 
-use serde::Serialize;
-
-use msfu_core::{
-    EvaluationConfig, NoProgress, SearchReport, SearchSpec, Strategy, StreamReport, StreamSpec,
-    SweepIndex, SweepResults, SweepRow, SweepSpec,
-};
+use msfu_core::{EvaluationConfig, Strategy, SweepIndex, SweepResults, SweepRow, SweepSpec};
 use msfu_distill::{FactoryConfig, ReusePolicy};
 use msfu_layout::{ForceDirectedConfig, StitchingConfig};
-use msfu_service::{JobHandle, Payload, Request, Service};
+use msfu_service::{write_bench_report, JobHandle, Payload, Request, ServeOptions, Session};
 
 /// Execution mode of a figure/table binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,338 +141,82 @@ impl HarnessArgs {
     }
 }
 
-/// Wall-time stamp of a sweep run; `bench-diff` reads `wall_seconds`.
-#[derive(Debug, Clone, Serialize)]
-pub struct SweepPerf {
-    /// End-to-end sweep wall time in seconds (mapping + simulation).
-    pub wall_seconds: f64,
-    /// Whether the sweep ran on all cores or serially.
-    pub parallel: bool,
-    /// Number of sweep points evaluated.
-    pub points: usize,
-    /// Evaluation-cache counters of the run.
-    pub cache: msfu_core::CacheStats,
-}
-
-/// A `BENCH_<name>.json` report: the sweep results plus the perf stamp the
-/// regression gate (`bench-diff`) compares run over run.
-#[derive(Debug, Clone, Serialize)]
-pub struct BenchReport {
-    /// The sweep's name.
-    pub name: String,
-    /// Wall-time stamp for this run.
-    pub perf: SweepPerf,
-    /// The sweep results (deterministic across machines and thread counts).
-    pub results: SweepResults,
-}
-
-/// Executes a sweep according to the harness arguments by submitting it as a
-/// [`Request`] to the service façade: parallel by default, serial when
-/// requested, timing reported on stderr, and a [`BenchReport`] (results +
-/// perf stamp) serialised to `BENCH_<name>.json` when `--json` was passed.
+/// Runs `request` through the serve session's request path ([`Session`])
+/// with the harness flags as session options: parallel by default, serial
+/// when requested, and `--cache-dir` as the default cache directory of a
+/// request that names none. Timing and the response's `perf.cache`
+/// counters go to stderr, and with `--json` the response is written as
+/// `BENCH_<name>.json` to the current directory by the same
+/// [`write_bench_report`] that `msfu serve --bench-dir` uses.
 ///
 /// Every figure/table binary therefore exercises the exact code path a
-/// server or queue worker uses; results are identical to calling
-/// [`SweepSpec::run`] directly.
+/// server or queue worker uses; results are identical to running the spec
+/// directly.
+///
+/// # Errors
+///
+/// Returns the service error on any spec/mapping/simulation failure, or a
+/// message when the report cannot be written.
+pub fn run_request(mut request: Request, args: &HarnessArgs) -> Result<Payload, String> {
+    let persistent =
+        args.cache_dir.is_some() || request.job.cache_dir_mut().is_some_and(|dir| dir.is_some());
+    let mut options = ServeOptions::new().with_serial(args.serial);
+    if let Some(dir) = &args.cache_dir {
+        options = options.with_cache_dir(dir);
+    }
+    let kind = request.job.kind();
+    let response = Session::new(options).run::<std::io::Sink>(request, &JobHandle::new(), None);
+    let payload = response.result.as_ref().map_err(|e| e.to_string())?;
+    let name = response.name().unwrap_or(&response.id);
+    let size = match payload {
+        Payload::Sweep(results) => format!("{} points", results.rows.len()),
+        Payload::Search(report) => format!("{} candidates", report.evaluations),
+        Payload::Stream(report) => format!(
+            "{} arrivals x {} scheduler(s)",
+            report.arrivals,
+            report.runs.len()
+        ),
+        _ => "1 evaluation".to_string(),
+    };
+    let cache = response.perf.cache.unwrap_or_default();
+    let disk = if persistent {
+        format!(
+            "; disk {} hits / {} loaded / {} persisted",
+            cache.disk_hits, cache.loaded, cache.persisted
+        )
+    } else {
+        String::new()
+    };
+    eprintln!(
+        "[{kind} {name}] {size} in {:.2?} ({}); eval cache {} hits / {} misses ({:.0}% hit rate){disk}",
+        Duration::from_secs_f64(response.perf.wall_seconds),
+        if response.perf.serial { "serial" } else { "parallel" },
+        cache.hits,
+        cache.misses,
+        cache.hit_rate() * 100.0,
+    );
+    if args.json {
+        if let Some(path) = write_bench_report(Path::new(""), &response)
+            .map_err(|e| format!("cannot write BENCH_{name}.json: {e}"))?
+        {
+            eprintln!("[{kind} {name}] wrote {}", path.display());
+        }
+    }
+    response.result.map_err(|e| e.to_string())
+}
+
+/// Runs a harness sweep through [`run_request`] and returns its rows.
 ///
 /// # Panics
 ///
 /// Panics if any sweep point fails to evaluate (the harness sweeps are all
 /// valid configurations) or if the JSON report cannot be written.
 pub fn run_spec(spec: &SweepSpec, args: &HarnessArgs) -> SweepResults {
-    let mut spec = spec.clone();
-    if let Some(dir) = &args.cache_dir {
-        spec = spec.with_cache_dir(dir.clone());
-    }
-    let spec = &spec;
-    // Cache counters are sampled from the process-wide totals around the
-    // service call: the per-run counters live on `SweepOutcome`, which the
-    // service facade's pinned `Response` shape does not expose. Each harness
-    // binary runs exactly one job per process, so the delta is that job's —
-    // a multi-job host must not reuse this sampling pattern.
-    let cache_before = msfu_core::process_cache_stats();
-    let request = Request::sweep(spec.name.clone(), spec.clone()).with_serial(args.serial);
-    let response = Service::new().run(&request, &JobHandle::new(), &NoProgress);
-    let cache = msfu_core::process_cache_stats().since(&cache_before);
-    let results = match response.result {
+    match run_request(Request::sweep(spec.name.clone(), spec.clone()), args) {
         Ok(Payload::Sweep(results)) => results,
         Ok(_) => unreachable!("a sweep request yields a sweep payload"),
         Err(error) => panic!("sweep evaluation failed: {error}"),
-    };
-    let wall_seconds = response.perf.wall_seconds;
-    eprintln!(
-        "[sweep {}] {} points in {:.2?} ({}); eval cache {} hits / {} misses ({:.0}% hit rate){}",
-        spec.name,
-        spec.points.len(),
-        Duration::from_secs_f64(wall_seconds),
-        if args.serial { "serial" } else { "parallel" },
-        cache.hits,
-        cache.misses,
-        cache.hit_rate() * 100.0,
-        disk_summary(&cache, spec.cache_dir.is_some()),
-    );
-    if args.json {
-        let report = BenchReport {
-            name: spec.name.clone(),
-            perf: SweepPerf {
-                wall_seconds,
-                parallel: !args.serial,
-                points: results.rows.len(),
-                cache,
-            },
-            results: results.clone(),
-        };
-        let path = format!("BENCH_{}.json", spec.name);
-        let text = serde_json::to_string_pretty(&report).expect("results serialise");
-        std::fs::write(&path, text).expect("JSON report is writable");
-        eprintln!("[sweep {}] wrote {path}", spec.name);
     }
-    results
-}
-
-/// The persistent-tier suffix of the harness cache log line, printed only
-/// when a cache directory is in play (the CI warm-start gate greps it).
-fn disk_summary(cache: &msfu_core::CacheStats, persistent: bool) -> String {
-    if !persistent {
-        return String::new();
-    }
-    format!(
-        "; disk {} hits / {} loaded / {} persisted",
-        cache.disk_hits, cache.loaded, cache.persisted
-    )
-}
-
-/// Wall-time stamp of a search run (the search analogue of
-/// [`SweepPerf`]; `bench-diff` reads `wall_seconds`).
-#[derive(Debug, Clone, Serialize)]
-pub struct SearchPerf {
-    /// End-to-end search wall time in seconds.
-    pub wall_seconds: f64,
-    /// Whether batches ran on all cores or serially.
-    pub parallel: bool,
-    /// Candidates evaluated.
-    pub evaluations: usize,
-    /// `evaluations / wall_seconds`.
-    pub evaluations_per_second: f64,
-    /// Evaluation-cache counters of the run (candidates that converged to an
-    /// already simulated layout were answered from the cache).
-    pub cache: msfu_core::CacheStats,
-}
-
-/// The `BENCH_<name>.json` document for a search run.
-#[derive(Debug, Clone, Serialize)]
-pub struct SearchBenchReport {
-    /// The search's name.
-    pub name: String,
-    /// Wall-time stamp for this run.
-    pub perf: SearchPerf,
-    /// Entry-best and incumbent rows in sweep shape (what `bench-diff`
-    /// gates).
-    pub results: SweepResults,
-    /// The full search report.
-    pub search: SearchReport,
-}
-
-/// Executes a portfolio search by submitting it as a [`Request`] to the
-/// service façade: timing reported on stderr and a [`SearchBenchReport`]
-/// written to `BENCH_<name>.json` when `json` is set — the exact shape the
-/// `bench-diff` regression gate compares.
-///
-/// # Errors
-///
-/// Returns the service error message on any spec/mapping/simulation failure
-/// or when the report cannot be written.
-pub fn run_search_spec(
-    spec: &SearchSpec,
-    serial: bool,
-    json: bool,
-    cache_dir: Option<&std::path::Path>,
-) -> Result<SearchReport, String> {
-    let mut spec = spec.clone();
-    if let Some(dir) = cache_dir {
-        // An explicit flag overrides the spec's own cache_dir.
-        spec.cache_dir = Some(dir.to_path_buf());
-    }
-    let spec = &spec;
-    // Process-wide delta sampling: valid because each harness binary runs a
-    // single job per process (see the note in `run_spec`).
-    let cache_before = msfu_core::process_cache_stats();
-    let request = Request::search(spec.name.clone(), spec.clone()).with_serial(serial);
-    let response = Service::new().run(&request, &JobHandle::new(), &NoProgress);
-    let cache = msfu_core::process_cache_stats().since(&cache_before);
-    let report = match response.result {
-        Ok(Payload::Search(report)) => *report,
-        Ok(_) => unreachable!("a search request yields a search payload"),
-        Err(error) => return Err(error.to_string()),
-    };
-    let wall_seconds = response.perf.wall_seconds;
-    eprintln!(
-        "[search {}] {} candidates in {:.2?} ({}); eval cache {} hits / {} misses \
-         ({:.0}% hit rate){}",
-        report.name,
-        report.evaluations,
-        Duration::from_secs_f64(wall_seconds),
-        if serial { "serial" } else { "parallel" },
-        cache.hits,
-        cache.misses,
-        cache.hit_rate() * 100.0,
-        disk_summary(&cache, spec.cache_dir.is_some()),
-    );
-    if json {
-        let bench = SearchBenchReport {
-            name: report.name.clone(),
-            perf: SearchPerf {
-                wall_seconds,
-                parallel: !serial,
-                evaluations: report.evaluations,
-                evaluations_per_second: if wall_seconds > 0.0 {
-                    report.evaluations as f64 / wall_seconds
-                } else {
-                    0.0
-                },
-                cache,
-            },
-            results: report.to_sweep_results(),
-            search: report.clone(),
-        };
-        let path = format!("BENCH_{}.json", bench.name);
-        let text = serde_json::to_string_pretty(&bench).map_err(|e| e.to_string())?;
-        std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("[search {}] wrote {path}", bench.name);
-    }
-    Ok(report)
-}
-
-/// Observability-only per-scheduler counters inside a stream perf stamp.
-///
-/// `bench-diff` ignores unknown perf fields, so nothing in here is gated;
-/// regressions are caught through the `results` rows (p50/p99/throughput
-/// per scheduler) instead.
-#[derive(Debug, Clone, Serialize)]
-pub struct StreamSchedulerPerf {
-    /// Registered scheduler name.
-    pub scheduler: String,
-    /// Fraction of fleet server-cycles spent busy.
-    pub utilization: f64,
-    /// Deepest queue observed during the run.
-    pub max_queue_depth: u64,
-    /// Setup costs paid on class switches (including cold starts).
-    pub setup_switches: u64,
-}
-
-/// Wall-time stamp of a streaming run (the stream analogue of
-/// [`SweepPerf`]; `bench-diff` reads `wall_seconds`).
-#[derive(Debug, Clone, Serialize)]
-pub struct StreamPerf {
-    /// End-to-end wall time in seconds (all schedulers).
-    pub wall_seconds: f64,
-    /// Jobs injected per scheduler run.
-    pub arrivals: u64,
-    /// Jobs completed across all scheduler runs divided by wall time.
-    pub jobs_per_second: f64,
-    /// Evaluation-cache counters of the run (per-class service times are
-    /// answered from the shared cache after the first scheduler's run).
-    pub cache: msfu_core::CacheStats,
-    /// Per-scheduler observability counters (never gated).
-    pub stream: Vec<StreamSchedulerPerf>,
-}
-
-/// The `BENCH_<name>.json` document for a streaming run.
-#[derive(Debug, Clone, Serialize)]
-pub struct StreamBenchReport {
-    /// The stream's name.
-    pub name: String,
-    /// Wall-time stamp for this run.
-    pub perf: StreamPerf,
-    /// Per-scheduler p50/p99/throughput rows in sweep shape (what
-    /// `bench-diff` gates).
-    pub results: SweepResults,
-    /// The full streaming report.
-    pub stream: StreamReport,
-}
-
-/// Executes a streaming workload by submitting it as a [`Request`] to the
-/// service façade: timing reported on stderr and a [`StreamBenchReport`]
-/// written to `BENCH_<name>.json` when `json` is set — the exact shape the
-/// `bench-diff` regression gate compares.
-///
-/// The streaming engine advances one shared clock, so `serial` changes
-/// nothing; it is accepted for CLI symmetry with the sweep/search harnesses
-/// and recorded nowhere.
-///
-/// # Errors
-///
-/// Returns the service error message on any spec/mapping/simulation failure
-/// or when the report cannot be written.
-pub fn run_stream_spec(
-    spec: &StreamSpec,
-    serial: bool,
-    json: bool,
-    cache_dir: Option<&std::path::Path>,
-) -> Result<StreamReport, String> {
-    let mut spec = spec.clone();
-    if let Some(dir) = cache_dir {
-        // An explicit flag overrides the spec's own cache_dir.
-        spec.cache_dir = Some(dir.to_path_buf());
-    }
-    let spec = &spec;
-    // Process-wide delta sampling: valid because each harness binary runs a
-    // single job per process (see the note in `run_spec`).
-    let cache_before = msfu_core::process_cache_stats();
-    let request = Request::stream(spec.name.clone(), spec.clone()).with_serial(serial);
-    let response = Service::new().run(&request, &JobHandle::new(), &NoProgress);
-    let cache = msfu_core::process_cache_stats().since(&cache_before);
-    let report = match response.result {
-        Ok(Payload::Stream(report)) => *report,
-        Ok(_) => unreachable!("a stream request yields a stream payload"),
-        Err(error) => return Err(error.to_string()),
-    };
-    let wall_seconds = response.perf.wall_seconds;
-    let completed: u64 = report.runs.iter().map(|r| r.completed).sum();
-    eprintln!(
-        "[stream {}] {} arrivals x {} scheduler(s) in {:.2?}; eval cache {} hits / {} misses \
-         ({:.0}% hit rate){}",
-        report.name,
-        report.arrivals,
-        report.runs.len(),
-        Duration::from_secs_f64(wall_seconds),
-        cache.hits,
-        cache.misses,
-        cache.hit_rate() * 100.0,
-        disk_summary(&cache, spec.cache_dir.is_some()),
-    );
-    if json {
-        let bench = StreamBenchReport {
-            name: report.name.clone(),
-            perf: StreamPerf {
-                wall_seconds,
-                arrivals: report.arrivals,
-                jobs_per_second: if wall_seconds > 0.0 {
-                    completed as f64 / wall_seconds
-                } else {
-                    0.0
-                },
-                cache,
-                stream: report
-                    .runs
-                    .iter()
-                    .map(|r| StreamSchedulerPerf {
-                        scheduler: r.scheduler.clone(),
-                        utilization: r.utilization,
-                        max_queue_depth: r.max_queue_depth,
-                        setup_switches: r.setup_switches,
-                    })
-                    .collect(),
-            },
-            results: report.to_sweep_results(),
-            stream: report.clone(),
-        };
-        let path = format!("BENCH_{}.json", bench.name);
-        let text = serde_json::to_string_pretty(&bench).map_err(|e| e.to_string())?;
-        std::fs::write(&path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("[stream {}] wrote {path}", bench.name);
-    }
-    Ok(report)
 }
 
 /// The evaluation configuration used by every harness binary.

@@ -16,23 +16,18 @@
 //! *not* part of the key — it is patched onto the cached record per caller —
 //! so candidates from different portfolio entries still share work.
 //!
-//! Two optional tiers extend the in-memory map:
+//! An optional **persistent tier** ([`EvalCache::with_disk`], the
+//! `--cache-dir` flag / `"cache_dir"` spec field) extends the in-memory map:
+//! records load from hash-bucketed segment files on open and new
+//! simulations append to them, so repeated runs — and the workers of a
+//! serve cluster sharing one directory — warm each other across processes
+//! (see [`crate::persist`]).
 //!
-//! * a **persistent tier** ([`EvalCache::with_disk`], the `--cache-dir`
-//!   flag / `"cache_dir"` spec field): records load from hash-bucketed
-//!   segment files on open and new simulations append to them, so repeated
-//!   runs — and the workers of a serve cluster sharing one directory — warm
-//!   each other across processes (see [`crate::persist`]);
-//! * an optional **max-entries bound** ([`EvalCache::with_capacity`]) with
-//!   deterministic insertion-order eviction, so a long serve session cannot
-//!   grow without limit. Default unbounded — bounded caches still return
-//!   byte-identical results, an evicted key merely re-simulates.
-//!
-//! Hit/miss counters aggregate per cache and into process-wide totals
-//! ([`process_cache_stats`]), which the bench harness samples around a run to
-//! stamp hit rates into `BENCH_<name>.json` reports.
+//! Hit/miss counters aggregate per cache (reported on each run's outcome,
+//! and as `perf.cache` on service responses) and into process-wide totals
+//! ([`process_cache_stats`]).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -124,22 +119,13 @@ struct Slot {
     from_disk: bool,
 }
 
-/// The keyed slots plus the insertion order used for bounded eviction (the
-/// order queue is only maintained when a capacity is set).
-#[derive(Default)]
-struct Slots {
-    map: HashMap<String, Arc<Slot>>,
-    order: VecDeque<String>,
-}
-
 /// A content-addressed map from evaluation inputs to simulated
 /// [`Evaluation`] records, shared across the worker threads of one sweep or
-/// search run — optionally bounded, and optionally backed by an on-disk
-/// persistent tier shared across processes.
+/// search run, optionally backed by an on-disk persistent tier shared
+/// across processes.
 #[derive(Default)]
 pub struct EvalCache {
-    slots: Mutex<Slots>,
-    capacity: Option<usize>,
+    slots: Mutex<HashMap<String, Arc<Slot>>>,
     disk: Option<DiskTier>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -153,26 +139,15 @@ impl std::fmt::Debug for EvalCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EvalCache")
             .field("stats", &self.stats())
-            .field("capacity", &self.capacity)
             .field("persistent", &self.disk.is_some())
             .finish()
     }
 }
 
 impl EvalCache {
-    /// Creates an empty, unbounded, memory-only cache.
+    /// Creates an empty, memory-only cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Bounds the in-memory tier to `max_entries` slots with deterministic
-    /// insertion-order eviction (builder style; apply before
-    /// [`EvalCache::with_disk`] so loading respects the bound). An evicted
-    /// key simply re-simulates — results stay byte-identical. A bound of 0
-    /// caches nothing.
-    pub fn with_capacity(mut self, max_entries: usize) -> Self {
-        self.capacity = Some(max_entries);
-        self
     }
 
     /// Attaches the persistent tier rooted at `dir` (builder style),
@@ -236,33 +211,13 @@ impl EvalCache {
         let slots = self.slots.get_mut().unwrap_or_else(|e| e.into_inner());
         // Duplicate keys (two processes raced the same miss) carry identical
         // content; keep the slot already present.
-        if slots.map.contains_key(&key) {
-            return;
-        }
-        Self::evict_to_fit(slots, self.capacity);
-        if self.capacity == Some(0) {
-            return;
-        }
-        let slot = Slot {
-            guard: Mutex::new(()),
-            value: OnceLock::from(evaluation),
-            from_disk: true,
-        };
-        if self.capacity.is_some() {
-            slots.order.push_back(key.clone());
-        }
-        slots.map.insert(key, Arc::new(slot));
-    }
-
-    /// Evicts oldest-inserted slots until one more fits under `capacity`.
-    fn evict_to_fit(slots: &mut Slots, capacity: Option<usize>) {
-        let Some(capacity) = capacity else { return };
-        while capacity > 0 && slots.map.len() >= capacity {
-            let Some(oldest) = slots.order.pop_front() else {
-                return;
-            };
-            slots.map.remove(&oldest);
-        }
+        slots.entry(key).or_insert_with(|| {
+            Arc::new(Slot {
+                guard: Mutex::new(()),
+                value: OnceLock::from(evaluation),
+                from_disk: true,
+            })
+        });
     }
 
     /// Returns the evaluation for `key`, running `compute` only if no other
@@ -279,20 +234,7 @@ impl EvalCache {
         let persist_key = self.disk.is_some().then(|| key.clone());
         let slot = {
             let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-            match slots.map.get(&key) {
-                Some(slot) => slot.clone(),
-                None => {
-                    Self::evict_to_fit(&mut slots, self.capacity);
-                    let slot = Arc::new(Slot::default());
-                    if self.capacity != Some(0) {
-                        if self.capacity.is_some() {
-                            slots.order.push_back(key.clone());
-                        }
-                        slots.map.insert(key, slot.clone());
-                    }
-                    slot
-                }
-            }
+            slots.entry(key).or_default().clone()
         };
         if let Some(found) = slot.value.get() {
             return Ok(self.hit(&slot, found, strategy_name));
@@ -328,7 +270,6 @@ impl EvalCache {
     pub(crate) fn peek(&self, key: &str) -> bool {
         let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
         slots
-            .map
             .get(key)
             .is_some_and(|slot| slot.value.get().is_some())
     }
@@ -481,60 +422,6 @@ mod tests {
             .unwrap();
         assert_eq!(ok.strategy, "Line");
         assert_eq!(cache.stats().misses, 2);
-    }
-
-    fn canned(tag: u64) -> Evaluation {
-        let (config, layout, eval) = sample_inputs();
-        let factory = Factory::build(&config).unwrap();
-        let mut evaluation = crate::evaluate_mapped(&factory, &layout, "Line", &eval).unwrap();
-        evaluation.latency_cycles = tag;
-        evaluation
-    }
-
-    #[test]
-    fn bounded_cache_evicts_in_insertion_order() {
-        let cache = EvalCache::new().with_capacity(2);
-        for (key, tag) in [("a", 1u64), ("b", 2), ("c", 3)] {
-            cache
-                .get_or_compute(key.to_string(), "Line", || Ok(canned(tag)))
-                .unwrap();
-        }
-        // "a" (oldest) was evicted by "c"; "b" and "c" survive.
-        assert!(!cache.peek("a"));
-        assert!(cache.peek("b"));
-        assert!(cache.peek("c"));
-        // A re-request of "a" recomputes (a miss) and evicts "b" in turn.
-        cache
-            .get_or_compute("a".to_string(), "Line", || Ok(canned(4)))
-            .unwrap();
-        assert!(!cache.peek("b"));
-        assert!(cache.peek("a") && cache.peek("c"));
-        assert_eq!(cache.stats().misses, 4);
-        assert_eq!(cache.stats().hits, 0);
-    }
-
-    #[test]
-    fn zero_capacity_caches_nothing_but_still_computes() {
-        let cache = EvalCache::new().with_capacity(0);
-        for _ in 0..2 {
-            let value = cache
-                .get_or_compute("k".to_string(), "Line", || Ok(canned(9)))
-                .unwrap();
-            assert_eq!(value.latency_cycles, 9);
-        }
-        assert!(!cache.peek("k"));
-        assert_eq!(cache.stats().misses, 2);
-    }
-
-    #[test]
-    fn unbounded_cache_keeps_everything() {
-        let cache = EvalCache::new();
-        for i in 0..100u64 {
-            cache
-                .get_or_compute(format!("k{i}"), "Line", || Ok(canned(i)))
-                .unwrap();
-        }
-        assert!((0..100).all(|i| cache.peek(&format!("k{i}"))));
     }
 
     #[test]

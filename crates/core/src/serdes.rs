@@ -15,12 +15,11 @@
 //! * `u32`/`u64`: fixed-width little-endian.
 //! * `usize`: encoded as `u64` (checked on decode, so 32-bit readers reject
 //!   out-of-range values instead of truncating).
-//! * `f64`: the IEEE-754 bit pattern (`to_bits`) little-endian — exact, no
-//!   text round-trip loss.
-//! * `String`/`Vec<T>`: varint (LEB128) element count, then the bytes /
-//!   elements.
-//! * `Option<T>`: one tag byte (`0` = `None`, `1` = `Some`), then the value.
+//! * `String`: varint (LEB128) byte count, then the bytes.
 //! * structs: fields in declaration order, nothing else.
+//!
+//! Only the types a persisted `(key, Evaluation)` record contains implement
+//! the codec.
 //! * enums: one `u8` variant tag in declaration order.
 //!
 //! # Compatibility rule
@@ -48,7 +47,7 @@ pub enum CodecError {
         /// What was being decoded.
         what: &'static str,
     },
-    /// An enum/option/bool tag byte had no corresponding variant.
+    /// An enum/bool tag byte had no corresponding variant.
     InvalidTag {
         /// What was being decoded.
         what: &'static str,
@@ -230,16 +229,6 @@ impl BinCodec for usize {
     }
 }
 
-impl BinCodec for f64 {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.to_bits().encode_into(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(f64::from_bits(u64::decode(input)?))
-    }
-}
-
 impl BinCodec for String {
     fn encode_into(&self, out: &mut Vec<u8>) {
         encode_varint(self.len() as u64, out);
@@ -252,50 +241,6 @@ impl BinCodec for String {
         })?;
         let bytes = take(input, len, "string bytes")?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::NonUtf8String)
-    }
-}
-
-impl<T: BinCodec> BinCodec for Option<T> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            None => out.push(0),
-            Some(value) => {
-                out.push(1);
-                value.encode_into(out);
-            }
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        match take(input, 1, "option tag")?[0] {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(input)?)),
-            tag => Err(CodecError::InvalidTag {
-                what: "option tag",
-                tag,
-            }),
-        }
-    }
-}
-
-impl<T: BinCodec> BinCodec for Vec<T> {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        encode_varint(self.len() as u64, out);
-        for item in self {
-            item.encode_into(out);
-        }
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let len = usize::try_from(decode_varint(input)?)
-            .map_err(|_| CodecError::OutOfRange { what: "vec length" })?;
-        // A corrupt length must not pre-allocate unbounded memory: the cap
-        // only seeds the allocation, decoding still fails at EOF.
-        let mut items = Vec::with_capacity(len.min(1024));
-        for _ in 0..len {
-            items.push(T::decode(input)?);
-        }
-        Ok(items)
     }
 }
 
@@ -337,77 +282,6 @@ impl BinCodec for msfu_distill::FactoryConfig {
     }
 }
 
-impl BinCodec for msfu_sim::RoutingPolicy {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            msfu_sim::RoutingPolicy::DimensionOrdered => 0,
-            msfu_sim::RoutingPolicy::Adaptive => 1,
-        });
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        match take(input, 1, "RoutingPolicy")?[0] {
-            0 => Ok(msfu_sim::RoutingPolicy::DimensionOrdered),
-            1 => Ok(msfu_sim::RoutingPolicy::Adaptive),
-            tag => Err(CodecError::InvalidTag {
-                what: "RoutingPolicy",
-                tag,
-            }),
-        }
-    }
-}
-
-impl BinCodec for msfu_circuit::LatencyModel {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.single_qubit.encode_into(out);
-        self.t_gate.encode_into(out);
-        self.cnot.encode_into(out);
-        self.cxx_per_target.encode_into(out);
-        self.inject.encode_into(out);
-        self.measure.encode_into(out);
-        self.init.encode_into(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(msfu_circuit::LatencyModel {
-            single_qubit: u64::decode(input)?,
-            t_gate: u64::decode(input)?,
-            cnot: u64::decode(input)?,
-            cxx_per_target: u64::decode(input)?,
-            inject: u64::decode(input)?,
-            measure: u64::decode(input)?,
-            init: u64::decode(input)?,
-        })
-    }
-}
-
-impl BinCodec for msfu_sim::SimConfig {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.latency.encode_into(out);
-        self.routing.encode_into(out);
-        self.cycle_limit.encode_into(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        // SimConfig is #[non_exhaustive]; fields stay individually assignable.
-        let mut config = msfu_sim::SimConfig::default();
-        config.latency = msfu_circuit::LatencyModel::decode(input)?;
-        config.routing = msfu_sim::RoutingPolicy::decode(input)?;
-        config.cycle_limit = u64::decode(input)?;
-        Ok(config)
-    }
-}
-
-impl BinCodec for crate::EvaluationConfig {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.sim.encode_into(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(crate::EvaluationConfig::default().with_sim(msfu_sim::SimConfig::decode(input)?))
-    }
-}
-
 impl BinCodec for crate::Evaluation {
     fn encode_into(&self, out: &mut Vec<u8>) {
         self.strategy.encode_into(out);
@@ -438,35 +312,11 @@ impl BinCodec for crate::Evaluation {
     }
 }
 
-impl BinCodec for crate::CacheStats {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        self.hits.encode_into(out);
-        self.misses.encode_into(out);
-        self.disk_hits.encode_into(out);
-        self.loaded.encode_into(out);
-        self.persisted.encode_into(out);
-        self.warnings.encode_into(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(crate::CacheStats {
-            hits: u64::decode(input)?,
-            misses: u64::decode(input)?,
-            disk_hits: u64::decode(input)?,
-            loaded: u64::decode(input)?,
-            persisted: u64::decode(input)?,
-            warnings: u64::decode(input)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CacheStats, Evaluation, EvaluationConfig};
-    use msfu_circuit::LatencyModel;
+    use crate::{Evaluation, EvaluationConfig};
     use msfu_distill::{FactoryConfig, ReusePolicy};
-    use msfu_sim::{RoutingPolicy, SimConfig};
 
     fn round_trip<T: BinCodec + PartialEq + std::fmt::Debug>(value: T) {
         let bytes = value.to_bytes();
@@ -490,39 +340,8 @@ mod tests {
         for v in [0usize, 7, usize::MAX] {
             round_trip(v);
         }
-        for v in [
-            0.0f64,
-            -0.0,
-            1.5,
-            f64::MIN_POSITIVE,
-            f64::MAX,
-            f64::NEG_INFINITY,
-        ] {
-            round_trip(v);
-        }
-    }
-
-    #[test]
-    fn f64_bit_patterns_are_exact() {
-        // NaN payloads compare unequal as floats but the *bits* must survive.
-        let nan = f64::from_bits(0x7ff8_dead_beef_0001);
-        let bytes = nan.to_bytes();
-        let back = f64::decode_exact(&bytes).unwrap();
-        assert_eq!(back.to_bits(), nan.to_bits());
-        // 0.1 has no finite decimal expansion; text formats round it.
-        round_trip(0.1f64);
-    }
-
-    #[test]
-    fn containers_round_trip() {
         round_trip(String::new());
         round_trip("κ-distillation".to_string());
-        round_trip(Option::<u64>::None);
-        round_trip(Some(42u64));
-        round_trip(Vec::<u64>::new());
-        round_trip(vec![1u64, 2, 3]);
-        round_trip(vec!["a".to_string(), String::new()]);
-        round_trip(vec![Some(1u8), None]);
     }
 
     #[test]
@@ -544,22 +363,8 @@ mod tests {
     fn domain_types_round_trip() {
         round_trip(ReusePolicy::Reuse);
         round_trip(ReusePolicy::NoReuse);
-        round_trip(RoutingPolicy::DimensionOrdered);
-        round_trip(RoutingPolicy::Adaptive);
-        round_trip(LatencyModel::default());
-        round_trip(SimConfig::default());
-        round_trip(SimConfig::dimension_ordered().with_cycle_limit(123));
-        round_trip(EvaluationConfig::default().with_sim(SimConfig::dimension_ordered()));
         round_trip(FactoryConfig::two_level(3).with_reuse(ReusePolicy::NoReuse));
         round_trip(FactoryConfig::single_level(2).with_barriers(false));
-        round_trip(CacheStats {
-            hits: 1,
-            misses: 2,
-            disk_hits: 3,
-            loaded: 4,
-            persisted: 5,
-            warnings: 6,
-        });
     }
 
     #[test]
@@ -611,10 +416,6 @@ mod tests {
         );
         assert!(matches!(
             ReusePolicy::decode_exact(&[9]),
-            Err(CodecError::InvalidTag { .. })
-        ));
-        assert!(matches!(
-            Option::<u8>::decode_exact(&[3]),
             Err(CodecError::InvalidTag { .. })
         ));
         assert!(String::decode_exact(&[2, 0xff, 0xfe]).is_err());

@@ -52,9 +52,9 @@
 //!   simulates solo. Results are byte-identical at any width.
 //!
 //! Points are appended in document order: the `points` array first, then
-//! every grid (factories × strategies × seeds). A spec decoded from JSON is
-//! structurally equal ([`PartialEq`]) to the same spec built in Rust, and
-//! running it produces byte-identical results.
+//! every grid (factories × strategies × seeds), at most 100 000 in all. A
+//! spec decoded from JSON is structurally equal ([`PartialEq`]) to the same
+//! spec built in Rust, and running it produces byte-identical results.
 
 use msfu_circuit::LatencyModel;
 use msfu_distill::{FactoryConfig, ReusePolicy};
@@ -63,6 +63,12 @@ use msfu_sim::{RoutingPolicy, SimConfig};
 use serde_json::Value;
 
 use crate::{CoreError, EvaluationConfig, Result, Strategy, SweepSpec};
+
+/// Most points a JSON sweep may declare, `grids` expansions included — far
+/// above real traffic (the paper-scale Fig. 10 sweep has 88 points, the
+/// random-mappings benchmark 410), so a hostile grid is refused before it
+/// is allocated.
+const MAX_SWEEP_POINTS: usize = 100_000;
 
 fn spec_err(reason: impl Into<String>) -> CoreError {
     CoreError::Spec {
@@ -396,6 +402,15 @@ impl SweepSpec {
                         Some(seeds)
                     }
                 };
+                let expanded = factories
+                    .len()
+                    .saturating_mul(strategies.len())
+                    .saturating_mul(seeds.as_ref().map_or(1, Vec::len));
+                if spec.points.len().saturating_add(expanded) > MAX_SWEEP_POINTS {
+                    return Err(spec_err(format!(
+                        "{ctx}: the sweep expands to more than {MAX_SWEEP_POINTS} points"
+                    )));
+                }
                 for factory in &factories {
                     for strategy in &strategies {
                         match &seeds {
@@ -595,6 +610,17 @@ mod tests {
 
     #[test]
     fn malformed_specs_name_the_offending_field() {
+        // 1 000 factories x 1 000 strategies x 2 000 seeds once aborted on
+        // its allocation; it must be refused before any point is pushed.
+        let huge_grid = format!(
+            r#"{{"name": "x", "grids": [{{"label": "g", "factories": [{}], "strategies": [{}], "seeds": [{}]}}]}}"#,
+            vec![r#"{"k": 2}"#; 1000].join(","),
+            vec![r#"{"strategy": "random"}"#; 1000].join(","),
+            (0..2000)
+                .map(|s| s.to_string())
+                .collect::<Vec<_>>()
+                .join(","),
+        );
         for (bad, needle) in [
             (r#"{"eval": {}}"#, "name"),
             (r#"{"name": "x", "bogus": 1}"#, "bogus"),
@@ -604,6 +630,7 @@ mod tests {
                 "strategy",
             ),
             (r#"not json"#, "JSON"),
+            (huge_grid.as_str(), "more than"),
         ] {
             let err = SweepSpec::from_json(bad).expect_err("must fail");
             assert!(err.to_string().contains(needle), "{bad} -> {err}");

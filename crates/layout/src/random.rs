@@ -10,9 +10,10 @@ use msfu_distill::Factory;
 
 use crate::{Coord, FactoryMapper, Layout, LayoutError, Mapping, Result};
 
-/// Largest grid a [`RandomMapper`] builds, in cells per placed qubit. A larger
-/// expansion is rejected rather than allocated.
-const MAX_CELLS_PER_QUBIT: usize = 64;
+/// Largest grid a [`RandomMapper`] (or a stitched grid with its
+/// `block_gap`) builds, in cells per placed qubit. A larger grid is
+/// rejected rather than allocated.
+pub(crate) const MAX_CELLS_PER_QUBIT: usize = 64;
 
 /// Places qubits uniformly at random onto a square grid.
 ///
@@ -160,6 +161,29 @@ mod tests {
             .map_qubits(16)
             .unwrap();
         assert_eq!(m.grid_area(), 16 * MAX_CELLS_PER_QUBIT);
+    }
+
+    #[test]
+    fn oversized_stitching_block_gap_is_a_typed_error() {
+        use crate::{HierarchicalStitchingMapper, StitchingConfig};
+        let factory = Factory::build(&FactoryConfig::two_level(2)).unwrap();
+        let with_gap = |block_gap| {
+            HierarchicalStitchingMapper::with_config(StitchingConfig {
+                block_gap,
+                ..StitchingConfig::default()
+            })
+            .map_factory(&factory)
+        };
+        for block_gap in [1_000, 100_000, 1_000_000_000, usize::MAX] {
+            assert!(
+                matches!(
+                    with_gap(block_gap),
+                    Err(LayoutError::InvalidMapperParam { .. })
+                ),
+                "block_gap {block_gap}"
+            );
+        }
+        assert!(with_gap(1).unwrap().mapping.is_complete());
     }
 
     #[test]

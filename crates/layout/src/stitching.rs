@@ -35,6 +35,7 @@ use msfu_graph::geometry::{segments_cross, Point};
 use msfu_graph::InteractionGraph;
 
 use crate::graph_partition::{embed_into_cells, rectangle_cells};
+use crate::random::MAX_CELLS_PER_QUBIT;
 use crate::{Coord, FactoryMapper, Layout, LayoutError, Mapping, Result, RoutingHints};
 
 /// Strategy for choosing the intermediate destination of permutation braids
@@ -155,9 +156,19 @@ impl HierarchicalStitchingMapper {
         let blocks = round0.len();
         let blocks_per_row = (blocks as f64).sqrt().ceil() as usize;
         let block_rows = blocks.div_ceil(blocks_per_row);
-        let stride = block_side + self.config.block_gap;
-        let width = blocks_per_row * stride;
-        let height = block_rows * stride;
+        // A huge block_gap must fail typed instead of allocating the grid.
+        let stride = block_side.saturating_add(self.config.block_gap);
+        let width = blocks_per_row.saturating_mul(stride);
+        let height = block_rows.saturating_mul(stride);
+        if width.saturating_mul(height) > factory.num_qubits().saturating_mul(MAX_CELLS_PER_QUBIT) {
+            return Err(LayoutError::InvalidMapperParam {
+                mapper: "hierarchical_stitching".into(),
+                reason: format!(
+                    "block_gap {} exceeds {MAX_CELLS_PER_QUBIT} cells per qubit",
+                    self.config.block_gap
+                ),
+            });
+        }
 
         let mut mapping = Mapping::new(factory.num_qubits(), width.max(1), height.max(1));
         for (idx, module) in round0.iter().enumerate() {

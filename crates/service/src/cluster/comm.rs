@@ -157,7 +157,6 @@ fn connect_child(
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         // Never let coordinator-level fault hooks leak into grandchildren.
-        .env_remove("MSFU_FAULT_PLAN")
         .env_remove(ENV_WORKER_FAULT);
     if !fault.is_empty() {
         command.env(ENV_WORKER_FAULT, fault.to_json());

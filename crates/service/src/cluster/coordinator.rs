@@ -70,8 +70,7 @@ const MIN_WAIT: Duration = Duration::from_millis(1);
 /// Supervision policy of a worker pool: how patient the coordinator is with
 /// faulty workers before it re-plans, replaces, or fails typed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct Supervision {
+pub(crate) struct Supervision {
     /// How long one dispatched shard may stay in flight before its worker
     /// is declared hung, killed, and the shard re-dispatched (`None` = no
     /// timeout; a job deadline still interrupts, and interrupted workers
@@ -98,26 +97,6 @@ impl Default for Supervision {
     }
 }
 
-impl Supervision {
-    /// Sets the shard timeout (builder style); `None` disables it.
-    pub fn with_shard_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.shard_timeout = timeout;
-        self
-    }
-
-    /// Sets the per-shard re-dispatch budget (builder style).
-    pub fn with_retry_budget(mut self, retry_budget: u32) -> Self {
-        self.retry_budget = retry_budget;
-        self
-    }
-
-    /// Sets the pool-lifetime respawn budget (builder style).
-    pub fn with_max_respawns(mut self, max_respawns: u32) -> Self {
-        self.max_respawns = max_respawns;
-        self
-    }
-}
-
 /// A connected worker pool, reusable across the jobs of a serve session.
 ///
 /// Workers are connected once and kept until the pool is dropped; a worker
@@ -125,7 +104,7 @@ impl Supervision {
 /// supervisor may append a clean replacement at a fresh rank), and the
 /// shard *plan* always uses the configured pool size, so results do not
 /// depend on which workers happen to be alive.
-pub struct Cluster {
+pub(crate) struct Cluster {
     workers: Vec<WorkerSlot>,
     events: mpsc::Receiver<WorkerEvent>,
     /// Respawn source and keepalive: replacement workers clone this sender,
@@ -398,7 +377,7 @@ fn busy_edge(
 /// the coordinator and shard each candidate batch. `Evaluate` jobs are a
 /// single bounded simulation — they run in-process, exactly like an
 /// uncoordinated serve session would run them.
-pub fn run_clustered<W: Write>(
+pub(crate) fn run_clustered<W: Write>(
     cluster: &mut Cluster,
     request: &Request,
     handle: &JobHandle,
@@ -1282,7 +1261,7 @@ mod tests {
         // survivors alone).
         let options = ServeOptions::new()
             .with_workers(2)
-            .with_fault(1, 0)
+            .with_fault_plan(FaultPlan::new().with_crash(1, 0))
             .with_max_respawns(0);
         let faulted = session(&options, SWEEP_LINE);
         let response = response_of(&faulted, "j");
@@ -1300,7 +1279,9 @@ mod tests {
         // Rank 1 dies on its first request; the default respawn budget (one
         // per configured worker) replaces it with a clean worker at a fresh
         // rank, so the pool recovers its parallelism.
-        let options = ServeOptions::new().with_workers(2).with_fault(1, 0);
+        let options = ServeOptions::new()
+            .with_workers(2)
+            .with_fault_plan(FaultPlan::new().with_crash(1, 0));
         let respawned = session(&options, SWEEP_LINE);
         let response = response_of(&respawned, "j");
         assert_eq!(stable_fields(response), reference, "respawned run diverged");
@@ -1324,7 +1305,7 @@ mod tests {
         // in-process rather than fail it.
         let options = ServeOptions::new()
             .with_workers(1)
-            .with_fault(0, 0)
+            .with_fault_plan(FaultPlan::new().with_crash(0, 0))
             .with_max_respawns(0);
         let values = session(&options, SWEEP_LINE);
         let response = response_of(&values, "j");

@@ -17,7 +17,10 @@
 //! * [`serve`] — a JSON-lines session loop (requests in, interleaved
 //!   progress events and responses out) serving any number of jobs from one
 //!   process, with per-worker simulator engines reused across jobs and
-//!   in-flight jobs cancellable by a `{"cancel": <id>}` line.
+//!   in-flight jobs cancellable by a `{"cancel": <id>}` line. Its per-request
+//!   path, [`Session`], is the one every front end (`msfu run`, `msfu
+//!   serve`, the bench harness) runs requests through, and
+//!   [`write_bench_report`] the one `BENCH_<name>.json` writer.
 //! * [`cluster`] — the supervised multi-worker coordinator behind
 //!   `--workers N`: sweeps/searches shard deterministically across a pool
 //!   of worker serve sessions (in-process threads or child processes), with
@@ -58,7 +61,7 @@ pub mod protocol;
 mod serve;
 mod service;
 
-pub use cluster::{plan_shards, run_clustered, Cluster, ClusterBackend, Supervision, WorkerEvent};
+pub use cluster::{plan_shards, ClusterBackend, WorkerEvent};
 pub use error_code::{error_code, ALL_ERROR_CODES};
 pub use faults::{FaultPlan, WorkerFaultSpec};
 pub use ndjson::NdjsonSink;
@@ -66,5 +69,5 @@ pub use protocol::{
     ClusterPerf, Job, Payload, Request, RequestError, Response, ResponsePerf, ServiceError,
     SessionLine, PROTOCOL_VERSION,
 };
-pub use serve::{serve, ServeOptions, ServeSummary};
+pub use serve::{serve, write_bench_report, ServeOptions, ServeSummary, Session};
 pub use service::{JobHandle, Service};

@@ -25,11 +25,17 @@
 //! echoed `id`, a `status` of `"ok"` or `"error"`, a `cancelled` flag (a
 //! cancelled sweep/search still reports the rows/candidates it completed —
 //! partial results, not an error), a `perf` stamp, and either the payload
-//! under `result` or a stable machine-readable error under `error`:
+//! under `result` or a stable machine-readable error under `error`. In-process
+//! sweep, search and stream responses stamp their evaluation-cache counters
+//! as `perf.cache`; `evaluate` and coordinated (`--workers N`) responses
+//! carry none:
 //!
 //! ```json
 //! {"type": "response", "protocol_version": 1, "id": "job-1", "kind": "sweep",
-//!  "status": "ok", "cancelled": false, "perf": {"wall_seconds": 1.5, "serial": false},
+//!  "status": "ok", "cancelled": false,
+//!  "perf": {"wall_seconds": 1.5, "serial": false,
+//!           "cache": {"hits": 3, "misses": 7, "disk_hits": 0, "loaded": 0,
+//!                     "persisted": 0, "warnings": 0}},
 //!  "result": {"results": {"name": "fig7", "rows": [ ... ]}}}
 //! {"type": "response", "protocol_version": 1, "id": "job-9", "kind": "sweep",
 //!  "status": "error", "cancelled": false, "perf": {"wall_seconds": 0.0, "serial": false},
@@ -40,11 +46,14 @@
 //! clients branch on codes, never on messages.
 
 use std::fmt;
+use std::path::PathBuf;
 
 use serde_json::Value;
 
 use msfu_core::spec::{eval_from_json, factory_from_json, strategy_from_json};
-use msfu_core::{CoreError, Evaluation, EvaluationConfig, SearchReport, SearchSpec, Strategy};
+use msfu_core::{
+    CacheStats, CoreError, Evaluation, EvaluationConfig, SearchReport, SearchSpec, Strategy,
+};
 use msfu_core::{StreamReport, StreamSpec, SweepResults, SweepSpec};
 use msfu_distill::FactoryConfig;
 
@@ -145,6 +154,17 @@ impl Job {
             Job::Sweep { .. } => "sweep",
             Job::Search { .. } => "search",
             Job::Stream { .. } => "stream",
+        }
+    }
+
+    /// The spec's persistent cache directory, for the front ends to fill in
+    /// a default; `None` for `evaluate` jobs, which use no cache.
+    pub fn cache_dir_mut(&mut self) -> Option<&mut Option<PathBuf>> {
+        match self {
+            Job::Evaluate { .. } => None,
+            Job::Sweep { spec } => Some(&mut spec.cache_dir),
+            Job::Search { spec } => Some(&mut spec.cache_dir),
+            Job::Stream { spec } => Some(&mut spec.cache_dir),
         }
     }
 }
@@ -490,6 +510,9 @@ pub struct ResponsePerf {
     pub wall_seconds: f64,
     /// Whether the job ran serially.
     pub serial: bool,
+    /// Evaluation-cache counters of an in-process sweep, search or stream
+    /// job (observability only; never affects `result`).
+    pub cache: Option<CacheStats>,
     /// Cluster stamp, present when the job was coordinated across workers.
     pub cluster: Option<ClusterPerf>,
 }
@@ -500,6 +523,7 @@ impl ResponsePerf {
         ResponsePerf {
             wall_seconds,
             serial,
+            cache: None,
             cluster: None,
         }
     }
@@ -515,6 +539,10 @@ impl ResponsePerf {
             ("wall_seconds".to_string(), Value::Float(self.wall_seconds)),
             ("serial".to_string(), Value::Bool(self.serial)),
         ];
+        if let Some(cache) = self.cache {
+            use serde::Serialize;
+            entries.push(("cache".to_string(), cache.to_value()));
+        }
         if let Some(cluster) = self.cluster {
             entries.push(("cluster".to_string(), cluster.to_value()));
         }

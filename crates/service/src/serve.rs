@@ -26,13 +26,13 @@
 
 use std::collections::{HashMap, HashSet};
 use std::io::{self, BufRead, Read, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 
 use serde_json::Value;
 
-use msfu_core::CancelToken;
+use msfu_core::{CancelToken, NoProgress};
 
 use crate::cluster::{self, Cluster, ClusterBackend, Supervision};
 use crate::error_code::{E_REQUEST_PARSE, E_WORKER_LOST};
@@ -124,16 +124,6 @@ impl ServeOptions {
     /// Selects the worker communicator backend (builder style).
     pub fn with_backend(mut self, backend: ClusterBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Injects a crash fault: `rank` exits without responding upon
-    /// receiving its `after_jobs + 1`-th request (builder style). Thin
-    /// alias for adding a crash to the session's [`FaultPlan`]; prefer
-    /// [`ServeOptions::with_fault_plan`] for anything richer.
-    pub fn with_fault(mut self, rank: usize, after_jobs: usize) -> Self {
-        let plan = self.fault_plan.take().unwrap_or_default();
-        self.fault_plan = Some(plan.with_crash(rank, after_jobs));
         self
     }
 
@@ -247,7 +237,6 @@ where
     W: Write,
 {
     let out = Mutex::new(output);
-    let service = Service::new();
     let state = Arc::new(Mutex::new(SessionState::default()));
     let (tx, rx) = mpsc::channel::<Result<Box<Request>, RequestError>>();
     let mut summary = ServeSummary::default();
@@ -269,28 +258,13 @@ where
         });
     });
 
-    if let (Some(plan), Some(dir)) = (&options.fault_plan, &options.cache_dir) {
-        // Deterministic cache sabotage happens before the first request, so
-        // the session exercises the quarantine/recovery path on open.
-        match plan.apply_cache_corruption(dir) {
-            Ok(damaged) => {
-                for path in &damaged {
-                    eprintln!("[msfu faults] corrupted cache segment {}", path.display());
-                }
-            }
-            Err(message) => {
-                eprintln!("[msfu faults] cache corruption not applied: {message}");
-            }
-        }
-    }
-
-    let mut cluster: Option<Cluster> = None;
+    let mut session = Session::new(options.clone());
     let mut jobs_received = 0usize;
     for message in rx {
         let mut garble = false;
         let response = match message {
             Err(error) => Response::for_request_error(error),
-            Ok(mut request) => {
+            Ok(request) => {
                 let job_index = jobs_received;
                 if options
                     .worker_fault
@@ -318,51 +292,14 @@ where
                 // replace the response line with undecodable output below.
                 garble = options.worker_fault.corrupt_after_jobs == Some(job_index);
                 jobs_received += 1;
-                request.serial = request.serial || options.serial;
-                if let Some(dir) = &options.cache_dir {
-                    // Session default only: a request's own cache_dir wins.
-                    match &mut request.job {
-                        Job::Sweep { spec } if spec.cache_dir.is_none() => {
-                            spec.cache_dir = Some(dir.clone());
-                        }
-                        Job::Search { spec } if spec.cache_dir.is_none() => {
-                            spec.cache_dir = Some(dir.clone());
-                        }
-                        Job::Stream { spec } if spec.cache_dir.is_none() => {
-                            spec.cache_dir = Some(dir.clone());
-                        }
-                        _ => {}
-                    }
-                }
+                let id = request.id.clone();
                 let handle = JobHandle::new();
                 state
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())
-                    .start(&request.id, &handle);
-                let clustered = options.workers > 0
-                    && matches!(request.job, Job::Sweep { .. } | Job::Search { .. });
-                let response = if clustered {
-                    match ensure_cluster(&mut cluster, options) {
-                        Ok(pool) => cluster::run_clustered(pool, &request, &handle, Some(&out)),
-                        Err(error) => Response::new(
-                            request.id.clone(),
-                            request.job.kind(),
-                            false,
-                            ResponsePerf::new(0.0, request.serial),
-                            Err(ServiceError::new(
-                                E_WORKER_LOST,
-                                format!("cannot connect the worker pool: {error}"),
-                            )),
-                        ),
-                    }
-                } else {
-                    let sink = NdjsonSink::new(&request.id, &out);
-                    service.run(&request, &handle, &sink)
-                };
-                state
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .finish(&request.id);
+                    .start(&id, &handle);
+                let response = session.run(*request, &handle, Some(&out));
+                state.lock().unwrap_or_else(|e| e.into_inner()).finish(&id);
                 response
             }
         };
@@ -472,20 +409,92 @@ fn skip_line<R: BufRead>(input: &mut R) -> io::Result<()> {
     }
 }
 
-/// Connects the session's worker pool on first use, reusing it afterwards.
-fn ensure_cluster<'a>(
-    cluster: &'a mut Option<Cluster>,
-    options: &ServeOptions,
-) -> std::io::Result<&'a mut Cluster> {
-    if cluster.is_none() {
-        let pool = Cluster::connect(
-            &options.backend,
-            options.workers,
-            options.fault_plan.as_ref(),
-        )?;
-        *cluster = Some(pool.with_supervision(options.supervision()));
+/// The request path every front end shares: `msfu serve` runs each session
+/// line through it, `msfu run` its one request, and the bench harness its
+/// sweep, search or stream.
+///
+/// A session applies the fault plan's cache corruption once, when it is
+/// built. Per request it merges the session's `serial` flag, fills in the
+/// session `cache_dir` where the request names none, and runs the job:
+/// sweeps and searches across the worker pool when
+/// [`ServeOptions::workers`] is set (the pool connects on the first such
+/// job and is reused), everything else in-process through [`Service::run`].
+pub struct Session {
+    options: ServeOptions,
+    cluster: Option<Cluster>,
+}
+
+impl Session {
+    /// Opens a session, corrupting the cache directory first when the
+    /// options' fault plan asks for it.
+    pub fn new(options: ServeOptions) -> Self {
+        if let (Some(plan), Some(dir)) = (&options.fault_plan, &options.cache_dir) {
+            // Deterministic cache sabotage happens before the first request,
+            // so the session exercises the quarantine/recovery path on open.
+            match plan.apply_cache_corruption(dir) {
+                Ok(damaged) => {
+                    for path in &damaged {
+                        eprintln!("[msfu faults] corrupted cache segment {}", path.display());
+                    }
+                }
+                Err(message) => {
+                    eprintln!("[msfu faults] cache corruption not applied: {message}");
+                }
+            }
+        }
+        Session {
+            options,
+            cluster: None,
+        }
     }
-    Ok(cluster.as_mut().expect("pool was just connected"))
+
+    /// Runs one request to its response, streaming NDJSON progress lines to
+    /// `progress` when given.
+    pub fn run<W: Write>(
+        &mut self,
+        mut request: Request,
+        handle: &JobHandle,
+        progress: Option<&Mutex<W>>,
+    ) -> Response {
+        request.serial |= self.options.serial;
+        if let (Some(dir), Some(slot)) = (&self.options.cache_dir, request.job.cache_dir_mut()) {
+            // Session default only: a request's own cache_dir wins.
+            slot.get_or_insert_with(|| dir.clone());
+        }
+        let clustered = self.options.workers > 0
+            && matches!(request.job, Job::Sweep { .. } | Job::Search { .. });
+        if !clustered {
+            return match progress {
+                Some(out) => {
+                    Service::new().run(&request, handle, &NdjsonSink::new(&request.id, out))
+                }
+                None => Service::new().run(&request, handle, &NoProgress),
+            };
+        }
+        if self.cluster.is_none() {
+            match Cluster::connect(
+                &self.options.backend,
+                self.options.workers,
+                self.options.fault_plan.as_ref(),
+            ) {
+                Ok(pool) => self.cluster = Some(pool.with_supervision(self.options.supervision())),
+                Err(error) => {
+                    return Response::new(
+                        request.id.clone(),
+                        request.job.kind(),
+                        false,
+                        ResponsePerf::new(0.0, request.serial),
+                        Err(ServiceError::new(
+                            E_WORKER_LOST,
+                            format!("cannot connect the worker pool: {error}"),
+                        )),
+                    )
+                }
+            }
+        }
+        let pool = self.cluster.as_mut().expect("the pool is connected");
+        cluster::run_clustered(pool, &request, handle, progress)
+    }
 }
 
 /// Cancellation bookkeeping of one session, under a single lock so the
@@ -529,17 +538,22 @@ impl SessionState {
     }
 }
 
-/// Writes a completed sweep/search/stream response as `BENCH_<name>.json` in the
-/// `{name, perf, results}` shape the `bench-diff` gate compares (searches
-/// additionally carry their full report under `search`). Cancelled or
-/// unnamed responses are skipped — a partial sweep must never overwrite a
-/// complete baseline candidate.
-fn write_bench_report(dir: &std::path::Path, response: &Response) -> std::io::Result<()> {
+/// Writes a completed sweep/search/stream response as `BENCH_<name>.json`
+/// under `dir` in the `{name, perf, results}` shape the `bench-diff` gate
+/// compares (searches and streams additionally carry their full report
+/// under `search` / `stream`), returning the path written. Cancelled,
+/// failed and `evaluate` responses are skipped (`Ok(None)`) — a partial
+/// sweep must never overwrite a complete baseline candidate.
+///
+/// # Errors
+///
+/// Fails when `dir` cannot be created or the report cannot be written.
+pub fn write_bench_report(dir: &Path, response: &Response) -> io::Result<Option<PathBuf>> {
     let (Some(name), Ok(payload)) = (response.name(), &response.result) else {
-        return Ok(());
+        return Ok(None);
     };
     if response.cancelled {
-        return Ok(());
+        return Ok(None);
     }
     use serde::Serialize;
     let mut entries = vec![
@@ -561,13 +575,14 @@ fn write_bench_report(dir: &std::path::Path, response: &Response) -> std::io::Re
             entries.push(("results".to_string(), report.to_sweep_results().to_value()));
             entries.push(("stream".to_string(), report.to_value()));
         }
-        _ => return Ok(()),
+        Payload::Evaluate(_) => return Ok(None),
     }
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("BENCH_{name}.json"));
     let text = serde_json::to_string_pretty(&Value::Object(entries))
-        .map_err(|e| std::io::Error::other(e.to_string()))?;
-    std::fs::write(path, text)
+        .map_err(|e| io::Error::other(e.to_string()))?;
+    std::fs::write(&path, text)?;
+    Ok(Some(path))
 }
 
 #[cfg(test)]

@@ -76,7 +76,8 @@ impl Service {
         if let Some(ms) = request.deadline_ms {
             ctrl = ctrl.with_deadline(start + Duration::from_millis(ms));
         }
-        let (result, cancelled) = match &request.job {
+        // `cache` stays `None` for evaluations (no cache) and failed jobs.
+        let (result, cancelled, cache) = match &request.job {
             // A single evaluation is one bounded simulation — it has no batch
             // boundaries, so it runs to completion even if cancelled mid-way.
             Job::Evaluate {
@@ -88,6 +89,7 @@ impl Service {
                     .map(|e| Payload::Evaluate(Box::new(e)))
                     .map_err(|e| ServiceError::from_core(&e)),
                 false,
+                None,
             ),
             Job::Sweep { spec } => {
                 let outcome = if request.serial {
@@ -96,8 +98,12 @@ impl Service {
                     spec.run_with(&ctrl)
                 };
                 match outcome {
-                    Ok(outcome) => (Ok(Payload::Sweep(outcome.results)), outcome.interrupted),
-                    Err(e) => (Err(ServiceError::from_core(&e)), false),
+                    Ok(outcome) => (
+                        Ok(Payload::Sweep(outcome.results)),
+                        outcome.interrupted,
+                        Some(outcome.cache),
+                    ),
+                    Err(e) => (Err(ServiceError::from_core(&e)), false, None),
                 }
             }
             Job::Search { spec } => {
@@ -110,8 +116,9 @@ impl Service {
                     Ok(outcome) => (
                         Ok(Payload::Search(Box::new(outcome.report))),
                         outcome.interrupted,
+                        Some(outcome.cache),
                     ),
-                    Err(e) => (Err(ServiceError::from_core(&e)), false),
+                    Err(e) => (Err(ServiceError::from_core(&e)), false, None),
                 }
             }
             // The streaming engine is inherently sequential (one shared
@@ -121,15 +128,18 @@ impl Service {
                 Ok(outcome) => (
                     Ok(Payload::Stream(Box::new(outcome.report))),
                     outcome.interrupted,
+                    Some(outcome.cache),
                 ),
-                Err(e) => (Err(ServiceError::from_core(&e)), false),
+                Err(e) => (Err(ServiceError::from_core(&e)), false, None),
             },
         };
+        let mut perf = ResponsePerf::new(start.elapsed().as_secs_f64(), request.serial);
+        perf.cache = cache;
         Response::new(
             request.id.clone(),
             request.job.kind(),
             cancelled,
-            ResponsePerf::new(start.elapsed().as_secs_f64(), request.serial),
+            perf,
             result,
         )
     }
@@ -200,6 +210,53 @@ mod tests {
         };
         assert_eq!(*report, direct);
         assert_eq!(response.kind, "stream");
+    }
+
+    #[test]
+    fn responses_stamp_their_outcomes_cache_counters() {
+        let sweep = tiny_sweep("t").point("a", FactoryConfig::single_level(2), Strategy::linear());
+        let search = msfu_core::SearchSpec::from_json(
+            r#"{"name": "s", "factory": {"k": 2}, "budget": 6, "batch_size": 3,
+                "portfolio": [{"strategy": {"strategy": "random"}, "seeded": true},
+                              {"strategy": {"strategy": "linear"}, "seeded": false}]}"#,
+        )
+        .unwrap();
+        let stream = msfu_core::StreamSpec::new("t")
+            .with_horizon(500)
+            .server(FactoryConfig::single_level(2), 1)
+            .class(msfu_core::JobClass::new("c", Strategy::linear()))
+            .with_schedulers(&["fifo", "priority"]);
+        let ctrl = msfu_core::RunControl::default();
+        let cases = [
+            (
+                Request::sweep("a", sweep.clone()),
+                sweep.run_with(&ctrl).unwrap().cache,
+            ),
+            (
+                Request::search("b", search.clone()),
+                search.run_with(&ctrl).unwrap().cache,
+            ),
+            (
+                Request::stream("c", stream.clone()),
+                stream.run_with(&ctrl).unwrap().cache,
+            ),
+        ];
+        for (request, expected) in cases {
+            let response = Service::new().run(&request, &JobHandle::new(), &NoProgress);
+            assert!(response.result.is_ok(), "{}", response.kind);
+            assert!(expected.misses > 0, "{}: {expected:?}", response.kind);
+            assert_eq!(response.perf.cache, Some(expected), "{}", response.kind);
+            assert!(response.to_json().contains(r#""cache":{"hits":"#));
+        }
+        let request = Request::evaluate(
+            "e",
+            FactoryConfig::single_level(2),
+            Strategy::linear(),
+            EvaluationConfig::default(),
+        );
+        let response = Service::new().run(&request, &JobHandle::new(), &NoProgress);
+        assert_eq!(response.perf.cache, None);
+        assert!(!response.to_json().contains(r#""cache""#));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!     worker processes; the merged response is byte-identical to a
 //!     single-process run (only the perf stamp differs, gaining a
 //!     perf.cluster section); stream jobs always run in-process (one shared
-//!     clock — there is nothing to shard). --cache-dir DIR points the
-//!     sweep/search/stream at a persistent evaluation-cache directory:
+//!     clock — there is nothing to shard). --cache-dir DIR is the default
+//!     persistent evaluation-cache directory of a sweep/search/stream
+//!     request without its own "cache_dir" (the request's own wins):
 //!     already simulated evaluations are served from disk, new ones are
 //!     appended, and results stay byte-identical either way.
 //!
@@ -44,14 +45,15 @@
 //!     warning-free.
 //! ```
 //!
-//! Fault injection: `--fault-plan FILE` (or the `MSFU_FAULT_PLAN`
-//! environment variable carrying the same JSON inline) loads a seeded,
-//! declarative fault plan — worker crashes, stalls, garbled responses,
-//! cache corruption — documented in `msfu::service::faults`. Supervision
-//! knobs: `--shard-timeout-ms MS` bounds how long one dispatched shard may
-//! stay in flight before its worker is declared hung, and
-//! `--max-respawns N` caps replacement workers (default: one per
-//! configured worker).
+//! Fault injection: `--fault-plan FILE` loads a seeded, declarative fault
+//! plan — worker crashes, stalls, garbled responses, cache corruption —
+//! documented in `msfu::service::faults`. Worker-pool knobs:
+//! `--shard-timeout-ms MS` bounds how long one dispatched shard may stay in
+//! flight before its worker is declared hung, and `--max-respawns N` caps
+//! replacement workers (default: one per configured worker).
+//!
+//! `run` and `serve` share one request path (`msfu::service::Session`), so
+//! a flag means the same in both.
 //!
 //! Request/response schemas are documented in `msfu::service::protocol` and
 //! the README's "Service protocol" section. Exit status: 0 when every
@@ -61,146 +63,108 @@
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Mutex;
-use std::time::Duration;
 
 use msfu::core::{compact_dir, verify_dir};
 use msfu::service::faults::ENV_WORKER_FAULT;
 use msfu::service::{
-    run_clustered, serve, Cluster, ClusterBackend, FaultPlan, Job, JobHandle, NdjsonSink, Request,
-    ServeOptions, Service, Supervision, WorkerFaultSpec,
+    serve, ClusterBackend, FaultPlan, JobHandle, Request, Response, ServeOptions, Session,
+    WorkerFaultSpec,
 };
 
 const USAGE: &str = "usage: msfu run <REQUEST.json> [--serial] [--progress] [--workers N] [--cache-dir DIR] [--fault-plan FILE] [--shard-timeout-ms MS] [--max-respawns N]\n       msfu serve [--serial] [--bench-dir DIR] [--workers N] [--cache-dir DIR] [--fault-plan FILE] [--shard-timeout-ms MS] [--max-respawns N]\n       msfu cache verify <DIR>\n       msfu cache compact <DIR>";
 
-/// Loads `--fault-plan FILE`, falling back to the `MSFU_FAULT_PLAN`
-/// environment variable (the JSON plan inline); an explicit file replaces
-/// the environment's plan as a whole.
-fn load_fault_plan(file: Option<&str>) -> Result<Option<FaultPlan>, String> {
-    match file {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read fault plan {path}: {e}"))?;
-            Ok(Some(
-                FaultPlan::from_json(&text).map_err(|e| format!("fault plan {path}: {e}"))?,
-            ))
-        }
-        None => match std::env::var("MSFU_FAULT_PLAN") {
-            Ok(text) => FaultPlan::from_json(&text)
-                .map(Some)
-                .map_err(|e| format!("MSFU_FAULT_PLAN: {e}")),
-            Err(_) => Ok(None),
-        },
+/// What the `run` / `serve` flags ask for.
+struct Flags<'a> {
+    options: ServeOptions,
+    /// `run --progress`: stream NDJSON progress events on stderr.
+    progress: bool,
+    /// `run`'s request file.
+    request: Option<&'a str>,
+}
+
+/// Parses the flags `run` and `serve` share into [`ServeOptions`], plus
+/// each command's own: `run` takes `--progress` and one request file,
+/// `serve` takes `--bench-dir`.
+fn parse_flags(args: &[String], run: bool) -> Result<Flags<'_>, String> {
+    let mut options = ServeOptions::new();
+    let mut progress = false;
+    let mut request = None;
+    let mut iter = args.iter();
+    while let Some(arg) = iter.next() {
+        let mut value = |what: &str| {
+            iter.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{arg} needs {what}"))
+        };
+        options = match arg.as_str() {
+            "--serial" | "serial" => options.with_serial(true),
+            "--progress" if run => {
+                progress = true;
+                options
+            }
+            "--bench-dir" if !run => options.with_bench_dir(value("a directory")?),
+            "--workers" => {
+                let v = value("a count")?;
+                options.with_workers(v.parse().map_err(|_| format!("bad worker count `{v}`"))?)
+            }
+            "--cache-dir" => options.with_cache_dir(value("a directory")?),
+            "--fault-plan" => {
+                let path = value("a file")?;
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read fault plan {path}: {e}"))?;
+                options.with_fault_plan(
+                    FaultPlan::from_json(&text).map_err(|e| format!("fault plan {path}: {e}"))?,
+                )
+            }
+            "--shard-timeout-ms" => {
+                let v = value("a value")?;
+                options.with_shard_timeout_ms(
+                    v.parse().map_err(|_| format!("bad shard timeout `{v}`"))?,
+                )
+            }
+            "--max-respawns" => {
+                let v = value("a count")?;
+                options
+                    .with_max_respawns(v.parse().map_err(|_| format!("bad respawn count `{v}`"))?)
+            }
+            _ if arg.starts_with("--") || !run => {
+                return Err(format!("unknown argument `{arg}`"));
+            }
+            _ => {
+                if request.replace(arg.as_str()).is_some() {
+                    return Err("exactly one request file is expected".to_string());
+                }
+                options
+            }
+        };
     }
-}
-
-/// The child-process backend spawning this very executable as workers.
-fn child_backend() -> Result<ClusterBackend, String> {
-    let exe =
-        std::env::current_exe().map_err(|e| format!("cannot locate the msfu executable: {e}"))?;
-    Ok(ClusterBackend::ChildProcess { exe })
-}
-
-/// Builds the supervision policy from the shared CLI knobs.
-fn supervision_from_flags(
-    workers: usize,
-    shard_timeout_ms: Option<u64>,
-    max_respawns: Option<u32>,
-) -> Supervision {
-    Supervision::default()
-        .with_shard_timeout(shard_timeout_ms.map(Duration::from_millis))
-        .with_max_respawns(
-            max_respawns.unwrap_or_else(|| u32::try_from(workers).unwrap_or(u32::MAX)),
-        )
+    if options.workers > 0 {
+        // Workers are child processes of this very executable.
+        let exe = std::env::current_exe()
+            .map_err(|e| format!("cannot locate the msfu executable: {e}"))?;
+        options = options.with_backend(ClusterBackend::ChildProcess { exe });
+    }
+    Ok(Flags {
+        options,
+        progress,
+        request,
+    })
 }
 
 fn run_command(args: &[String]) -> Result<bool, String> {
-    let mut request_path: Option<&str> = None;
-    let mut serial = false;
-    let mut progress = false;
-    let mut workers = 0usize;
-    let mut cache_dir: Option<std::path::PathBuf> = None;
-    let mut fault_plan_file: Option<&str> = None;
-    let mut shard_timeout_ms: Option<u64> = None;
-    let mut max_respawns: Option<u32> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--serial" | "serial" => serial = true,
-            "--progress" => progress = true,
-            "--workers" => {
-                let v = iter.next().ok_or("--workers needs a count")?;
-                workers = v.parse().map_err(|_| format!("bad worker count `{v}`"))?;
-            }
-            "--cache-dir" => {
-                let dir = iter.next().ok_or("--cache-dir needs a directory")?;
-                cache_dir = Some(dir.into());
-            }
-            "--fault-plan" => {
-                fault_plan_file = Some(iter.next().ok_or("--fault-plan needs a file")?);
-            }
-            "--shard-timeout-ms" => {
-                let v = iter.next().ok_or("--shard-timeout-ms needs a value")?;
-                shard_timeout_ms = Some(v.parse().map_err(|_| format!("bad shard timeout `{v}`"))?);
-            }
-            "--max-respawns" => {
-                let v = iter.next().ok_or("--max-respawns needs a count")?;
-                max_respawns = Some(v.parse().map_err(|_| format!("bad respawn count `{v}`"))?);
-            }
-            _ if arg.starts_with("--") => return Err(format!("unknown flag `{arg}`")),
-            _ => {
-                if request_path.replace(arg).is_some() {
-                    return Err("exactly one request file is expected".to_string());
-                }
-            }
-        }
-    }
-    let path = request_path.ok_or_else(|| USAGE.to_string())?;
-    let plan = load_fault_plan(fault_plan_file)?;
-    if let (Some(plan), Some(dir)) = (&plan, &cache_dir) {
-        for damaged in plan.apply_cache_corruption(dir)? {
-            eprintln!(
-                "[msfu faults] corrupted cache segment {}",
-                damaged.display()
-            );
-        }
-    }
+    let flags = parse_flags(args, true)?;
+    let path = flags.request.ok_or_else(|| USAGE.to_string())?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let response = match Request::from_json(&text) {
-        Ok(mut request) => {
-            request.serial = request.serial || serial;
-            if let Some(dir) = cache_dir {
-                // An explicit flag overrides the request's own cache_dir.
-                match &mut request.job {
-                    Job::Sweep { spec } => spec.cache_dir = Some(dir),
-                    Job::Search { spec } => spec.cache_dir = Some(dir),
-                    Job::Stream { spec } => spec.cache_dir = Some(dir),
-                    _ => {}
-                }
-            }
-            let handle = JobHandle::new();
-            let clustered =
-                workers > 0 && matches!(request.job, Job::Sweep { .. } | Job::Search { .. });
-            if clustered {
-                // One-shot pool of child `msfu serve` workers; dropped (and
-                // reaped) as soon as the merged response is in.
-                let mut pool = Cluster::connect(&child_backend()?, workers, plan.as_ref())
-                    .map_err(|e| format!("cannot connect the worker pool: {e}"))?
-                    .with_supervision(supervision_from_flags(
-                        workers,
-                        shard_timeout_ms,
-                        max_respawns,
-                    ));
-                let stderr = Mutex::new(std::io::stderr());
-                run_clustered(&mut pool, &request, &handle, progress.then_some(&stderr))
-            } else if progress {
-                let stderr = Mutex::new(std::io::stderr());
-                let sink = NdjsonSink::new(&request.id, &stderr);
-                Service::new().run(&request, &handle, &sink)
-            } else {
-                Service::new().run(&request, &handle, &msfu::core::NoProgress)
-            }
+        Ok(request) => {
+            let stderr = Mutex::new(std::io::stderr());
+            Session::new(flags.options).run(
+                request,
+                &JobHandle::new(),
+                flags.progress.then_some(&stderr),
+            )
         }
-        Err(error) => msfu::service::Response::for_request_error(error),
+        Err(error) => Response::for_request_error(error),
     };
     let ok = response.result.is_ok();
     let text = serde_json::to_string_pretty(&response.to_value()).map_err(|e| e.to_string())?;
@@ -211,47 +175,7 @@ fn run_command(args: &[String]) -> Result<bool, String> {
 }
 
 fn serve_command(args: &[String]) -> Result<bool, String> {
-    let mut options = ServeOptions::new();
-    let mut fault_plan_file: Option<&str> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--serial" | "serial" => options = options.with_serial(true),
-            "--bench-dir" => {
-                let dir = iter.next().ok_or("--bench-dir needs a directory")?;
-                options = options.with_bench_dir(dir);
-            }
-            "--workers" => {
-                let v = iter.next().ok_or("--workers needs a count")?;
-                let workers = v.parse().map_err(|_| format!("bad worker count `{v}`"))?;
-                options = options.with_workers(workers);
-            }
-            "--cache-dir" => {
-                let dir = iter.next().ok_or("--cache-dir needs a directory")?;
-                options = options.with_cache_dir(dir);
-            }
-            "--fault-plan" => {
-                fault_plan_file = Some(iter.next().ok_or("--fault-plan needs a file")?);
-            }
-            "--shard-timeout-ms" => {
-                let v = iter.next().ok_or("--shard-timeout-ms needs a value")?;
-                let ms = v.parse().map_err(|_| format!("bad shard timeout `{v}`"))?;
-                options = options.with_shard_timeout_ms(ms);
-            }
-            "--max-respawns" => {
-                let v = iter.next().ok_or("--max-respawns needs a count")?;
-                let n = v.parse().map_err(|_| format!("bad respawn count `{v}`"))?;
-                options = options.with_max_respawns(n);
-            }
-            _ => return Err(format!("unknown argument `{arg}`")),
-        }
-    }
-    if let Some(plan) = load_fault_plan(fault_plan_file)? {
-        options = options.with_fault_plan(plan);
-    }
-    if options.workers > 0 {
-        options = options.with_backend(child_backend()?);
-    }
+    let mut options = parse_flags(args, false)?.options;
     if let Ok(text) = std::env::var(ENV_WORKER_FAULT) {
         // This process is a worker of a supervised pool: the coordinator
         // handed it its slice of the fault plan.

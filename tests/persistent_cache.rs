@@ -227,10 +227,8 @@ const SWEEP_REQUEST: &str = r#"{"protocol_version": 1, "id": "xproc", "kind": "s
    {"label": "b", "factories": [{"capacity": 2, "levels": 1, "reuse": "R"}],
     "strategies": [{"strategy": "linear"}, {"strategy": "random", "seed": 7}]}]}}"#;
 
-/// Runs the real `msfu` binary and returns the parsed `result` payload of
-/// its JSON response (the job outcome minus the machine-dependent perf
-/// stamp, which legitimately differs between serial and clustered runs).
-fn msfu_run(request_path: &std::path::Path, extra_args: &[&str]) -> serde_json::Value {
+/// Runs the real `msfu` binary and returns its parsed JSON response.
+fn msfu_run_response(request_path: &std::path::Path, extra_args: &[&str]) -> serde_json::Value {
     let output = Command::new(env!("CARGO_BIN_EXE_msfu"))
         .arg("run")
         .arg(request_path)
@@ -249,7 +247,17 @@ fn msfu_run(request_path: &std::path::Path, extra_args: &[&str]) -> serde_json::
         Some("ok"),
         "response not ok: {stdout}"
     );
-    response.get("result").expect("result payload").clone()
+    response
+}
+
+/// The `result` payload of [`msfu_run_response`] (the job outcome minus the
+/// machine-dependent perf stamp, which legitimately differs between serial
+/// and clustered runs).
+fn msfu_run(request_path: &std::path::Path, extra_args: &[&str]) -> serde_json::Value {
+    msfu_run_response(request_path, extra_args)
+        .get("result")
+        .expect("result payload")
+        .clone()
 }
 
 #[test]
@@ -264,7 +272,20 @@ fn separate_processes_share_one_cache_dir() {
     let first = msfu_run(&request, &["--serial", "--cache-dir", dir_arg]);
     let bytes_after_first = segment_bytes(&dir);
     assert!(bytes_after_first > 0, "first process must persist");
-    let second = msfu_run(&request, &["--serial", "--cache-dir", dir_arg]);
+    let second = msfu_run_response(&request, &["--serial", "--cache-dir", dir_arg]);
+    // The response stamps its cache counters: every lookup came from disk.
+    let cache = |key: &str| {
+        second
+            .get("perf")
+            .and_then(|p| p.get("cache"))
+            .and_then(|c| c.get(key))
+            .and_then(|v| v.as_u64())
+            .unwrap_or_else(|| panic!("perf.cache.{key} missing"))
+    };
+    assert_eq!(cache("misses"), 0);
+    assert!(cache("hits") > 0);
+    assert_eq!(cache("disk_hits"), cache("hits"));
+    let second = second.get("result").expect("result payload").clone();
     assert_eq!(first, second, "disk-served rows must be byte-identical");
     assert_eq!(
         segment_bytes(&dir),
@@ -285,5 +306,52 @@ fn separate_processes_share_one_cache_dir() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&request);
+}
+
+#[test]
+fn a_requests_own_cache_dir_wins_over_the_cache_dir_flag() {
+    let own = fresh_cache_dir("own");
+    let flag = fresh_cache_dir("flag");
+    // One line, so the same file is also a one-request serve session.
+    let request_text = SWEEP_REQUEST
+        .replacen(
+            r#""name": "xproc","#,
+            &format!(r#""name": "xproc", "cache_dir": "{}","#, own.display()),
+            1,
+        )
+        .replace('\n', " ");
+    let request = fresh_cache_dir("own-req").with_extension("json");
+    std::fs::write(&request, &request_text).unwrap();
+    let flag_arg = flag.to_str().unwrap();
+
+    // Through `msfu run`: the flag is only a default.
+    msfu_run(&request, &["--serial", "--cache-dir", flag_arg]);
+    let after_run = segment_bytes(&own);
+    assert!(after_run > 0, "the request's own directory was not used");
+    assert_eq!(segment_bytes(&flag), 0, "the flag overrode the request");
+
+    // Through `msfu serve`, on a fresh directory: the same rule.
+    let _ = std::fs::remove_dir_all(&own);
+    let output = Command::new(env!("CARGO_BIN_EXE_msfu"))
+        .args(["serve", "--serial", "--cache-dir", flag_arg])
+        .stdin(std::fs::File::open(&request).unwrap())
+        .output()
+        .expect("msfu binary runs");
+    assert!(
+        output.status.success(),
+        "msfu serve failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert_eq!(
+        segment_bytes(&own),
+        after_run,
+        "serve missed the request's dir"
+    );
+    assert_eq!(segment_bytes(&flag), 0, "serve let the flag override");
+
+    for dir in [&own, &flag] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
     let _ = std::fs::remove_file(&request);
 }
