@@ -136,24 +136,6 @@ impl Circuit {
         Ok(id)
     }
 
-    /// Appends all gates of another circuit, offsetting nothing: both circuits
-    /// must share the same qubit space. Used when concatenating per-module
-    /// circuits that were generated against a common allocator.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any appended gate fails validation against this
-    /// circuit's qubit count.
-    pub fn extend_gates<I>(&mut self, gates: I) -> Result<()>
-    where
-        I: IntoIterator<Item = Gate>,
-    {
-        for g in gates {
-            self.push(g)?;
-        }
-        Ok(())
-    }
-
     pub(crate) fn set_registers(&mut self, registers: Vec<QubitRegister>) {
         self.registers = registers;
     }
@@ -344,14 +326,5 @@ mod tests {
         })
         .unwrap();
         assert_eq!(c.braid_count(), 4);
-    }
-
-    #[test]
-    fn extend_gates_validates_each() {
-        let mut c = circuit(2);
-        let gates = vec![Gate::H(q(0)), Gate::H(q(5))];
-        assert!(c.extend_gates(gates).is_err());
-        // The valid prefix was still appended.
-        assert_eq!(c.num_gates(), 1);
     }
 }

@@ -346,12 +346,11 @@ mod tests {
     #[test]
     fn second_lookup_hits_and_patches_the_label() {
         let (config, layout, eval) = sample_inputs();
-        let factory = Factory::build(&config).unwrap();
         let cache = EvalCache::new();
         let key = || evaluation_key(&config, &layout, &eval);
         let first = cache
             .get_or_compute(key(), "Line", || {
-                crate::evaluate_mapped(&factory, &layout, "Line", &eval)
+                crate::evaluate(&config, &Strategy::linear(), &eval)
             })
             .unwrap();
         let second = cache
@@ -405,7 +404,6 @@ mod tests {
     #[test]
     fn compute_errors_do_not_poison_the_slot() {
         let (config, layout, eval) = sample_inputs();
-        let factory = Factory::build(&config).unwrap();
         let cache = EvalCache::new();
         let key = || evaluation_key(&config, &layout, &eval);
         let err: Result<Evaluation> = cache.get_or_compute(key(), "Line", || {
@@ -417,7 +415,7 @@ mod tests {
         // The key remains computable after a failure.
         let ok = cache
             .get_or_compute(key(), "Line", || {
-                crate::evaluate_mapped(&factory, &layout, "Line", &eval)
+                crate::evaluate(&config, &Strategy::linear(), &eval)
             })
             .unwrap();
         assert_eq!(ok.strategy, "Line");
@@ -460,13 +458,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("msfu-cache-warn-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (config, layout, eval) = sample_inputs();
-        let factory = Factory::build(&config).unwrap();
         let key = || evaluation_key(&config, &layout, &eval);
         {
             let cache = EvalCache::new().with_disk(&dir).unwrap();
             cache
                 .get_or_compute(key(), "Line", || {
-                    crate::evaluate_mapped(&factory, &layout, "Line", &eval)
+                    crate::evaluate(&config, &Strategy::linear(), &eval)
                 })
                 .unwrap();
         }
@@ -483,7 +480,7 @@ mod tests {
         assert!(process_cache_stats().since(&before).warnings > 0);
         let value = cache
             .get_or_compute(key(), "Line", || {
-                crate::evaluate_mapped(&factory, &layout, "Line", &eval)
+                crate::evaluate(&config, &Strategy::linear(), &eval)
             })
             .unwrap();
         assert_eq!(value.strategy, "Line");
@@ -495,13 +492,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("msfu-cache-tier-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let (config, layout, eval) = sample_inputs();
-        let factory = Factory::build(&config).unwrap();
         let key = || evaluation_key(&config, &layout, &eval);
         let first = {
             let cache = EvalCache::new().with_disk(&dir).unwrap();
             let value = cache
                 .get_or_compute(key(), "Line", || {
-                    crate::evaluate_mapped(&factory, &layout, "Line", &eval)
+                    crate::evaluate(&config, &Strategy::linear(), &eval)
                 })
                 .unwrap();
             let stats = cache.stats();

@@ -1,15 +1,21 @@
 //! End-to-end evaluation: factory → mapping → simulation → volume.
+//!
+//! [`evaluate`] is a one-point [`SweepSpec`]: every evaluation in the crate
+//! runs through the sweep's chunk pipeline on the thread's one
+//! [`BatchEngine`]. This module holds the record type, its configuration and
+//! the pieces that pipeline shares.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
 
 use serde::{Deserialize, Serialize};
 
+use msfu_circuit::Circuit;
 use msfu_distill::{Factory, FactoryConfig};
 use msfu_layout::Layout;
-use msfu_sim::{BatchEngine, SimConfig, SimEngine, SimResult};
+use msfu_sim::{BatchEngine, BatchLane, SimConfig, SimEngine, SimResult};
 
-use crate::{Result, Strategy};
+use crate::{Result, Strategy, SweepSpec};
 
 /// Configuration of an end-to-end evaluation run.
 ///
@@ -78,7 +84,8 @@ impl Evaluation {
 }
 
 /// Builds a factory for `factory_config`, maps it with `strategy` and
-/// simulates the braid schedule.
+/// simulates the braid schedule: a one-point [`SweepSpec`] run on the
+/// calling thread, without the evaluation cache.
 ///
 /// # Errors
 ///
@@ -88,44 +95,14 @@ pub fn evaluate(
     strategy: &Strategy,
     config: &EvaluationConfig,
 ) -> Result<Evaluation> {
-    let factory = Factory::build(factory_config)?;
-    evaluate_factory(&factory, strategy, config)
-}
-
-/// Evaluates an already-built factory. The factory is never mutated: if the
-/// strategy's layout carries an output-port rebinding (hierarchical
-/// stitching), it is applied to a private copy before simulation, so one
-/// built factory can be shared — including across threads — by any number of
-/// concurrent evaluations.
-///
-/// # Errors
-///
-/// Propagates placement and simulation failures.
-pub fn evaluate_factory(
-    factory: &Factory,
-    strategy: &Strategy,
-    config: &EvaluationConfig,
-) -> Result<Evaluation> {
-    with_thread_engine(config.sim, |engine| {
-        evaluate_factory_with(engine, factory, strategy, config)
-    })
-}
-
-/// [`evaluate_factory`] against a caller-held [`SimEngine`], so a loop of
-/// evaluations reuses one set of simulator arenas.
-///
-/// # Errors
-///
-/// Propagates placement and simulation failures.
-pub fn evaluate_factory_with(
-    engine: &mut SimEngine,
-    factory: &Factory,
-    strategy: &Strategy,
-    config: &EvaluationConfig,
-) -> Result<Evaluation> {
-    let layout = strategy.map(factory)?;
-    let effective = effective_factory(factory, &layout)?;
-    evaluate_mapped_with(engine, &effective, &layout, strategy.short_name(), config)
+    let mut results = SweepSpec::new("", *config)
+        .with_eval_cache(false)
+        .point("", *factory_config, strategy.clone())
+        .run_serial()?;
+    let row = results.rows.pop();
+    Ok(row
+        .expect("a completed one-point sweep yields one row")
+        .evaluation)
 }
 
 /// Resolves the factory a layout must be simulated against: the factory
@@ -143,25 +120,13 @@ pub fn effective_factory<'a>(factory: &'a Factory, layout: &Layout) -> Result<Co
     }
 }
 
-/// Simulates a mapped factory and assembles the [`Evaluation`] record.
-/// `factory` must already be the effective (port-rewired) factory for
-/// `layout` — see [`effective_factory`].
+/// Simulates a mapped factory on a caller-held [`SimEngine`] and assembles
+/// the [`Evaluation`] record. `factory` must already be the effective
+/// (port-rewired) factory for `layout` — see [`effective_factory`].
 ///
-/// # Errors
-///
-/// Propagates simulation failures.
-pub fn evaluate_mapped(
-    factory: &Factory,
-    layout: &Layout,
-    strategy_name: &str,
-    config: &EvaluationConfig,
-) -> Result<Evaluation> {
-    with_thread_engine(config.sim, |engine| {
-        evaluate_mapped_with(engine, factory, layout, strategy_name, config)
-    })
-}
-
-/// [`evaluate_mapped`] against a caller-held [`SimEngine`].
+/// Every evaluation inside this crate goes through the sweep's chunk
+/// pipeline instead; this entry point has no caller here and serves code
+/// that drives the build, map and simulate steps one at a time.
 ///
 /// # Errors
 ///
@@ -182,6 +147,17 @@ pub fn evaluate_mapped_with(
         &result,
         critical_path_cycles,
     ))
+}
+
+/// Simulates `circuit` under `layout` as a one-lane batch — exactly what
+/// [`SimEngine::run`] does, on a shared [`BatchEngine`].
+pub(crate) fn run_one_lane(
+    engine: &mut BatchEngine,
+    circuit: &Circuit,
+    layout: &Layout,
+) -> msfu_sim::Result<SimResult> {
+    let mut results = engine.run(circuit, &[BatchLane::new(layout)])?;
+    results.pop().expect("a one-lane batch yields one result")
 }
 
 /// Assembles the [`Evaluation`] record of one simulation of `factory`,
@@ -209,30 +185,15 @@ pub(crate) fn evaluation_record(
 }
 
 thread_local! {
-    /// One simulator engine per thread: entry points that don't take an
-    /// explicit [`SimEngine`] still amortise arenas across calls (and across
-    /// the sweep engine's worker threads).
-    static THREAD_ENGINE: RefCell<SimEngine> = RefCell::new(SimEngine::default());
-
-    /// One lane-batched engine per thread, for the sweep engine's batched
-    /// groups (a separate cell from [`THREAD_ENGINE`]: a batched group and a
-    /// solo evaluation may be live on the same thread).
+    /// One lane-batched simulator engine per thread: every simulation in
+    /// this crate (lane groups, solo points, round breakdowns) runs on it,
+    /// so arenas are amortised across calls and across the sweep engine's
+    /// worker threads.
     static THREAD_BATCH_ENGINE: RefCell<BatchEngine> = RefCell::new(BatchEngine::default());
 }
 
-/// Runs `f` against this thread's reusable [`SimEngine`], configured with
-/// `sim`. Used by every evaluation entry point that does not thread an
-/// explicit engine handle.
-pub(crate) fn with_thread_engine<T>(sim: SimConfig, f: impl FnOnce(&mut SimEngine) -> T) -> T {
-    THREAD_ENGINE.with(|cell| {
-        let mut engine = cell.borrow_mut();
-        engine.set_config(sim);
-        f(&mut engine)
-    })
-}
-
 /// Runs `f` against this thread's reusable [`BatchEngine`], configured with
-/// `sim`. Used by the sweep engine to simulate one lane-compatible group.
+/// `sim`.
 pub(crate) fn with_thread_batch_engine<T>(
     sim: SimConfig,
     f: impl FnOnce(&mut BatchEngine) -> T,

@@ -12,7 +12,7 @@
 //!   its parameters.
 //! * [`evaluate`] — one factory configuration × one strategy → an
 //!   [`Evaluation`] record (realised latency, area, volume, stalls, and the
-//!   critical-path lower bound).
+//!   critical-path lower bound), run as a one-point sweep.
 //! * [`pipeline`] — the per-round breakdown of Fig. 3 / Fig. 9: round
 //!   latencies and inter-round permutation latencies under a given layout.
 //! * [`sweep`] — the parallel sweep engine: declarative
@@ -74,8 +74,7 @@ pub mod wire;
 pub use cache::{process_cache_stats, CacheStats, EvalCache};
 pub use error::CoreError;
 pub use evaluate::{
-    effective_factory, evaluate, evaluate_factory, evaluate_factory_with, evaluate_mapped,
-    evaluate_mapped_with, Evaluation, EvaluationConfig,
+    effective_factory, evaluate, evaluate_mapped_with, Evaluation, EvaluationConfig,
 };
 pub use persist::{
     compact_dir, damage_segment, verify_dir, CompactReport, PersistWarning, SegmentDamage,
@@ -91,8 +90,7 @@ pub use stats::{nearest_rank, percentiles, Percentiles};
 pub use strategy::Strategy;
 pub use stream::{ArrivalProcess, JobClass, SchedulerRun, StreamOutcome, StreamReport, StreamSpec};
 pub use sweep::{
-    BatchStats, SweepIndex, SweepOutcome, SweepPoint, SweepResults, SweepRow, SweepSpec,
-    DEFAULT_LANES,
+    SweepIndex, SweepOutcome, SweepPoint, SweepResults, SweepRow, SweepSpec, DEFAULT_LANES,
 };
 
 /// Convenience result alias used by fallible APIs in this crate.

@@ -10,9 +10,9 @@ use serde::{Deserialize, Serialize};
 
 use msfu_distill::Factory;
 use msfu_layout::Layout;
-use msfu_sim::{SimConfig, SimEngine};
+use msfu_sim::{BatchEngine, SimConfig};
 
-use crate::evaluate::with_thread_engine;
+use crate::evaluate::{run_one_lane, with_thread_batch_engine};
 use crate::Result;
 
 /// Latency breakdown of one round of a mapped factory.
@@ -43,31 +43,26 @@ pub fn per_round_breakdown(
     layout: &Layout,
     sim: &SimConfig,
 ) -> Result<Vec<RoundBreakdown>> {
-    with_thread_engine(*sim, |engine| {
-        per_round_breakdown_with(engine, factory, layout, sim)
+    with_thread_batch_engine(*sim, |engine| {
+        per_round_breakdown_with(engine, factory, layout)
     })
 }
 
-/// [`per_round_breakdown`] against a caller-held [`SimEngine`]: the round and
-/// permutation circuits all run through one set of arenas.
-///
-/// # Errors
-///
-/// Propagates simulation failures (e.g. unplaced qubits).
-pub fn per_round_breakdown_with(
-    engine: &mut SimEngine,
+/// [`per_round_breakdown`] on a caller-held, already configured
+/// [`BatchEngine`]: each round and permutation circuit runs as a one-lane
+/// batch through one set of arenas.
+pub(crate) fn per_round_breakdown_with(
+    engine: &mut BatchEngine,
     factory: &Factory,
     layout: &Layout,
-    sim: &SimConfig,
 ) -> Result<Vec<RoundBreakdown>> {
-    engine.set_config(*sim);
     let mut out = Vec::with_capacity(factory.rounds().len());
     for round in 0..factory.rounds().len() {
         let round_circuit = factory.round_circuit(round);
-        let round_cycles = engine.run(&round_circuit, layout)?.cycles;
+        let round_cycles = run_one_lane(engine, &round_circuit, layout)?.cycles;
         let permutation_cycles = if round + 1 < factory.rounds().len() {
             let perm = factory.permutation_circuit(round);
-            engine.run(&perm, layout)?.cycles
+            run_one_lane(engine, &perm, layout)?.cycles
         } else {
             0
         };

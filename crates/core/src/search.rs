@@ -383,13 +383,7 @@ impl SearchSpec {
                 .map(|(_, strategy)| SweepPoint::new("", self.factory, strategy.clone()))
                 .collect();
             let entries = vec![Ok(factory.clone()); points.len()];
-            let rows = sweep.evaluate_chunk(
-                &points,
-                &entries,
-                cache.as_ref(),
-                &mut sweep.fresh_batch_stats(),
-                !serial,
-            );
+            let rows = sweep.evaluate_chunk(&points, &entries, cache.as_ref(), !serial);
             Ok(rows
                 .into_iter()
                 .map(|row| row.map(|row| row.evaluation))

@@ -279,6 +279,11 @@ pub fn eval_from_json(value: &Value) -> Result<EvaluationConfig> {
     Ok(EvaluationConfig::default().with_sim(sim))
 }
 
+/// Largest accepted gate latency in cycles: far above the stock model's
+/// ≤ 10 cycles, and small enough that per-target CXX costs and the event
+/// wheel's window stay inside 64-bit arithmetic.
+const MAX_GATE_LATENCY: u64 = 1 << 32;
+
 fn latency_from_json(value: &Value) -> Result<LatencyModel> {
     let ctx = "eval.latency";
     let mut model = LatencyModel::default();
@@ -293,7 +298,13 @@ fn latency_from_json(value: &Value) -> Result<LatencyModel> {
             "init" => &mut model.init,
             other => return Err(spec_err(format!("{ctx}: unknown field `{other}`"))),
         };
-        *field = get_u64(value, key, ctx)?.expect("key iterated from the object");
+        let cycles = get_u64(value, key, ctx)?.expect("key iterated from the object");
+        if cycles > MAX_GATE_LATENCY {
+            return Err(spec_err(format!(
+                "{ctx}: `{key}` of {cycles} cycles exceeds the maximum of {MAX_GATE_LATENCY}"
+            )));
+        }
+        *field = cycles;
     }
     Ok(model)
 }
@@ -631,6 +642,14 @@ mod tests {
             ),
             (r#"not json"#, "JSON"),
             (huge_grid.as_str(), "more than"),
+            (
+                r#"{"name": "x", "eval": {"latency": {"cnot": 9223372036854775809}}}"#,
+                "`cnot` of 9223372036854775809 cycles exceeds",
+            ),
+            (
+                r#"{"name": "x", "eval": {"latency": {"cxx_per_target": 9223372036854775807}}}"#,
+                "`cxx_per_target` of 9223372036854775807 cycles exceeds",
+            ),
         ] {
             let err = SweepSpec::from_json(bad).expect_err("must fail");
             assert!(err.to_string().contains(needle), "{bad} -> {err}");

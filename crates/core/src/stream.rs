@@ -9,8 +9,9 @@
 //! **schedulers** to compare. A discrete-event simulator advances a shared
 //! integer cycle clock: jobs arrive, wait in a queue, are placed onto free
 //! servers by the scheduler, occupy them for a service time derived from the
-//! real evaluation pipeline (through [`EvalCache`], so repeated
-//! (config, strategy) lookups are near-free), and retire.
+//! real evaluation pipeline (one serial sub-sweep over the feasible
+//! (class, fleet entry) pairs, through the sweep's evaluation cache, so
+//! repeated (config, strategy) lookups are near-free), and retire.
 //!
 //! Schedulers are named like mappers, from a closed line-up of four: `fifo`,
 //! `priority`, `capacity_aware` and `reuse_aware`.
@@ -42,19 +43,18 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::path::PathBuf;
 
-use msfu_distill::{Factory, FactoryConfig};
+use msfu_distill::FactoryConfig;
 use msfu_layout::check_mapper_name;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::cache::{evaluation_key, open_eval_cache, CacheStats, EvalCache};
-use crate::evaluate::{effective_factory, evaluate_mapped_with, with_thread_engine};
+use crate::cache::CacheStats;
 use crate::progress::{ProgressEvent, RunControl};
 use crate::spec::{eval_from_json, factory_from_json, strategy_from_json};
 use crate::stats::percentiles;
 use crate::strategy::Strategy;
-use crate::sweep::{SweepResults, SweepRow};
+use crate::sweep::{SweepResults, SweepRow, SweepSpec};
 use crate::{CoreError, Evaluation, EvaluationConfig, Result};
 
 /// Hard cap on the number of generated arrivals, so a typo'd rate fails fast
@@ -343,6 +343,15 @@ impl ArrivalProcess {
                 positive("burst_rate", *burst_rate)?;
                 positive("mean_calm", *mean_calm)?;
                 positive("mean_burst", *mean_burst)?;
+                // Each calm + burst cycle of the phase-flip loop takes two
+                // iterations, whatever the rates.
+                let switches = 2.0 * horizon as f64 / (mean_calm + mean_burst);
+                if switches > MAX_ARRIVALS as f64 {
+                    return Err(stream_err(format!(
+                        "arrivals: mean dwell times {mean_calm:?} and {mean_burst:?} over horizon \
+                         {horizon} imply more than {MAX_ARRIVALS} expected phase switches"
+                    )));
+                }
                 bounded(rate.max(*burst_rate))
             }
             ArrivalProcess::Trace { events } => {
@@ -584,8 +593,8 @@ pub struct StreamSpec {
     pub classes: Vec<JobClass>,
     /// Scheduler names to compare, each run over the identical arrivals.
     pub schedulers: Vec<String>,
-    /// Whether per-(class, server) evaluations go through the process-wide
-    /// [`EvalCache`].
+    /// Whether the per-(class, fleet entry) evaluations share one
+    /// [`EvalCache`](crate::EvalCache) for the run.
     pub use_eval_cache: bool,
     /// Directory of the persistent evaluation-cache tier, if any.
     pub cache_dir: Option<PathBuf>,
@@ -795,9 +804,8 @@ impl StreamSpec {
         let entry_configs: Vec<FactoryConfig> = self.fleet.iter().map(|e| e.factory).collect();
 
         // Per-(class, entry) service times from the real evaluation pipeline,
-        // through the shared cache.
-        let cache = open_eval_cache(self.use_eval_cache, self.cache_dir.as_deref())?;
-        let service = self.service_matrix(&entry_configs, cache.as_ref())?;
+        // through the stream's cache.
+        let (service, cache) = self.service_matrix(&entry_configs)?;
         let feasible: Vec<Vec<bool>> = self
             .classes
             .iter()
@@ -847,34 +855,44 @@ impl StreamSpec {
                 runs,
             },
             interrupted,
-            cache: cache.map(|c| c.stats()).unwrap_or_default(),
+            cache,
         })
     }
 
-    /// Evaluates each class on each (feasible) fleet entry and returns
-    /// `service[class][entry]` in cycles: the evaluated factory latency times
-    /// the executions needed to meet the class's volume demand.
+    /// Evaluates each class on each feasible fleet entry and returns
+    /// `service[class][entry]` in cycles — the evaluated factory latency
+    /// times the executions needed to meet the class's volume demand —
+    /// with the evaluation-cache counters. The evaluations are one serial
+    /// sub-sweep over the feasible (class, entry) pairs in class-major
+    /// order, under the stream's evaluation and cache settings.
     fn service_matrix(
         &self,
         entry_configs: &[FactoryConfig],
-        cache: Option<&EvalCache>,
-    ) -> Result<Vec<Vec<Option<u64>>>> {
-        let factories: Vec<Factory> = entry_configs
-            .iter()
-            .map(Factory::build)
-            .collect::<std::result::Result<_, _>>()?;
+    ) -> Result<(Vec<Vec<Option<u64>>>, CacheStats)> {
         for class in &self.classes {
             check_mapper_name(class.strategy.key())?;
         }
+        let mut sweep =
+            SweepSpec::new(self.name.clone(), self.eval).with_eval_cache(self.use_eval_cache);
+        sweep.cache_dir = self.cache_dir.clone();
+        for class in &self.classes {
+            for config in entry_configs {
+                if class.feasible_on(config) {
+                    sweep = sweep.point("", *config, class.strategy.clone());
+                }
+            }
+        }
+        let outcome = sweep.run_serial_with(&RunControl::default())?;
+        let mut rows = outcome.results.rows.into_iter();
         let mut matrix = Vec::with_capacity(self.classes.len());
         for class in &self.classes {
             let mut row = Vec::with_capacity(entry_configs.len());
-            for (e, config) in entry_configs.iter().enumerate() {
+            for config in entry_configs {
                 if !class.feasible_on(config) {
                     row.push(None);
                     continue;
                 }
-                let evaluation = self.evaluate_class(class, config, &factories[e], cache)?;
+                let evaluation = rows.next().expect("one row per feasible pair").evaluation;
                 let executions = class.volume.div_ceil(config.capacity() as u64).max(1);
                 let cycles = evaluation.latency_cycles.max(1).checked_mul(executions);
                 row.push(Some(cycles.ok_or_else(|| {
@@ -886,35 +904,7 @@ impl StreamSpec {
             }
             matrix.push(row);
         }
-        Ok(matrix)
-    }
-
-    fn evaluate_class(
-        &self,
-        class: &JobClass,
-        config: &FactoryConfig,
-        factory: &Factory,
-        cache: Option<&EvalCache>,
-    ) -> Result<Evaluation> {
-        let layout = class.strategy.map(factory)?;
-        let effective = effective_factory(factory, &layout)?;
-        let simulate = |engine: &mut msfu_sim::SimEngine| {
-            evaluate_mapped_with(
-                engine,
-                &effective,
-                &layout,
-                class.strategy.short_name(),
-                &self.eval,
-            )
-        };
-        match cache {
-            Some(cache) => cache.get_or_compute(
-                evaluation_key(config, &layout, &self.eval),
-                class.strategy.short_name(),
-                || with_thread_engine(self.eval.sim, simulate),
-            ),
-            None => with_thread_engine(self.eval.sim, simulate),
-        }
+        Ok((matrix, outcome.cache))
     }
 
     /// Bounds every cycle count [`StreamSpec::simulate`] can produce, so its
@@ -1867,6 +1857,28 @@ mod tests {
             (
                 quick_spec().with_arrivals(ArrivalProcess::Poisson { rate: 1e9 }),
                 "expected arrivals",
+            ),
+            (
+                quick_spec()
+                    .with_horizon(3_000)
+                    .with_arrivals(ArrivalProcess::Bursty {
+                        rate: 0.01,
+                        burst_rate: 0.02,
+                        mean_calm: 1e-300,
+                        mean_burst: 1e-300,
+                    }),
+                "expected phase switches",
+            ),
+            (
+                quick_spec()
+                    .with_horizon(1_000_000_000_000_000)
+                    .with_arrivals(ArrivalProcess::Bursty {
+                        rate: 1e-12,
+                        burst_rate: 1e-12,
+                        mean_calm: 1.0,
+                        mean_burst: 1.0,
+                    }),
+                "expected phase switches",
             ),
             (
                 {

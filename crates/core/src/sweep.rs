@@ -11,6 +11,13 @@
 //! `PortAssignment` and are applied to a private copy per point — which is
 //! what makes the sharing sound.
 //!
+//! This is the crate's one evaluation path: [`crate::evaluate`] is a
+//! one-point sweep, a portfolio search evaluates each candidate batch as a
+//! sub-sweep chunk, and a stream derives its service times from one
+//! sub-sweep. Every simulation runs on the thread's one
+//! [`BatchEngine`](msfu_sim::BatchEngine) — lane groups as wide batches,
+//! every other point and each round breakdown as a one-lane batch.
+//!
 //! Results are deterministic: [`SweepSpec::run`] and [`SweepSpec::run_serial`]
 //! produce identical [`SweepResults`] regardless of thread count or
 //! interleaving, because every point's evaluation is a pure function of the
@@ -44,9 +51,7 @@ use msfu_layout::Layout;
 use msfu_sim::{BatchLane, MAX_LANES};
 
 use crate::cache::{evaluation_key, open_eval_cache, CacheStats, EvalCache};
-use crate::evaluate::{
-    evaluate_mapped_with, evaluation_record, with_thread_batch_engine, with_thread_engine,
-};
+use crate::evaluate::{evaluation_record, run_one_lane, with_thread_batch_engine};
 use crate::pipeline::{per_round_breakdown_with, RoundBreakdown};
 use crate::progress::{ProgressEvent, RunControl};
 use crate::{CoreError, Evaluation, EvaluationConfig, Result, Strategy};
@@ -162,50 +167,9 @@ pub struct SweepOutcome {
     /// — making the counters identical for parallel and serial runs of a
     /// completed sweep.
     pub cache: CacheStats,
-    /// Lane-batching occupancy counters of this run (with batching off, no
-    /// batches and every uncached point solo). Planning is chunk-sequential
-    /// and content-addressed, so
-    /// the counters are identical for parallel and serial runs of a
-    /// completed sweep.
-    pub batch: BatchStats,
-}
-
-/// Lane-occupancy counters of one sweep run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
-pub struct BatchStats {
-    /// The lane width the run batched at (0 when batching was disabled).
-    pub lane_capacity: usize,
-    /// Batches dispatched to the batch engine (singleton groups included).
-    pub batches: u64,
-    /// Total lanes occupied across all batches.
-    pub lanes_filled: u64,
-    /// Points that occupied a batch lane.
-    pub points_batched: u64,
-    /// Points simulated solo (port-rewired circuits, other lane-incompatible
-    /// points, and every uncached point when batching is off).
-    pub points_solo: u64,
-    /// Points that never occupied a lane because the evaluation cache
-    /// already held (or was about to hold) their content address.
-    pub points_from_cache: u64,
-}
-
-impl BatchStats {
-    /// Mean fraction of lanes occupied per batch:
-    /// `lanes_filled / (batches × lane_capacity)`, or 0 for an unbatched run.
-    pub fn occupancy(&self) -> f64 {
-        if self.batches == 0 || self.lane_capacity == 0 {
-            return 0.0;
-        }
-        self.lanes_filled as f64 / (self.batches * self.lane_capacity as u64) as f64
-    }
 }
 
 impl SweepResults {
-    /// Rows carrying the given label, in order.
-    pub fn labeled<'a>(&'a self, label: &'a str) -> impl Iterator<Item = &'a SweepRow> {
-        self.rows.iter().filter(move |r| r.label == label)
-    }
-
     /// The first row matching label, strategy short name and total factory
     /// capacity.
     ///
@@ -449,7 +413,7 @@ impl SweepSpec {
     /// [`SWEEP_BATCH`](self)-point chunk at a time, so a cancel or deadline
     /// can overrun by up to one chunk of work.
     ///
-    /// The calling thread's simulator engines are reused across calls, so a
+    /// The calling thread's simulator engine is reused across calls, so a
     /// long-lived process (e.g. `msfu serve`) pays the arena allocations
     /// once, not per job.
     ///
@@ -471,7 +435,6 @@ impl SweepSpec {
         let mut rows: Vec<SweepRow> = Vec::with_capacity(total);
         let mut interrupted = parallel && ctrl.interrupted();
         let eval_cache = open_eval_cache(self.use_eval_cache, self.cache_dir.as_deref())?;
-        let mut batch_stats = self.fresh_batch_stats();
         let mut factories: FactoryCache = HashMap::new();
 
         if parallel && !interrupted {
@@ -499,13 +462,7 @@ impl SweepSpec {
                 .iter()
                 .map(|point| self.entry_for(&mut factories, point.factory))
                 .collect();
-            let batch = self.evaluate_chunk(
-                chunk,
-                &entries,
-                eval_cache.as_ref(),
-                &mut batch_stats,
-                parallel,
-            );
+            let batch = self.evaluate_chunk(chunk, &entries, eval_cache.as_ref(), parallel);
             for row in batch {
                 if !parallel && ctrl.interrupted() {
                     interrupted = true;
@@ -535,7 +492,6 @@ impl SweepSpec {
             },
             interrupted,
             cache: eval_cache.map(|c| c.stats()).unwrap_or_default(),
-            batch: batch_stats,
         })
     }
 
@@ -554,14 +510,6 @@ impl SweepSpec {
             self.lanes.min(MAX_LANES)
         } else {
             0
-        }
-    }
-
-    /// Zeroed run-level counters carrying this spec's effective lane width.
-    pub(crate) fn fresh_batch_stats(&self) -> BatchStats {
-        BatchStats {
-            lane_capacity: self.lane_width(),
-            ..BatchStats::default()
         }
     }
 
@@ -599,15 +547,15 @@ impl SweepSpec {
 
     /// Evaluates one chunk: maps every point, plans lane-compatible groups,
     /// simulates each group through one [`BatchEngine`](msfu_sim::BatchEngine)
-    /// and every other point solo, then finalizes rows in point order through
-    /// the evaluation cache. With batching off every uncached point goes
-    /// solo — the reference the lane-equivalence tests compare against.
+    /// and every other point solo (a one-lane batch on the same engine), then
+    /// finalizes rows in point order through the evaluation cache. With
+    /// batching off every uncached point goes solo — the reference the
+    /// lane-equivalence tests compare against.
     pub(crate) fn evaluate_chunk(
         &self,
         chunk: &[SweepPoint],
         entries: &[Result<Arc<FactoryEntry>>],
         eval_cache: Option<&EvalCache>,
-        stats: &mut BatchStats,
         parallel: bool,
     ) -> Vec<Result<SweepRow>> {
         let len = chunk.len();
@@ -620,7 +568,7 @@ impl SweepSpec {
         });
 
         // Phase B: plan lanes, sequentially in point order so the grouping
-        // (and the counters) are identical for serial and parallel runs. The
+        // is identical for serial and parallel runs. The
         // first occurrence of each cacheable key gets a lane; chunk-internal
         // duplicates follow that lane; keys the cache already holds never
         // occupy a lane; port-rewired points simulate a private circuit and
@@ -640,12 +588,10 @@ impl SweepSpec {
             if let (Some(cache), Some(key)) = (eval_cache, m.key.as_deref()) {
                 if seen.contains(key) {
                     roles[i] = Some(PointRole::Follower);
-                    stats.points_from_cache += 1;
                     continue;
                 }
                 if cache.peek(key) {
                     roles[i] = Some(PointRole::Cached);
-                    stats.points_from_cache += 1;
                     continue;
                 }
             }
@@ -655,7 +601,6 @@ impl SweepSpec {
                 || (lane_cap as u64).saturating_mul(gates) > u64::from(u32::MAX)
             {
                 roles[i] = Some(PointRole::Solo);
-                stats.points_solo += 1;
                 continue;
             }
             let group_key = (
@@ -674,14 +619,9 @@ impl SweepSpec {
             };
             groups[slot].push(i);
             roles[i] = Some(PointRole::Lane);
-            stats.points_batched += 1;
             if let Some(key) = m.key.as_deref() {
                 seen.insert(key);
             }
-        }
-        stats.batches += groups.len() as u64;
-        for members in &groups {
-            stats.lanes_filled += members.len() as u64;
         }
 
         // Phase C: simulate each group through one shared event wheel. The
@@ -743,7 +683,7 @@ impl SweepSpec {
         // compute closure, so hit/miss counters and cached values do not
         // depend on the lane width.
         map_indices(parallel, len, |i| {
-            with_thread_engine(self.eval.sim, |engine| {
+            with_thread_batch_engine(self.eval.sim, |engine| {
                 let point = &chunk[i];
                 let entry = entries[i].as_ref().map_err(Clone::clone)?;
                 let m = mapped[i].as_ref().map_err(Clone::clone)?;
@@ -762,7 +702,10 @@ impl SweepSpec {
                         evaluation
                     }),
                     PointRole::Cached | PointRole::Solo => {
-                        evaluate_mapped_with(engine, effective, &m.layout, name, &self.eval)
+                        let circuit = effective.circuit();
+                        let sim = run_one_lane(engine, circuit, &m.layout)?;
+                        let critical = circuit.critical_path_cycles(&self.eval.sim.latency);
+                        Ok(evaluation_record(effective, name, &sim, critical))
                     }
                 };
                 let evaluation = match (eval_cache, m.key.clone()) {
@@ -770,12 +713,7 @@ impl SweepSpec {
                     _ => compute()?,
                 };
                 let breakdown = if self.collect_breakdowns {
-                    Some(per_round_breakdown_with(
-                        engine,
-                        effective,
-                        &m.layout,
-                        &self.eval.sim,
-                    )?)
+                    Some(per_round_breakdown_with(engine, effective, &m.layout)?)
                 } else {
                     None
                 };
@@ -958,7 +896,6 @@ mod tests {
         let row = results.find("g", "Line", 4).unwrap();
         assert_eq!(row.evaluation.factory.capacity(), 4);
         assert!(results.find("g", "HS", 4).is_none());
-        assert_eq!(results.labeled("g").count(), 4);
     }
 
     #[test]
@@ -1025,61 +962,15 @@ mod tests {
     }
 
     #[test]
-    fn batch_stats_account_for_every_point() {
-        let spec = small_spec();
-        let outcome = spec.run_with(&RunControl::default()).unwrap();
-        let stats = outcome.batch;
-        assert_eq!(stats.lane_capacity, DEFAULT_LANES);
-        assert_eq!(
-            stats.points_batched + stats.points_solo + stats.points_from_cache,
-            spec.points.len() as u64
-        );
-        // The HS point rewires ports and must go solo.
-        assert!(stats.points_solo >= 1);
-        assert!(stats.points_batched >= 1);
-        assert_eq!(stats.lanes_filled, stats.points_batched);
-        assert!(stats.occupancy() > 0.0 && stats.occupancy() <= 1.0);
-        // Serial planning produces the same counters.
-        let serial = spec.run_serial_with(&RunControl::default()).unwrap();
-        assert_eq!(serial.batch, stats);
-    }
-
-    #[test]
-    fn batch_stats_are_zero_when_batching_is_off() {
-        // Width <= 1 dispatches no batches: every point is simulated solo or
-        // answered by the cache.
-        let spec = small_spec();
-        for lanes in [0, 1] {
-            let stats = spec
-                .clone()
-                .with_lanes(lanes)
-                .run_with(&RunControl::default())
-                .unwrap()
-                .batch;
-            assert_eq!(stats.lane_capacity, 0, "{lanes} lanes");
-            assert_eq!(stats.batches, 0, "{lanes} lanes");
-            assert_eq!(stats.lanes_filled, 0, "{lanes} lanes");
-            assert_eq!(stats.points_batched, 0, "{lanes} lanes");
-            assert_eq!(stats.occupancy(), 0.0, "{lanes} lanes");
-            assert_eq!(
-                stats.points_solo + stats.points_from_cache,
-                spec.points.len() as u64,
-                "{lanes} lanes"
-            );
-        }
-    }
-
-    #[test]
     fn duplicate_points_share_one_lane_via_the_cache() {
         // Four copies of one point: one occupies a lane, the rest follow it
-        // through the eval cache, and the counters match an unbatched run.
+        // through the eval cache, and the cache counters match an unbatched
+        // run.
         let mut spec = SweepSpec::new("dup", EvaluationConfig::default());
         for _ in 0..4 {
             spec = spec.point("p", FactoryConfig::single_level(2), Strategy::linear());
         }
         let outcome = spec.run_with(&RunControl::default()).unwrap();
-        assert_eq!(outcome.batch.points_batched, 1);
-        assert_eq!(outcome.batch.points_from_cache, 3);
         assert_eq!(
             outcome.cache,
             CacheStats {

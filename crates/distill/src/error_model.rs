@@ -60,17 +60,6 @@ pub fn required_levels(k: usize, eps_inject: f64, target: f64) -> Option<usize> 
     None
 }
 
-/// Expected number of raw input states consumed per *successful* distilled
-/// output state for a single level, accounting for module failures.
-pub fn expected_inputs_per_output(k: usize, eps_in: f64) -> f64 {
-    let p = success_probability(k, eps_in);
-    if p <= 0.0 {
-        f64::INFINITY
-    } else {
-        (3.0 * k as f64 + 8.0) / (k as f64 * p)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,14 +111,5 @@ mod tests {
     fn required_levels_detects_divergence() {
         // With a very high injection error the protocol cannot improve.
         assert_eq!(required_levels(8, 0.5, 1e-9), None);
-    }
-
-    #[test]
-    fn expected_inputs_account_for_failures() {
-        let ideal = (3.0 * 8.0 + 8.0) / 8.0;
-        let realistic = expected_inputs_per_output(8, 1e-3);
-        assert!(realistic > ideal);
-        assert!(realistic < ideal * 1.1);
-        assert!(expected_inputs_per_output(8, 0.9).is_infinite());
     }
 }

@@ -331,15 +331,6 @@ impl Factory {
         c
     }
 
-    /// Returns the module that owns `qubit` as one of its *local* qubits
-    /// (round-0 raw inputs, ancillas or outputs), if any.
-    pub fn owning_module(&self, qubit: QubitId) -> Option<usize> {
-        self.modules
-            .iter()
-            .find(|m| m.local_qubits().contains(&qubit))
-            .map(|m| m.id)
-    }
-
     /// Swaps two output ports of the same module: every reference to the two
     /// qubits in *later-round* gates (and in the permutation metadata) is
     /// exchanged. This implements the "port reassignment" degree of freedom of
@@ -629,14 +620,6 @@ mod tests {
             covered.iter().all(|&c| c == 1),
             "module/barrier gate ranges must partition the circuit"
         );
-    }
-
-    #[test]
-    fn owning_module_finds_local_qubits() {
-        let f = Factory::build(&FactoryConfig::two_level(2)).unwrap();
-        let m1 = &f.modules()[1];
-        assert_eq!(f.owning_module(m1.ancillas[0]), Some(1));
-        assert_eq!(f.owning_module(m1.outputs[0]), Some(1));
     }
 
     #[test]

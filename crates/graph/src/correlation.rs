@@ -37,29 +37,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
     Some(cov / (var_x.sqrt() * var_y.sqrt()))
 }
 
-/// Ordinary least-squares slope and intercept of `y` on `x`.
-///
-/// Returns `None` under the same conditions as [`pearson`].
-pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
-    if xs.len() != ys.len() || xs.len() < 2 {
-        return None;
-    }
-    let n = xs.len() as f64;
-    let mean_x = xs.iter().sum::<f64>() / n;
-    let mean_y = ys.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut var_x = 0.0;
-    for (x, y) in xs.iter().zip(ys.iter()) {
-        cov += (x - mean_x) * (y - mean_y);
-        var_x += (x - mean_x) * (x - mean_x);
-    }
-    if var_x <= 0.0 {
-        return None;
-    }
-    let slope = cov / var_x;
-    Some((slope, mean_y - slope * mean_x))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,14 +63,5 @@ mod tests {
         assert!(pearson(&[1.0], &[2.0]).is_none());
         assert!(pearson(&[1.0, 2.0], &[2.0]).is_none());
         assert!(pearson(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]).is_none());
-    }
-
-    #[test]
-    fn linear_fit_recovers_line() {
-        let xs = [0.0, 1.0, 2.0, 3.0];
-        let ys: Vec<f64> = xs.iter().map(|x| 2.5 * x - 1.0).collect();
-        let (slope, intercept) = linear_fit(&xs, &ys).unwrap();
-        assert!((slope - 2.5).abs() < 1e-12);
-        assert!((intercept + 1.0).abs() < 1e-12);
     }
 }

@@ -188,33 +188,6 @@ impl InteractionGraph {
             vertices.to_vec(),
         )
     }
-
-    /// Connected components of the graph, as lists of vertex indices.
-    /// Isolated vertices each form their own component.
-    pub fn connected_components(&self) -> Vec<Vec<usize>> {
-        let mut visited = vec![false; self.num_vertices];
-        let mut components = Vec::new();
-        for start in 0..self.num_vertices {
-            if visited[start] {
-                continue;
-            }
-            let mut stack = vec![start];
-            visited[start] = true;
-            let mut component = Vec::new();
-            while let Some(v) = stack.pop() {
-                component.push(v);
-                for (n, _) in self.neighbors(v) {
-                    if !visited[*n] {
-                        visited[*n] = true;
-                        stack.push(*n);
-                    }
-                }
-            }
-            component.sort_unstable();
-            components.push(component);
-        }
-        components
-    }
 }
 
 /// Canonicalises a keyed edge list into `out`: stable sort by `(u, v)` key,
@@ -325,23 +298,9 @@ mod tests {
     }
 
     #[test]
-    fn connected_components_partition_vertices() {
-        let g = InteractionGraph::from_edges(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)]);
-        let comps = g.connected_components();
-        assert_eq!(comps.len(), 3);
-        let sizes: Vec<usize> = comps.iter().map(|c| c.len()).collect();
-        assert!(sizes.contains(&3));
-        assert!(sizes.contains(&2));
-        assert!(sizes.contains(&1));
-        let total: usize = sizes.iter().sum();
-        assert_eq!(total, 6);
-    }
-
-    #[test]
     fn empty_graph_has_no_edges() {
         let g = InteractionGraph::empty(3);
         assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.connected_components().len(), 3);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   Fig. 6.
 //! * [`community`] — Louvain modularity optimisation for community
 //!   detection (Section VI-B1).
-//! * [`partition`] — multilevel recursive bisection (heavy-edge matching,
+//! * [`partition`] — multilevel bisection (heavy-edge matching,
 //!   greedy growth, boundary refinement), the METIS-style engine behind the
 //!   graph-partitioning mapper (Section VI-B2).
 //! * [`kmeans`] — KMeans++ clustering of 2-D points (used by the

@@ -103,16 +103,6 @@ pub fn average_edge_spacing(graph: &InteractionGraph, positions: &[Point]) -> f6
     total / pairs as f64
 }
 
-/// Total weighted Manhattan edge length (used as an optimisation objective by
-/// the mappers: heavier edges are more important to keep short).
-pub fn weighted_edge_length(graph: &InteractionGraph, positions: &[Point]) -> f64 {
-    graph
-        .edges()
-        .iter()
-        .map(|(u, v, w)| w * positions[*u].manhattan_distance(&positions[*v]))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,7 +142,6 @@ mod tests {
         let (g, pos) = cross_graph();
         // Each diagonal has Manhattan length 4.
         assert_eq!(average_edge_length(&g, &pos), 4.0);
-        assert_eq!(weighted_edge_length(&g, &pos), 8.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Multilevel recursive graph bisection (Section VI-B2 of the paper).
+//! Multilevel graph bisection (Section VI-B2 of the paper).
 //!
 //! The partitioner follows the classical METIS recipe referenced by the
 //! paper: vertices are contracted along a heavy-edge matching until the graph
@@ -114,41 +114,6 @@ pub fn bisect<R: Rng>(graph: &InteractionGraph, rng: &mut R) -> Bisection {
         left,
         right,
     }
-}
-
-/// Recursively bisects a graph into `parts` parts (rounded up to a power of
-/// two internally; surplus parts are left empty). Returns the part index of
-/// each vertex.
-pub fn recursive_bisection<R: Rng>(
-    graph: &InteractionGraph,
-    parts: usize,
-    rng: &mut R,
-) -> Vec<usize> {
-    let n = graph.num_vertices();
-    let mut assignment = vec![0usize; n];
-    if parts <= 1 || n == 0 {
-        return assignment;
-    }
-    // Work queue of (vertex subset, part range).
-    let all: Vec<usize> = (0..n).collect();
-    let mut queue = vec![(all, 0usize, parts)];
-    while let Some((vertices, part_start, part_count)) = queue.pop() {
-        if part_count <= 1 || vertices.len() <= 1 {
-            for v in vertices {
-                assignment[v] = part_start;
-            }
-            continue;
-        }
-        let (sub, back) = graph.induced_subgraph(&vertices);
-        let bi = bisect(&sub, rng);
-        let left: Vec<usize> = bi.left.iter().map(|v| back[*v]).collect();
-        let right: Vec<usize> = bi.right.iter().map(|v| back[*v]).collect();
-        let left_parts = part_count / 2;
-        let right_parts = part_count - left_parts;
-        queue.push((left, part_start, left_parts));
-        queue.push((right, part_start + left_parts, right_parts));
-    }
-    assignment
 }
 
 /// Heavy-edge matching coarsening: repeatedly match each unmatched vertex to
@@ -385,19 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn recursive_bisection_produces_requested_parts() {
-        let g = dumbbell();
-        let parts = recursive_bisection(&g, 4, &mut rng());
-        assert_eq!(parts.len(), 16);
-        let distinct: std::collections::HashSet<usize> = parts.iter().copied().collect();
-        assert!(distinct.len() <= 4);
-        assert!(distinct.len() >= 2);
-        for p in &parts {
-            assert!(*p < 4);
-        }
-    }
-
-    #[test]
     fn cut_weight_counts_crossing_edges() {
         let g = InteractionGraph::from_edges(4, [(0, 1, 2.0), (2, 3, 3.0), (1, 2, 5.0)]);
         let side = vec![0, 0, 1, 1];
@@ -418,13 +370,6 @@ mod tests {
         let b = bisect(&pair, &mut rng());
         assert_eq!(b.left.len(), 1);
         assert_eq!(b.right.len(), 1);
-    }
-
-    #[test]
-    fn recursive_bisection_single_part_is_trivial() {
-        let g = dumbbell();
-        let parts = recursive_bisection(&g, 1, &mut rng());
-        assert!(parts.iter().all(|p| *p == 0));
     }
 
     #[test]

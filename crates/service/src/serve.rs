@@ -738,6 +738,43 @@ mod tests {
                 expected.push((kind, code));
             }
         }
+        // A gate latency above 2^63 cycles once panicked sizing the event
+        // wheel, and bursty phases far shorter than the horizon hung the
+        // session in the phase-flip loop.
+        let latency = |field: &str, cycles: &str| {
+            format!(
+                r#"{{"protocol_version": 1, "id": "bad", "kind": "evaluate", "factory": {{"k": 2}}, "strategy": {{"strategy": "linear"}}, "eval": {{"latency": {{"{field}": {cycles}}}}}}}"#
+            )
+        };
+        let bursty = |horizon: &str, rate: &str, mean: &str| {
+            format!(
+                r#"{{"protocol_version": 1, "id": "bad", "kind": "stream", "stream": {{"name": "t", "horizon": {horizon}, "arrivals": {{"process": "bursty", "rate": {rate}, "burst_rate": {rate}, "mean_calm": {mean}, "mean_burst": {mean}}}, "fleet": [{{"factory": {{"k": 2}}}}], "classes": [{{"name": "c", "strategy": {{"strategy": "linear"}}}}]}}}}"#
+            )
+        };
+        for (bad, kind, code) in [
+            (
+                latency("cnot", "9223372036854775809"),
+                "evaluate",
+                "E_SPEC_PARSE",
+            ),
+            (
+                latency("cxx_per_target", "9223372036854775807"),
+                "evaluate",
+                "E_SPEC_PARSE",
+            ),
+            (bursty("3000", "0.01", "1e-300"), "stream", "E_STREAM_SPEC"),
+            (
+                bursty("1000000000000000", "1e-12", "1"),
+                "stream",
+                "E_STREAM_SPEC",
+            ),
+        ] {
+            lines += &bad;
+            lines += "\n";
+            lines += &request("ok", "evaluate", r#"{"k": 2}"#);
+            lines += "\n";
+            expected.push((kind, code));
+        }
         let (summary, values) = session(&lines);
         assert_eq!(summary.responses, 2 * expected.len());
         assert_eq!(summary.errors, expected.len());

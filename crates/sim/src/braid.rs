@@ -41,11 +41,6 @@ impl BraidPath {
             }
         }
     }
-
-    /// Returns `true` when the braid shares a cell with `other`.
-    pub fn intersects(&self, other: &BraidPath) -> bool {
-        self.cells.iter().any(|c| other.cells.contains(c))
-    }
 }
 
 /// Deterministic dimension-ordered (L-shaped) path: walk along the row of
@@ -321,14 +316,11 @@ mod tests {
     }
 
     #[test]
-    fn braid_merge_and_intersect() {
+    fn braid_merge_unions_cells() {
         let mut a = BraidPath::new(vec![Coord::new(0, 0), Coord::new(0, 1)]);
         let b = BraidPath::new(vec![Coord::new(0, 1), Coord::new(0, 2)]);
-        assert!(a.intersects(&b));
         a.merge(&b);
         assert_eq!(a.len(), 3);
-        let c = BraidPath::new(vec![Coord::new(5, 5)]);
-        assert!(!a.intersects(&c));
     }
 
     #[test]

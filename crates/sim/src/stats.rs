@@ -48,15 +48,6 @@ impl SimResult {
     pub fn volume(&self) -> u64 {
         self.area as u64 * self.cycles
     }
-
-    /// Mean stall per gate in cycles.
-    pub fn mean_stall(&self) -> f64 {
-        if self.timings.is_empty() {
-            0.0
-        } else {
-            self.stall_cycles as f64 / self.timings.len() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -75,7 +66,7 @@ mod tests {
     }
 
     #[test]
-    fn volume_and_mean_stall() {
+    fn volume_is_area_times_cycles() {
         let r = SimResult {
             cycles: 100,
             area: 25,
@@ -96,11 +87,10 @@ mod tests {
             routing_conflicts: 2,
         };
         assert_eq!(r.volume(), 2500);
-        assert_eq!(r.mean_stall(), 2.0);
     }
 
     #[test]
-    fn empty_result_mean_stall_is_zero() {
+    fn empty_result_has_zero_volume() {
         let r = SimResult {
             cycles: 0,
             area: 0,
@@ -109,7 +99,6 @@ mod tests {
             stalled_gates: 0,
             routing_conflicts: 0,
         };
-        assert_eq!(r.mean_stall(), 0.0);
         assert_eq!(r.volume(), 0);
     }
 }

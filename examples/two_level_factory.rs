@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example two_level_factory --release`
 
-use msfu::core::{evaluate_factory, pipeline, EvaluationConfig, Strategy};
+use msfu::core::{evaluate, pipeline, EvaluationConfig, Strategy};
 use msfu::distill::{Factory, FactoryConfig, ReusePolicy};
 use msfu::layout::{
     FactoryMapper, ForceDirectedConfig, HierarchicalStitchingMapper, StitchingConfig,
@@ -13,12 +13,13 @@ use msfu::layout::{
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = FactoryConfig::two_level(4).with_reuse(ReusePolicy::Reuse);
+    let factory = Factory::build(&config)?;
     println!(
         "two-level factory: capacity {} ({} round-0 modules feeding {} round-1 modules, {} logical qubits)",
         config.capacity(),
         config.modules_in_round(0),
         config.modules_in_round(1),
-        Factory::build(&config)?.num_qubits()
+        factory.num_qubits()
     );
 
     let eval_config = EvaluationConfig::default();
@@ -38,15 +39,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }),
     ];
 
-    // One shared immutable factory serves every strategy (mapping never
-    // mutates it; port rewiring is applied per evaluation to a private copy).
-    let factory = Factory::build(&config)?;
     println!(
         "\n{:<8}{:>12}{:>10}{:>14}{:>16}",
         "mapper", "latency", "area", "volume", "vs critical"
     );
     for strategy in strategies {
-        let eval = evaluate_factory(&factory, &strategy, &eval_config)?;
+        let eval = evaluate(&config, &strategy, &eval_config)?;
         println!(
             "{:<8}{:>12}{:>10}{:>14}{:>15.2}x",
             eval.strategy,

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use msfu::core::{EvaluationConfig, Strategy, SweepSpec};
+use msfu::core::{CacheStats, EvaluationConfig, Strategy, SweepSpec};
 use msfu::distill::{Factory, FactoryConfig, ReusePolicy};
 use msfu::layout::{ForceDirectedConfig, Layout, StitchingConfig};
 use msfu::sim::{reference, BatchEngine, BatchLane, SimConfig, SimEngine, SimError};
@@ -256,10 +256,13 @@ fn duplicate_points_are_deduped_by_the_eval_cache_not_a_lane() {
     assert_eq!(outcome.results.rows.len(), 4);
     let evals: Vec<_> = outcome.results.rows.iter().map(|r| &r.evaluation).collect();
     assert!(evals.windows(2).all(|w| w[0] == w[1]));
-    assert_eq!(outcome.batch.points_from_cache, 3, "three cache-hit points");
     assert_eq!(
-        outcome.batch.points_batched + outcome.batch.points_solo,
-        1,
-        "exactly one point consumed a simulation"
+        outcome.cache,
+        CacheStats {
+            hits: 3,
+            misses: 1,
+            ..CacheStats::default()
+        },
+        "exactly one point consumed a simulation; three were cache hits"
     );
 }

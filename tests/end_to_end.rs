@@ -2,7 +2,7 @@
 //! graph → mapping → braid simulation → evaluation, checking the qualitative
 //! claims of the paper on small configurations.
 
-use msfu::core::{evaluate, evaluate_factory, pipeline, EvaluationConfig, Strategy};
+use msfu::core::{evaluate, pipeline, EvaluationConfig, Strategy};
 use msfu::distill::{Factory, FactoryConfig, ReusePolicy};
 use msfu::graph::{metrics, InteractionGraph};
 use msfu::layout::{
@@ -159,10 +159,11 @@ fn adaptive_routing_is_no_worse_than_dimension_ordered() {
 
 #[test]
 fn per_round_breakdown_is_consistent_with_end_to_end_latency() {
-    let factory = Factory::build(&FactoryConfig::two_level(2)).unwrap();
+    let config = FactoryConfig::two_level(2);
+    let factory = Factory::build(&config).unwrap();
     let strategy = Strategy::graph_partition(3);
     let eval_cfg = EvaluationConfig::default();
-    let eval = evaluate_factory(&factory, &strategy, &eval_cfg).unwrap();
+    let eval = evaluate(&config, &strategy, &eval_cfg).unwrap();
     let layout = strategy.map(&factory).unwrap();
     let breakdown = pipeline::per_round_breakdown(&factory, &layout, &eval_cfg.sim).unwrap();
     let summed: u64 = breakdown.iter().map(|b| b.round_cycles).sum();
