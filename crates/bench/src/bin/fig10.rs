@@ -11,7 +11,7 @@
 //! Usage: `cargo run -p msfu-bench --bin fig10 --release [full] [serial] [--json]`
 
 use msfu_bench::{
-    best_reuse_row, harness_eval_config, lineup_for, reuse_variants, run_spec, HarnessArgs,
+    harness_eval_config, lineup_for, print_headline, reuse_variants, run_spec, HarnessArgs,
 };
 use msfu_core::{Evaluation, SweepIndex, SweepSpec};
 
@@ -61,7 +61,7 @@ fn print_metric(
     for &capacity in capacities {
         print!("{capacity:<12}");
         for name in strategies {
-            match best_reuse_row(index, label, name, capacity) {
+            match index.best_reuse(label, name, capacity) {
                 Some(row) => print!("{:>16.0}", metric(&row.evaluation)),
                 None => print!("{:>16}", "-"),
             }
@@ -133,17 +133,5 @@ fn main() {
         |e| e.volume as f64,
     );
 
-    // Headline number: volume reduction from Line to HS at the largest
-    // two-level capacity evaluated (5.64x in the paper at capacity 100).
-    if let Some(&capacity) = double_caps.last() {
-        let line = best_reuse_row(&index, "double", "Line", capacity);
-        let hs = best_reuse_row(&index, "double", "HS", capacity);
-        if let (Some(line), Some(hs)) = (line, hs) {
-            println!(
-                "# headline: capacity {} two-level volume reduction Line -> HS = {:.2}x (paper: 5.64x at capacity 100, Line(NR) -> HS)",
-                capacity,
-                line.evaluation.volume as f64 / hs.evaluation.volume as f64
-            );
-        }
-    }
+    print_headline(&index, "double", &double_caps);
 }

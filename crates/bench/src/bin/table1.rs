@@ -10,7 +10,7 @@
 //! Usage: `cargo run -p msfu-bench --bin table1 --release [full] [serial] [--json]`
 
 use msfu_bench::{
-    best_reuse_row, harness_eval_config, lineup_for, reuse_variants, run_spec, HarnessArgs,
+    harness_eval_config, lineup_for, print_headline, reuse_variants, run_spec, HarnessArgs,
 };
 use msfu_core::report::Table;
 use msfu_core::{SweepIndex, SweepSpec};
@@ -70,7 +70,9 @@ fn level_table(index: &SweepIndex<'_>, label: &str, levels: usize, capacities: &
     // Picks the better of the two reuse policies, as the paper does for the
     // optimised procedures.
     let best = |strategy: &str, capacity: usize| {
-        best_reuse_row(index, label, strategy, capacity).map(|r| r.evaluation.volume as f64)
+        index
+            .best_reuse(label, strategy, capacity)
+            .map(|r| r.evaluation.volume as f64)
     };
 
     // Row labels follow the paper: Random, Line(NR), Line(R), FD, GP, HS, Critical.
@@ -128,17 +130,5 @@ fn main() {
     let level2 = level_table(&index, "L2", 2, &double_caps);
     println!("{}", level2.to_text());
 
-    // Headline reduction: Line(NR) -> HS at the largest two-level capacity.
-    if let Some(&capacity) = double_caps.last() {
-        let line_nr = index
-            .rows("L2", "Line", capacity)
-            .find(|r| r.evaluation.factory.reuse == ReusePolicy::NoReuse);
-        let hs = best_reuse_row(&index, "L2", "HS", capacity);
-        if let (Some(nr), Some(hs)) = (line_nr, hs) {
-            println!(
-                "# headline: Line(NR) -> HS volume reduction at the largest evaluated two-level capacity = {:.2}x (paper: 5.64x at K = 100)",
-                nr.evaluation.volume as f64 / hs.evaluation.volume as f64
-            );
-        }
-    }
+    print_headline(&index, "L2", &double_caps);
 }

@@ -41,7 +41,7 @@
 use std::path::Path;
 use std::time::Duration;
 
-use msfu_core::{EvaluationConfig, Strategy, SweepIndex, SweepResults, SweepRow, SweepSpec};
+use msfu_core::{EvaluationConfig, Strategy, SweepIndex, SweepResults, SweepSpec};
 use msfu_distill::{FactoryConfig, ReusePolicy};
 use msfu_layout::{ForceDirectedConfig, StitchingConfig};
 use msfu_service::{write_bench_report, JobHandle, Payload, Request, ServeOptions, Session};
@@ -310,25 +310,39 @@ pub fn reuse_variants(capacity: usize, levels: usize) -> [FactoryConfig; 2] {
     ]
 }
 
-/// Of the rows matching `label`, `strategy` and `capacity`, returns the one
-/// with the smallest quantum volume — how the paper picks each strategy's
-/// better reuse policy for its final plots (Section VIII-C1).
-///
-/// Takes the results' [`SweepIndex`] (build it once per table with
-/// [`SweepResults::index`]) so per-cell lookups are O(1) instead of a scan
-/// over every row.
-pub fn best_reuse_row<'a>(
-    index: &SweepIndex<'a>,
+/// The paper's headline comparison (Section VIII-C): the quantum volume of
+/// Line without qubit reuse, `Line(NR)`, over that of HS at its better reuse
+/// policy, for the `label` rows at `capacity`. The paper reports 5.64× at
+/// two-level K = 100. `None` when either row is missing.
+pub fn line_nr_to_hs_reduction(
+    index: &SweepIndex<'_>,
     label: &str,
-    strategy: &str,
     capacity: usize,
-) -> Option<&'a SweepRow> {
-    index.best_reuse(label, strategy, capacity)
+) -> Option<f64> {
+    let line_nr = index
+        .rows(label, "Line", capacity)
+        .find(|r| r.evaluation.factory.reuse == ReusePolicy::NoReuse)?;
+    let hs = index.best_reuse(label, "HS", capacity)?;
+    Some(line_nr.evaluation.volume as f64 / hs.evaluation.volume as f64)
+}
+
+/// Prints the `# headline:` line `fig10` and `table1` both end with: the
+/// [`line_nr_to_hs_reduction`] at the largest of the two-level `capacities`.
+pub fn print_headline(index: &SweepIndex<'_>, label: &str, capacities: &[usize]) {
+    if let Some(reduction) = capacities
+        .last()
+        .and_then(|&capacity| line_nr_to_hs_reduction(index, label, capacity))
+    {
+        println!(
+            "# headline: Line(NR) -> HS volume reduction at the largest evaluated two-level capacity = {reduction:.2}x (paper: 5.64x at K = 100)"
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msfu_core::SweepRow;
 
     #[test]
     fn quick_mode_sweeps_are_subsets_of_full() {
@@ -372,13 +386,36 @@ mod tests {
     }
 
     #[test]
-    fn best_reuse_row_picks_the_smaller_volume() {
-        let spec = SweepSpec::new("t", harness_eval_config())
-            .point("x", reuse_variants(4, 2)[0], Strategy::linear())
-            .point("x", reuse_variants(4, 2)[1], Strategy::linear());
-        let results = spec.run().unwrap();
-        let best = best_reuse_row(&results.index(), "x", "Line", 4).unwrap();
-        let volumes: Vec<u64> = results.rows.iter().map(|r| r.evaluation.volume).collect();
-        assert_eq!(best.evaluation.volume, *volumes.iter().min().unwrap());
+    fn headline_divides_line_without_reuse_even_when_reuse_is_smaller() {
+        let base = msfu_core::evaluate(
+            &reuse_variants(4, 2)[0],
+            &Strategy::linear(),
+            &harness_eval_config(),
+        )
+        .unwrap();
+        let row = |strategy: &str, reuse, volume| {
+            let mut evaluation = base.clone();
+            evaluation.strategy = strategy.to_string();
+            evaluation.factory.reuse = reuse;
+            evaluation.volume = volume;
+            SweepRow {
+                label: "x".to_string(),
+                evaluation,
+                breakdown: None,
+                metrics: None,
+            }
+        };
+        let results = SweepResults {
+            name: "t".to_string(),
+            rows: vec![
+                row("Line", ReusePolicy::Reuse, 100),
+                row("Line", ReusePolicy::NoReuse, 400),
+                row("HS", ReusePolicy::Reuse, 80),
+                row("HS", ReusePolicy::NoReuse, 50),
+            ],
+        };
+        // Line(R) has the smaller Line volume, yet the headline divides
+        // Line(NR) by HS's better policy: 400 / 50.
+        assert_eq!(line_nr_to_hs_reduction(&results.index(), "x", 4), Some(8.0));
     }
 }

@@ -32,9 +32,12 @@
 //! * [`stats`] — the shared nearest-rank percentile helpers behind those
 //!   reports.
 //! * [`report`] — small helpers for formatting the tables the paper prints.
-//! * [`serdes`] / [`persist`] — the compact binary storage codec and the
-//!   on-disk persistent tier of the evaluation cache (the `"cache_dir"`
-//!   spec field), which warm-starts repeated runs and serve clusters.
+//! * [`persist`] — the on-disk persistent tier of the evaluation cache (the
+//!   `"cache_dir"` spec field), which warm-starts repeated runs and serve
+//!   clusters. Its records hold each [`Evaluation`] in the same JSON form
+//!   the service protocol sends.
+//! * [`wire`] — the JSON codecs shared by sharded execution and the
+//!   persistent tier: spec-form encoders and typed result decoders.
 //!
 //! # Example
 //!
@@ -63,7 +66,6 @@ pub mod pipeline;
 pub mod progress;
 pub mod report;
 pub mod search;
-pub mod serdes;
 pub mod spec;
 pub mod stats;
 mod strategy;
@@ -78,14 +80,13 @@ pub use evaluate::{
 };
 pub use persist::{
     compact_dir, damage_segment, verify_dir, CompactReport, PersistWarning, SegmentDamage,
-    VerifyReport, NUM_BUCKETS,
+    VerifyReport, FORMAT_VERSION, NUM_BUCKETS,
 };
 pub use progress::{CancelToken, NoProgress, ProgressEvent, ProgressSink, RunControl};
 pub use search::{
     Incumbent, Objective, PortfolioEntry, SearchOutcome, SearchReport, SearchSpec, StopReason,
     TrajectoryPoint,
 };
-pub use serdes::{BinCodec, CodecError, FORMAT_VERSION};
 pub use stats::{nearest_rank, percentiles, Percentiles};
 pub use strategy::Strategy;
 pub use stream::{ArrivalProcess, JobClass, SchedulerRun, StreamOutcome, StreamReport, StreamSpec};

@@ -6,11 +6,14 @@
 //! length-prefixed records:
 //!
 //! ```text
-//! record := len:u32-LE  payload[len]
-//! payload := FORMAT_VERSION:u8  key:String  evaluation:Evaluation
+//! record  := len:u32-LE  payload[len]
+//! payload := FORMAT_VERSION:u8  json
+//! json    := {"key": String, "evaluation": Evaluation}   (compact JSON text)
 //! ```
 //!
-//! with `key`/`evaluation` in the [`crate::serdes`] binary encoding. Each
+//! The `evaluation` object is the service protocol's own JSON record: the
+//! derived `Serialize` form, read back by [`evaluation_from_value`], so an
+//! [`Evaluation`] has one serialized form on the wire and on disk. Each
 //! record is appended with a single `O_APPEND` write, so records from
 //! concurrent processes interleave whole — the tier is shared safely by
 //! parallel `msfu` invocations and by every worker of a serve cluster.
@@ -29,14 +32,33 @@
 //! it, and [`compact_dir`] rewrites every live record (salvaging the
 //! decodable ones from quarantined segments, dropping dead bytes and
 //! duplicate keys) so the directory re-opens warning-free.
+//!
+//! # Compatibility rule
+//!
+//! Records are never migrated. Whenever a change alters what a record's
+//! JSON holds or means — an `Evaluation` field renamed, removed or
+//! re-interpreted — [`FORMAT_VERSION`] is bumped in the same commit. A
+//! record of any other version is skipped with a
+//! [`PersistWarning::BadVersion`], its segment is quarantined once, and the
+//! entry is re-simulated and re-appended under the current version: a bump
+//! costs one cold run, while a missed bump could load a stale record. When
+//! in doubt, bump. (Version 1 was a positional binary layout; directories
+//! written in it are skipped this way, and `msfu cache compact` clears
+//! them.)
 
 use std::collections::HashSet;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::serdes::{BinCodec, CodecError, FORMAT_VERSION};
+use serde::{Serialize, Value};
+
+use crate::wire::evaluation_from_value;
 use crate::Evaluation;
+
+/// Version byte leading every persisted record. Bump on any change to what
+/// a record holds or means (see the module-level compatibility rule).
+pub const FORMAT_VERSION: u8 = 2;
 
 /// Number of hash-bucketed segment files in a cache directory.
 pub const NUM_BUCKETS: usize = 16;
@@ -47,7 +69,7 @@ pub const NUM_BUCKETS: usize = 16;
 /// persistent tier is an accelerator, never a correctness dependency.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PersistWarning {
-    /// A record written by a different codec format version was skipped.
+    /// A record written by a different format version was skipped.
     BadVersion {
         /// Segment file holding the record.
         path: PathBuf,
@@ -235,11 +257,7 @@ impl DiskTier {
     /// Returns a typed warning when the segment cannot be opened or written;
     /// the in-memory cache is unaffected.
     pub(crate) fn append(&self, key: &str, evaluation: &Evaluation) -> Result<(), PersistWarning> {
-        let mut payload = vec![FORMAT_VERSION];
-        key.to_string().encode_into(&mut payload);
-        evaluation.encode_into(&mut payload);
-        let mut record = (payload.len() as u32).to_bytes();
-        record.extend_from_slice(&payload);
+        let record = encode_record(key, evaluation);
         let path = segment_path(&self.dir, key);
         let io = |e: std::io::Error| PersistWarning::Io {
             path: path.clone(),
@@ -394,14 +412,11 @@ pub fn compact_dir(dir: &Path) -> Result<CompactReport, String> {
     // result is deterministic), then drop the quarantined sources.
     for bucket in 0..NUM_BUCKETS {
         let path = dir.join(bucket_name(bucket));
-        let mut bytes = Vec::new();
-        for (key, evaluation) in kept.iter().filter(|(k, _)| bucket_of(k) == bucket) {
-            let mut payload = vec![FORMAT_VERSION];
-            key.encode_into(&mut payload);
-            evaluation.encode_into(&mut payload);
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&payload);
-        }
+        let bytes: Vec<u8> = kept
+            .iter()
+            .filter(|(key, _)| bucket_of(key) == bucket)
+            .flat_map(|(key, evaluation)| encode_record(key, evaluation))
+            .collect();
         if bytes.is_empty() {
             match std::fs::remove_file(&path) {
                 Ok(()) => {}
@@ -496,9 +511,9 @@ pub fn damage_segment(
             bytes.truncate(start - 3 + seed as usize % (len + 3));
         }
         SegmentDamage::FlipBytes => {
-            // Clobber the key-length varint (payload bytes 1..5): 0xff
-            // continuation bytes decode to a length far past the segment,
-            // so the record is unreadable without touching its framing.
+            // Clobber the start of the JSON text (payload bytes 1..5): 0xff
+            // is never valid UTF-8, so the record is unreadable without
+            // touching its framing.
             let (start, len) = victim;
             if len >= 2 {
                 for byte in &mut bytes[start + 1..start + len.min(5)] {
@@ -516,6 +531,22 @@ pub fn damage_segment(
     Ok(path)
 }
 
+/// Frames one record: `len:u32-LE`, then the payload — the version byte
+/// and the compact JSON text `{"key": …, "evaluation": …}`.
+fn encode_record(key: &str, evaluation: &Evaluation) -> Vec<u8> {
+    let json = Value::Object(vec![
+        ("key".to_string(), Value::Str(key.to_string())),
+        ("evaluation".to_string(), evaluation.to_value()),
+    ]);
+    let json = serde_json::to_string(&json).expect("a value tree always renders");
+    let len = u32::try_from(1 + json.len()).expect("a record is far below 4 GiB");
+    let mut record = Vec::with_capacity(5 + json.len());
+    record.extend_from_slice(&len.to_le_bytes());
+    record.push(FORMAT_VERSION);
+    record.extend_from_slice(json.as_bytes());
+    record
+}
+
 /// Scans one segment's bytes, pushing decodable records and damage warnings
 /// into `contents`. The length framing is version-independent, so a bad
 /// version or corrupt payload skips one record and the scan continues; only
@@ -523,25 +554,18 @@ pub fn damage_segment(
 fn scan_segment(path: &Path, bytes: &[u8], contents: &mut DiskContents) {
     let mut offset = 0usize;
     while offset < bytes.len() {
-        let mut cursor = &bytes[offset..];
-        let len = match u32::decode(&mut cursor) {
-            Ok(len) => len as usize,
-            Err(_) => {
-                contents.warnings.push(PersistWarning::TruncatedTail {
-                    path: path.to_path_buf(),
-                    offset,
-                });
-                return;
-            }
-        };
-        if cursor.len() < len {
+        let rest = &bytes[offset..];
+        let payload = rest.get(..4).and_then(|len| {
+            let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+            rest[4..].get(..len)
+        });
+        let Some(payload) = payload else {
             contents.warnings.push(PersistWarning::TruncatedTail {
                 path: path.to_path_buf(),
                 offset,
             });
             return;
-        }
-        let payload = &cursor[..len];
+        };
         match decode_payload(payload) {
             Ok(entry) => contents.entries.push(entry),
             Err(PayloadError::Version(found)) => {
@@ -551,37 +575,44 @@ fn scan_segment(path: &Path, bytes: &[u8], contents: &mut DiskContents) {
                     found,
                 });
             }
-            Err(PayloadError::Codec(e)) => {
+            Err(PayloadError::Codec(reason)) => {
                 contents.warnings.push(PersistWarning::Corrupt {
                     path: path.to_path_buf(),
                     offset,
-                    reason: e.to_string(),
+                    reason,
                 });
             }
         }
-        offset += 4 + len;
+        offset += 4 + payload.len();
     }
 }
 
 enum PayloadError {
     Version(u8),
-    Codec(CodecError),
+    Codec(String),
 }
 
-fn decode_payload(mut payload: &[u8]) -> Result<(String, Evaluation), PayloadError> {
-    let version = u8::decode(&mut payload).map_err(PayloadError::Codec)?;
-    if version != FORMAT_VERSION {
-        return Err(PayloadError::Version(version));
+fn decode_payload(payload: &[u8]) -> Result<(String, Evaluation), PayloadError> {
+    match payload.split_first() {
+        Some((&FORMAT_VERSION, json)) => decode_json(json).map_err(PayloadError::Codec),
+        Some((&version, _)) => Err(PayloadError::Version(version)),
+        None => Err(PayloadError::Codec("empty payload".to_string())),
     }
-    let key = String::decode(&mut payload).map_err(PayloadError::Codec)?;
-    let evaluation = Evaluation::decode(&mut payload).map_err(PayloadError::Codec)?;
-    if payload.is_empty() {
-        Ok((key, evaluation))
-    } else {
-        Err(PayloadError::Codec(CodecError::TrailingBytes {
-            remaining: payload.len(),
-        }))
-    }
+}
+
+/// Decodes the JSON text of a current-version payload.
+fn decode_json(json: &[u8]) -> Result<(String, Evaluation), String> {
+    let text = std::str::from_utf8(json).map_err(|e| e.to_string())?;
+    let record = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    let key = record
+        .get("key")
+        .and_then(Value::as_str)
+        .ok_or("record: `key` must be a string")?;
+    let evaluation = record
+        .get("evaluation")
+        .ok_or("record: missing `evaluation`")?;
+    let evaluation = evaluation_from_value(evaluation).map_err(|e| e.to_string())?;
+    Ok((key.to_string(), evaluation))
 }
 
 #[cfg(test)]
@@ -685,11 +716,7 @@ mod tests {
         let mut bytes = (garbage.len() as u32).to_le_bytes().to_vec();
         bytes.extend_from_slice(&garbage);
         let evaluation = sample_evaluation();
-        let mut payload = vec![FORMAT_VERSION];
-        "good".to_string().encode_into(&mut payload);
-        evaluation.encode_into(&mut payload);
-        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+        bytes.extend_from_slice(&encode_record("good", &evaluation));
         std::fs::write(dir.join("seg-07.bin"), &bytes).unwrap();
         let (_, contents) = DiskTier::open(&dir).unwrap();
         assert_eq!(contents.entries.len(), 1);
@@ -824,6 +851,85 @@ mod tests {
             );
             std::fs::remove_dir_all(&dir).unwrap();
         }
+    }
+
+    #[test]
+    fn every_truncation_and_clobbered_byte_of_a_segment_loads_only_original_records() {
+        let dir = temp_dir("mutate");
+        let first = sample_evaluation();
+        let mut second = first.clone();
+        second.strategy = "HS".to_string();
+        second.volume += 1;
+        // Two keys sharing one bucket, so both records land in one segment.
+        let mut keys = (0..)
+            .map(|i| format!("key-{i}"))
+            .filter(|k| bucket_of(k) == 0);
+        let originals = [
+            (keys.next().unwrap(), first),
+            (keys.next().unwrap(), second),
+        ];
+        {
+            let (tier, _) = DiskTier::open(&dir).unwrap();
+            for (key, evaluation) in &originals {
+                tier.append(key, evaluation).unwrap();
+            }
+        }
+        let path = dir.join(bucket_name(0));
+        let segment = std::fs::read(&path).unwrap();
+        let boundary = encode_record(&originals[0].0, &originals[0].1).len();
+        // Byte range each record occupies in the undamaged segment.
+        let spans = [(0, boundary), (boundary, segment.len())];
+
+        let check = |damaged: &[u8], what: &str| {
+            std::fs::write(&path, damaged).unwrap();
+            let (_, contents) = DiskTier::open(&dir).unwrap();
+            let _ = std::fs::remove_file(quarantine_path(&path));
+            for entry in &contents.entries {
+                assert!(
+                    originals.contains(entry),
+                    "{what}: phantom record {entry:?}"
+                );
+            }
+            let warned_before = |end: usize| {
+                contents.warnings.iter().any(|w| match w {
+                    PersistWarning::BadVersion { offset, .. }
+                    | PersistWarning::Corrupt { offset, .. }
+                    | PersistWarning::TruncatedTail { offset, .. } => *offset < end,
+                    PersistWarning::Io { .. } => false,
+                })
+            };
+            for (original, &(_, end)) in originals.iter().zip(&spans) {
+                if !contents.entries.contains(original) {
+                    assert!(
+                        warned_before(end),
+                        "{what}: {} lost without a warning: {:?}",
+                        original.0,
+                        contents.warnings
+                    );
+                }
+            }
+        };
+
+        for cut in 0..segment.len() {
+            let what = format!("truncated to {cut} bytes");
+            if cut == 0 || cut == boundary {
+                // A cut on a record boundary leaves a well-formed shorter
+                // log, indistinguishable from one never appended to: the
+                // records before the cut load and nothing warns.
+                std::fs::write(&path, &segment[..cut]).unwrap();
+                let (_, contents) = DiskTier::open(&dir).unwrap();
+                assert_eq!(contents.entries.len(), usize::from(cut > 0), "{what}");
+                assert!(contents.warnings.is_empty(), "{what}");
+            } else {
+                check(&segment[..cut], &what);
+            }
+        }
+        for offset in 0..segment.len() {
+            let mut damaged = segment.clone();
+            damaged[offset] = 0xff;
+            check(&damaged, &format!("0xff at byte {offset}"));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! Wire codecs for sharded (multi-worker) execution.
+//! JSON codecs for sharded (multi-worker) execution and the persistent
+//! cache tier.
 //!
 //! A cluster coordinator re-encodes slices of a sweep as protocol requests
-//! for its workers and re-hydrates the rows they stream back. Two families
-//! of helpers live here:
+//! for its workers and re-hydrates the rows they stream back, and the
+//! on-disk tier ([`crate::persist`]) stores each [`Evaluation`] in the same
+//! JSON form and reads it back through [`evaluation_from_value`]. Two
+//! families of helpers live here:
 //!
 //! * **Spec-form encoders** — [`sweep_spec_to_value`] and friends render a
 //!   typed spec in exactly the JSON shape the [`spec`](crate::spec) decoders
@@ -15,8 +18,8 @@
 //!   [`evaluation_from_value`], …).
 //!
 //! Both directions are pure data transforms; together they are what makes
-//! sharded output byte-identical to serial, and every encoder is paired with
-//! a round-trip test below.
+//! sharded and disk-served output byte-identical to serial, and every
+//! encoder is paired with a round-trip test below.
 
 use serde::{Serialize, Value};
 

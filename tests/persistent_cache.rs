@@ -138,33 +138,64 @@ fn warm_search_simulates_nothing_and_reports_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn stale_version_segments_are_skipped_without_failing_the_sweep() {
-    let dir = fresh_cache_dir("stale");
-    std::fs::create_dir_all(&dir).unwrap();
-    // A hand-written segment holding one record in an old format: valid
-    // 4-byte length framing, but version byte 0 instead of the current
-    // FORMAT_VERSION. The open must warn, skip it, and carry on.
-    let payload = [0u8, 1, 2, 3];
+/// One framed record as a version-1 build wrote it: the version byte, then
+/// a positional binary `(key, Evaluation)` with varint-prefixed strings,
+/// little-endian `u64` integers and one-byte reuse/barrier flags. Every
+/// cache directory written before the JSON records carries this version.
+fn version_1_record() -> Vec<u8> {
+    let mut payload = vec![1u8];
+    for text in ["k", "Line"] {
+        payload.push(text.len() as u8);
+        payload.extend_from_slice(text.as_bytes());
+    }
+    for factory_field in [4u64, 1] {
+        payload.extend_from_slice(&factory_field.to_le_bytes());
+    }
+    payload.extend_from_slice(&[0, 1]);
+    // latency, area, volume, stalls, conflicts, critical path and volume,
+    // logical qubits.
+    for field in [60u64, 50, 3000, 2, 0, 40, 2000, 30] {
+        payload.extend_from_slice(&field.to_le_bytes());
+    }
     let mut record = (payload.len() as u32).to_le_bytes().to_vec();
     record.extend_from_slice(&payload);
-    std::fs::write(dir.join("seg-00.bin"), &record).unwrap();
+    record
+}
 
-    let spec = duplicate_heavy_spec().with_cache_dir(&dir);
+#[test]
+fn stale_version_segments_are_skipped_without_failing_the_sweep() {
+    // A record with version byte 0 (valid 4-byte length framing, junk
+    // payload) and a genuine version-1 record: neither is the current
+    // FORMAT_VERSION, so the open must warn once, skip it, and carry on.
+    let version_0 = {
+        let payload = [0u8, 1, 2, 3];
+        let mut record = (payload.len() as u32).to_le_bytes().to_vec();
+        record.extend_from_slice(&payload);
+        record
+    };
     let reference = duplicate_heavy_spec().with_eval_cache(false).run().unwrap();
-    let outcome = spec.run_serial_with(&RunControl::default()).unwrap();
-    assert_eq!(outcome.results, reference);
-    assert_eq!(outcome.cache.loaded, 0, "stats: {:?}", outcome.cache);
-    assert_eq!(outcome.cache.misses, 5);
+    for (version, record) in [(0, version_0), (1, version_1_record())] {
+        let dir = fresh_cache_dir(&format!("stale-v{version}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("seg-00.bin"), &record).unwrap();
 
-    // The stale record stays in place (appends never rewrite segments) and
-    // keeps being skipped on the now-warm reopen.
-    let warm = spec.run_serial_with(&RunControl::default()).unwrap();
-    assert_eq!(warm.results, reference);
-    assert_eq!(warm.cache.loaded, 5, "stats: {:?}", warm.cache);
-    assert_eq!(warm.cache.misses, 0);
+        let spec = duplicate_heavy_spec().with_cache_dir(&dir);
+        let outcome = spec.run_serial_with(&RunControl::default()).unwrap();
+        assert_eq!(outcome.results, reference, "version {version}");
+        assert_eq!(outcome.cache.loaded, 0, "v{version}: {:?}", outcome.cache);
+        assert_eq!(outcome.cache.warnings, 1, "v{version}: {:?}", outcome.cache);
+        assert_eq!(outcome.cache.misses, 5, "v{version}: {:?}", outcome.cache);
 
-    let _ = std::fs::remove_dir_all(&dir);
+        // The open quarantined the stale segment, so the warm reopen loads
+        // exactly the re-simulated records and warns no more.
+        let warm = spec.run_serial_with(&RunControl::default()).unwrap();
+        assert_eq!(warm.results, reference, "version {version}");
+        assert_eq!(warm.cache.loaded, 5, "v{version}: {:?}", warm.cache);
+        assert_eq!(warm.cache.warnings, 0, "v{version}: {:?}", warm.cache);
+        assert_eq!(warm.cache.misses, 0, "v{version}: {:?}", warm.cache);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
