@@ -32,7 +32,8 @@
 //!
 //! * `eval` (optional) — `routing` is `"adaptive"` or `"dimension-ordered"`
 //!   ([`RoutingPolicy::name`]); `cycle_limit` and the per-gate `latency`
-//!   model fields default to [`SimConfig::default`].
+//!   model fields default to [`SimConfig::default`]. Each latency must lie
+//!   in 1 to 2^32 cycles.
 //! * `factory` / `factories` — either per-level `k` or total `capacity`
 //!   (which must be an exact `levels`-th power); `levels` defaults to 1,
 //!   `reuse` (`"R"`/`"NR"`, or the long spellings) to `"R"`, `barriers` to
@@ -299,6 +300,13 @@ fn latency_from_json(value: &Value) -> Result<LatencyModel> {
             other => return Err(spec_err(format!("{ctx}: unknown field `{other}`"))),
         };
         let cycles = get_u64(value, key, ctx)?.expect("key iterated from the object");
+        // A zero-cycle gate would hold its cells with no completion event to
+        // release them, deadlocking every braid that needs them.
+        if cycles == 0 {
+            return Err(spec_err(format!(
+                "{ctx}: `{key}` of 0 cycles is invalid: a gate latency must be at least 1 cycle"
+            )));
+        }
         if cycles > MAX_GATE_LATENCY {
             return Err(spec_err(format!(
                 "{ctx}: `{key}` of {cycles} cycles exceeds the maximum of {MAX_GATE_LATENCY}"
@@ -649,6 +657,34 @@ mod tests {
             (
                 r#"{"name": "x", "eval": {"latency": {"cxx_per_target": 9223372036854775807}}}"#,
                 "`cxx_per_target` of 9223372036854775807 cycles exceeds",
+            ),
+            (
+                r#"{"name": "x", "eval": {"latency": {"single_qubit": 0}}}"#,
+                "`single_qubit` of 0 cycles is invalid",
+            ),
+            (
+                r#"{"name": "x", "eval": {"latency": {"t_gate": 0}}}"#,
+                "`t_gate` of 0 cycles is invalid",
+            ),
+            (
+                r#"{"name": "x", "eval": {"latency": {"cnot": 0}}}"#,
+                "`cnot` of 0 cycles is invalid",
+            ),
+            (
+                r#"{"name": "x", "eval": {"latency": {"cxx_per_target": 0}}}"#,
+                "`cxx_per_target` of 0 cycles is invalid",
+            ),
+            (
+                r#"{"name": "x", "eval": {"latency": {"inject": 0}}}"#,
+                "`inject` of 0 cycles is invalid",
+            ),
+            (
+                r#"{"name": "x", "eval": {"latency": {"measure": 0}}}"#,
+                "`measure` of 0 cycles is invalid",
+            ),
+            (
+                r#"{"name": "x", "eval": {"latency": {"init": 0}}}"#,
+                "must be at least 1 cycle",
             ),
         ] {
             let err = SweepSpec::from_json(bad).expect_err("must fail");

@@ -783,6 +783,25 @@ mod tests {
     }
 
     #[test]
+    fn zero_gate_latency_is_a_spec_error() {
+        // A zero-cycle gate once held its cells forever and the evaluation
+        // ran into the cycle limit instead of being refused up front.
+        let err = Request::from_json(
+            r#"{"protocol_version": 1, "id": "z", "kind": "evaluate",
+                "factory": {"capacity": 2}, "strategy": {"strategy": "linear"},
+                "eval": {"routing": "dimension-ordered", "latency": {"single_qubit": 0}}}"#,
+        )
+        .expect_err("a zero gate latency must be rejected");
+        assert_eq!(err.error.code, E_SPEC_PARSE);
+        assert_eq!(err.id.as_deref(), Some("z"), "id still correlates");
+        assert!(
+            err.error.message.contains("must be at least 1 cycle"),
+            "{}",
+            err.error.message
+        );
+    }
+
+    #[test]
     fn cancel_lines_parse_only_in_sessions() {
         let line = SessionLine::from_json(r#"{"protocol_version": 1, "cancel": "job-1"}"#).unwrap();
         assert_eq!(line, SessionLine::Cancel("job-1".to_string()));

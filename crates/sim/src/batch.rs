@@ -4,11 +4,21 @@
 //! A sweep evaluates many points that share the circuit and the mesh
 //! dimensions and differ only in placement, seed or routing policy.
 //! [`BatchEngine`] exploits that: the dependency DAG, the gate-duration
-//! table and the event wheel are built **once per batch**, while every piece
-//! of per-run state — busy grids, sorted ready sets, reserved cell spans,
-//! gate timings — lives in structure-of-arrays arenas laid out as
-//! `[lane * stride + slot]` flat slices. A lane-active mask lets finished or
-//! errored lanes drop out without disturbing the rest.
+//! table, the event wheel and the router's cell pool are built **once per
+//! batch**, while every piece of per-run state — busy grids, sorted ready
+//! sets, cell spans into the shared pool, blocking cells, gate timings —
+//! lives in structure-of-arrays arenas laid out as `[lane * stride + slot]`
+//! flat slices. A lane-active mask lets finished or errored lanes drop out
+//! without disturbing the rest.
+//!
+//! Issue passes skip tries whose outcome is already known. Within one time
+//! step busy cells only accumulate, so a gate that failed one pass fails
+//! every later pass of that step: a repeat pass adds those failures to the
+//! lane's conflict count arithmetically and tries, in ascending id order,
+//! only the gates that zero-duration completions readied during the pass
+//! before. Across time steps a gate whose static span was blocked tests the
+//! busy cell that blocked it first, and fails in O(1) while that cell stays
+//! busy.
 //!
 //! This is the crate's only event loop: [`SimEngine`](crate::SimEngine) runs
 //! every simulation as a one-lane batch. Each lane advances through exactly
@@ -22,13 +32,14 @@
 //! Lane compatibility rules: one circuit for the whole batch, equal mesh
 //! width and height across lanes (placements may differ), at most
 //! [`MAX_LANES`] lanes, and `lanes × gates` small enough to encode events in
-//! 32 bits. Routing policy may vary per lane; latency model and cycle limit
-//! come from the engine's [`SimConfig`].
+//! 32 bits, and a mesh of at most `u32::MAX` cells. Routing policy may vary
+//! per lane; latency model and cycle limit come from the engine's
+//! [`SimConfig`].
 
 use msfu_circuit::{Circuit, DependencyDag, GateId};
 use msfu_layout::Layout;
 
-use crate::engine::{CellSpan, Router};
+use crate::engine::{CellSpan, Router, NO_BLOCKER};
 use crate::events::EventWheel;
 use crate::{GateTiming, Result, RoutingPolicy, SimConfig, SimError, SimResult};
 
@@ -82,14 +93,20 @@ pub struct BatchEngine {
     ready: Vec<u32>,
     /// Live length of each lane's ready segment.
     ready_len: Vec<usize>,
-    /// Snapshot of one lane's ready segment at the top of an issue pass.
+    /// The gates one issue pass tries, ascending: the lane's whole ready
+    /// segment on a step's first pass, then the previous pass's `fresh`.
     candidates: Vec<u32>,
+    /// Gates readied during the issue pass in flight, in readiness order.
+    fresh: Vec<u32>,
     /// Cycle at which each gate became ready, `[lane * n + gate]`.
     ready_time: Vec<u64>,
     /// Busy flags, `[lane * area + cell]`.
     busy: Vec<bool>,
     /// Cached static cell set per gate, `[lane * n + gate]`.
     static_cells: Vec<CellSpan>,
+    /// First busy cell the gate's last failed static-span check hit, or
+    /// `NO_BLOCKER`, `[lane * n + gate]`.
+    blockers: Vec<u32>,
     /// Cells currently reserved by each active gate, `[lane * n + gate]`.
     reserved: Vec<CellSpan>,
     /// Per-gate issue/finish times, `[lane * n + gate]`.
@@ -144,8 +161,9 @@ impl BatchEngine {
     ///
     /// The outer `Result` rejects incompatible batches
     /// ([`SimError::LaneMismatch`]: mismatched grid dimensions, more than
-    /// [`MAX_LANES`] lanes, or an oversized `lanes × gates` product) before
-    /// any lane runs. The inner per-lane results carry exactly what
+    /// [`MAX_LANES`] lanes, an oversized `lanes × gates` product, or a mesh
+    /// of more than `u32::MAX` cells) before any lane runs. The inner
+    /// per-lane results carry exactly what
     /// [`reference::run`](crate::reference::run) returns for that lane — including
     /// per-lane [`SimError::UnmappedQubit`] / [`SimError::EmptyGrid`] /
     /// [`SimError::CycleLimitExceeded`] errors, which never disturb the other
@@ -192,6 +210,11 @@ impl BatchEngine {
             });
         }
         let area = width * height;
+        if area as u64 > u32::MAX as u64 {
+            return Err(SimError::LaneMismatch {
+                reason: format!("a {width}x{height} grid overflows the 32-bit cell index space"),
+            });
+        }
 
         // Lanes resolved without simulation: validation errors and the
         // empty-circuit fast path, mirroring the reference's prologue.
@@ -244,6 +267,8 @@ impl BatchEngine {
             self.ready_time.resize(k * n, 0);
             self.static_cells.clear();
             self.static_cells.resize(k * n, CellSpan::UNCACHED);
+            self.blockers.clear();
+            self.blockers.resize(k * n, NO_BLOCKER);
             self.reserved.clear();
             self.reserved.resize(k * n, CellSpan::EMPTY);
             let zero = GateTiming {
@@ -317,10 +342,8 @@ impl BatchEngine {
                         if idx < base || idx >= base + n {
                             continue;
                         }
-                        let span = self.reserved[idx];
-                        for c in span.start..span.start + span.len {
-                            let cell = self.router.cells()[c as usize];
-                            self.busy[grid + cell.row * width + cell.col] = false;
+                        for &c in self.router.span(self.reserved[idx]) {
+                            self.busy[grid + c as usize] = false;
                         }
                         self.completed[l] += 1;
                         self.max_finish[l] = self.max_finish[l].max(t);
@@ -385,9 +408,11 @@ impl BatchEngine {
         None
     }
 
-    /// Greedy issue passes for one lane at time `now`, identical to the
+    /// Greedy issue passes for one lane at time `now`, equivalent to the
     /// reference's inner loop: start every ready gate whose cells are free,
-    /// repeat until a full pass starts nothing.
+    /// repeat until a full pass starts nothing. A repeat pass counts the
+    /// previous pass's failures without retrying them (busy cells only
+    /// accumulate within a step) and tries only the newly readied gates.
     #[allow(clippy::too_many_arguments)]
     fn issue_passes(
         &mut self,
@@ -402,17 +427,15 @@ impl BatchEngine {
         let mapping = &lane.layout.mapping;
         let hints = &lane.layout.hints;
         let routing = lane.routing.unwrap_or(self.config.routing);
-        let width = mapping.width();
         let gates = circuit.gates();
         let base = l * n;
         let grid = l * area;
+        self.candidates.clear();
+        self.candidates
+            .extend_from_slice(&self.ready[base..base + self.ready_len[l]]);
         loop {
             let mut started_any = false;
-            self.candidates.clear();
-            let len = self.ready_len[l];
-            let ready = std::mem::take(&mut self.ready);
-            self.candidates.extend_from_slice(&ready[base..base + len]);
-            self.ready = ready;
+            self.fresh.clear();
             for i in 0..self.candidates.len() {
                 let g = self.candidates[i] as usize;
                 let gate = &gates[g];
@@ -423,16 +446,15 @@ impl BatchEngine {
                     hints,
                     &self.busy[grid..grid + area],
                     &mut self.static_cells[base + g],
+                    &mut self.blockers[base + g],
                     &mut self.reserved[base + g],
                 );
                 if !acquired {
                     self.conflicts[l] += 1;
                     continue;
                 }
-                let span = self.reserved[base + g];
-                for c in span.start..span.start + span.len {
-                    let cell = self.router.cells()[c as usize];
-                    self.busy[grid + cell.row * width + cell.col] = true;
+                for &c in self.router.span(self.reserved[base + g]) {
+                    self.busy[grid + c as usize] = true;
                 }
                 let duration = self.durations[g];
                 let finish = now + duration;
@@ -461,11 +483,17 @@ impl BatchEngine {
             if !started_any {
                 break;
             }
+            // Every ready gate not readied by this pass failed it, and fails
+            // the next one too: count those tries, then retry only the fresh.
+            self.conflicts[l] += (self.ready_len[l] - self.fresh.len()) as u64;
+            std::mem::swap(&mut self.candidates, &mut self.fresh);
+            self.candidates.sort_unstable();
         }
     }
 
     /// Marks lane `l`'s gate `g` complete at `now`, promoting newly
-    /// unblocked successors into the lane's sorted ready segment.
+    /// unblocked successors into the lane's sorted ready segment and
+    /// recording them in `fresh`.
     fn complete_gate(&mut self, l: usize, g: usize, now: u64, dag: &DependencyDag, n: usize) {
         let base = l * n;
         for succ in dag.successors(GateId::new(g as u32)) {
@@ -481,6 +509,7 @@ impl BatchEngine {
                     .copy_within(base + pos..base + len, base + pos + 1);
                 self.ready[base + pos] = s as u32;
                 self.ready_len[l] = len + 1;
+                self.fresh.push(s as u32);
             }
         }
     }
@@ -677,6 +706,97 @@ mod tests {
                 assert_eq!(warm, cold);
             }
         }
+    }
+
+    /// An 8x3 mesh: q0..q5 on row 0 under CNOT(q0, q5)'s braid, q6 and q9
+    /// in corners no braid crosses, q8 at (0, 6) and q7 at (2, 3), so that
+    /// CNOT(q8, q7)'s L-route runs back along row 0 through q3..q5.
+    fn skip_paths_layout() -> msfu_layout::Layout {
+        let mut m = Mapping::new(10, 8, 3);
+        let cells = (0..6).map(|col| (0, col));
+        for (q, (row, col)) in cells.chain([(2, 0), (2, 3), (0, 6), (2, 7)]).enumerate() {
+            m.place(QubitId::new(q as u32), Coord::new(row, col))
+                .unwrap();
+        }
+        msfu_layout::Layout::new(m)
+    }
+
+    /// Runs `c` as a one-lane batch under both routing policies and asserts
+    /// each result (including `routing_conflicts`) equals the reference's.
+    fn assert_matches_reference(c: &Circuit, layout: &msfu_layout::Layout, latency: LatencyModel) {
+        for routing in [RoutingPolicy::DimensionOrdered, RoutingPolicy::Adaptive] {
+            let config = SimConfig {
+                routing,
+                latency,
+                ..SimConfig::default()
+            };
+            let solo = reference::run(&config, c, layout);
+            let mut batch = BatchEngine::new(config);
+            let got = batch.run(c, &[BatchLane::new(layout)]).unwrap().remove(0);
+            assert_eq!(got, solo, "{routing:?}");
+        }
+    }
+
+    #[test]
+    fn barrier_readied_gates_issue_mid_step_beside_blocked_gates() {
+        // At cycle 0 the barrier completes mid-pass and readies H(q6) and
+        // X(q9), whose cells are free, while CNOT(q1, q4), CNOT(q8, q7) and
+        // CNOT(q2, q3) sit blocked by CNOT(q0, q5) on either side of them in
+        // id order. The repeat passes count the blocked gates' failures
+        // without retrying them; later events retry their blocking cells.
+        let mut b = CircuitBuilder::new("barrier-mid-pass");
+        let q = b.register("q", QubitRole::Data, 10);
+        b.cnot(q[0], q[5]).unwrap();
+        b.cnot(q[1], q[4]).unwrap();
+        b.barrier(vec![q[6], q[9]]).unwrap();
+        b.h(q[6]).unwrap();
+        b.x(q[9]).unwrap();
+        b.cnot(q[8], q[7]).unwrap();
+        b.cnot(q[2], q[3]).unwrap();
+        let c = b.build();
+        let layout = skip_paths_layout();
+        assert_matches_reference(&c, &layout, LatencyModel::default());
+        let fixed = BatchEngine::new(SimConfig::dimension_ordered())
+            .run(&c, &[BatchLane::new(&layout)])
+            .unwrap()
+            .remove(0)
+            .unwrap();
+        assert_eq!((fixed.timings[3].start, fixed.timings[4].start), (0, 0));
+        assert!(fixed.stalled_gates >= 3, "{fixed:?}");
+    }
+
+    #[test]
+    fn zero_latency_gates_leak_their_cells_like_the_reference() {
+        // The spec layer refuses zero latencies, but a library-built model
+        // may carry them. A zero-cycle H or X completes inside its issue
+        // pass, readies its successors at once and never releases its cell.
+        let latency = LatencyModel {
+            single_qubit: 0,
+            ..LatencyModel::default()
+        };
+        let mut b = CircuitBuilder::new("zero-latency");
+        let q = b.register("q", QubitRole::Data, 10);
+        b.cnot(q[0], q[5]).unwrap();
+        b.cnot(q[1], q[4]).unwrap();
+        b.h(q[6]).unwrap();
+        b.barrier(vec![q[6], q[9]]).unwrap();
+        b.x(q[9]).unwrap();
+        b.cnot(q[8], q[7]).unwrap();
+        b.cnot(q[2], q[3]).unwrap();
+        let layout = skip_paths_layout();
+        assert_matches_reference(&b.clone().build(), &layout, latency);
+        // A later gate on q6 needs its leaked cell: both engines deadlock.
+        b.s(q[6]).unwrap();
+        let c = b.build();
+        assert_matches_reference(&c, &layout, latency);
+        let err = BatchEngine::new(SimConfig {
+            latency,
+            ..SimConfig::dimension_ordered()
+        })
+        .run(&c, &[BatchLane::new(&layout)])
+        .unwrap()
+        .remove(0);
+        assert!(matches!(err, Err(SimError::CycleLimitExceeded { .. })));
     }
 
     #[test]

@@ -8,10 +8,15 @@
 //!
 //! The cell-acquisition machinery (static braid-path caching, adaptive
 //! Dijkstra routing, the merge buffers) lives in the [`Router`]: it takes the
-//! busy grid and the per-gate span slots as parameters, so the batch engine
-//! can serve K lockstep lanes from one router. The original allocating
-//! implementation is preserved in [`crate::reference`] and the equivalence
-//! suites assert that both produce byte-identical [`SimResult`]s.
+//! busy grid and the per-gate span and blocker slots as parameters, so the
+//! batch engine can serve K lockstep lanes from one router. Its cell pool
+//! holds grid indices (`row * width + col`, one `u32` per cell), which index
+//! a lane's busy grid directly. A static span that fails its free-cell check
+//! records the first busy cell it hit in the gate's blocker slot; the gate's
+//! next attempt tests that one cell first and, while it is still busy, fails
+//! without rescanning the span. The original allocating implementation is
+//! preserved in [`crate::reference`] and the equivalence suites assert that
+//! both produce byte-identical [`SimResult`]s.
 
 use msfu_circuit::{Circuit, Gate, QubitId};
 use msfu_layout::{Coord, Layout, Mapping, RoutingHints};
@@ -22,6 +27,10 @@ use crate::{Result, RoutingPolicy, SimConfig, SimResult};
 
 /// Sentinel span offset meaning "static cell set not yet computed".
 const UNCACHED: u32 = u32::MAX;
+
+/// Blocker slot value meaning "no failed static-span check recorded". Never
+/// a cell index: a mesh has at most `u32::MAX` cells, indexed from 0.
+pub(crate) const NO_BLOCKER: u32 = u32::MAX;
 
 /// A slice of a [`Router`]'s cell pool: one gate's reserved (or cached)
 /// cells.
@@ -50,16 +59,18 @@ impl CellSpan {
 /// A router owns everything cell acquisition needs that is not per-run
 /// simulation state: the pool backing every [`CellSpan`], the Dijkstra
 /// scratch, the merge buffers and the dedup stamps. The busy grid and the
-/// per-gate span slots are passed in by the caller, so one router can serve
-/// a single run or many lockstep lanes over the same mesh dimensions.
+/// per-gate span and blocker slots are passed in by the caller, so one router
+/// can serve a single run or many lockstep lanes over the same mesh
+/// dimensions.
 #[derive(Debug, Default)]
 pub(crate) struct Router {
-    /// Cell pool backing the static and reserved spans.
-    cells: Vec<Coord>,
+    /// Cell pool backing the static and reserved spans: grid indices
+    /// `row * width + col`.
+    cells: Vec<u32>,
     /// Adaptive-routing workspace.
     dijkstra: DijkstraScratch,
-    /// Cell accumulator for the acquisition attempt in flight.
-    acquire_buf: Vec<Coord>,
+    /// Grid indices gathered by the acquisition attempt in flight.
+    acquire_buf: Vec<u32>,
     /// Single-leg path buffer (adaptive routing).
     leg_buf: Vec<Coord>,
     /// Dedup stamps per mesh cell for merging braid legs.
@@ -76,9 +87,9 @@ impl Router {
         self.mark_epoch = 0;
     }
 
-    /// The cell pool indexed by every [`CellSpan`] this router handed out.
-    pub(crate) fn cells(&self) -> &[Coord] {
-        &self.cells
+    /// The grid indices of a [`CellSpan`] this router handed out.
+    pub(crate) fn span(&self, span: CellSpan) -> &[u32] {
+        &self.cells[span.start as usize..(span.start + span.len) as usize]
     }
 
     /// Attempts to acquire the cells `gate` needs against `busy`. On
@@ -94,22 +105,30 @@ impl Router {
         hints: &RoutingHints,
         busy: &[bool],
         static_cell: &mut CellSpan,
+        blocker: &mut u32,
         reserved: &mut CellSpan,
     ) -> bool {
-        let width = mapping.width();
         // Fast path: a busy-state-independent cell set, computed at the
         // gate's first attempt and re-checked for free cells ever after. This
         // covers every gate under dimension-ordered routing — where blocked
         // braids retry their fixed path at every event — plus single-cell
         // gates and barriers under adaptive routing.
         if let Some(span) = self.static_span(gate, routing, mapping, hints, static_cell) {
-            let free = self.cells[span.start as usize..(span.start + span.len) as usize]
-                .iter()
-                .all(|c| !busy[c.row * width + c.col]);
-            if free {
-                *reserved = span;
+            // The blocker lies in the span, so while it stays busy the full
+            // check would fail too.
+            if *blocker != NO_BLOCKER && busy[*blocker as usize] {
+                return false;
             }
-            return free;
+            return match self.span(span).iter().find(|&&c| busy[c as usize]) {
+                Some(&c) => {
+                    *blocker = c;
+                    false
+                }
+                None => {
+                    *reserved = span;
+                    true
+                }
+            };
         }
         // Adaptive two-qubit braids: route against the live busy state.
         self.acquire_adaptive(gate, mapping, hints, busy, reserved)
@@ -142,7 +161,8 @@ impl Router {
             | Gate::MeasZ(q)
             | Gate::Init(q) => {
                 let start = self.cells.len() as u32;
-                self.cells.push(pos(mapping, *q));
+                self.cells
+                    .push(cell_index(pos(mapping, *q), mapping.width()));
                 CellSpan { start, len: 1 }
             }
             _ if routing == RoutingPolicy::Adaptive => return None,
@@ -163,9 +183,7 @@ impl Router {
                     hints.waypoint(*control, *target),
                     mapping.width(),
                 );
-                let buf = std::mem::take(&mut self.acquire_buf);
-                self.cells.extend_from_slice(&buf);
-                self.acquire_buf = buf;
+                self.cells.extend_from_slice(&self.acquire_buf);
                 CellSpan {
                     start,
                     len: self.cells.len() as u32 - start,
@@ -184,9 +202,7 @@ impl Router {
                         mapping.width(),
                     );
                 }
-                let buf = std::mem::take(&mut self.acquire_buf);
-                self.cells.extend_from_slice(&buf);
-                self.acquire_buf = buf;
+                self.cells.extend_from_slice(&self.acquire_buf);
                 CellSpan {
                     start,
                     len: self.cells.len() as u32 - start,
@@ -244,9 +260,7 @@ impl Router {
             return false;
         }
         let start = self.cells.len() as u32;
-        let buf = std::mem::take(&mut self.acquire_buf);
-        self.cells.extend_from_slice(&buf);
-        self.acquire_buf = buf;
+        self.cells.extend_from_slice(&self.acquire_buf);
         *reserved = CellSpan {
             start,
             len: self.cells.len() as u32 - start,
@@ -322,13 +336,13 @@ impl Router {
         self.acquire_buf.clear();
     }
 
-    /// Appends `c` to the acquisition buffer unless already present this
-    /// epoch (`BraidPath::merge` union semantics).
+    /// Appends `c`'s grid index to the acquisition buffer unless already
+    /// present this epoch (`BraidPath::merge` union semantics).
     fn push_merged(&mut self, c: Coord, width: usize) {
-        let i = c.row * width + c.col;
-        if self.mark[i] != self.mark_epoch {
-            self.mark[i] = self.mark_epoch;
-            self.acquire_buf.push(c);
+        let i = cell_index(c, width);
+        if self.mark[i as usize] != self.mark_epoch {
+            self.mark[i as usize] = self.mark_epoch;
+            self.acquire_buf.push(i);
         }
     }
 
@@ -401,7 +415,8 @@ impl SimEngine {
     /// Simulates `circuit` under the placement and routing hints of `layout`.
     ///
     /// Behaviourally identical to [`crate::reference::run`]; the differences
-    /// are purely mechanical (arena reuse, cached static braid paths, the
+    /// are purely mechanical (arena reuse, cached static braid paths as grid
+    /// indices, blocking-cell retries, fresh-only repeat issue passes, the
     /// bucketed event queue).
     ///
     /// # Errors
@@ -420,6 +435,12 @@ impl SimEngine {
 /// Looks up a validated qubit position.
 pub(crate) fn pos(mapping: &Mapping, q: QubitId) -> Coord {
     mapping.position(q).expect("validated before simulation")
+}
+
+/// The busy-grid index of `c` on a `width`-column mesh. Fits in a `u32`:
+/// [`BatchEngine::run`] refuses meshes of more than `u32::MAX` cells.
+fn cell_index(c: Coord, width: usize) -> u32 {
+    (c.row * width + c.col) as u32
 }
 
 #[cfg(test)]

@@ -22,8 +22,9 @@ pub enum SimError {
     /// The mapping grid is empty.
     EmptyGrid,
     /// A set of lanes handed to [`crate::BatchEngine`] cannot share one
-    /// event wheel (mismatched grid dimensions, too many lanes, or an
-    /// oversized circuit × lane product).
+    /// event wheel (mismatched grid dimensions, too many lanes, an
+    /// oversized circuit × lane product, or a mesh of more cells than a
+    /// 32-bit cell index can name).
     LaneMismatch {
         /// What made the lanes incompatible.
         reason: String,

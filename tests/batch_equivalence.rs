@@ -8,10 +8,10 @@
 //! ONE batch engine is reused for every group, so the suite also proves the
 //! lane arenas carry no state from one batch into the next. Edge cases ride
 //! along: a single-lane batch, a batch where every lane aborts on the cycle
-//! limit, a batch where only one lane aborts, and duplicate sweep points that
-//! share a single lane through the evaluation cache. A final sweep-level test
-//! pins lanes-on/off × serial/parallel row equality under both routing
-//! policies.
+//! limit, a batch where only one lane aborts, duplicate sweep points that
+//! share a single lane through the evaluation cache, and a heavily contended
+//! batch of random placements. A sweep-level test pins lanes-on/off ×
+//! serial/parallel row equality under both routing policies.
 
 use std::collections::BTreeMap;
 
@@ -265,4 +265,36 @@ fn duplicate_points_are_deduped_by_the_eval_cache_not_a_lane() {
         },
         "exactly one point consumed a simulation; three were cache hits"
     );
+}
+
+/// Random placements with 1.5x slack on single-level K=30, the smallest
+/// factory whose six seeded lanes each record at least 1 000 routing
+/// conflicts under dimension-ordered routing: blocked braids retry their
+/// recorded blocking cell thousands of times, and every lane must still
+/// match its solo reference run conflict for conflict.
+#[test]
+fn heavily_contended_random_lanes_match_solo() {
+    let sim = SimConfig::dimension_ordered();
+    let factory = Factory::build(&FactoryConfig::single_level(30)).unwrap();
+    let layouts: Vec<Layout> = (1..=6u64)
+        .map(|seed| {
+            Strategy::random_with_slack(seed, 1.5)
+                .map(&factory)
+                .unwrap()
+        })
+        .collect();
+    let lanes: Vec<BatchLane<'_>> = layouts.iter().map(BatchLane::new).collect();
+    let results = BatchEngine::new(sim)
+        .run(factory.circuit(), &lanes)
+        .unwrap();
+    for (seed, (layout, got)) in (1u64..).zip(layouts.iter().zip(results)) {
+        let got = got.expect("contended lanes complete");
+        let expect = reference::run(&sim, factory.circuit(), layout).unwrap();
+        assert_eq!(got, expect, "seed {seed} lane diverged");
+        assert!(
+            got.routing_conflicts >= 1_000,
+            "seed {seed} lane records only {} routing conflicts",
+            got.routing_conflicts
+        );
+    }
 }
