@@ -11,10 +11,11 @@
 //! `BENCH_*.json` files (matched by file name). Two checks run per report:
 //!
 //! * **Latency/volume** (deterministic): every row's simulated
-//!   `latency_cycles` and `volume` must not exceed the baseline by more than
-//!   `--tolerance` (default 0.10). The sweeps are bit-reproducible, so any
-//!   drift is a real behaviour change; the tolerance only leaves room for
-//!   intentional small refinements.
+//!   `latency_cycles` and `volume` must stay within `--tolerance` (default
+//!   0.10) of the baseline, in either direction. The sweeps are
+//!   bit-reproducible, so any drift — up or down — is a real behaviour
+//!   change; the tolerance only leaves room for intentional small
+//!   refinements, and `--tolerance 0.0` demands identical rows.
 //! * **Wall time** (machine-dependent): only when `--wall-tolerance` is
 //!   given, the report's `perf.wall_seconds` must not exceed the baseline by
 //!   more than that fraction. Baselines under 0.1 s are not gated (timer and
@@ -199,16 +200,18 @@ fn check_same_configs(name: &str, base_rows: &[Value], cur_rows: &[Value]) -> Re
     ))
 }
 
-/// Gates one metric cell: it regresses when it grows past
-/// `base * (1 + tolerance)`. Non-finite values and zero baselines (against
-/// which a relative tolerance is undefined) are explicit errors, never a
-/// silent pass.
+/// Gates one metric cell: it fails when it moves more than
+/// `base * tolerance` away from the baseline — in either direction when
+/// `two_sided` (deterministic row cells, where a drop is as much a
+/// behaviour change as a rise), upwards only otherwise (wall time).
+/// Non-finite values and zero baselines (against which a relative
+/// tolerance is undefined) are explicit errors, never a silent pass.
 fn gate_cell(
     name: &str,
     what: &str,
-    base: f64,
-    cur: f64,
+    (base, cur): (f64, f64),
     tolerance: f64,
+    two_sided: bool,
     regressions: &mut Vec<Regression>,
 ) -> Result<(), String> {
     if !base.is_finite() || !cur.is_finite() {
@@ -225,7 +228,12 @@ fn gate_cell(
              (current {cur}); refresh the baselines"
         ));
     }
-    if cur > base * (1.0 + tolerance) {
+    let drift = if two_sided {
+        (cur - base).abs()
+    } else {
+        cur - base
+    };
+    if drift > base * tolerance {
         regressions.push(Regression {
             report: name.to_string(),
             what: what.to_string(),
@@ -303,9 +311,9 @@ fn compare_report(
             gate_cell(
                 name,
                 &format!("row {i} ({key}) {metric}"),
-                base,
-                cur,
+                (base, cur),
                 args.tolerance,
+                true,
                 regressions,
             )?;
         }
@@ -334,7 +342,14 @@ fn compare_report(
                 );
             }
             (Some(base), Some(cur)) => {
-                gate_cell(name, "perf.wall_seconds", base, cur, wall_tol, regressions)?;
+                gate_cell(
+                    name,
+                    "perf.wall_seconds",
+                    (base, cur),
+                    wall_tol,
+                    false,
+                    regressions,
+                )?;
             }
             (None, _) => {}
         }
@@ -482,12 +497,27 @@ mod tests {
     }
 
     #[test]
-    fn improvements_always_pass() {
+    fn lowered_rows_fail_outside_tolerance_and_pass_inside_it() {
+        // Row cells are deterministic, so a drop is a behaviour change too:
+        // halving every row must fail a zero-tolerance gate.
+        let base = report(&[100, 200], 1.0);
+        let halved = report(&[50, 100], 1.0);
+        let mut regs = Vec::new();
+        compare_report("t", &base, &halved, &args(0.0, None), &mut regs).unwrap();
+        assert_eq!(regs.len(), 4, "latency_cycles and volume of both rows");
+        let lower = report(&[95, 190], 1.0); // -5%
+        let mut regs = Vec::new();
+        compare_report("t", &base, &lower, &args(0.10, None), &mut regs).unwrap();
+        assert!(regs.is_empty());
+    }
+
+    #[test]
+    fn faster_wall_time_passes() {
         let base = report(&[100], 1.0);
-        let fast = report(&[40], 0.2);
+        let fast = report(&[100], 0.2);
         let mut regs = Vec::new();
         compare_report("t", &base, &fast, &args(0.10, Some(0.10)), &mut regs).unwrap();
-        assert!(regs.is_empty());
+        assert!(regs.is_empty(), "wall time is gated one-sided");
     }
 
     #[test]

@@ -64,6 +64,14 @@ impl Value {
         }
     }
 
+    /// The boolean when `self` is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
     /// The number as `u64` when `self` is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {

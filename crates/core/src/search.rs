@@ -47,7 +47,10 @@ use msfu_layout::{
 
 use crate::cache::{open_eval_cache, CacheStats};
 use crate::progress::{ProgressEvent, RunControl};
-use crate::spec::{eval_from_json, factory_from_json, params_from_json, strategy_from_json};
+use crate::spec::{
+    eval_from_json, factory_from_json, fields, params_from_json, spec_err, strategy_from_json,
+    Fields,
+};
 use crate::sweep::{FactoryEntry, SweepPoint, SweepResults, SweepRow, SweepSpec};
 use crate::{CoreError, Evaluation, EvaluationConfig, Result, Strategy};
 
@@ -599,118 +602,54 @@ impl SearchSpec {
     ///
     /// As [`SearchSpec::from_json`].
     pub fn from_value(root: &Value) -> Result<Self> {
-        let fail = |reason: String| CoreError::Spec { reason };
-        let str_field = |key: &str| match root.get(key) {
-            Some(Value::Str(s)) => Ok(Some(s.clone())),
-            Some(_) => Err(fail(format!("search: `{key}` must be a string"))),
-            None => Ok(None),
-        };
-        let u64_field = |key: &str| match root.get(key) {
-            Some(v) => v
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| fail(format!("search: `{key}` must be a non-negative integer"))),
-            None => Ok(None),
-        };
-        let name = str_field("name")?.ok_or_else(|| fail("search: missing `name`".to_string()))?;
-        let eval = match root.get("eval") {
+        let mut f = fields(root, "search")?;
+        let name = f.str("name")?;
+        let eval = match f.opt_value("eval") {
             Some(v) => eval_from_json(v)?,
             None => EvaluationConfig::default(),
         };
-        let factory = root
-            .get("factory")
-            .ok_or_else(|| fail("search: missing `factory`".to_string()))
-            .and_then(factory_from_json)?;
+        let factory = factory_from_json(f.value("factory")?)?;
         let mut spec = SearchSpec::new(name, eval, factory);
-        if let Some(objective) = str_field("objective")? {
-            spec.objective = Objective::from_name(&objective).ok_or_else(|| {
-                fail(format!(
-                    "search: unknown objective `{objective}` (expected latency or volume)"
+        if let Some(objective) = f.opt_str("objective")? {
+            spec.objective = Objective::from_name(objective).ok_or_else(|| {
+                f.error(format_args!(
+                    "unknown objective `{objective}` (expected latency or volume)"
                 ))
             })?;
         }
-        if let Some(budget) = u64_field("budget")? {
+        if let Some(budget) = f.opt_u64("budget")? {
             spec.budget = budget as usize;
         }
-        if let Some(batch) = u64_field("batch_size")? {
+        if let Some(batch) = f.opt_u64("batch_size")? {
             spec.batch_size = batch as usize;
         }
-        if let Some(patience) = u64_field("patience")? {
+        if let Some(patience) = f.opt_u64("patience")? {
             spec.patience = patience as usize;
         }
-        spec.target = u64_field("target")?;
-        if let Some(seed) = u64_field("seed")? {
+        spec.target = f.opt_u64("target")?;
+        if let Some(seed) = f.opt_u64("seed")? {
             spec.seed = seed;
         }
-        match root.get("cache") {
-            None => {}
-            Some(Value::Bool(b)) => spec.use_eval_cache = *b,
-            Some(_) => return Err(fail("search: `cache` must be a boolean".to_string())),
+        if let Some(cache) = f.opt_bool("cache")? {
+            spec.use_eval_cache = cache;
         }
-        match root.get("cache_dir") {
-            None => {}
-            Some(Value::Str(dir)) => spec.cache_dir = Some(std::path::PathBuf::from(dir)),
-            Some(_) => return Err(fail("search: `cache_dir` must be a string".to_string())),
-        }
-        if let Value::Object(entries) = root {
-            for (key, _) in entries {
-                if !matches!(
-                    key.as_str(),
-                    "name"
-                        | "eval"
-                        | "factory"
-                        | "objective"
-                        | "budget"
-                        | "batch_size"
-                        | "patience"
-                        | "target"
-                        | "seed"
-                        | "cache"
-                        | "cache_dir"
-                        | "portfolio"
-                ) {
-                    return Err(fail(format!("search: unknown field `{key}`")));
-                }
+        spec.cache_dir = f.opt_str("cache_dir")?.map(std::path::PathBuf::from);
+        for (i, entry) in f.array("portfolio")?.iter().enumerate() {
+            let mut e = Fields::item(entry, "portfolio", i, spec_err)?;
+            let template = strategy_from_json(e.value("strategy")?)?;
+            let label = match e.opt_str("label")? {
+                Some(label) => label,
+                None => template.short_name(),
             }
-        }
-        let portfolio = root
-            .get("portfolio")
-            .and_then(Value::as_array)
-            .ok_or_else(|| fail("search: missing `portfolio` array".to_string()))?;
-        for (i, entry) in portfolio.iter().enumerate() {
-            let ctx = format!("portfolio[{i}]");
-            if let Value::Object(fields) = entry {
-                for (key, _) in fields {
-                    if !matches!(key.as_str(), "label" | "strategy" | "ladder" | "seeded") {
-                        return Err(fail(format!("{ctx}: unknown field `{key}`")));
-                    }
-                }
-            } else {
-                return Err(fail(format!("{ctx}: expected an object")));
-            }
-            let template = entry
-                .get("strategy")
-                .ok_or_else(|| fail(format!("{ctx}: missing `strategy`")))
-                .and_then(strategy_from_json)?;
-            let label = match entry.get("label") {
-                Some(Value::Str(s)) => s.clone(),
-                Some(_) => return Err(fail(format!("{ctx}: `label` must be a string"))),
-                None => template.short_name().to_string(),
-            };
-            let ladder = match entry.get("ladder") {
-                None => Vec::new(),
-                Some(v) => v
-                    .as_array()
-                    .ok_or_else(|| fail(format!("{ctx}: `ladder` must be an array")))?
-                    .iter()
-                    .map(params_from_json)
-                    .collect::<Result<_>>()?,
-            };
-            let seeded = match entry.get("seeded") {
-                None => true,
-                Some(Value::Bool(b)) => *b,
-                Some(_) => return Err(fail(format!("{ctx}: `seeded` must be a boolean"))),
-            };
+            .to_string();
+            let ladder = e
+                .opt_array("ladder")?
+                .unwrap_or_default()
+                .iter()
+                .map(params_from_json)
+                .collect::<Result<_>>()?;
+            let seeded = e.opt_bool("seeded")?.unwrap_or(true);
+            e.finish()?;
             spec.portfolio.push(PortfolioEntry {
                 label,
                 template,
@@ -718,6 +657,7 @@ impl SearchSpec {
                 seeded,
             });
         }
+        f.finish()?;
         Ok(spec)
     }
 }

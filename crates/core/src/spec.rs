@@ -52,10 +52,21 @@
 //!   simulation phase; `0` or `1` disables batching, so every point
 //!   simulates solo. Results are byte-identical at any width.
 //!
+//! Two rules hold for every object of the document, as for every JSON
+//! decoder in the workspace (all read through [`Fields`]):
+//!
+//! * a field set to `null` reads as absent — `"cache_dir": null` is the
+//!   same spec as no `cache_dir` at all;
+//! * a repeated field is an error (``duplicate field `x` ``), as is any field
+//!   the decoder does not read (``unknown field `x` ``).
+//!
 //! Points are appended in document order: the `points` array first, then
 //! every grid (factories × strategies × seeds), at most 100 000 in all. A
 //! spec decoded from JSON is structurally equal ([`PartialEq`]) to the same
 //! spec built in Rust, and running it produces byte-identical results.
+
+use std::fmt;
+use std::result::Result as StdResult;
 
 use msfu_circuit::LatencyModel;
 use msfu_distill::{FactoryConfig, ReusePolicy};
@@ -71,51 +82,269 @@ use crate::{CoreError, EvaluationConfig, Result, Strategy, SweepSpec};
 /// is allocated.
 const MAX_SWEEP_POINTS: usize = 100_000;
 
-fn spec_err(reason: impl Into<String>) -> CoreError {
-    CoreError::Spec {
-        reason: reason.into(),
+pub(crate) fn spec_err(reason: String) -> CoreError {
+    CoreError::Spec { reason }
+}
+
+/// A [`Fields`] reader answering [`CoreError::Spec`].
+pub(crate) fn fields<'a>(value: &'a Value, ctx: &'a str) -> Result<Fields<'a, CoreError>> {
+    Fields::new(value, ctx, spec_err)
+}
+
+/// Most fields one JSON object may carry — several times the widest object
+/// any decoder reads, and the width of the reader's taken-field mask.
+const MAX_FIELDS: usize = 64;
+
+/// A strict reader over the fields of one JSON object: the one set of
+/// decoding rules behind every JSON decoder in the workspace (sweep, search
+/// and stream specs, service requests, fault plans and the wire records of
+/// sharded runs).
+///
+/// **Take/finish contract.** Each getter *takes* the field it names;
+/// [`Fields::finish`] then rejects the first field no getter took. A field
+/// is known because it was read, so a decoder's known fields are exactly
+/// the fields it reads and no separate list of them exists.
+/// [`Fields::rest`] hands the untaken fields to decoders whose remaining
+/// fields are open-ended (a strategy's mapper parameters).
+///
+/// Two rules hold for every decoder:
+///
+/// * a field set to `null` reads as absent — an optional field takes its
+///   default, a required one is missing;
+/// * a repeated field is an error (`duplicate field`), reported when the
+///   reader is made, whether or not a getter would read it.
+///
+/// Every error is the decoder's own type, built by the `err` function the
+/// reader was made with from a message naming the context and the field:
+/// ``{ctx}: `{key}` must be a string``, ``{ctx}: missing `{key}` ``,
+/// ``{ctx}: unknown field `{key}` ``. The context is formatted only when an
+/// error is reported; a reader allocates nothing itself.
+///
+/// # Example
+///
+/// ```
+/// use msfu_core::spec::Fields;
+///
+/// let doc = serde_json::from_str(r#"{"name": "x", "lanes": null, "bogus": 1}"#).unwrap();
+/// let mut f = Fields::new(&doc, "demo", |message| message).unwrap();
+/// assert_eq!(f.str("name"), Ok("x"));
+/// assert_eq!(f.opt_u64("lanes"), Ok(None));
+/// assert_eq!(f.finish(), Err("demo: unknown field `bogus`".to_string()));
+/// ```
+pub struct Fields<'a, E> {
+    entries: &'a [(String, Value)],
+    ctx: &'a str,
+    index: Option<usize>,
+    /// Bit `i` is set once entry `i` has been taken.
+    taken: u64,
+    err: fn(String) -> E,
+}
+
+impl<'a, E> Fields<'a, E> {
+    /// Starts reading `value`, which must be a JSON object, on behalf of the
+    /// decoder of `ctx`.
+    ///
+    /// # Errors
+    ///
+    /// When `value` is not an object, has more than 64 fields or repeats a
+    /// field.
+    pub fn new(value: &'a Value, ctx: &'a str, err: fn(String) -> E) -> StdResult<Self, E> {
+        Self::open(value, ctx, None, err)
     }
-}
 
-/// The entries of `value` when it is a JSON object.
-fn as_object<'a>(value: &'a Value, ctx: &str) -> Result<&'a [(String, Value)]> {
-    match value {
-        Value::Object(entries) => Ok(entries),
-        _ => Err(spec_err(format!("{ctx}: expected an object"))),
+    /// As [`Fields::new`] for element `index` of the array `ctx`; errors
+    /// name the context `ctx[index]`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Fields::new`].
+    pub fn item(
+        value: &'a Value,
+        ctx: &'a str,
+        index: usize,
+        err: fn(String) -> E,
+    ) -> StdResult<Self, E> {
+        Self::open(value, ctx, Some(index), err)
     }
-}
 
-/// The elements of `value` when it is a JSON array.
-fn as_array<'a>(value: &'a Value, ctx: &str) -> Result<&'a [Value]> {
-    value
-        .as_array()
-        .map(Vec::as_slice)
-        .ok_or_else(|| spec_err(format!("{ctx}: expected an array")))
-}
-
-fn get_str(value: &Value, key: &str, ctx: &str) -> Result<Option<String>> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s.clone())),
-        Some(_) => Err(spec_err(format!("{ctx}: `{key}` must be a string"))),
+    fn open(
+        value: &'a Value,
+        ctx: &'a str,
+        index: Option<usize>,
+        err: fn(String) -> E,
+    ) -> StdResult<Self, E> {
+        let mut fields = Fields {
+            entries: &[],
+            ctx,
+            index,
+            taken: 0,
+            err,
+        };
+        let Value::Object(entries) = value else {
+            return Err(fields.error("must be a JSON object"));
+        };
+        if entries.len() > MAX_FIELDS {
+            return Err(fields.error(format_args!("more than {MAX_FIELDS} fields")));
+        }
+        for (i, (key, _)) in entries.iter().enumerate() {
+            if entries[..i].iter().any(|(seen, _)| seen == key) {
+                return Err(fields.error(format_args!("duplicate field `{key}`")));
+            }
+        }
+        fields.entries = entries;
+        Ok(fields)
     }
-}
 
-fn get_u64(value: &Value, key: &str, ctx: &str) -> Result<Option<u64>> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| spec_err(format!("{ctx}: `{key}` must be a non-negative integer"))),
+    /// The decoder's error for `message`, prefixed with the reader's
+    /// context.
+    pub fn error(&self, message: impl fmt::Display) -> E {
+        (self.err)(match self.index {
+            Some(i) => format!("{}[{i}]: {message}", self.ctx),
+            None => format!("{}: {message}", self.ctx),
+        })
     }
-}
 
-fn get_bool(value: &Value, key: &str, ctx: &str) -> Result<Option<bool>> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(Value::Bool(b)) => Ok(Some(*b)),
-        Some(_) => Err(spec_err(format!("{ctx}: `{key}` must be a boolean"))),
+    /// Takes `key`, reading `null` as absent.
+    fn take(&mut self, key: &str) -> Option<&'a Value> {
+        let i = self.entries.iter().position(|(k, _)| k == key)?;
+        self.taken |= 1 << i;
+        Some(&self.entries[i].1).filter(|v| !matches!(v, Value::Null))
+    }
+
+    fn read<T>(
+        &mut self,
+        key: &str,
+        want: &str,
+        cast: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> StdResult<Option<T>, E> {
+        match self.take(key) {
+            None => Ok(None),
+            Some(v) => match cast(v) {
+                Some(t) => Ok(Some(t)),
+                None => Err(self.error(format_args!("`{key}` must be {want}"))),
+            },
+        }
+    }
+
+    fn need<T>(
+        &mut self,
+        key: &str,
+        want: &str,
+        cast: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> StdResult<T, E> {
+        match self.read(key, want, cast)? {
+            Some(t) => Ok(t),
+            None => Err(self.error(format_args!("missing `{key}`"))),
+        }
+    }
+
+    /// An optional string field.
+    ///
+    /// # Errors
+    ///
+    /// When the field is present and not a string.
+    pub fn opt_str(&mut self, key: &str) -> StdResult<Option<&'a str>, E> {
+        self.read(key, "a string", Value::as_str)
+    }
+
+    /// A required string field.
+    ///
+    /// # Errors
+    ///
+    /// When the field is missing or not a string.
+    pub fn str(&mut self, key: &str) -> StdResult<&'a str, E> {
+        self.need(key, "a string", Value::as_str)
+    }
+
+    /// An optional non-negative integer field.
+    ///
+    /// # Errors
+    ///
+    /// When the field is present and not a non-negative integer.
+    pub fn opt_u64(&mut self, key: &str) -> StdResult<Option<u64>, E> {
+        self.read(key, "a non-negative integer", Value::as_u64)
+    }
+
+    /// A required non-negative integer field.
+    ///
+    /// # Errors
+    ///
+    /// When the field is missing or not a non-negative integer.
+    pub fn u64(&mut self, key: &str) -> StdResult<u64, E> {
+        self.need(key, "a non-negative integer", Value::as_u64)
+    }
+
+    /// A required number field (integers are widened).
+    ///
+    /// # Errors
+    ///
+    /// When the field is missing or not a number.
+    pub fn f64(&mut self, key: &str) -> StdResult<f64, E> {
+        self.need(key, "a number", Value::as_f64)
+    }
+
+    /// An optional boolean field.
+    ///
+    /// # Errors
+    ///
+    /// When the field is present and not a boolean.
+    pub fn opt_bool(&mut self, key: &str) -> StdResult<Option<bool>, E> {
+        self.read(key, "a boolean", Value::as_bool)
+    }
+
+    /// An optional array field.
+    ///
+    /// # Errors
+    ///
+    /// When the field is present and not an array.
+    pub fn opt_array(&mut self, key: &str) -> StdResult<Option<&'a [Value]>, E> {
+        self.read(key, "an array", |v| v.as_array().map(Vec::as_slice))
+    }
+
+    /// A required array field.
+    ///
+    /// # Errors
+    ///
+    /// When the field is missing or not an array.
+    pub fn array(&mut self, key: &str) -> StdResult<&'a [Value], E> {
+        self.need(key, "an array", |v| v.as_array().map(Vec::as_slice))
+    }
+
+    /// An optional field of any type, for a nested decoder to read.
+    pub fn opt_value(&mut self, key: &str) -> Option<&'a Value> {
+        self.take(key)
+    }
+
+    /// A required field of any type, for a nested decoder to read.
+    ///
+    /// # Errors
+    ///
+    /// When the field is missing.
+    pub fn value(&mut self, key: &str) -> StdResult<&'a Value, E> {
+        self.need(key, "present", Some)
+    }
+
+    /// The fields no getter took, in document order (`null`s skipped as
+    /// absent). A decoder that reads its remaining fields this way needs no
+    /// [`Fields::finish`].
+    pub fn rest(&self) -> impl Iterator<Item = (&'a str, &'a Value)> + '_ {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter(|&(i, (_, v))| self.taken & (1 << i) == 0 && !matches!(v, Value::Null))
+            .map(|(_, (k, v))| (k.as_str(), v))
+    }
+
+    /// Ends the read.
+    ///
+    /// # Errors
+    ///
+    /// ``unknown field `{key}` `` for the first field no getter took.
+    pub fn finish(self) -> StdResult<(), E> {
+        match (0..self.entries.len()).find(|&i| self.taken & (1 << i) == 0) {
+            None => Ok(()),
+            Some(i) => Err(self.error(format_args!("unknown field `{}`", self.entries[i].0))),
+        }
     }
 }
 
@@ -127,61 +356,56 @@ fn get_bool(value: &Value, key: &str, ctx: &str) -> Result<Option<bool>> {
 /// Returns [`CoreError::Spec`] for missing/contradictory capacity fields and
 /// propagates [`FactoryConfig::from_total_capacity`] errors.
 pub fn factory_from_json(value: &Value) -> Result<FactoryConfig> {
-    let ctx = "factory";
-    as_object(value, ctx)?;
-    let levels = get_u64(value, "levels", ctx)?.unwrap_or(1) as usize;
-    let k = get_u64(value, "k", ctx)?;
-    let capacity = get_u64(value, "capacity", ctx)?;
-    let mut config = match (k, capacity) {
+    let mut f = fields(value, "factory")?;
+    let levels = f.opt_u64("levels")?.unwrap_or(1) as usize;
+    let mut config = match (f.opt_u64("k")?, f.opt_u64("capacity")?) {
         (Some(k), None) => FactoryConfig::new(k as usize, levels),
         (None, Some(capacity)) => FactoryConfig::from_total_capacity(capacity as usize, levels)?,
         (Some(_), Some(_)) => {
-            return Err(spec_err(format!(
-                "{ctx}: give either `k` (per level) or `capacity` (total), not both"
-            )))
+            return Err(f.error("give either `k` (per level) or `capacity` (total), not both"))
         }
-        (None, None) => return Err(spec_err(format!("{ctx}: missing `k` or `capacity`"))),
+        (None, None) => return Err(f.error("missing `k` or `capacity`")),
     };
-    if let Some(reuse) = get_str(value, "reuse", ctx)? {
-        config.reuse = match reuse.as_str() {
+    if let Some(reuse) = f.opt_str("reuse")? {
+        config.reuse = match reuse {
             "R" | "Reuse" | "reuse" => ReusePolicy::Reuse,
             "NR" | "NoReuse" | "no-reuse" => ReusePolicy::NoReuse,
             other => {
-                return Err(spec_err(format!(
-                    "{ctx}: unknown reuse policy `{other}` (expected R or NR)"
+                return Err(f.error(format_args!(
+                    "unknown reuse policy `{other}` (expected R or NR)"
                 )))
             }
         };
     }
-    if let Some(barriers) = get_bool(value, "barriers", ctx)? {
+    if let Some(barriers) = f.opt_bool("barriers")? {
         config.barriers = barriers;
     }
-    for (key, _) in as_object(value, ctx)? {
-        if !matches!(
-            key.as_str(),
-            "k" | "capacity" | "levels" | "reuse" | "barriers"
-        ) {
-            return Err(spec_err(format!("{ctx}: unknown field `{key}`")));
-        }
-    }
+    f.finish()?;
     Ok(config)
 }
 
-/// Converts one JSON value into a typed mapper parameter. Non-negative
-/// integers become `U64` (seeds, counts), everything else numeric becomes
-/// `F64`.
-fn param_value_from_json(field: &str, value: &Value, ctx: &str) -> Result<ParamValue> {
-    match value {
-        Value::UInt(u) => Ok(ParamValue::U64(*u)),
-        Value::Int(i) if *i >= 0 => Ok(ParamValue::U64(*i as u64)),
-        Value::Int(i) => Ok(ParamValue::F64(*i as f64)),
-        Value::Float(f) => Ok(ParamValue::F64(*f)),
-        Value::Bool(b) => Ok(ParamValue::Bool(*b)),
-        Value::Str(s) => Ok(ParamValue::Str(s.clone())),
-        _ => Err(spec_err(format!(
-            "{ctx}: parameter `{field}` must be a number, boolean or string"
-        ))),
+/// Converts the untaken fields of a strategy or ladder object into a typed
+/// mapper-parameter bag. Non-negative integers become `U64` (seeds,
+/// counts), everything else numeric becomes `F64`.
+fn params_from_rest(f: &Fields<'_, CoreError>) -> Result<MapperParams> {
+    let mut params = MapperParams::new();
+    for (field, value) in f.rest() {
+        let value = match value {
+            Value::UInt(u) => ParamValue::U64(*u),
+            Value::Int(i) if *i >= 0 => ParamValue::U64(*i as u64),
+            Value::Int(i) => ParamValue::F64(*i as f64),
+            Value::Float(x) => ParamValue::F64(*x),
+            Value::Bool(b) => ParamValue::Bool(*b),
+            Value::Str(s) => ParamValue::Str(s.clone()),
+            _ => {
+                return Err(f.error(format_args!(
+                    "parameter `{field}` must be a number, boolean or string"
+                )))
+            }
+        };
+        params.set(field, value);
     }
+    Ok(params)
 }
 
 /// Decodes a JSON object into a [`MapperParams`] bag (every field becomes a
@@ -191,12 +415,7 @@ fn param_value_from_json(field: &str, value: &Value, ctx: &str) -> Result<ParamV
 ///
 /// Returns [`CoreError::Spec`] when the value is not an object of scalars.
 pub fn params_from_json(value: &Value) -> Result<MapperParams> {
-    let ctx = "params";
-    let mut params = MapperParams::new();
-    for (field, v) in as_object(value, ctx)? {
-        params.set(field.clone(), param_value_from_json(field, v, ctx)?);
-    }
-    Ok(params)
+    params_from_rest(&fields(value, "params")?)
 }
 
 /// The Table I labels the line-up keys default to, mirroring the
@@ -227,21 +446,14 @@ fn default_label(key: &str, params: &MapperParams) -> Option<&'static str> {
 /// only surfaces when the strategy is checked or built, so decoding stays
 /// purely structural.)
 pub fn strategy_from_json(value: &Value) -> Result<Strategy> {
-    let ctx = "strategy";
-    let entries = as_object(value, ctx)?;
-    let key = get_str(value, "strategy", ctx)?
-        .ok_or_else(|| spec_err(format!("{ctx}: missing `strategy` (the registry key)")))?;
-    let label = get_str(value, "label", ctx)?;
-    let mut params = MapperParams::new();
-    for (field, v) in entries {
-        if field == "strategy" || field == "label" {
-            continue;
-        }
-        params.set(field.clone(), param_value_from_json(field, v, ctx)?);
-    }
+    let mut f = fields(value, "strategy")?;
+    let key = f.str("strategy")?;
+    let label = f.opt_str("label")?;
+    let params = params_from_rest(&f)?;
     let label = label
-        .or_else(|| default_label(&key, &params).map(str::to_string))
-        .unwrap_or_else(|| key.clone());
+        .or_else(|| default_label(key, &params))
+        .unwrap_or(key)
+        .to_string();
     Ok(Strategy::new(key, params).with_label(label))
 }
 
@@ -252,31 +464,26 @@ pub fn strategy_from_json(value: &Value) -> Result<Strategy> {
 ///
 /// Returns [`CoreError::Spec`] on unknown routing policies or fields.
 pub fn eval_from_json(value: &Value) -> Result<EvaluationConfig> {
-    let ctx = "eval";
+    let mut f = fields(value, "eval")?;
     let mut sim = SimConfig::default();
-    if let Some(routing) = get_str(value, "routing", ctx)? {
-        sim.routing = match routing.as_str() {
+    if let Some(routing) = f.opt_str("routing")? {
+        sim.routing = match routing {
             "adaptive" => RoutingPolicy::Adaptive,
             "dimension-ordered" => RoutingPolicy::DimensionOrdered,
             other => {
-                return Err(spec_err(format!(
-                    "{ctx}: unknown routing policy `{other}` (expected adaptive or \
-                     dimension-ordered)"
+                return Err(f.error(format_args!(
+                    "unknown routing policy `{other}` (expected adaptive or dimension-ordered)"
                 )))
             }
         };
     }
-    if let Some(limit) = get_u64(value, "cycle_limit", ctx)? {
+    if let Some(limit) = f.opt_u64("cycle_limit")? {
         sim.cycle_limit = limit;
     }
-    if let Some(latency) = value.get("latency") {
+    if let Some(latency) = f.opt_value("latency") {
         sim.latency = latency_from_json(latency)?;
     }
-    for (key, _) in as_object(value, ctx)? {
-        if !matches!(key.as_str(), "routing" | "cycle_limit" | "latency") {
-            return Err(spec_err(format!("{ctx}: unknown field `{key}`")));
-        }
-    }
+    f.finish()?;
     Ok(EvaluationConfig::default().with_sim(sim))
 }
 
@@ -286,35 +493,58 @@ pub fn eval_from_json(value: &Value) -> Result<EvaluationConfig> {
 const MAX_GATE_LATENCY: u64 = 1 << 32;
 
 fn latency_from_json(value: &Value) -> Result<LatencyModel> {
-    let ctx = "eval.latency";
+    let mut f = fields(value, "eval.latency")?;
     let mut model = LatencyModel::default();
-    for (key, _) in as_object(value, ctx)? {
-        let field = match key.as_str() {
-            "single_qubit" => &mut model.single_qubit,
-            "t_gate" => &mut model.t_gate,
-            "cnot" => &mut model.cnot,
-            "cxx_per_target" => &mut model.cxx_per_target,
-            "inject" => &mut model.inject,
-            "measure" => &mut model.measure,
-            "init" => &mut model.init,
-            other => return Err(spec_err(format!("{ctx}: unknown field `{other}`"))),
+    for (key, slot) in [
+        ("single_qubit", &mut model.single_qubit),
+        ("t_gate", &mut model.t_gate),
+        ("cnot", &mut model.cnot),
+        ("cxx_per_target", &mut model.cxx_per_target),
+        ("inject", &mut model.inject),
+        ("measure", &mut model.measure),
+        ("init", &mut model.init),
+    ] {
+        let Some(cycles) = f.opt_u64(key)? else {
+            continue;
         };
-        let cycles = get_u64(value, key, ctx)?.expect("key iterated from the object");
         // A zero-cycle gate would hold its cells with no completion event to
         // release them, deadlocking every braid that needs them.
         if cycles == 0 {
-            return Err(spec_err(format!(
-                "{ctx}: `{key}` of 0 cycles is invalid: a gate latency must be at least 1 cycle"
+            return Err(f.error(format_args!(
+                "`{key}` of 0 cycles is invalid: a gate latency must be at least 1 cycle"
             )));
         }
         if cycles > MAX_GATE_LATENCY {
-            return Err(spec_err(format!(
-                "{ctx}: `{key}` of {cycles} cycles exceeds the maximum of {MAX_GATE_LATENCY}"
+            return Err(f.error(format_args!(
+                "`{key}` of {cycles} cycles exceeds the maximum of {MAX_GATE_LATENCY}"
             )));
         }
-        *field = cycles;
+        *slot = cycles;
     }
+    f.finish()?;
     Ok(model)
+}
+
+/// The `seeds` of grid `i`: non-negative integers, none repeated (a repeated
+/// seed would silently duplicate every row of the grid).
+fn grid_seeds(i: usize, seeds: &[Value]) -> Result<Vec<u64>> {
+    let seeds: Vec<u64> = seeds
+        .iter()
+        .map(|s| {
+            s.as_u64().ok_or_else(|| {
+                spec_err(format!("grids[{i}].seeds: expected non-negative integers"))
+            })
+        })
+        .collect::<Result<_>>()?;
+    let mut sorted = seeds.clone();
+    sorted.sort_unstable();
+    if let Some(dup) = sorted.windows(2).find(|w| w[0] == w[1]) {
+        return Err(spec_err(format!(
+            "grids[{i}].seeds: duplicate seed {}",
+            dup[0]
+        )));
+    }
+    Ok(seeds)
 }
 
 impl SweepSpec {
@@ -339,131 +569,86 @@ impl SweepSpec {
     ///
     /// As [`SweepSpec::from_json`].
     pub fn from_value(root: &Value) -> Result<Self> {
-        let ctx = "sweep";
-        let name = get_str(root, "name", ctx)?
-            .ok_or_else(|| spec_err(format!("{ctx}: missing `name`")))?;
-        let eval = match root.get("eval") {
+        let mut f = fields(root, "sweep")?;
+        let name = f.str("name")?;
+        let eval = match f.opt_value("eval") {
             Some(v) => eval_from_json(v)?,
             None => EvaluationConfig::default(),
         };
         let mut spec = SweepSpec::new(name, eval);
-        if get_bool(root, "collect_breakdowns", ctx)?.unwrap_or(false) {
+        if f.opt_bool("collect_breakdowns")?.unwrap_or(false) {
             spec = spec.with_breakdowns();
         }
-        if get_bool(root, "collect_mapping_metrics", ctx)?.unwrap_or(false) {
+        if f.opt_bool("collect_mapping_metrics")?.unwrap_or(false) {
             spec = spec.with_mapping_metrics();
         }
-        if let Some(cache) = get_bool(root, "cache", ctx)? {
+        if let Some(cache) = f.opt_bool("cache")? {
             spec = spec.with_eval_cache(cache);
         }
-        if let Some(lanes) = get_u64(root, "lanes", ctx)? {
+        if let Some(lanes) = f.opt_u64("lanes")? {
             spec = spec.with_lanes(lanes as usize);
         }
-        if let Some(dir) = get_str(root, "cache_dir", ctx)? {
+        if let Some(dir) = f.opt_str("cache_dir")? {
             spec = spec.with_cache_dir(dir);
         }
-        if let Some(points) = root.get("points") {
-            for (i, point) in as_array(points, "points")?.iter().enumerate() {
-                let ctx = format!("points[{i}]");
-                let label = get_str(point, "label", &ctx)?
-                    .ok_or_else(|| spec_err(format!("{ctx}: missing `label`")))?;
-                let factory = point
-                    .get("factory")
-                    .ok_or_else(|| spec_err(format!("{ctx}: missing `factory`")))
-                    .and_then(factory_from_json)?;
-                let strategy = point
-                    .get("strategy")
-                    .ok_or_else(|| spec_err(format!("{ctx}: missing `strategy`")))
-                    .and_then(strategy_from_json)?;
-                spec = spec.point(label, factory, strategy);
-            }
+        for (i, point) in f
+            .opt_array("points")?
+            .unwrap_or_default()
+            .iter()
+            .enumerate()
+        {
+            let mut p = Fields::item(point, "points", i, spec_err)?;
+            let label = p.str("label")?;
+            let factory = factory_from_json(p.value("factory")?)?;
+            let strategy = strategy_from_json(p.value("strategy")?)?;
+            p.finish()?;
+            spec = spec.point(label, factory, strategy);
         }
-        if let Some(grids) = root.get("grids") {
-            for (i, grid) in as_array(grids, "grids")?.iter().enumerate() {
-                let ctx = format!("grids[{i}]");
-                let label = get_str(grid, "label", &ctx)?
-                    .ok_or_else(|| spec_err(format!("{ctx}: missing `label`")))?;
-                let factories: Vec<FactoryConfig> = grid
-                    .get("factories")
-                    .ok_or_else(|| spec_err(format!("{ctx}: missing `factories`")))
-                    .and_then(|v| as_array(v, &format!("{ctx}.factories")))?
-                    .iter()
-                    .map(factory_from_json)
-                    .collect::<Result<_>>()?;
-                let strategies: Vec<Strategy> = grid
-                    .get("strategies")
-                    .ok_or_else(|| spec_err(format!("{ctx}: missing `strategies`")))
-                    .and_then(|v| as_array(v, &format!("{ctx}.strategies")))?
-                    .iter()
-                    .map(strategy_from_json)
-                    .collect::<Result<_>>()?;
-                let seeds: Option<Vec<u64>> = match grid.get("seeds") {
-                    None => None,
-                    Some(v) => {
-                        let seeds: Vec<u64> = as_array(v, &format!("{ctx}.seeds"))?
-                            .iter()
-                            .map(|s| {
-                                s.as_u64().ok_or_else(|| {
-                                    spec_err(format!("{ctx}.seeds: expected non-negative integers"))
-                                })
-                            })
-                            .collect::<Result<_>>()?;
-                        // A repeated seed would silently duplicate every row
-                        // of the grid; reject it as a spec error instead.
-                        let mut sorted = seeds.clone();
-                        sorted.sort_unstable();
-                        if let Some(dup) = sorted.windows(2).find(|w| w[0] == w[1]) {
-                            return Err(spec_err(format!(
-                                "{ctx}.seeds: duplicate seed {}",
-                                dup[0]
-                            )));
-                        }
-                        Some(seeds)
-                    }
-                };
-                let expanded = factories
-                    .len()
-                    .saturating_mul(strategies.len())
-                    .saturating_mul(seeds.as_ref().map_or(1, Vec::len));
-                if spec.points.len().saturating_add(expanded) > MAX_SWEEP_POINTS {
-                    return Err(spec_err(format!(
-                        "{ctx}: the sweep expands to more than {MAX_SWEEP_POINTS} points"
-                    )));
-                }
-                for factory in &factories {
-                    for strategy in &strategies {
-                        match &seeds {
-                            None => spec = spec.point(label.clone(), *factory, strategy.clone()),
-                            Some(seeds) => {
-                                for &seed in seeds {
-                                    spec = spec.point(
-                                        label.clone(),
-                                        *factory,
-                                        strategy.clone().with_param("seed", ParamValue::U64(seed)),
-                                    );
-                                }
+        for (i, grid) in f.opt_array("grids")?.unwrap_or_default().iter().enumerate() {
+            let mut g = Fields::item(grid, "grids", i, spec_err)?;
+            let label = g.str("label")?;
+            let factories: Vec<FactoryConfig> = g
+                .array("factories")?
+                .iter()
+                .map(factory_from_json)
+                .collect::<Result<_>>()?;
+            let strategies: Vec<Strategy> = g
+                .array("strategies")?
+                .iter()
+                .map(strategy_from_json)
+                .collect::<Result<_>>()?;
+            let seeds = match g.opt_array("seeds")? {
+                Some(seeds) => Some(grid_seeds(i, seeds)?),
+                None => None,
+            };
+            g.finish()?;
+            let expanded = factories
+                .len()
+                .saturating_mul(strategies.len())
+                .saturating_mul(seeds.as_ref().map_or(1, Vec::len));
+            if spec.points.len().saturating_add(expanded) > MAX_SWEEP_POINTS {
+                return Err(spec_err(format!(
+                    "grids[{i}]: the sweep expands to more than {MAX_SWEEP_POINTS} points"
+                )));
+            }
+            for factory in &factories {
+                for strategy in &strategies {
+                    match &seeds {
+                        None => spec = spec.point(label, *factory, strategy.clone()),
+                        Some(seeds) => {
+                            for &seed in seeds {
+                                spec = spec.point(
+                                    label,
+                                    *factory,
+                                    strategy.clone().with_param("seed", ParamValue::U64(seed)),
+                                );
                             }
                         }
                     }
                 }
             }
         }
-        for (key, _) in as_object(root, ctx)? {
-            if !matches!(
-                key.as_str(),
-                "name"
-                    | "eval"
-                    | "collect_breakdowns"
-                    | "collect_mapping_metrics"
-                    | "cache"
-                    | "cache_dir"
-                    | "lanes"
-                    | "points"
-                    | "grids"
-            ) {
-                return Err(spec_err(format!("{ctx}: unknown field `{key}`")));
-            }
-        }
+        f.finish()?;
         Ok(spec)
     }
 }

@@ -51,7 +51,7 @@ use serde::{Deserialize, Serialize, Value};
 
 use crate::cache::CacheStats;
 use crate::progress::{ProgressEvent, RunControl};
-use crate::spec::{eval_from_json, factory_from_json, strategy_from_json};
+use crate::spec::{eval_from_json, factory_from_json, strategy_from_json, Fields};
 use crate::stats::percentiles;
 use crate::strategy::Strategy;
 use crate::sweep::{SweepResults, SweepRow, SweepSpec};
@@ -65,10 +65,8 @@ const MAX_ARRIVALS: u64 = 2_000_000;
 /// so a typo'd count fails fast instead of exhausting memory.
 const MAX_SERVERS: u64 = 10_000;
 
-fn stream_err(reason: impl Into<String>) -> CoreError {
-    CoreError::StreamSpec {
-        reason: reason.into(),
-    }
+fn stream_err(reason: String) -> CoreError {
+    CoreError::StreamSpec { reason }
 }
 
 // ---------------------------------------------------------------------------
@@ -403,7 +401,8 @@ impl ArrivalProcess {
                 Ok(arrivals)
             }
             _ if total == 0 => Err(stream_err(
-                "classes: total weight is zero, stochastic arrivals cannot sample a class",
+                "classes: total weight is zero, stochastic arrivals cannot sample a class"
+                    .to_string(),
             )),
             ArrivalProcess::Poisson { rate } => {
                 let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -693,7 +692,7 @@ impl StreamSpec {
             stream_err(format!("stream `{}`: {reason}", self.name))
         };
         if self.name.is_empty() {
-            return Err(stream_err("stream: `name` must not be empty"));
+            return Err(stream_err("stream: `name` must not be empty".to_string()));
         }
         if self.horizon == 0 {
             return Err(fail("`horizon` must be at least 1 cycle".to_string()));
@@ -1170,272 +1169,108 @@ impl StreamSpec {
     ///
     /// Same as [`StreamSpec::from_json`].
     pub fn from_value(root: &Value) -> Result<Self> {
-        let fail = |reason: String| stream_err(format!("stream: {reason}"));
-        let entries = match root {
-            Value::Object(entries) => entries,
-            _ => return Err(fail("spec must be a JSON object".to_string())),
-        };
-        let name = match root.get("name") {
-            Some(Value::Str(s)) => s.clone(),
-            Some(_) => return Err(fail("`name` must be a string".to_string())),
-            None => return Err(fail("missing `name`".to_string())),
-        };
-        let mut spec = StreamSpec::new(name);
-        spec.schedulers = Vec::new();
-        let mut saw_schedulers = false;
-        let mut arrivals_value: Option<&Value> = None;
-        for (key, value) in entries {
-            match key.as_str() {
-                "name" => {}
-                "eval" => spec.eval = eval_from_json(value)?,
-                "seed" => spec.seed = u64_field(value, "seed")?,
-                "horizon" => spec.horizon = u64_field(value, "horizon")?,
-                "setup_cycles" => spec.setup_cycles = u64_field(value, "setup_cycles")?,
-                "arrivals" => arrivals_value = Some(value),
-                "fleet" => spec.fleet = fleet_from_json(value)?,
-                "classes" => spec.classes = classes_from_json(value)?,
-                "schedulers" => {
-                    saw_schedulers = true;
-                    let list = match value {
-                        Value::Array(items) => items,
-                        _ => return Err(fail("`schedulers` must be an array".to_string())),
-                    };
-                    for (i, item) in list.iter().enumerate() {
-                        match item {
-                            Value::Str(s) => spec.schedulers.push(s.clone()),
-                            _ => return Err(fail(format!("schedulers[{i}] must be a string"))),
-                        }
-                    }
-                }
-                "cache" => match value {
-                    Value::Bool(enabled) => spec.use_eval_cache = *enabled,
-                    _ => return Err(fail("`cache` must be a boolean".to_string())),
-                },
-                "cache_dir" => match value {
-                    Value::Str(dir) => spec.cache_dir = Some(PathBuf::from(dir)),
-                    Value::Null => spec.cache_dir = None,
-                    _ => return Err(fail("`cache_dir` must be a string".to_string())),
-                },
-                other => return Err(fail(format!("unknown field `{other}`"))),
-            }
+        let mut f = Fields::new(root, "stream", stream_err)?;
+        let mut spec = StreamSpec::new(f.str("name")?);
+        if let Some(eval) = f.opt_value("eval") {
+            spec.eval = eval_from_json(eval)?;
         }
-        if !saw_schedulers {
-            spec.schedulers = StreamSpec::new("defaults").schedulers;
+        spec.seed = f.opt_u64("seed")?.unwrap_or(spec.seed);
+        spec.horizon = f.opt_u64("horizon")?.unwrap_or(spec.horizon);
+        spec.setup_cycles = f.opt_u64("setup_cycles")?.unwrap_or(spec.setup_cycles);
+        let arrivals = f.value("arrivals")?;
+        if let Some(fleet) = f.opt_array("fleet")? {
+            spec.fleet = fleet_from_json(fleet)?;
         }
-        match arrivals_value {
-            Some(value) => spec.arrivals = arrivals_from_json(value, &spec.classes)?,
-            None => return Err(fail("missing `arrivals`".to_string())),
+        if let Some(classes) = f.opt_array("classes")? {
+            spec.classes = classes_from_json(classes)?;
         }
+        if let Some(list) = f.opt_array("schedulers")? {
+            spec.schedulers = list
+                .iter()
+                .enumerate()
+                .map(|(i, item)| {
+                    item.as_str()
+                        .map(str::to_string)
+                        .ok_or_else(|| f.error(format_args!("schedulers[{i}] must be a string")))
+                })
+                .collect::<Result<_>>()?;
+        }
+        spec.use_eval_cache = f.opt_bool("cache")?.unwrap_or(spec.use_eval_cache);
+        spec.cache_dir = f.opt_str("cache_dir")?.map(PathBuf::from);
+        f.finish()?;
+        spec.arrivals = arrivals_from_json(arrivals, &spec.classes)?;
         spec.validate()?;
         Ok(spec)
     }
 }
 
-fn u64_field(value: &Value, key: &str) -> Result<u64> {
-    value
-        .as_u64()
-        .ok_or_else(|| stream_err(format!("stream: `{key}` must be a non-negative integer")))
-}
-
-fn f64_field(value: &Value, ctx: &str, key: &str) -> Result<f64> {
-    value
-        .as_f64()
-        .ok_or_else(|| stream_err(format!("stream: {ctx}: `{key}` must be a number")))
-}
-
-fn fleet_from_json(value: &Value) -> Result<Vec<FleetEntry>> {
-    let list = match value {
-        Value::Array(items) => items,
-        _ => return Err(stream_err("stream: `fleet` must be an array")),
-    };
+fn fleet_from_json(list: &[Value]) -> Result<Vec<FleetEntry>> {
     let mut fleet = Vec::with_capacity(list.len());
     for (i, item) in list.iter().enumerate() {
-        let ctx = format!("fleet[{i}]");
-        let entries = match item {
-            Value::Object(entries) => entries,
-            _ => return Err(stream_err(format!("stream: {ctx} must be an object"))),
-        };
-        let mut factory = None;
-        let mut count = 1_usize;
-        for (key, value) in entries {
-            match key.as_str() {
-                "factory" => factory = Some(factory_from_json(value)?),
-                "count" => {
-                    count = u64_field(value, "count").map_err(|_| {
-                        stream_err(format!(
-                            "stream: {ctx}: `count` must be a non-negative integer"
-                        ))
-                    })? as usize;
-                }
-                other => {
-                    return Err(stream_err(format!(
-                        "stream: {ctx}: unknown field `{other}`"
-                    )))
-                }
-            }
-        }
-        let factory =
-            factory.ok_or_else(|| stream_err(format!("stream: {ctx}: missing `factory`")))?;
+        let mut f = Fields::item(item, "stream: fleet", i, stream_err)?;
+        let factory = factory_from_json(f.value("factory")?)?;
+        let count = f.opt_u64("count")?.unwrap_or(1) as usize;
+        f.finish()?;
         fleet.push(FleetEntry { factory, count });
     }
     Ok(fleet)
 }
 
-fn classes_from_json(value: &Value) -> Result<Vec<JobClass>> {
-    let list = match value {
-        Value::Array(items) => items,
-        _ => return Err(stream_err("stream: `classes` must be an array")),
-    };
+fn classes_from_json(list: &[Value]) -> Result<Vec<JobClass>> {
     let mut classes = Vec::with_capacity(list.len());
     for (i, item) in list.iter().enumerate() {
-        let ctx = format!("classes[{i}]");
-        let entries = match item {
-            Value::Object(entries) => entries,
-            _ => return Err(stream_err(format!("stream: {ctx} must be an object"))),
+        let mut f = Fields::item(item, "stream: classes", i, stream_err)?;
+        let class = JobClass {
+            name: f.str("name")?.to_string(),
+            strategy: strategy_from_json(f.value("strategy")?)?,
+            weight: f.opt_u64("weight")?.unwrap_or(1),
+            priority: f.opt_u64("priority")?.unwrap_or(0),
+            volume: f.opt_u64("volume")?.unwrap_or(1),
+            min_levels: f.opt_u64("min_levels")?.unwrap_or(0) as usize,
+            min_capacity: f.opt_u64("min_capacity")?.unwrap_or(0) as usize,
         };
-        let mut name = None;
-        let mut strategy = None;
-        let mut weight = 1_u64;
-        let mut priority = 0_u64;
-        let mut volume = 1_u64;
-        let mut min_levels = 0_usize;
-        let mut min_capacity = 0_usize;
-        for (key, value) in entries {
-            match key.as_str() {
-                "name" => match value {
-                    Value::Str(s) => name = Some(s.clone()),
-                    _ => {
-                        return Err(stream_err(format!(
-                            "stream: {ctx}: `name` must be a string"
-                        )))
-                    }
-                },
-                "strategy" => strategy = Some(strategy_from_json(value)?),
-                "weight" => weight = u64_field(value, "weight")?,
-                "priority" => priority = u64_field(value, "priority")?,
-                "volume" => volume = u64_field(value, "volume")?,
-                "min_levels" => min_levels = u64_field(value, "min_levels")? as usize,
-                "min_capacity" => min_capacity = u64_field(value, "min_capacity")? as usize,
-                other => {
-                    return Err(stream_err(format!(
-                        "stream: {ctx}: unknown field `{other}`"
-                    )))
-                }
-            }
-        }
-        let name = name.ok_or_else(|| stream_err(format!("stream: {ctx}: missing `name`")))?;
-        let strategy =
-            strategy.ok_or_else(|| stream_err(format!("stream: {ctx}: missing `strategy`")))?;
-        classes.push(JobClass {
-            name,
-            strategy,
-            weight,
-            priority,
-            volume,
-            min_levels,
-            min_capacity,
-        });
+        f.finish()?;
+        classes.push(class);
     }
     Ok(classes)
 }
 
 fn arrivals_from_json(value: &Value, classes: &[JobClass]) -> Result<ArrivalProcess> {
-    let ctx = "arrivals";
-    let entries = match value {
-        Value::Object(entries) => entries,
-        _ => return Err(stream_err(format!("stream: `{ctx}` must be an object"))),
-    };
-    let process = match value.get("process") {
-        Some(Value::Str(s)) => s.clone(),
-        Some(_) => {
-            return Err(stream_err(format!(
-                "stream: {ctx}: `process` must be a string"
-            )))
-        }
-        None => return Err(stream_err(format!("stream: {ctx}: missing `process`"))),
-    };
-    let known_keys: &[&str] = match process.as_str() {
-        "poisson" => &["process", "rate"],
-        "bursty" => &["process", "rate", "burst_rate", "mean_calm", "mean_burst"],
-        "trace" => &["process", "events"],
-        other => {
-            return Err(stream_err(format!(
-                "stream: {ctx}: unknown process `{other}` (expected poisson, bursty or trace)"
-            )))
-        }
-    };
-    for (key, _) in entries {
-        if !known_keys.contains(&key.as_str()) {
-            return Err(stream_err(format!(
-                "stream: {ctx}: unknown field `{key}` for process `{process}`"
-            )));
-        }
-    }
-    let require = |key: &str| -> Result<&Value> {
-        value
-            .get(key)
-            .ok_or_else(|| stream_err(format!("stream: {ctx}: missing `{key}`")))
-    };
-    match process.as_str() {
-        "poisson" => Ok(ArrivalProcess::Poisson {
-            rate: f64_field(require("rate")?, ctx, "rate")?,
-        }),
-        "bursty" => Ok(ArrivalProcess::Bursty {
-            rate: f64_field(require("rate")?, ctx, "rate")?,
-            burst_rate: f64_field(require("burst_rate")?, ctx, "burst_rate")?,
-            mean_calm: f64_field(require("mean_calm")?, ctx, "mean_calm")?,
-            mean_burst: f64_field(require("mean_burst")?, ctx, "mean_burst")?,
-        }),
-        _ => {
-            let list = match require("events")? {
-                Value::Array(items) => items,
-                _ => {
-                    return Err(stream_err(format!(
-                        "stream: {ctx}: `events` must be an array"
-                    )))
-                }
-            };
+    let mut f = Fields::new(value, "stream: arrivals", stream_err)?;
+    let process = match f.str("process")? {
+        "poisson" => ArrivalProcess::Poisson {
+            rate: f.f64("rate")?,
+        },
+        "bursty" => ArrivalProcess::Bursty {
+            rate: f.f64("rate")?,
+            burst_rate: f.f64("burst_rate")?,
+            mean_calm: f.f64("mean_calm")?,
+            mean_burst: f.f64("mean_burst")?,
+        },
+        "trace" => {
+            let list = f.array("events")?;
             let mut events = Vec::with_capacity(list.len());
             for (i, item) in list.iter().enumerate() {
-                let ectx = format!("{ctx}: events[{i}]");
-                let entries = match item {
-                    Value::Object(entries) => entries,
-                    _ => return Err(stream_err(format!("stream: {ectx} must be an object"))),
-                };
-                let mut at = None;
-                let mut class = None;
-                for (key, value) in entries {
-                    match key.as_str() {
-                        "at" => at = Some(u64_field(value, "at")?),
-                        "class" => match value {
-                            Value::Str(s) => {
-                                let index =
-                                    classes.iter().position(|c| &c.name == s).ok_or_else(|| {
-                                        stream_err(format!("stream: {ectx}: unknown class `{s}`"))
-                                    })?;
-                                class = Some(index);
-                            }
-                            _ => {
-                                return Err(stream_err(format!(
-                                    "stream: {ectx}: `class` must be a class name"
-                                )))
-                            }
-                        },
-                        other => {
-                            return Err(stream_err(format!(
-                                "stream: {ectx}: unknown field `{other}`"
-                            )))
-                        }
-                    }
-                }
-                let at = at.ok_or_else(|| stream_err(format!("stream: {ectx}: missing `at`")))?;
-                let class =
-                    class.ok_or_else(|| stream_err(format!("stream: {ectx}: missing `class`")))?;
+                let mut e = Fields::item(item, "stream: arrivals: events", i, stream_err)?;
+                let at = e.u64("at")?;
+                let name = e.str("class")?;
+                let class = classes
+                    .iter()
+                    .position(|c| c.name == name)
+                    .ok_or_else(|| e.error(format_args!("unknown class `{name}`")))?;
+                e.finish()?;
                 events.push(TraceEvent { at, class });
             }
-            Ok(ArrivalProcess::Trace { events })
+            ArrivalProcess::Trace { events }
         }
-    }
+        other => {
+            return Err(f.error(format_args!(
+                "unknown process `{other}` (expected poisson, bursty or trace)"
+            )))
+        }
+    };
+    f.finish()?;
+    Ok(process)
 }
 
 // ---------------------------------------------------------------------------

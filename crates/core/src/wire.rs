@@ -27,47 +27,22 @@ use msfu_distill::FactoryConfig;
 use msfu_graph::metrics::MappingMetrics;
 
 use crate::pipeline::RoundBreakdown;
-use crate::spec::factory_from_json;
+use crate::spec::{factory_from_json, Fields};
 use crate::{
     CoreError, Evaluation, EvaluationConfig, Result, Strategy, SweepResults, SweepRow, SweepSpec,
 };
 
 /// Builds the decode-failure error: a malformed worker payload is a remote
 /// fault, not a local spec error.
-fn wire_err(message: impl Into<String>) -> CoreError {
+fn wire_err(message: String) -> CoreError {
     CoreError::Remote {
         code: "E_REMOTE".to_string(),
-        message: message.into(),
+        message,
     }
 }
 
-fn field<'a>(value: &'a Value, key: &str, ctx: &str) -> Result<&'a Value> {
-    value
-        .get(key)
-        .ok_or_else(|| wire_err(format!("{ctx}: missing `{key}`")))
-}
-
-fn str_field(value: &Value, key: &str, ctx: &str) -> Result<String> {
-    field(value, key, ctx)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| wire_err(format!("{ctx}: `{key}` must be a string")))
-}
-
-fn u64_field(value: &Value, key: &str, ctx: &str) -> Result<u64> {
-    field(value, key, ctx)?
-        .as_u64()
-        .ok_or_else(|| wire_err(format!("{ctx}: `{key}` must be a non-negative integer")))
-}
-
-fn usize_field(value: &Value, key: &str, ctx: &str) -> Result<usize> {
-    Ok(u64_field(value, key, ctx)? as usize)
-}
-
-fn f64_field(value: &Value, key: &str, ctx: &str) -> Result<f64> {
-    field(value, key, ctx)?
-        .as_f64()
-        .ok_or_else(|| wire_err(format!("{ctx}: `{key}` must be a number")))
+fn fields<'a>(value: &'a Value, ctx: &'a str) -> Result<Fields<'a, CoreError>> {
+    Fields::new(value, ctx, wire_err)
 }
 
 /// Decodes a serialised [`Evaluation`] record.
@@ -76,19 +51,22 @@ fn f64_field(value: &Value, key: &str, ctx: &str) -> Result<f64> {
 ///
 /// Returns [`CoreError::Remote`] naming the missing or mistyped field.
 pub fn evaluation_from_value(value: &Value) -> Result<Evaluation> {
-    let ctx = "evaluation";
-    Ok(Evaluation {
-        strategy: str_field(value, "strategy", ctx)?,
-        factory: factory_from_json(field(value, "factory", ctx)?)?,
-        latency_cycles: u64_field(value, "latency_cycles", ctx)?,
-        area: usize_field(value, "area", ctx)?,
-        volume: u64_field(value, "volume", ctx)?,
-        stall_cycles: u64_field(value, "stall_cycles", ctx)?,
-        routing_conflicts: u64_field(value, "routing_conflicts", ctx)?,
-        critical_path_cycles: u64_field(value, "critical_path_cycles", ctx)?,
-        critical_volume: u64_field(value, "critical_volume", ctx)?,
-        logical_qubits: usize_field(value, "logical_qubits", ctx)?,
-    })
+    let mut f = fields(value, "evaluation")?;
+    let evaluation = Evaluation {
+        strategy: f.str("strategy")?.to_string(),
+        factory: factory_from_json(f.value("factory")?)
+            .map_err(|e| f.error(format_args!("`factory`: {e}")))?,
+        latency_cycles: f.u64("latency_cycles")?,
+        area: f.u64("area")? as usize,
+        volume: f.u64("volume")?,
+        stall_cycles: f.u64("stall_cycles")?,
+        routing_conflicts: f.u64("routing_conflicts")?,
+        critical_path_cycles: f.u64("critical_path_cycles")?,
+        critical_volume: f.u64("critical_volume")?,
+        logical_qubits: f.u64("logical_qubits")? as usize,
+    };
+    f.finish()?;
+    Ok(evaluation)
 }
 
 /// Decodes a serialised [`RoundBreakdown`] entry.
@@ -97,12 +75,14 @@ pub fn evaluation_from_value(value: &Value) -> Result<Evaluation> {
 ///
 /// Returns [`CoreError::Remote`] naming the missing or mistyped field.
 pub fn round_breakdown_from_value(value: &Value) -> Result<RoundBreakdown> {
-    let ctx = "breakdown";
-    Ok(RoundBreakdown {
-        round: usize_field(value, "round", ctx)?,
-        round_cycles: u64_field(value, "round_cycles", ctx)?,
-        permutation_cycles: u64_field(value, "permutation_cycles", ctx)?,
-    })
+    let mut f = fields(value, "breakdown")?;
+    let breakdown = RoundBreakdown {
+        round: f.u64("round")? as usize,
+        round_cycles: f.u64("round_cycles")?,
+        permutation_cycles: f.u64("permutation_cycles")?,
+    };
+    f.finish()?;
+    Ok(breakdown)
 }
 
 /// Decodes a serialised [`MappingMetrics`] record.
@@ -111,12 +91,14 @@ pub fn round_breakdown_from_value(value: &Value) -> Result<RoundBreakdown> {
 ///
 /// Returns [`CoreError::Remote`] naming the missing or mistyped field.
 pub fn mapping_metrics_from_value(value: &Value) -> Result<MappingMetrics> {
-    let ctx = "metrics";
-    Ok(MappingMetrics {
-        edge_crossings: usize_field(value, "edge_crossings", ctx)?,
-        avg_edge_length: f64_field(value, "avg_edge_length", ctx)?,
-        avg_edge_spacing: f64_field(value, "avg_edge_spacing", ctx)?,
-    })
+    let mut f = fields(value, "metrics")?;
+    let metrics = MappingMetrics {
+        edge_crossings: f.u64("edge_crossings")? as usize,
+        avg_edge_length: f.f64("avg_edge_length")?,
+        avg_edge_spacing: f.f64("avg_edge_spacing")?,
+    };
+    f.finish()?;
+    Ok(metrics)
 }
 
 /// Decodes a serialised [`SweepRow`] (the optional `breakdown` and `metrics`
@@ -126,27 +108,26 @@ pub fn mapping_metrics_from_value(value: &Value) -> Result<MappingMetrics> {
 ///
 /// Returns [`CoreError::Remote`] naming the offending field.
 pub fn sweep_row_from_value(value: &Value) -> Result<SweepRow> {
-    let ctx = "row";
-    let breakdown = match value.get("breakdown") {
-        None | Some(Value::Null) => None,
-        Some(Value::Array(items)) => Some(
-            items
-                .iter()
-                .map(round_breakdown_from_value)
-                .collect::<Result<Vec<_>>>()?,
-        ),
-        Some(_) => return Err(wire_err(format!("{ctx}: `breakdown` must be an array"))),
+    let mut f = fields(value, "row")?;
+    let row = SweepRow {
+        label: f.str("label")?.to_string(),
+        evaluation: evaluation_from_value(f.value("evaluation")?)?,
+        breakdown: match f.opt_array("breakdown")? {
+            Some(items) => Some(
+                items
+                    .iter()
+                    .map(round_breakdown_from_value)
+                    .collect::<Result<_>>()?,
+            ),
+            None => None,
+        },
+        metrics: match f.opt_value("metrics") {
+            Some(v) => Some(mapping_metrics_from_value(v)?),
+            None => None,
+        },
     };
-    let metrics = match value.get("metrics") {
-        None | Some(Value::Null) => None,
-        Some(v) => Some(mapping_metrics_from_value(v)?),
-    };
-    Ok(SweepRow {
-        label: str_field(value, "label", ctx)?,
-        evaluation: evaluation_from_value(field(value, "evaluation", ctx)?)?,
-        breakdown,
-        metrics,
-    })
+    f.finish()?;
+    Ok(row)
 }
 
 /// Decodes a serialised [`SweepResults`] document.
@@ -155,18 +136,17 @@ pub fn sweep_row_from_value(value: &Value) -> Result<SweepRow> {
 ///
 /// Returns [`CoreError::Remote`] naming the offending field.
 pub fn sweep_results_from_value(value: &Value) -> Result<SweepResults> {
-    let ctx = "results";
-    let rows = match field(value, "rows", ctx)? {
-        Value::Array(rows) => rows
+    let mut f = fields(value, "results")?;
+    let results = SweepResults {
+        name: f.str("name")?.to_string(),
+        rows: f
+            .array("rows")?
             .iter()
             .map(sweep_row_from_value)
-            .collect::<Result<Vec<_>>>()?,
-        _ => return Err(wire_err(format!("{ctx}: `rows` must be an array"))),
+            .collect::<Result<_>>()?,
     };
-    Ok(SweepResults {
-        name: str_field(value, "name", ctx)?,
-        rows,
-    })
+    f.finish()?;
+    Ok(results)
 }
 
 /// Encodes a factory configuration in the spec form accepted by
@@ -368,6 +348,24 @@ mod tests {
             CoreError::Remote { code, message } => {
                 assert_eq!(code, "E_REMOTE");
                 assert!(message.contains("rows"), "message was: {message}");
+            }
+            other => panic!("expected a remote error, got {other:?}"),
+        }
+        // A malformed nested factory is a remote fault too, never the
+        // spec error the factory decoder answers on its own.
+        let mut evaluation = spec_fixture().run().unwrap().rows[0].evaluation.to_value();
+        let Value::Object(entries) = &mut evaluation else {
+            panic!("an evaluation serialises as an object")
+        };
+        for (key, value) in entries.iter_mut() {
+            if key == "factory" {
+                *value = Value::Object(vec![("k".to_string(), Value::Str("two".to_string()))]);
+            }
+        }
+        match evaluation_from_value(&evaluation).unwrap_err() {
+            CoreError::Remote { code, message } => {
+                assert_eq!(code, "E_REMOTE");
+                assert!(message.contains("factory"), "message was: {message}");
             }
             other => panic!("expected a remote error, got {other:?}"),
         }

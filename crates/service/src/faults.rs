@@ -41,6 +41,7 @@ use std::path::{Path, PathBuf};
 
 use serde_json::Value;
 
+use msfu_core::spec::Fields;
 use msfu_core::{damage_segment, SegmentDamage};
 
 /// Environment variable carrying a child worker's [`WorkerFaultSpec`] as
@@ -223,74 +224,62 @@ impl FaultPlan {
     ///
     /// Returns a message naming the offending field.
     pub fn from_value(value: &Value) -> Result<Self, String> {
-        let Value::Object(entries) = value else {
-            return Err("fault plan must be a JSON object".to_string());
+        let mut f = Fields::new(value, "fault plan", String::from)?;
+        let mut plan = FaultPlan {
+            seed: f.opt_u64("seed")?.unwrap_or(0),
+            ..FaultPlan::default()
         };
-        let mut plan = FaultPlan::default();
-        for (key, value) in entries {
-            match key.as_str() {
-                "seed" => {
-                    plan.seed = value
-                        .as_u64()
-                        .ok_or("fault plan: `seed` must be a non-negative integer")?;
-                }
-                "crash" => {
-                    for entry in list_of(value, "crash")? {
-                        let (rank, after_jobs) = rank_entry(entry, "crash", &[])?;
-                        plan.crash.push(CrashFault { rank, after_jobs });
-                    }
-                }
-                "stall" => {
-                    for entry in list_of(value, "stall")? {
-                        let (rank, after_jobs) = rank_entry(entry, "stall", &["duration_ms"])?;
-                        let duration_ms = entry
-                            .get("duration_ms")
-                            .and_then(Value::as_u64)
-                            .ok_or("fault plan: stall entries need a `duration_ms` integer")?;
-                        plan.stall.push(StallFault {
-                            rank,
-                            after_jobs,
-                            duration_ms,
-                        });
-                    }
-                }
-                "corrupt_response" => {
-                    for entry in list_of(value, "corrupt_response")? {
-                        let (rank, after_jobs) = rank_entry(entry, "corrupt_response", &[])?;
-                        plan.corrupt_response
-                            .push(CorruptResponseFault { rank, after_jobs });
-                    }
-                }
-                "cache_corrupt" => {
-                    for entry in list_of(value, "cache_corrupt")? {
-                        check_fields(entry, "cache_corrupt", &["segment", "mode"])?;
-                        let segment =
-                            entry.get("segment").and_then(Value::as_u64).ok_or(
-                                "fault plan: cache_corrupt entries need a `segment` integer",
-                            )? as usize;
-                        let mode = match entry.get("mode").and_then(Value::as_str) {
-                            Some("truncate") => SegmentDamage::Truncate,
-                            Some("flip") => SegmentDamage::FlipBytes,
-                            Some("bad_version") => SegmentDamage::BadVersion,
-                            Some(other) => {
-                                return Err(format!(
-                                    "fault plan: unknown cache_corrupt mode `{other}` \
-                                     (expected truncate | flip | bad_version)"
-                                ))
-                            }
-                            None => {
-                                return Err(
-                                    "fault plan: cache_corrupt entries need a `mode` string"
-                                        .to_string(),
-                                )
-                            }
-                        };
-                        plan.cache_corrupt.push(CacheCorruptFault { segment, mode });
-                    }
-                }
-                other => return Err(format!("fault plan: unknown field `{other}`")),
-            }
+        for (i, entry) in f.opt_array("crash")?.unwrap_or_default().iter().enumerate() {
+            let mut e = Fields::item(entry, "fault plan: crash", i, String::from)?;
+            let (rank, after_jobs) = rank_after_jobs(&mut e)?;
+            e.finish()?;
+            plan.crash.push(CrashFault { rank, after_jobs });
         }
+        for (i, entry) in f.opt_array("stall")?.unwrap_or_default().iter().enumerate() {
+            let mut e = Fields::item(entry, "fault plan: stall", i, String::from)?;
+            let (rank, after_jobs) = rank_after_jobs(&mut e)?;
+            let duration_ms = e.u64("duration_ms")?;
+            e.finish()?;
+            plan.stall.push(StallFault {
+                rank,
+                after_jobs,
+                duration_ms,
+            });
+        }
+        for (i, entry) in f
+            .opt_array("corrupt_response")?
+            .unwrap_or_default()
+            .iter()
+            .enumerate()
+        {
+            let mut e = Fields::item(entry, "fault plan: corrupt_response", i, String::from)?;
+            let (rank, after_jobs) = rank_after_jobs(&mut e)?;
+            e.finish()?;
+            plan.corrupt_response
+                .push(CorruptResponseFault { rank, after_jobs });
+        }
+        for (i, entry) in f
+            .opt_array("cache_corrupt")?
+            .unwrap_or_default()
+            .iter()
+            .enumerate()
+        {
+            let mut e = Fields::item(entry, "fault plan: cache_corrupt", i, String::from)?;
+            let segment = e.u64("segment")? as usize;
+            let mode = match e.str("mode")? {
+                "truncate" => SegmentDamage::Truncate,
+                "flip" => SegmentDamage::FlipBytes,
+                "bad_version" => SegmentDamage::BadVersion,
+                other => {
+                    return Err(e.error(format_args!(
+                        "unknown mode `{other}` (expected truncate | flip | bad_version)"
+                    )))
+                }
+            };
+            e.finish()?;
+            plan.cache_corrupt.push(CacheCorruptFault { segment, mode });
+        }
+        f.finish()?;
         Ok(plan)
     }
 
@@ -396,22 +385,14 @@ impl WorkerFaultSpec {
     /// Returns a message naming the offending field.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let value = serde_json::from_str(text).map_err(|e| format!("worker fault: {e}"))?;
-        let Value::Object(entries) = &value else {
-            return Err("worker fault must be a JSON object".to_string());
+        let mut f = Fields::new(&value, "worker fault", String::from)?;
+        let spec = WorkerFaultSpec {
+            exit_after_jobs: f.opt_u64("exit_after_jobs")?.map(|v| v as usize),
+            stall_after_jobs: f.opt_u64("stall_after_jobs")?.map(|v| v as usize),
+            stall_duration_ms: f.opt_u64("stall_duration_ms")?.unwrap_or(0),
+            corrupt_after_jobs: f.opt_u64("corrupt_after_jobs")?.map(|v| v as usize),
         };
-        let mut spec = WorkerFaultSpec::default();
-        for (key, value) in entries {
-            let number = value
-                .as_u64()
-                .ok_or_else(|| format!("worker fault: `{key}` must be an integer"))?;
-            match key.as_str() {
-                "exit_after_jobs" => spec.exit_after_jobs = Some(number as usize),
-                "stall_after_jobs" => spec.stall_after_jobs = Some(number as usize),
-                "stall_duration_ms" => spec.stall_duration_ms = number,
-                "corrupt_after_jobs" => spec.corrupt_after_jobs = Some(number as usize),
-                other => return Err(format!("worker fault: unknown field `{other}`")),
-            }
-        }
+        f.finish()?;
         Ok(spec)
     }
 }
@@ -428,44 +409,11 @@ fn rank_value(rank: usize, after_jobs: usize, duration_ms: Option<u64>) -> Value
     Value::Object(entries)
 }
 
-/// The entries of a fault list field.
-fn list_of<'a>(value: &'a Value, what: &str) -> Result<&'a Vec<Value>, String> {
-    value
-        .as_array()
-        .ok_or_else(|| format!("fault plan: `{what}` must be a list"))
-}
-
-/// Rejects fields outside `allowed` in one fault entry.
-fn check_fields(entry: &Value, what: &str, allowed: &[&str]) -> Result<(), String> {
-    let Value::Object(fields) = entry else {
-        return Err(format!("fault plan: {what} entries must be objects"));
-    };
-    for (key, _) in fields {
-        if !allowed.contains(&key.as_str()) {
-            return Err(format!("fault plan: unknown {what} field `{key}`"));
-        }
-    }
-    Ok(())
-}
-
-/// Decodes the common `{rank, after_jobs}` pair of one fault entry
-/// (`after_jobs` defaults to 0), rejecting unknown fields.
-fn rank_entry(entry: &Value, what: &str, extra: &[&str]) -> Result<(usize, usize), String> {
-    let mut allowed = vec!["rank", "after_jobs"];
-    allowed.extend_from_slice(extra);
-    check_fields(entry, what, &allowed)?;
-    let rank = entry
-        .get("rank")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("fault plan: {what} entries need a `rank` integer"))?;
-    let after_jobs = match entry.get("after_jobs") {
-        None => 0,
-        Some(v) => v
-            .as_u64()
-            .ok_or_else(|| format!("fault plan: {what} `after_jobs` must be an integer"))?
-            as usize,
-    };
-    Ok((rank as usize, after_jobs))
+/// Reads the common `{rank, after_jobs}` pair of one fault entry
+/// (`after_jobs` defaults to 0).
+fn rank_after_jobs(e: &mut Fields<'_, String>) -> Result<(usize, usize), String> {
+    let rank = e.u64("rank")? as usize;
+    Ok((rank, e.opt_u64("after_jobs")?.unwrap_or(0) as usize))
 }
 
 #[cfg(test)]

@@ -17,9 +17,12 @@
 //! {"protocol_version": 1, "cancel": "job-1"}
 //! ```
 //!
-//! Optional request fields: `id` (defaults to `"job"`), `serial` (run the
-//! job sequentially; results are identical), `deadline_ms` (stop the job
-//! cooperatively after this many milliseconds, like a cancel).
+//! Optional request fields: `id` (a string; defaults to `"job"`), `serial`
+//! (run the job sequentially; results are identical), `deadline_ms` (stop
+//! the job cooperatively after this many milliseconds, like a cancel). As
+//! in every JSON document the workspace reads ([`msfu_core::spec::Fields`]),
+//! a field set to `null` reads as absent and a repeated or unknown field is
+//! an error.
 //!
 //! A response is one JSON object tagged `"type": "response"`, carrying the
 //! echoed `id`, a `status` of `"ok"` or `"error"`, a `cancelled` flag (a
@@ -50,7 +53,7 @@ use std::path::PathBuf;
 
 use serde_json::Value;
 
-use msfu_core::spec::{eval_from_json, factory_from_json, strategy_from_json};
+use msfu_core::spec::{eval_from_json, factory_from_json, strategy_from_json, Fields};
 use msfu_core::{
     CacheStats, CoreError, Evaluation, EvaluationConfig, SearchReport, SearchSpec, Strategy,
 };
@@ -289,156 +292,95 @@ impl SessionLine {
     ///
     /// As [`Request::from_json`].
     pub fn from_json(text: &str) -> Result<Self, RequestError> {
-        let parse_err = |message: String| RequestError {
-            id: None,
+        let parse_err = |id: &Option<String>, message: String| RequestError {
+            id: id.clone(),
             error: ServiceError::new(E_REQUEST_PARSE, message),
         };
         let root = serde_json::from_str(text)
-            .map_err(|e| parse_err(format!("request is not valid JSON: {e}")))?;
-        let Value::Object(entries) = &root else {
-            return Err(parse_err("request must be a JSON object".to_string()));
-        };
-        // Recover the id early so even version/shape errors correlate.
-        let id = match root.get("id") {
-            Some(Value::Str(s)) => Some(s.clone()),
-            _ => None,
-        };
-        let fail = |code: &'static str, message: String| RequestError {
-            id: id.clone(),
-            error: ServiceError::new(code, message),
-        };
+            .map_err(|e| parse_err(&None, format!("request is not valid JSON: {e}")))?;
+        let mut f = Fields::new(&root, "request", |message| message)
+            .map_err(|message| parse_err(&None, message))?;
+        // Recover the id first so even version/shape errors correlate.
+        let id = f
+            .opt_str("id")
+            .map_err(|message| parse_err(&None, message))?
+            .map(str::to_string);
+        let fail = |message: String| parse_err(&id, message);
 
-        let version = root
-            .get("protocol_version")
-            .ok_or_else(|| fail(E_REQUEST_PARSE, "missing `protocol_version`".to_string()))?
-            .as_u64()
-            .ok_or_else(|| {
-                fail(
-                    E_REQUEST_PARSE,
-                    "`protocol_version` must be a non-negative integer".to_string(),
-                )
-            })?;
+        let version = f.u64("protocol_version").map_err(fail)?;
         if version != PROTOCOL_VERSION {
-            return Err(fail(
-                E_PROTOCOL_VERSION,
-                format!("this server speaks protocol version {PROTOCOL_VERSION}, not {version}"),
-            ));
+            return Err(RequestError {
+                id,
+                error: ServiceError::new(
+                    E_PROTOCOL_VERSION,
+                    format!(
+                        "this server speaks protocol version {PROTOCOL_VERSION}, not {version}"
+                    ),
+                ),
+            });
         }
 
-        if let Some(cancel) = root.get("cancel") {
-            let Value::Str(target) = cancel else {
-                return Err(fail(
-                    E_REQUEST_PARSE,
-                    "`cancel` must be the id of the job to cancel".to_string(),
-                ));
-            };
-            for (key, _) in entries {
-                if !matches!(key.as_str(), "protocol_version" | "cancel") {
-                    return Err(fail(
-                        E_REQUEST_PARSE,
-                        format!("unknown field `{key}` on a cancel line"),
-                    ));
-                }
+        if let Some(target) = f.opt_str("cancel").map_err(fail)? {
+            if id.is_some() {
+                return Err(fail(f.error("unknown field `id` on a cancel line")));
             }
-            return Ok(SessionLine::Cancel(target.clone()));
+            f.finish()
+                .map_err(|message| fail(format!("{message} on a cancel line")))?;
+            return Ok(SessionLine::Cancel(target.to_string()));
         }
 
-        let kind = match root.get("kind") {
-            Some(Value::Str(s)) => s.clone(),
-            Some(_) => return Err(fail(E_REQUEST_PARSE, "`kind` must be a string".to_string())),
-            None => {
-                return Err(fail(
-                    E_REQUEST_PARSE,
-                    "missing `kind` (evaluate, sweep, search or stream)".to_string(),
-                ))
-            }
-        };
-        let serial = match root.get("serial") {
-            None => false,
-            Some(Value::Bool(b)) => *b,
-            Some(_) => {
-                return Err(fail(
-                    E_REQUEST_PARSE,
-                    "`serial` must be a boolean".to_string(),
-                ))
-            }
-        };
-        let deadline_ms = match root.get("deadline_ms") {
-            None => None,
-            Some(v) => Some(v.as_u64().ok_or_else(|| {
-                fail(
-                    E_REQUEST_PARSE,
-                    "`deadline_ms` must be a non-negative integer".to_string(),
-                )
-            })?),
-        };
-        let payload_keys: &[&str] = match kind.as_str() {
-            "evaluate" => &["factory", "strategy", "eval"],
-            "sweep" => &["sweep"],
-            "search" => &["search"],
-            "stream" => &["stream"],
+        let kind = f
+            .opt_str("kind")
+            .map_err(fail)?
+            .ok_or_else(|| fail(f.error("missing `kind` (evaluate, sweep, search or stream)")))?;
+        let serial = f.opt_bool("serial").map_err(fail)?.unwrap_or(false);
+        let deadline_ms = f.opt_u64("deadline_ms").map_err(fail)?;
+        // The payload fields are taken before `finish`, so an unknown
+        // envelope field is refused before any payload is decoded.
+        let (payload, strategy, eval) = match kind {
+            "evaluate" => (
+                f.opt_value("factory"),
+                f.opt_value("strategy"),
+                f.opt_value("eval"),
+            ),
+            "sweep" | "search" | "stream" => (f.opt_value(kind), None, None),
             other => {
-                return Err(fail(
-                    E_REQUEST_PARSE,
-                    format!("unknown kind `{other}` (expected evaluate, sweep, search or stream)"),
-                ))
+                return Err(fail(f.error(format_args!(
+                    "unknown kind `{other}` (expected evaluate, sweep, search or stream)"
+                ))))
             }
         };
-        for (key, _) in entries {
-            let known = matches!(
-                key.as_str(),
-                "protocol_version" | "id" | "kind" | "serial" | "deadline_ms"
-            ) || payload_keys.contains(&key.as_str());
-            if !known {
-                return Err(fail(E_REQUEST_PARSE, format!("unknown field `{key}`")));
-            }
-        }
-        let spec_fail = |id: &Option<String>, e: &CoreError| RequestError {
+        f.finish().map_err(fail)?;
+        let missing = |key: &str| fail(format!("request: missing `{key}`"));
+        let spec_fail = |e: CoreError| RequestError {
             id: id.clone(),
-            error: ServiceError::from_core(e),
+            error: ServiceError::from_core(&e),
         };
-        let job = match kind.as_str() {
-            "evaluate" => {
-                let factory = root
-                    .get("factory")
-                    .ok_or_else(|| fail(E_REQUEST_PARSE, "evaluate: missing `factory`".into()))
-                    .and_then(|v| factory_from_json(v).map_err(|e| spec_fail(&id, &e)))?;
-                let strategy = root
-                    .get("strategy")
-                    .ok_or_else(|| fail(E_REQUEST_PARSE, "evaluate: missing `strategy`".into()))
-                    .and_then(|v| strategy_from_json(v).map_err(|e| spec_fail(&id, &e)))?;
-                let eval = match root.get("eval") {
-                    Some(v) => eval_from_json(v).map_err(|e| spec_fail(&id, &e))?,
+        let job = match kind {
+            "evaluate" => Job::Evaluate {
+                factory: factory_from_json(payload.ok_or_else(|| missing("factory"))?)
+                    .map_err(spec_fail)?,
+                strategy: strategy_from_json(strategy.ok_or_else(|| missing("strategy"))?)
+                    .map_err(spec_fail)?,
+                eval: match eval {
+                    Some(v) => eval_from_json(v).map_err(spec_fail)?,
                     None => EvaluationConfig::default(),
-                };
-                Job::Evaluate {
-                    factory,
-                    strategy,
-                    eval,
+                },
+            },
+            _ => {
+                let payload = payload.ok_or_else(|| missing(kind))?;
+                match kind {
+                    "sweep" => Job::Sweep {
+                        spec: SweepSpec::from_value(payload).map_err(spec_fail)?,
+                    },
+                    "search" => Job::Search {
+                        spec: SearchSpec::from_value(payload).map_err(spec_fail)?,
+                    },
+                    _ => Job::Stream {
+                        spec: StreamSpec::from_value(payload).map_err(spec_fail)?,
+                    },
                 }
             }
-            "sweep" => {
-                let spec = root
-                    .get("sweep")
-                    .ok_or_else(|| fail(E_REQUEST_PARSE, "sweep: missing `sweep` spec".into()))
-                    .and_then(|v| SweepSpec::from_value(v).map_err(|e| spec_fail(&id, &e)))?;
-                Job::Sweep { spec }
-            }
-            "search" => {
-                let spec = root
-                    .get("search")
-                    .ok_or_else(|| fail(E_REQUEST_PARSE, "search: missing `search` spec".into()))
-                    .and_then(|v| SearchSpec::from_value(v).map_err(|e| spec_fail(&id, &e)))?;
-                Job::Search { spec }
-            }
-            "stream" => {
-                let spec = root
-                    .get("stream")
-                    .ok_or_else(|| fail(E_REQUEST_PARSE, "stream: missing `stream` spec".into()))
-                    .and_then(|v| StreamSpec::from_value(v).map_err(|e| spec_fail(&id, &e)))?;
-                Job::Stream { spec }
-            }
-            _ => unreachable!("kind validated above"),
         };
         let mut request = Request::new(id.unwrap_or_else(|| "job".to_string()), job);
         request.serial = serial;
@@ -690,7 +632,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error_code::E_SPEC_PARSE;
+    use crate::error_code::{E_SPEC_PARSE, E_STREAM_SPEC};
 
     #[test]
     fn request_round_trips_each_kind() {
@@ -766,11 +708,127 @@ mod tests {
                 "bogus",
             ),
             (r#"{"protocol_version": 1, "kind": "sweep"}"#, "sweep"),
+            // A numeric id once ran and was answered as "job", which the
+            // client could not correlate.
+            (
+                r#"{"protocol_version": 1, "id": 5, "kind": "evaluate",
+                    "factory": {"k": 2}, "strategy": {"strategy": "linear"}}"#,
+                "`id` must be a string",
+            ),
         ] {
             let err = Request::from_json(bad).expect_err("must fail");
             assert_eq!(err.error.code, E_REQUEST_PARSE, "{bad}");
             assert!(err.error.message.contains(needle), "{bad} -> {}", err.error);
         }
+    }
+
+    #[test]
+    fn null_reads_as_absent_and_repeated_fields_are_errors() {
+        let request = |kind: &str, spec: &str| {
+            format!(r#"{{"protocol_version": 1, "id": "r", "kind": "{kind}", "{kind}": {spec}}}"#)
+        };
+        let sweep = |extra: &str| {
+            request(
+                "sweep",
+                &format!(
+                    r#"{{"name": "s"{extra}, "points": [{{"label": "p", "factory": {{"k": 2}},
+                        "strategy": {{"strategy": "linear"}}}}]}}"#
+                ),
+            )
+        };
+        let search = |extra: &str| {
+            request(
+                "search",
+                &format!(
+                    r#"{{"name": "s"{extra}, "factory": {{"k": 2}},
+                        "portfolio": [{{"strategy": {{"strategy": "linear"}}}}]}}"#
+                ),
+            )
+        };
+        let stream = |extra: &str| {
+            request(
+                "stream",
+                &format!(
+                    r#"{{"name": "s"{extra}, "horizon": 100,
+                        "arrivals": {{"process": "poisson", "rate": 0.01}},
+                        "fleet": [{{"factory": {{"k": 2}}}}],
+                        "classes": [{{"name": "c", "strategy": {{"strategy": "linear"}}}}]}}"#
+                ),
+            )
+        };
+        let evaluate = |extra: &str| {
+            format!(
+                r#"{{"protocol_version": 1, "kind": "evaluate"{extra}, "factory": {{"k": 2}},
+                    "strategy": {{"strategy": "random", "seed": 3}}}}"#
+            )
+        };
+        // (decoder, with a null field, without it, with a repeated field,
+        // expected code, the repeated field)
+        let cases = [
+            (
+                "sweep",
+                sweep(r#", "cache_dir": null"#),
+                sweep(""),
+                sweep(r#", "lanes": 1, "lanes": 2"#),
+                E_SPEC_PARSE,
+                "lanes",
+            ),
+            (
+                "search",
+                search(r#", "cache_dir": null, "target": null"#),
+                search(""),
+                search(r#", "budget": 1, "budget": 2"#),
+                E_SPEC_PARSE,
+                "budget",
+            ),
+            (
+                "stream",
+                stream(r#", "cache_dir": null, "eval": null"#),
+                stream(""),
+                stream(r#", "seed": 1, "seed": 2"#),
+                E_STREAM_SPEC,
+                "seed",
+            ),
+            (
+                "request",
+                evaluate(r#", "id": null, "eval": null"#),
+                evaluate(""),
+                evaluate(r#", "serial": true, "serial": false"#),
+                E_REQUEST_PARSE,
+                "serial",
+            ),
+            (
+                "strategy",
+                evaluate("").replace(r#""seed": 3"#, r#""seed": 3, "label": null"#),
+                evaluate(""),
+                evaluate("").replace(r#""seed": 3"#, r#""seed": 3, "seed": 4"#),
+                E_SPEC_PARSE,
+                "seed",
+            ),
+        ];
+        for (decoder, with_null, without, repeated, code, field) in cases {
+            assert_eq!(
+                Request::from_json(&with_null).unwrap(),
+                Request::from_json(&without).unwrap(),
+                "{decoder}: null must read as absent"
+            );
+            let err = Request::from_json(&repeated).expect_err("a repeated field must fail");
+            assert_eq!(err.error.code, code, "{decoder}: {}", err.error);
+            let needle = format!("duplicate field `{field}`");
+            assert!(
+                err.error.message.contains(&needle),
+                "{decoder}: {}",
+                err.error
+            );
+        }
+
+        use crate::faults::FaultPlan;
+        assert_eq!(
+            FaultPlan::from_json(r#"{"seed": null, "crash": null}"#).unwrap(),
+            FaultPlan::new()
+        );
+        let err = FaultPlan::from_json(r#"{"seed": 1, "seed": 2}"#).unwrap_err();
+        assert!(err.contains("duplicate field `seed`"), "fault plan: {err}");
     }
 
     #[test]
