@@ -7,8 +7,15 @@
 //! simulated [`Evaluation`] by the full content of what determines it — the
 //! factory configuration, the layout bytes (placement, routing hints *and*
 //! port assignment), and the evaluation/simulator configuration — so any
-//! duplicate across sweep rows or search candidates simulates exactly once,
-//! even when workers race on it from different threads.
+//! duplicate across sweep rows or search candidates simulates exactly once.
+//!
+//! The cache itself is a plain map with a `lookup` and a `record` call.
+//! Deduplication belongs to the planner of the sweep's chunk pipeline, which
+//! every sweep, search and stream runs through. In point order, before
+//! anything simulates, it answers a cached key from the map, sends a key an
+//! earlier point of the chunk computes to that point, and lets every other
+//! point compute and be recorded. No two workers ever compute one key, so
+//! there is nothing for them to race on.
 //!
 //! The key is the rendered content itself (no lossy hashing), so a cache hit
 //! can never alias two distinct inputs: results with the cache enabled are
@@ -30,7 +37,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 use serde::Serialize;
 
@@ -107,25 +114,26 @@ pub fn process_cache_stats() -> CacheStats {
     }
 }
 
-/// One cache slot: a per-key compute guard plus the published value.
-/// Concurrent requesters of the same key serialize on `guard`, so the
-/// evaluation runs once and late arrivals read the published result.
-/// `from_disk` marks slots pre-populated from the persistent tier (their
-/// hits count as `disk_hits` and they are never re-appended).
-#[derive(Default)]
-struct Slot {
-    guard: Mutex<()>,
-    value: OnceLock<Evaluation>,
+/// One cached evaluation. `from_disk` marks entries loaded from the
+/// persistent tier (their hits count as `disk_hits`; they are never
+/// re-appended).
+struct Entry {
+    evaluation: Evaluation,
     from_disk: bool,
 }
 
 /// A content-addressed map from evaluation inputs to simulated
-/// [`Evaluation`] records, shared across the worker threads of one sweep or
-/// search run, optionally backed by an on-disk persistent tier shared
-/// across processes.
+/// [`Evaluation`] records, one per sweep or search run, optionally backed by
+/// an on-disk persistent tier shared across processes.
+///
+/// The cache is a plain map: it never decides who computes a key. The sweep
+/// chunk planner looks every key up in point order before anything
+/// simulates, sends a key the chunk already computes to that point, and
+/// records each newly computed key once — so no two workers ever race on one
+/// key, and the counters of a completed run are the same serial or parallel.
 #[derive(Default)]
 pub struct EvalCache {
-    slots: Mutex<HashMap<String, Arc<Slot>>>,
+    entries: Mutex<HashMap<String, Entry>>,
     disk: Option<DiskTier>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -142,6 +150,12 @@ impl std::fmt::Debug for EvalCache {
             .field("persistent", &self.disk.is_some())
             .finish()
     }
+}
+
+/// Adds `n` to one of a cache's counters and to its process-wide total.
+fn bump(counter: &AtomicU64, process: &AtomicU64, n: u64) {
+    counter.fetch_add(n, Ordering::Relaxed);
+    process.fetch_add(n, Ordering::Relaxed);
 }
 
 impl EvalCache {
@@ -175,13 +189,22 @@ impl EvalCache {
                 contents.quarantined.len()
             );
         }
-        self.count_warnings(contents.warnings.len() as u64);
+        bump(
+            &self.warnings,
+            &PROCESS_WARNINGS,
+            contents.warnings.len() as u64,
+        );
         let loaded = contents.entries.len() as u64;
+        let entries = self.entries.get_mut().unwrap_or_else(|e| e.into_inner());
         for (key, evaluation) in contents.entries {
-            self.insert_loaded(key, evaluation);
+            // Duplicate keys (two processes raced the same miss) carry
+            // identical content; keep the entry already present.
+            entries.entry(key).or_insert(Entry {
+                evaluation,
+                from_disk: true,
+            });
         }
-        self.loaded.fetch_add(loaded, Ordering::Relaxed);
-        PROCESS_LOADED.fetch_add(loaded, Ordering::Relaxed);
+        bump(&self.loaded, &PROCESS_LOADED, loaded);
         Ok(self)
     }
 
@@ -197,93 +220,50 @@ impl EvalCache {
         }
     }
 
-    /// Adds to this cache's and the process-wide warning counters.
-    fn count_warnings(&self, n: u64) {
-        if n > 0 {
-            self.warnings.fetch_add(n, Ordering::Relaxed);
-            PROCESS_WARNINGS.fetch_add(n, Ordering::Relaxed);
+    /// The evaluation cached under `key`, labelled `strategy_name` (the
+    /// label is presentation, not content), counted as a hit; `None`, and
+    /// no count, when the key is absent.
+    pub(crate) fn lookup(&self, key: &str, strategy_name: &str) -> Option<Evaluation> {
+        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let entry = entries.get(key)?;
+        let mut evaluation = entry.evaluation.clone();
+        evaluation.strategy = strategy_name.to_string();
+        self.count_hit(entry.from_disk);
+        Some(evaluation)
+    }
+
+    /// Counts one hit, and a disk hit when a record loaded from the
+    /// persistent tier answered it. The sweep planner also counts a hit for
+    /// each duplicate key that an earlier point of the same chunk computes.
+    pub(crate) fn count_hit(&self, from_disk: bool) {
+        bump(&self.hits, &PROCESS_HITS, 1);
+        if from_disk {
+            bump(&self.disk_hits, &PROCESS_DISK_HITS, 1);
         }
     }
 
-    /// Pre-populates one slot from a persisted record (open-time only:
-    /// `&mut self`, so no lock contention and no hit/miss accounting).
-    fn insert_loaded(&mut self, key: String, evaluation: Evaluation) {
-        let slots = self.slots.get_mut().unwrap_or_else(|e| e.into_inner());
-        // Duplicate keys (two processes raced the same miss) carry identical
-        // content; keep the slot already present.
-        slots.entry(key).or_insert_with(|| {
-            Arc::new(Slot {
-                guard: Mutex::new(()),
-                value: OnceLock::from(evaluation),
-                from_disk: true,
-            })
-        });
-    }
-
-    /// Returns the evaluation for `key`, running `compute` only if no other
-    /// requester has published it yet. The cached record's `strategy` label
-    /// is replaced by `strategy_name` (the label is presentation, not
-    /// content). Compute errors are propagated without populating the slot.
-    pub(crate) fn get_or_compute(
-        &self,
-        key: String,
-        strategy_name: &str,
-        compute: impl FnOnce() -> Result<Evaluation>,
-    ) -> Result<Evaluation> {
-        // A persisted miss appends under the same key after computing.
-        let persist_key = self.disk.is_some().then(|| key.clone());
-        let slot = {
-            let mut slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-            slots.entry(key).or_default().clone()
-        };
-        if let Some(found) = slot.value.get() {
-            return Ok(self.hit(&slot, found, strategy_name));
-        }
-        let _guard = slot.guard.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(found) = slot.value.get() {
-            // Another worker simulated this key while we waited.
-            return Ok(self.hit(&slot, found, strategy_name));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        PROCESS_MISSES.fetch_add(1, Ordering::Relaxed);
-        let value = compute()?;
-        let _ = slot.value.set(value.clone());
-        if let (Some(disk), Some(key)) = (&self.disk, persist_key) {
-            match disk.append(&key, &value) {
-                Ok(()) => {
-                    self.persisted.fetch_add(1, Ordering::Relaxed);
-                    PROCESS_PERSISTED.fetch_add(1, Ordering::Relaxed);
-                }
+    /// Records a newly computed `evaluation` under `key`, counted as a miss,
+    /// and appends it to the persistent tier when there is one. A failed
+    /// append is a warning, never an error.
+    pub(crate) fn record(&self, key: String, evaluation: Evaluation) {
+        bump(&self.misses, &PROCESS_MISSES, 1);
+        if let Some(disk) = &self.disk {
+            match disk.append(&key, &evaluation) {
+                Ok(()) => bump(&self.persisted, &PROCESS_PERSISTED, 1),
                 Err(warning) => {
-                    self.count_warnings(1);
+                    bump(&self.warnings, &PROCESS_WARNINGS, 1);
                     eprintln!("[msfu eval-cache] {warning}");
                 }
             }
         }
-        Ok(value)
-    }
-
-    /// Whether `key` already holds a published value. Counts as neither hit
-    /// nor miss — the sweep planner uses it to keep cached points out of
-    /// batch lanes without disturbing the accounting that `get_or_compute`
-    /// performs later.
-    pub(crate) fn peek(&self, key: &str) -> bool {
-        let slots = self.slots.lock().unwrap_or_else(|e| e.into_inner());
-        slots
-            .get(key)
-            .is_some_and(|slot| slot.value.get().is_some())
-    }
-
-    fn hit(&self, slot: &Slot, found: &Evaluation, strategy_name: &str) -> Evaluation {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        PROCESS_HITS.fetch_add(1, Ordering::Relaxed);
-        if slot.from_disk {
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
-            PROCESS_DISK_HITS.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut evaluation = found.clone();
-        evaluation.strategy = strategy_name.to_string();
-        evaluation
+        let entry = Entry {
+            evaluation,
+            from_disk: false,
+        };
+        self.entries
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(key, entry);
     }
 }
 
@@ -343,19 +323,19 @@ mod tests {
         (config, layout, EvaluationConfig::default())
     }
 
+    fn simulate(config: &FactoryConfig, eval: &EvaluationConfig) -> Evaluation {
+        crate::evaluate(config, &Strategy::linear(), eval).unwrap()
+    }
+
     #[test]
     fn second_lookup_hits_and_patches_the_label() {
         let (config, layout, eval) = sample_inputs();
         let cache = EvalCache::new();
-        let key = || evaluation_key(&config, &layout, &eval);
-        let first = cache
-            .get_or_compute(key(), "Line", || {
-                crate::evaluate(&config, &Strategy::linear(), &eval)
-            })
-            .unwrap();
-        let second = cache
-            .get_or_compute(key(), "Other", || panic!("must not recompute"))
-            .unwrap();
+        let key = evaluation_key(&config, &layout, &eval);
+        assert!(cache.lookup(&key, "Line").is_none(), "absent keys miss");
+        let first = simulate(&config, &eval);
+        cache.record(key.clone(), first.clone());
+        let second = cache.lookup(&key, "Other").unwrap();
         assert_eq!(
             cache.stats(),
             CacheStats {
@@ -402,24 +382,26 @@ mod tests {
     }
 
     #[test]
-    fn compute_errors_do_not_poison_the_slot() {
-        let (config, layout, eval) = sample_inputs();
-        let cache = EvalCache::new();
-        let key = || evaluation_key(&config, &layout, &eval);
-        let err: Result<Evaluation> = cache.get_or_compute(key(), "Line", || {
-            Err(crate::CoreError::Spec {
-                reason: "injected".into(),
-            })
-        });
-        assert!(err.is_err());
-        // The key remains computable after a failure.
-        let ok = cache
-            .get_or_compute(key(), "Line", || {
-                crate::evaluate(&config, &Strategy::linear(), &eval)
-            })
-            .unwrap();
-        assert_eq!(ok.strategy, "Line");
-        assert_eq!(cache.stats().misses, 2);
+    fn failed_simulations_are_never_recorded() {
+        // A duplicate pair whose simulations abort on the cycle limit: the
+        // sweep fails, nothing reaches the disk tier, and a second run over
+        // the same directory fails the same way instead of reading a record.
+        let dir = std::env::temp_dir().join(format!("msfu-cache-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let eval = EvaluationConfig::default()
+            .with_sim(msfu_sim::SimConfig::default().with_cycle_limit(1));
+        let spec = crate::SweepSpec::new("fail", eval)
+            .point("a", FactoryConfig::single_level(2), Strategy::linear())
+            .point("b", FactoryConfig::single_level(2), Strategy::linear())
+            .with_cache_dir(&dir);
+        for run in 0..2 {
+            assert!(spec.run().is_err(), "run {run}");
+        }
+        for file in std::fs::read_dir(&dir).unwrap() {
+            let file = file.unwrap();
+            assert_eq!(file.metadata().unwrap().len(), 0, "{:?}", file.path());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -459,14 +441,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let (config, layout, eval) = sample_inputs();
         let key = || evaluation_key(&config, &layout, &eval);
-        {
-            let cache = EvalCache::new().with_disk(&dir).unwrap();
-            cache
-                .get_or_compute(key(), "Line", || {
-                    crate::evaluate(&config, &Strategy::linear(), &eval)
-                })
-                .unwrap();
-        }
+        EvalCache::new()
+            .with_disk(&dir)
+            .unwrap()
+            .record(key(), simulate(&config, &eval));
         // Damage a segment guaranteed to exist, then re-open: the open
         // quarantines it, counts the warning, and the run still works.
         let bucket = (0..crate::persist::NUM_BUCKETS)
@@ -478,12 +456,8 @@ mod tests {
         let cache = EvalCache::new().with_disk(&dir).unwrap();
         assert!(cache.stats().warnings > 0);
         assert!(process_cache_stats().since(&before).warnings > 0);
-        let value = cache
-            .get_or_compute(key(), "Line", || {
-                crate::evaluate(&config, &Strategy::linear(), &eval)
-            })
-            .unwrap();
-        assert_eq!(value.strategy, "Line");
+        cache.record(key(), simulate(&config, &eval));
+        assert_eq!(cache.lookup(&key(), "Line").unwrap().strategy, "Line");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -495,11 +469,8 @@ mod tests {
         let key = || evaluation_key(&config, &layout, &eval);
         let first = {
             let cache = EvalCache::new().with_disk(&dir).unwrap();
-            let value = cache
-                .get_or_compute(key(), "Line", || {
-                    crate::evaluate(&config, &Strategy::linear(), &eval)
-                })
-                .unwrap();
+            let value = simulate(&config, &eval);
+            cache.record(key(), value.clone());
             let stats = cache.stats();
             assert_eq!((stats.loaded, stats.misses, stats.persisted), (0, 1, 1));
             value
@@ -507,9 +478,7 @@ mod tests {
         // A fresh cache over the same directory answers from disk,
         // byte-identically, and persists nothing new.
         let cache = EvalCache::new().with_disk(&dir).unwrap();
-        let second = cache
-            .get_or_compute(key(), "Line", || panic!("must come from disk"))
-            .unwrap();
+        let second = cache.lookup(&key(), "Line").expect("served from disk");
         assert_eq!(second, first);
         let stats = cache.stats();
         assert_eq!(stats.loaded, 1);

@@ -53,6 +53,7 @@ use std::path::{Path, PathBuf};
 
 use serde::{Serialize, Value};
 
+use crate::spec::Fields;
 use crate::wire::evaluation_from_value;
 use crate::Evaluation;
 
@@ -604,15 +605,11 @@ fn decode_payload(payload: &[u8]) -> Result<(String, Evaluation), PayloadError> 
 fn decode_json(json: &[u8]) -> Result<(String, Evaluation), String> {
     let text = std::str::from_utf8(json).map_err(|e| e.to_string())?;
     let record = serde_json::from_str(text).map_err(|e| e.to_string())?;
-    let key = record
-        .get("key")
-        .and_then(Value::as_str)
-        .ok_or("record: `key` must be a string")?;
-    let evaluation = record
-        .get("evaluation")
-        .ok_or("record: missing `evaluation`")?;
-    let evaluation = evaluation_from_value(evaluation).map_err(|e| e.to_string())?;
-    Ok((key.to_string(), evaluation))
+    let mut f = Fields::new(&record, "record", String::from)?;
+    let key = f.str("key")?.to_string();
+    let evaluation = evaluation_from_value(f.value("evaluation")?).map_err(|e| e.to_string())?;
+    f.finish()?;
+    Ok((key, evaluation))
 }
 
 #[cfg(test)]
@@ -708,25 +705,44 @@ mod tests {
 
     #[test]
     fn corrupt_record_is_skipped_and_later_records_survive() {
-        let dir = temp_dir("corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        // First record: valid framing + version, garbage payload. Second:
-        // genuine. The scan must warn on the first and still load the second.
-        let garbage = [FORMAT_VERSION, 0xff, 0xff, 0xff];
-        let mut bytes = (garbage.len() as u32).to_le_bytes().to_vec();
-        bytes.extend_from_slice(&garbage);
+        // First record: valid framing + version, a payload that does not
+        // decode. Second: genuine. The scan must warn on the first and still
+        // load the second.
         let evaluation = sample_evaluation();
-        bytes.extend_from_slice(&encode_record("good", &evaluation));
-        std::fs::write(dir.join("seg-07.bin"), &bytes).unwrap();
-        let (_, contents) = DiskTier::open(&dir).unwrap();
-        assert_eq!(contents.entries.len(), 1);
-        assert_eq!(contents.entries[0].0, "good");
-        assert_eq!(contents.entries[0].1, evaluation);
-        assert!(matches!(
-            contents.warnings.as_slice(),
-            [PersistWarning::Corrupt { .. }]
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
+        let body = serde_json::to_string(&evaluation.to_value()).unwrap();
+        let garbage = [
+            (vec![0xff, 0xff, 0xff], "utf-8"),
+            (
+                format!(r#"{{"key": "bad", "evaluation": {body}, "extra": 1}}"#).into_bytes(),
+                "record: unknown field `extra`",
+            ),
+            (
+                format!(r#"{{"key": "bad", "key": "worse", "evaluation": {body}}}"#).into_bytes(),
+                "record: duplicate field `key`",
+            ),
+        ];
+        for (row, (payload, reason)) in garbage.iter().enumerate() {
+            let dir = temp_dir(&format!("corrupt-{row}"));
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut bytes = (1 + payload.len() as u32).to_le_bytes().to_vec();
+            bytes.push(FORMAT_VERSION);
+            bytes.extend_from_slice(payload);
+            bytes.extend_from_slice(&encode_record("good", &evaluation));
+            std::fs::write(dir.join("seg-07.bin"), &bytes).unwrap();
+            let (_, contents) = DiskTier::open(&dir).unwrap();
+            assert_eq!(contents.entries.len(), 1, "row {row}");
+            assert_eq!(contents.entries[0].0, "good");
+            assert_eq!(contents.entries[0].1, evaluation);
+            assert!(
+                matches!(
+                    contents.warnings.as_slice(),
+                    [PersistWarning::Corrupt { reason: found, .. }] if found.contains(reason)
+                ),
+                "row {row}: {:?}",
+                contents.warnings
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -710,10 +710,10 @@ pub struct SearchOutcome {
     /// `true` when the run stopped at a batch boundary before finishing.
     pub interrupted: bool,
     /// Evaluation-cache counters of this run (all zero when the cache is
-    /// disabled). Each distinct key misses exactly once — racing workers
-    /// serialize on the slot's compute guard, so late arrivals count as hits
-    /// — and the report itself is identical for serial, parallel, cached and
-    /// uncached runs.
+    /// disabled). Each distinct key misses exactly once — the sweep chunk
+    /// planner picks the one candidate that computes it and every other
+    /// candidate with that key counts as a hit — and the report itself is
+    /// identical for serial, parallel, cached and uncached runs.
     pub cache: CacheStats,
 }
 

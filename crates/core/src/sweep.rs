@@ -39,7 +39,7 @@
 //! assert!(results.rows[0].evaluation.volume < results.rows[1].evaluation.volume);
 //! ```
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use rayon::prelude::*;
@@ -51,7 +51,7 @@ use msfu_layout::Layout;
 use msfu_sim::{BatchLane, MAX_LANES};
 
 use crate::cache::{evaluation_key, open_eval_cache, CacheStats, EvalCache};
-use crate::evaluate::{evaluation_record, run_one_lane, with_thread_batch_engine};
+use crate::evaluate::{evaluation_record, with_thread_batch_engine};
 use crate::pipeline::{per_round_breakdown_with, RoundBreakdown};
 use crate::progress::{ProgressEvent, RunControl};
 use crate::{CoreError, Evaluation, EvaluationConfig, Result, Strategy};
@@ -162,10 +162,10 @@ pub struct SweepOutcome {
     /// `true` when the run stopped at a batch boundary before finishing.
     pub interrupted: bool,
     /// Evaluation-cache counters of this run (all zero when the cache is
-    /// disabled). Each distinct key misses exactly once — racing workers
-    /// serialize on the slot's compute guard, so late arrivals count as hits
-    /// — making the counters identical for parallel and serial runs of a
-    /// completed sweep.
+    /// disabled). Each distinct key misses exactly once: the chunk planner
+    /// decides in point order which point computes it, and every other point
+    /// with that key counts as a hit — making the counters identical for
+    /// parallel and serial runs of a completed sweep.
     pub cache: CacheStats,
 }
 
@@ -373,7 +373,9 @@ impl SweepSpec {
     /// # Errors
     ///
     /// Returns the first (in point order) factory-construction, placement or
-    /// simulation error.
+    /// simulation error — the same error [`SweepSpec::run_serial`] returns:
+    /// a factory that fails to build fails at the first point using it, not
+    /// before the run starts.
     pub fn run(&self) -> Result<SweepResults> {
         Ok(self.run_with(&RunControl::default())?.results)
     }
@@ -401,7 +403,8 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Returns the first factory-construction, placement or simulation error.
+    /// Returns the first (in point order) factory-construction, placement or
+    /// simulation error, as [`SweepSpec::run`] does.
     pub fn run_serial(&self) -> Result<SweepResults> {
         Ok(self.run_serial_with(&RunControl::default())?.results)
     }
@@ -419,39 +422,30 @@ impl SweepSpec {
     ///
     /// # Errors
     ///
-    /// Returns the first factory-construction, placement or simulation error
-    /// among the points that ran.
+    /// Returns the first (in point order) factory-construction, placement or
+    /// simulation error among the points that ran.
     pub fn run_serial_with(&self, ctrl: &RunControl<'_>) -> Result<SweepOutcome> {
         self.execute(false, ctrl)
     }
 
-    /// The one chunk walk behind every run. A parallel run builds each
-    /// distinct factory up front (in parallel), evaluates each chunk across
-    /// the worker pool and reports once per chunk; a serial run builds
-    /// factories on first use, checks for interruption between rows and
-    /// reports once at the end.
+    /// The one chunk walk behind every run. Every distinct factory is built
+    /// once before the first chunk (across the worker pool when parallel)
+    /// and each build's result is kept, so a failed build surfaces at the
+    /// first point that uses it: both modes return the first error in point
+    /// order, after the rows before it. A parallel run evaluates each chunk
+    /// across the pool and reports once per chunk; a serial run checks for
+    /// interruption between rows and reports once at the end. A run whose
+    /// control is already interrupted builds nothing.
     fn execute(&self, parallel: bool, ctrl: &RunControl<'_>) -> Result<SweepOutcome> {
         let total = self.points.len();
         let mut rows: Vec<SweepRow> = Vec::with_capacity(total);
-        let mut interrupted = parallel && ctrl.interrupted();
+        let mut interrupted = ctrl.interrupted();
         let eval_cache = open_eval_cache(self.use_eval_cache, self.cache_dir.as_deref())?;
-        let mut factories: FactoryCache = HashMap::new();
-
-        if parallel && !interrupted {
-            let mut distinct: Vec<FactoryConfig> = Vec::new();
-            for p in &self.points {
-                if !distinct.contains(&p.factory) {
-                    distinct.push(p.factory);
-                }
-            }
-            let built: Vec<Result<Arc<FactoryEntry>>> = distinct
-                .par_iter()
-                .map(|config| Ok(Arc::new(FactoryEntry::build(config)?)))
-                .collect();
-            for (config, entry) in distinct.iter().zip(built) {
-                factories.insert(*config, entry?);
-            }
-        }
+        let factories = if interrupted {
+            FactoryCache::new()
+        } else {
+            self.build_factories(parallel)
+        };
 
         'chunks: for chunk in self.points.chunks(SWEEP_BATCH) {
             if interrupted || ctrl.interrupted() {
@@ -460,7 +454,7 @@ impl SweepSpec {
             }
             let entries: Vec<Result<Arc<FactoryEntry>>> = chunk
                 .iter()
-                .map(|point| self.entry_for(&mut factories, point.factory))
+                .map(|point| factories[&point.factory].clone())
                 .collect();
             let batch = self.evaluate_chunk(chunk, &entries, eval_cache.as_ref(), parallel);
             for row in batch {
@@ -495,6 +489,21 @@ impl SweepSpec {
         })
     }
 
+    /// Builds each distinct factory configuration of the spec once, keeping
+    /// every build's result.
+    fn build_factories(&self, parallel: bool) -> FactoryCache {
+        let mut distinct: Vec<FactoryConfig> = Vec::new();
+        for p in &self.points {
+            if !distinct.contains(&p.factory) {
+                distinct.push(p.factory);
+            }
+        }
+        let built = map_indices(parallel, distinct.len(), |i| {
+            FactoryEntry::build(&distinct[i]).map(Arc::new)
+        });
+        distinct.into_iter().zip(built).collect()
+    }
+
     fn emit_batch_finished(&self, ctrl: &RunControl<'_>, completed: usize) {
         ctrl.emit(&ProgressEvent::BatchFinished {
             name: &self.name,
@@ -511,19 +520,6 @@ impl SweepSpec {
         } else {
             0
         }
-    }
-
-    fn entry_for(
-        &self,
-        cache: &mut FactoryCache,
-        config: FactoryConfig,
-    ) -> Result<Arc<FactoryEntry>> {
-        if let Some(entry) = cache.get(&config) {
-            return Ok(entry.clone());
-        }
-        let entry = Arc::new(FactoryEntry::build(&config)?);
-        cache.insert(config, entry.clone());
-        Ok(entry)
     }
 
     /// Maps one point: layout, rewired factory copy (for port-rewiring
@@ -545,12 +541,12 @@ impl SweepSpec {
         })
     }
 
-    /// Evaluates one chunk: maps every point, plans lane-compatible groups,
-    /// simulates each group through one [`BatchEngine`](msfu_sim::BatchEngine)
-    /// and every other point solo (a one-lane batch on the same engine), then
-    /// finalizes rows in point order through the evaluation cache. With
-    /// batching off every uncached point goes solo — the reference the
-    /// lane-equivalence tests compare against.
+    /// Evaluates one chunk: maps every point, plans how each one gets its
+    /// evaluation, simulates every group of computing points through one
+    /// [`BatchEngine`](msfu_sim::BatchEngine) run, then finalizes rows in
+    /// point order. With batching off every computing point is a one-lane
+    /// group of its own — the reference the lane-equivalence tests compare
+    /// against.
     pub(crate) fn evaluate_chunk(
         &self,
         chunk: &[SweepPoint],
@@ -562,83 +558,81 @@ impl SweepSpec {
 
         // Phase A: map every point. The mapping phase always runs: it
         // produces the content address.
-        let mapped: Vec<Result<MappedPoint>> = map_indices(parallel, len, |i| {
+        let mut mapped: Vec<Result<MappedPoint>> = map_indices(parallel, len, |i| {
             let entry = entries[i].as_ref().map_err(Clone::clone)?;
             self.map_point(&chunk[i], entry)
         });
 
-        // Phase B: plan lanes, sequentially in point order so the grouping
-        // is identical for serial and parallel runs. The
-        // first occurrence of each cacheable key gets a lane; chunk-internal
-        // duplicates follow that lane; keys the cache already holds never
-        // occupy a lane; port-rewired points simulate a private circuit and
-        // go solo, as does every point when batching is off.
+        // Phase B: plan, sequentially in point order so the plan is
+        // identical for serial and parallel runs. This is the only place
+        // that decides how a point gets its evaluation: a key the cache
+        // holds is answered from it; a key an earlier point of the chunk
+        // computes follows that point; every other point computes — in a
+        // lane group with points of the same built factory and grid size,
+        // or as a one-lane group of its own when it is lane-incompatible
+        // (batching off, a port-rewired circuit, or circuit × lanes would
+        // overflow the wheel's event payload).
         let lane_cap = self.lane_width();
-        let mut roles: Vec<Option<PointRole>> = vec![None; len];
+        let mut plan: Vec<Option<Plan>> = vec![None; len];
         let mut groups: Vec<Vec<usize>> = Vec::new();
         let mut open: HashMap<(usize, usize, usize), usize> = HashMap::new();
-        let mut seen: HashSet<&str> = HashSet::new();
+        let mut leaders: HashMap<&str, usize> = HashMap::new();
         for i in 0..len {
-            let Ok(entry) = entries[i].as_ref() else {
-                continue;
-            };
-            let Ok(m) = mapped[i].as_ref() else {
+            let (Ok(entry), Ok(m)) = (&entries[i], &mapped[i]) else {
                 continue;
             };
             if let (Some(cache), Some(key)) = (eval_cache, m.key.as_deref()) {
-                if seen.contains(key) {
-                    roles[i] = Some(PointRole::Follower);
+                if let Some(&leader) = leaders.get(key) {
+                    cache.count_hit(false);
+                    plan[i] = Some(Plan::Follow(leader));
                     continue;
                 }
-                if cache.peek(key) {
-                    roles[i] = Some(PointRole::Cached);
+                if let Some(evaluation) = cache.lookup(key, chunk[i].strategy.short_name()) {
+                    plan[i] = Some(Plan::Cached(evaluation));
                     continue;
                 }
+                leaders.insert(key, i);
             }
             let gates = entry.factory.circuit().num_gates() as u64;
-            if lane_cap == 0
-                || m.rewired.is_some()
-                || (lane_cap as u64).saturating_mul(gates) > u64::from(u32::MAX)
-            {
-                roles[i] = Some(PointRole::Solo);
-                continue;
-            }
+            let lane_compatible = lane_cap > 1
+                && m.rewired.is_none()
+                && (lane_cap as u64).saturating_mul(gates) <= u64::from(u32::MAX);
             let group_key = (
                 Arc::as_ptr(entry) as usize,
                 m.layout.mapping.width(),
                 m.layout.mapping.height(),
             );
-            let slot = match open.get(&group_key) {
-                Some(&gi) if groups[gi].len() < lane_cap => gi,
+            let g = match open.get(&group_key) {
+                Some(&g) if lane_compatible && groups[g].len() < lane_cap => g,
                 _ => {
+                    if lane_compatible {
+                        open.insert(group_key, groups.len());
+                    }
                     groups.push(Vec::new());
-                    let gi = groups.len() - 1;
-                    open.insert(group_key, gi);
-                    gi
+                    groups.len() - 1
                 }
             };
-            groups[slot].push(i);
-            roles[i] = Some(PointRole::Lane);
-            if let Some(key) = m.key.as_deref() {
-                seen.insert(key);
-            }
+            groups[g].push(i);
+            plan[i] = Some(Plan::Compute(g));
         }
 
-        // Phase C: simulate each group through one shared event wheel. The
-        // batch engine guarantees each lane's SimResult is byte-identical to
-        // a solo run.
-        let group_results = map_indices(parallel, groups.len(), |g| {
+        // Phase C: simulate each group through one shared event wheel — a
+        // one-lane group on its own (possibly rewired) circuit. The batch
+        // engine guarantees each lane's SimResult is byte-identical to a
+        // solo run.
+        let simulated = map_indices(parallel, groups.len(), |g| {
             let members = &groups[g];
-            let factory = &entries[members[0]]
+            let lead = mapped[members[0]].as_ref().expect("planned points mapped");
+            let entry = entries[members[0]]
                 .as_ref()
-                .expect("grouped points have a factory")
-                .factory;
+                .expect("planned points have a factory");
+            let factory: &Factory = lead.rewired.as_ref().unwrap_or(&entry.factory);
             let circuit = factory.circuit();
             let critical_path_cycles = circuit.critical_path_cycles(&self.eval.sim.latency);
             let lanes: Vec<BatchLane<'_>> = members
                 .iter()
                 .map(|&i| {
-                    BatchLane::new(&mapped[i].as_ref().expect("grouped points mapped").layout)
+                    BatchLane::new(&mapped[i].as_ref().expect("planned points mapped").layout)
                 })
                 .collect();
             let outcome = with_thread_batch_engine(self.eval.sim, |batch_engine| {
@@ -647,99 +641,85 @@ impl SweepSpec {
             match outcome {
                 Err(e) => members
                     .iter()
-                    .map(|&i| (i, Err(CoreError::from(e.clone()))))
+                    .map(|_| Err(CoreError::from(e.clone())))
                     .collect(),
                 Ok(results) => members
                     .iter()
                     .zip(results)
                     .map(|(&i, lane)| {
                         let name = chunk[i].strategy.short_name();
-                        let evaluation = lane
-                            .map(|sim| evaluation_record(factory, name, &sim, critical_path_cycles))
-                            .map_err(CoreError::from);
-                        (i, evaluation)
+                        lane.map(|sim| evaluation_record(factory, name, &sim, critical_path_cycles))
+                            .map_err(CoreError::from)
                     })
                     .collect::<Vec<_>>(),
             }
         });
-        // Follower points clone their lane's result through the cache.
-        let mut by_key: HashMap<&str, usize> = HashMap::new();
-        for i in 0..len {
-            if matches!(roles[i], Some(PointRole::Lane)) {
-                if let Ok(m) = &mapped[i] {
-                    if let Some(key) = m.key.as_deref() {
-                        by_key.entry(key).or_insert(i);
-                    }
-                }
-            }
-        }
-        let mut lane_eval: Vec<Option<Result<Evaluation>>> = vec![None; len];
-        for (i, evaluation) in group_results.into_iter().flatten() {
-            lane_eval[i] = Some(evaluation);
-        }
 
-        // Phase D: finalize rows in point order. Every cacheable point goes
-        // through `get_or_compute`, with the already-simulated value as its
-        // compute closure, so hit/miss counters and cached values do not
-        // depend on the lane width.
-        map_indices(parallel, len, |i| {
-            with_thread_batch_engine(self.eval.sim, |engine| {
-                let point = &chunk[i];
-                let entry = entries[i].as_ref().map_err(Clone::clone)?;
-                let m = mapped[i].as_ref().map_err(Clone::clone)?;
-                let factory = &entry.factory;
-                let effective: &Factory = m.rewired.as_ref().unwrap_or(factory);
-                let name = point.strategy.short_name();
-                let lane_result =
-                    |i: usize| lane_eval[i].clone().expect("lane points were simulated");
-                let mut compute = || match roles[i].expect("mapped points were planned") {
-                    PointRole::Lane => lane_result(i),
-                    PointRole::Follower => lane_result(
-                        by_key[m.key.as_deref().unwrap_or_default()],
-                    )
-                    .map(|mut evaluation| {
-                        evaluation.strategy = name.to_string();
+        // Phase D: finalize rows. In point order, each computing point is
+        // recorded in the cache (a miss, plus the disk append; its key moves
+        // into the cache) and followers copy their leader's result; then
+        // rows gain their breakdowns and metrics.
+        let mut simulated: Vec<_> = simulated.into_iter().map(Vec::into_iter).collect();
+        let mut evaluations: Vec<Option<Result<Evaluation>>> = Vec::with_capacity(len);
+        for i in 0..len {
+            let evaluation = match plan[i].take() {
+                None => None,
+                Some(Plan::Cached(evaluation)) => Some(Ok(evaluation)),
+                Some(Plan::Follow(leader)) => evaluations[leader].clone().map(|result| {
+                    result.map(|mut evaluation| {
+                        evaluation.strategy = chunk[i].strategy.short_name().to_string();
                         evaluation
-                    }),
-                    PointRole::Cached | PointRole::Solo => {
-                        let circuit = effective.circuit();
-                        let sim = run_one_lane(engine, circuit, &m.layout)?;
-                        let critical = circuit.critical_path_cycles(&self.eval.sim.latency);
-                        Ok(evaluation_record(effective, name, &sim, critical))
+                    })
+                }),
+                Some(Plan::Compute(g)) => {
+                    let result = simulated[g].next().expect("one result per group member");
+                    let key = mapped[i].as_mut().ok().and_then(|m| m.key.take());
+                    if let (Some(cache), Some(key), Ok(evaluation)) = (eval_cache, key, &result) {
+                        cache.record(key, evaluation.clone());
                     }
-                };
-                let evaluation = match (eval_cache, m.key.clone()) {
-                    (Some(cache), Some(key)) => cache.get_or_compute(key, name, compute)?,
-                    _ => compute()?,
-                };
-                let breakdown = if self.collect_breakdowns {
-                    Some(per_round_breakdown_with(engine, effective, &m.layout)?)
+                    Some(result)
+                }
+            };
+            evaluations.push(evaluation);
+        }
+        map_indices(parallel, len, |i| {
+            let point = &chunk[i];
+            let entry = entries[i].as_ref().map_err(Clone::clone)?;
+            let m = mapped[i].as_ref().map_err(Clone::clone)?;
+            let evaluation = evaluations[i]
+                .clone()
+                .expect("mapped points were planned")?;
+            let factory = &entry.factory;
+            let effective: &Factory = m.rewired.as_ref().unwrap_or(factory);
+            let breakdown = if self.collect_breakdowns {
+                Some(with_thread_batch_engine(self.eval.sim, |engine| {
+                    per_round_breakdown_with(engine, effective, &m.layout)
+                })?)
+            } else {
+                None
+            };
+            let metrics = if self.collect_mapping_metrics {
+                let computed;
+                let graph = if m.layout.requires_port_rewiring() {
+                    computed = InteractionGraph::from_circuit(effective.circuit());
+                    &computed
                 } else {
-                    None
+                    entry
+                        .graph
+                        .get_or_init(|| InteractionGraph::from_circuit(factory.circuit()))
                 };
-                let metrics = if self.collect_mapping_metrics {
-                    let computed;
-                    let graph = if m.layout.requires_port_rewiring() {
-                        computed = InteractionGraph::from_circuit(effective.circuit());
-                        &computed
-                    } else {
-                        entry
-                            .graph
-                            .get_or_init(|| InteractionGraph::from_circuit(factory.circuit()))
-                    };
-                    Some(MappingMetrics::compute(
-                        graph,
-                        &m.layout.mapping.to_points(),
-                    ))
-                } else {
-                    None
-                };
-                Ok(SweepRow {
-                    label: point.label.clone(),
-                    evaluation,
-                    breakdown,
-                    metrics,
-                })
+                Some(MappingMetrics::compute(
+                    graph,
+                    &m.layout.mapping.to_points(),
+                ))
+            } else {
+                None
+            };
+            Ok(SweepRow {
+                label: point.label.clone(),
+                evaluation,
+                breakdown,
+                metrics,
             })
         })
     }
@@ -764,19 +744,16 @@ struct MappedPoint {
     key: Option<String>,
 }
 
-/// How one chunk point obtains its evaluation.
-#[derive(Debug, Clone, Copy)]
-enum PointRole {
-    /// Occupies a batch lane (first occurrence of its key in the chunk).
-    Lane,
-    /// Duplicate of an earlier lane point in the same chunk: answered by
-    /// that lane's result through the cache.
-    Follower,
-    /// The evaluation cache already holds the key: never occupies a lane.
-    Cached,
-    /// Lane-incompatible (batching off, port-rewired circuit, or circuit ×
-    /// lanes would overflow the wheel's event payload): simulated alone.
-    Solo,
+/// How one chunk point gets its evaluation, as phase B of
+/// [`SweepSpec::evaluate_chunk`] decided it.
+#[derive(Clone)]
+enum Plan {
+    /// The evaluation cache held the key (a hit, counted at lookup).
+    Cached(Evaluation),
+    /// The earlier chunk point at this index computes the same key (a hit).
+    Follow(usize),
+    /// Simulated as a member of this group (possibly a one-lane group).
+    Compute(usize),
 }
 
 /// A cached factory plus lazily derived, factory-invariant artifacts shared
@@ -795,7 +772,7 @@ impl FactoryEntry {
     }
 }
 
-type FactoryCache = HashMap<FactoryConfig, Arc<FactoryEntry>>;
+type FactoryCache = HashMap<FactoryConfig, Result<Arc<FactoryEntry>>>;
 
 #[cfg(test)]
 mod tests {
@@ -888,6 +865,20 @@ mod tests {
             .point("bad", FactoryConfig::new(0, 1), Strategy::linear());
         assert!(spec.run().is_err());
         assert!(spec.run_serial().is_err());
+        // A placement error at point 1 comes before a factory error at point
+        // 2 in both modes: factories build up front, but a failed build
+        // surfaces only at the first point that uses it.
+        let spec = SweepSpec::new("t", EvaluationConfig::default())
+            .point("ok", FactoryConfig::single_level(2), Strategy::linear())
+            .point(
+                "unplaceable",
+                FactoryConfig::single_level(2),
+                Strategy::new("bogus", msfu_layout::MapperParams::new()),
+            )
+            .point("unbuildable", FactoryConfig::new(0, 1), Strategy::linear());
+        let parallel = spec.run().unwrap_err().to_string();
+        assert_eq!(parallel, spec.run_serial().unwrap_err().to_string());
+        assert!(parallel.contains("bogus"), "{parallel}");
     }
 
     #[test]

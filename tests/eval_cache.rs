@@ -69,6 +69,15 @@ fn duplicate_sweep_points_hit_the_cache() {
     assert_eq!(outcome.cache.hits, 3, "stats: {:?}", outcome.cache);
     assert_eq!(outcome.cache.misses, 5);
     assert!(outcome.cache.hit_rate() > 0.3);
+    // Parallel runs report the serial counters, with lane batching and
+    // without it. At width 0 every point, the HS pair included, is a
+    // one-lane group of its own, so only the planner keeps each duplicate
+    // key to one miss.
+    for spec in [spec.clone(), spec.clone().with_lanes(0)] {
+        let parallel = spec.run_with(&RunControl::default()).unwrap();
+        assert_eq!(parallel.cache, outcome.cache, "lanes {}", spec.lanes);
+        assert_eq!(parallel.results, outcome.results);
+    }
     // Disabled cache reports zeros.
     let disabled = spec
         .with_eval_cache(false)
