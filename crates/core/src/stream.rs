@@ -77,165 +77,105 @@ fn stream_err(reason: String) -> CoreError {
 /// [`CoreError::UnknownScheduler`].
 const SCHEDULER_NAMES: [&str; 4] = ["capacity_aware", "fifo", "priority", "reuse_aware"];
 
-/// A job waiting for a server, as shown to schedulers.
+/// The closed scheduler line-up. [`Scheduler::select`] decides from the
+/// replay's own queue and servers, and every pick it returns is a queued job
+/// and a free server feasible for that job's class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct QueuedJob {
-    /// Index of the job's class in the spec's `classes`.
-    pub(crate) class: usize,
-    /// The class's priority (higher is more urgent).
-    pub(crate) priority: u64,
+enum Scheduler {
+    /// `fifo`: oldest job first, placed on the lowest-index free feasible
+    /// server.
+    Fifo,
+    /// `priority`: highest class priority first (ties in arrival order),
+    /// placed on the lowest-index free feasible server.
+    Priority,
+    /// `capacity_aware`: oldest job first, best-fit server — the free
+    /// feasible server with the smallest capacity (ties by index), keeping
+    /// big factories available for bulk classes.
+    CapacityAware,
+    /// `reuse_aware`: oldest job first, preferring a free feasible server
+    /// whose last job had the same class (no setup cost), then a cold
+    /// (never-used) server — leaving other classes' warm servers intact —
+    /// then best-fit.
+    ReuseAware,
 }
 
-/// One fleet server, as shown to schedulers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ServerView {
-    /// Whether the server is currently occupied by a job.
-    pub(crate) busy: bool,
+impl Scheduler {
+    /// The built-in scheduler named `name`.
+    fn from_name(name: &str) -> Result<Self> {
+        Ok(match name {
+            "fifo" => Scheduler::Fifo,
+            "priority" => Scheduler::Priority,
+            "capacity_aware" => Scheduler::CapacityAware,
+            "reuse_aware" => Scheduler::ReuseAware,
+            _ => {
+                return Err(CoreError::UnknownScheduler {
+                    name: name.to_string(),
+                    known: &SCHEDULER_NAMES,
+                })
+            }
+        })
+    }
+
+    /// Picks the next `(queue_index, server_index)` assignment, or `None`
+    /// when no queued job fits a free server. `queue` holds job ids in
+    /// arrival order and `feasible[class][server]` the level/capacity fit.
+    fn select(
+        self,
+        queue: &[u64],
+        jobs: &[Job],
+        servers: &[Server],
+        classes: &[JobClass],
+        feasible: &[Vec<bool>],
+    ) -> Option<(usize, usize)> {
+        let class_of = |qi: usize| jobs[queue[qi] as usize].class;
+        // Free servers feasible for `class`, ascending.
+        let free_feasible = |class: usize| {
+            (0..servers.len()).filter(move |&si| !servers[si].busy && feasible[class][si])
+        };
+        let best_fit = |si: &usize| (servers[*si].capacity, *si);
+        let place = |qi: usize| {
+            let class = class_of(qi);
+            let si = match self {
+                Scheduler::Fifo | Scheduler::Priority => free_feasible(class).next(),
+                Scheduler::CapacityAware => free_feasible(class).min_by_key(best_fit),
+                Scheduler::ReuseAware => free_feasible(class)
+                    .find(|&si| servers[si].last_class == Some(class))
+                    .or_else(|| {
+                        free_feasible(class)
+                            .filter(|&si| servers[si].last_class.is_none())
+                            .min_by_key(best_fit)
+                    })
+                    .or_else(|| free_feasible(class).min_by_key(best_fit)),
+            };
+            si.map(|si| (qi, si))
+        };
+        if self == Scheduler::Priority {
+            let mut order: Vec<usize> = (0..queue.len()).collect();
+            // Stable sort: equal priorities keep arrival order.
+            order.sort_by_key(|&qi| Reverse(classes[class_of(qi)].priority));
+            order.into_iter().find_map(place)
+        } else {
+            (0..queue.len()).find_map(place)
+        }
+    }
+}
+
+/// A job of one scheduler replay.
+struct Job {
+    class: usize,
+    arrived: u64,
+    finished: Option<u64>,
+}
+
+/// A fleet server of one scheduler replay.
+struct Server {
+    entry: usize,
     /// Output states per factory execution (`FactoryConfig::capacity`).
-    pub(crate) capacity: usize,
+    capacity: usize,
+    busy: bool,
     /// Class of the last job the server ran, if any (reuse signal).
-    pub(crate) last_class: Option<usize>,
-}
-
-/// The read-only dispatch snapshot a [`StreamScheduler`] decides from.
-#[derive(Debug)]
-pub(crate) struct SchedulerView<'a> {
-    /// Jobs waiting for a server, in arrival order.
-    pub(crate) queue: &'a [QueuedJob],
-    /// The fleet, one entry per server, in fixed spec order.
-    pub(crate) servers: &'a [ServerView],
-    feasible: &'a [Vec<bool>],
-}
-
-impl SchedulerView<'_> {
-    /// Whether `server` satisfies the level/capacity demands of `class`.
-    fn feasible(&self, class: usize, server: usize) -> bool {
-        self.feasible[class][server]
-    }
-
-    /// Indices of free servers feasible for `class`, ascending.
-    fn free_feasible<'b>(&'b self, class: usize) -> impl Iterator<Item = usize> + 'b {
-        self.servers
-            .iter()
-            .enumerate()
-            .filter(move |(si, s)| !s.busy && self.feasible(class, *si))
-            .map(|(si, _)| si)
-    }
-}
-
-/// A placement policy for the streaming simulator.
-///
-/// At every dispatch opportunity the engine calls [`select`] repeatedly until
-/// it returns `None`; each `Some((queue_index, server_index))` assigns the
-/// queued job at `queue_index` to the free server at `server_index` and the
-/// view is rebuilt. A selection that is out of bounds, targets a busy server
-/// or violates feasibility ends dispatching for the current cycle — the
-/// engine never panics on a misbehaving policy, and stays deterministic.
-///
-/// [`select`]: StreamScheduler::select
-pub(crate) trait StreamScheduler {
-    /// Picks the next `(queue_index, server_index)` assignment, or `None` to
-    /// wait for the next event.
-    fn select(&self, view: &SchedulerView<'_>) -> Option<(usize, usize)>;
-}
-
-/// The built-in scheduler named `name`.
-fn scheduler(name: &str) -> Result<&'static dyn StreamScheduler> {
-    Ok(match name {
-        "fifo" => &Fifo,
-        "priority" => &Priority,
-        "capacity_aware" => &CapacityAware,
-        "reuse_aware" => &ReuseAware,
-        _ => {
-            return Err(CoreError::UnknownScheduler {
-                name: name.to_string(),
-                known: &SCHEDULER_NAMES,
-            })
-        }
-    })
-}
-
-/// `fifo`: oldest job first, placed on the lowest-index free feasible server.
-struct Fifo;
-
-impl StreamScheduler for Fifo {
-    fn select(&self, view: &SchedulerView<'_>) -> Option<(usize, usize)> {
-        for (qi, job) in view.queue.iter().enumerate() {
-            if let Some(si) = view.free_feasible(job.class).next() {
-                return Some((qi, si));
-            }
-        }
-        None
-    }
-}
-
-/// `priority`: highest class priority first (ties in arrival order), placed
-/// on the lowest-index free feasible server.
-struct Priority;
-
-impl StreamScheduler for Priority {
-    fn select(&self, view: &SchedulerView<'_>) -> Option<(usize, usize)> {
-        let mut order: Vec<usize> = (0..view.queue.len()).collect();
-        // Stable sort: equal priorities keep arrival order.
-        order.sort_by_key(|&qi| Reverse(view.queue[qi].priority));
-        for qi in order {
-            if let Some(si) = view.free_feasible(view.queue[qi].class).next() {
-                return Some((qi, si));
-            }
-        }
-        None
-    }
-}
-
-/// `capacity_aware`: oldest job first, best-fit server — the free feasible
-/// server with the smallest capacity (ties by index), keeping big factories
-/// available for bulk classes.
-struct CapacityAware;
-
-impl StreamScheduler for CapacityAware {
-    fn select(&self, view: &SchedulerView<'_>) -> Option<(usize, usize)> {
-        for (qi, job) in view.queue.iter().enumerate() {
-            let best = view
-                .free_feasible(job.class)
-                .min_by_key(|&si| (view.servers[si].capacity, si));
-            if let Some(si) = best {
-                return Some((qi, si));
-            }
-        }
-        None
-    }
-}
-
-/// `reuse_aware`: oldest job first, preferring a free feasible server whose
-/// last job had the same class (no setup cost), then a cold (never-used)
-/// server — leaving other classes' warm servers intact — then best-fit.
-struct ReuseAware;
-
-impl StreamScheduler for ReuseAware {
-    fn select(&self, view: &SchedulerView<'_>) -> Option<(usize, usize)> {
-        for (qi, job) in view.queue.iter().enumerate() {
-            let warm = view
-                .free_feasible(job.class)
-                .find(|&si| view.servers[si].last_class == Some(job.class));
-            if let Some(si) = warm {
-                return Some((qi, si));
-            }
-            let cold = view
-                .free_feasible(job.class)
-                .filter(|&si| view.servers[si].last_class.is_none())
-                .min_by_key(|&si| (view.servers[si].capacity, si));
-            if let Some(si) = cold {
-                return Some((qi, si));
-            }
-            let best = view
-                .free_feasible(job.class)
-                .min_by_key(|&si| (view.servers[si].capacity, si));
-            if let Some(si) = best {
-                return Some((qi, si));
-            }
-        }
-        None
-    }
+    last_class: Option<usize>,
+    busy_cycles: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -305,9 +245,11 @@ impl ArrivalProcess {
         }
     }
 
-    /// Validates the process parameters against `horizon` and the number of
-    /// declared classes.
-    fn validate(&self, horizon: u64, classes: usize) -> Result<()> {
+    /// Validates the process parameters against `horizon` and the class
+    /// weights, and returns the total weight a stochastic process samples
+    /// classes by (0 for a trace, which names its classes and ignores
+    /// weights).
+    fn validate(&self, horizon: u64, weights: &[u64]) -> Result<u64> {
         let positive = |name: &str, v: f64| -> Result<()> {
             if !v.is_finite() || v <= 0.0 {
                 return Err(stream_err(format!(
@@ -326,10 +268,24 @@ impl ArrivalProcess {
             }
             Ok(())
         };
+        let total_weight = || -> Result<u64> {
+            let total = weights.iter().try_fold(0_u64, |t, &w| t.checked_add(w));
+            match total {
+                Some(0) => Err(stream_err(
+                    "classes: total weight is zero, stochastic arrivals cannot sample a class"
+                        .to_string(),
+                )),
+                Some(total) => Ok(total),
+                None => Err(stream_err(
+                    "classes: total weight overflows a 64-bit integer".to_string(),
+                )),
+            }
+        };
         match self {
             ArrivalProcess::Poisson { rate } => {
                 positive("rate", *rate)?;
-                bounded(*rate)
+                bounded(*rate)?;
+                total_weight()
             }
             ArrivalProcess::Bursty {
                 rate,
@@ -350,7 +306,8 @@ impl ArrivalProcess {
                          {horizon} imply more than {MAX_ARRIVALS} expected phase switches"
                     )));
                 }
-                bounded(rate.max(*burst_rate))
+                bounded(rate.max(*burst_rate))?;
+                total_weight()
             }
             ArrivalProcess::Trace { events } => {
                 if events.len() as u64 > MAX_ARRIVALS {
@@ -360,11 +317,12 @@ impl ArrivalProcess {
                     )));
                 }
                 for (i, event) in events.iter().enumerate() {
-                    if event.class >= classes {
+                    if event.class >= weights.len() {
                         return Err(stream_err(format!(
-                            "arrivals: trace event {i} names class index {} but only {classes} \
+                            "arrivals: trace event {i} names class index {} but only {} \
                              classes are declared",
-                            event.class
+                            event.class,
+                            weights.len()
                         )));
                     }
                     if event.at > horizon {
@@ -375,7 +333,7 @@ impl ArrivalProcess {
                         )));
                     }
                 }
-                Ok(())
+                Ok(0)
             }
         }
     }
@@ -386,8 +344,7 @@ impl ArrivalProcess {
     /// The sequence is sorted by cycle; ties keep generation order. Calling
     /// this twice with the same inputs returns the identical sequence.
     pub fn generate(&self, seed: u64, horizon: u64, weights: &[u64]) -> Result<Vec<Arrival>> {
-        self.validate(horizon, weights.len())?;
-        let total: u64 = weights.iter().sum();
+        let total = self.validate(horizon, weights)?;
         match self {
             ArrivalProcess::Trace { events } => {
                 let mut arrivals: Vec<Arrival> = events
@@ -400,10 +357,6 @@ impl ArrivalProcess {
                 arrivals.sort_by_key(|a| a.at);
                 Ok(arrivals)
             }
-            _ if total == 0 => Err(stream_err(
-                "classes: total weight is zero, stochastic arrivals cannot sample a class"
-                    .to_string(),
-            )),
             ArrivalProcess::Poisson { rate } => {
                 let mut rng = ChaCha8Rng::seed_from_u64(seed);
                 let mut t = 0.0_f64;
@@ -684,7 +637,8 @@ impl StreamSpec {
     /// # Errors
     ///
     /// [`CoreError::StreamSpec`] for structural problems (zero horizon,
-    /// empty fleet/classes, non-positive rates, infeasible classes, duplicate
+    /// empty fleet/classes, non-positive rates, infeasible classes, poisson or
+    /// bursty class weights that sum to zero or overflow `u64`, duplicate
     /// scheduler names, …); [`CoreError::UnknownScheduler`] when a scheduler
     /// name is not one of the four built-ins.
     pub fn validate(&self) -> Result<()> {
@@ -746,8 +700,9 @@ impl StreamSpec {
                 )));
             }
         }
+        let weights: Vec<u64> = self.classes.iter().map(|c| c.weight).collect();
         self.arrivals
-            .validate(self.horizon, self.classes.len())
+            .validate(self.horizon, &weights)
             .map_err(|e| match e {
                 CoreError::StreamSpec { reason } => fail(reason),
                 other => other,
@@ -761,7 +716,7 @@ impl StreamSpec {
                 return Err(fail(format!("schedulers: duplicate scheduler `{name}`")));
             }
             seen.push(name);
-            scheduler(name)?;
+            Scheduler::from_name(name)?;
         }
         Ok(())
     }
@@ -789,10 +744,10 @@ impl StreamSpec {
     /// Same as [`StreamSpec::run`].
     pub fn run_with(&self, ctrl: &RunControl<'_>) -> Result<StreamOutcome> {
         self.validate()?;
-        let schedulers: Vec<&dyn StreamScheduler> = self
+        let schedulers: Vec<Scheduler> = self
             .schedulers
             .iter()
-            .map(|name| scheduler(name))
+            .map(|name| Scheduler::from_name(name))
             .collect::<Result<_>>()?;
 
         // Expand fleet entries into servers, in spec order.
@@ -822,14 +777,14 @@ impl StreamSpec {
 
         let mut runs = Vec::with_capacity(self.schedulers.len());
         let mut interrupted = false;
-        for (i, scheduler) in schedulers.iter().enumerate() {
+        for (i, &scheduler) in schedulers.iter().enumerate() {
             if ctrl.interrupted() {
                 interrupted = true;
                 break;
             }
             runs.push(self.simulate(
                 &self.schedulers[i],
-                *scheduler,
+                scheduler,
                 &arrivals,
                 &server_entry,
                 &service,
@@ -940,24 +895,12 @@ impl StreamSpec {
     fn simulate(
         &self,
         scheduler_name: &str,
-        scheduler: &dyn StreamScheduler,
+        scheduler: Scheduler,
         arrivals: &[Arrival],
         server_entry: &[usize],
         service: &[Vec<Option<u64>>],
         feasible: &[Vec<bool>],
     ) -> SchedulerRun {
-        struct Job {
-            class: usize,
-            arrived: u64,
-            finished: Option<u64>,
-        }
-        struct Server {
-            entry: usize,
-            busy: bool,
-            last_class: Option<usize>,
-            busy_cycles: u64,
-        }
-
         let mut jobs: Vec<Job> = arrivals
             .iter()
             .map(|a| Job {
@@ -970,6 +913,7 @@ impl StreamSpec {
             .iter()
             .map(|&e| Server {
                 entry: e,
+                capacity: self.fleet[e].factory.capacity(),
                 busy: false,
                 last_class: None,
                 busy_cycles: 0,
@@ -1012,41 +956,10 @@ impl StreamSpec {
                 queue.push(next_arrival as u64);
                 next_arrival += 1;
             }
-            // 3. Dispatch until the scheduler passes (or misbehaves).
-            loop {
-                let queued: Vec<QueuedJob> = queue
-                    .iter()
-                    .map(|&job| {
-                        let class = jobs[job as usize].class;
-                        QueuedJob {
-                            class,
-                            priority: self.classes[class].priority,
-                        }
-                    })
-                    .collect();
-                let views: Vec<ServerView> = servers
-                    .iter()
-                    .map(|s| ServerView {
-                        busy: s.busy,
-                        capacity: self.fleet[s.entry].factory.capacity(),
-                        last_class: s.last_class,
-                    })
-                    .collect();
-                let view = SchedulerView {
-                    queue: &queued,
-                    servers: &views,
-                    feasible,
-                };
-                let Some((qi, si)) = scheduler.select(&view) else {
-                    break;
-                };
-                let valid = qi < queue.len()
-                    && si < servers.len()
-                    && !servers[si].busy
-                    && feasible[jobs[queue[qi] as usize].class][si];
-                if !valid {
-                    break;
-                }
+            // 3. Dispatch until the scheduler passes.
+            while let Some((qi, si)) =
+                scheduler.select(&queue, &jobs, &servers, &self.classes, feasible)
+            {
                 let job = queue.remove(qi);
                 let class = jobs[job as usize].class;
                 let base = service[class][servers[si].entry]
@@ -1748,6 +1661,74 @@ mod tests {
     }
 
     #[test]
+    fn capacity_aware_places_on_the_best_fit_server() {
+        // One job that fits both the k=4 server (index 0) and the k=2 one:
+        // capacity_aware takes the smaller server, fifo the lowest index.
+        let latency = |fleet: &[usize], scheduler: &str| {
+            let mut spec = StreamSpec::new("fit")
+                .with_horizon(10)
+                .with_arrivals(ArrivalProcess::Trace {
+                    events: vec![TraceEvent { at: 1, class: 0 }],
+                })
+                .class(JobClass::new("only", Strategy::linear()))
+                .with_schedulers(&[scheduler]);
+            for &k in fleet {
+                spec = spec.server(FactoryConfig::single_level(k), 1);
+            }
+            spec.run().unwrap().runs[0].latency_p50
+        };
+        let small = latency(&[2], "fifo");
+        let big = latency(&[4], "fifo");
+        assert_ne!(small, big, "the two servers must be told apart");
+        assert_eq!(latency(&[4, 2], "capacity_aware"), small);
+        assert_eq!(latency(&[4, 2], "fifo"), big);
+    }
+
+    #[test]
+    fn stochastic_class_weights_must_sum_to_a_nonzero_u64() {
+        let weighted = |weights: [u64; 2]| {
+            let mut spec = quick_spec();
+            for (class, weight) in spec.classes.iter_mut().zip(weights) {
+                class.weight = weight;
+            }
+            spec
+        };
+        let bursty = ArrivalProcess::Bursty {
+            rate: 0.01,
+            burst_rate: 0.05,
+            mean_calm: 500.0,
+            mean_burst: 100.0,
+        };
+        let trace = ArrivalProcess::Trace {
+            events: vec![TraceEvent { at: 1, class: 0 }],
+        };
+        for (weights, needle) in [
+            ([u64::MAX, u64::MAX], "total weight overflows"),
+            ([u64::MAX, 1], "total weight overflows"),
+            ([0, 0], "total weight is zero"),
+        ] {
+            for spec in [
+                weighted(weights),
+                weighted(weights).with_arrivals(bursty.clone()),
+            ] {
+                let err = spec.validate().unwrap_err();
+                assert!(
+                    matches!(err, CoreError::StreamSpec { .. }),
+                    "{weights:?}: {err}"
+                );
+                assert!(
+                    err.to_string().contains(needle),
+                    "expected `{needle}` in `{err}`"
+                );
+            }
+            weighted(weights)
+                .with_arrivals(trace.clone())
+                .validate()
+                .unwrap_or_else(|e| panic!("a trace ignores weights {weights:?}: {e}"));
+        }
+    }
+
+    #[test]
     fn unknown_scheduler_lists_known_names() {
         let err = quick_spec()
             .with_schedulers(&["dance"])
@@ -1758,33 +1739,8 @@ mod tests {
             "unknown stream scheduler `dance` (known: capacity_aware, fifo, priority, reuse_aware)"
         );
         for name in SCHEDULER_NAMES {
-            assert!(scheduler(name).is_ok(), "{name}");
+            assert!(Scheduler::from_name(name).is_ok(), "{name}");
         }
-    }
-
-    #[test]
-    fn misbehaving_scheduler_cannot_wedge_the_engine() {
-        // A scheduler that always returns an out-of-bounds pick: the engine
-        // must terminate (jobs simply never start) instead of looping.
-        struct Bad;
-        impl StreamScheduler for Bad {
-            fn select(&self, view: &SchedulerView<'_>) -> Option<(usize, usize)> {
-                Some((view.queue.len() + 7, 0))
-            }
-        }
-        let spec = StreamSpec::new("bad")
-            .server(FactoryConfig::single_level(2), 1)
-            .class(JobClass::new("only", Strategy::linear()));
-        let arrivals = [Arrival { at: 1, class: 0 }];
-        let run = spec.simulate(
-            "bad",
-            &Bad,
-            &arrivals,
-            &[0],
-            &[vec![Some(10)]],
-            &[vec![true]],
-        );
-        assert_eq!(run.completed, 0);
     }
 
     #[test]
