@@ -40,7 +40,7 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::path::PathBuf;
 
 use msfu_distill::FactoryConfig;
@@ -119,9 +119,14 @@ impl Scheduler {
     /// Picks the next `(queue_index, server_index)` assignment, or `None`
     /// when no queued job fits a free server. `queue` holds job ids in
     /// arrival order and `feasible[class][server]` the level/capacity fit.
+    ///
+    /// The engine only calls this while a server is free. `fifo` and the
+    /// other oldest-first policies then usually place the queue's head, but
+    /// `priority` sorts the whole queue on every call, so a deep queue makes
+    /// each of its dispatches `O(n log n)`.
     fn select(
         self,
-        queue: &[u64],
+        queue: &VecDeque<u64>,
         jobs: &[Job],
         servers: &[Server],
         classes: &[JobClass],
@@ -922,7 +927,10 @@ impl StreamSpec {
         // Min-heap of (finish cycle, job id, server index) — the job id makes
         // same-cycle completion order deterministic.
         let mut completions: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-        let mut queue: Vec<u64> = Vec::new();
+        let mut queue: VecDeque<u64> = VecDeque::new();
+        // Free servers: with none, no pick can exist, so dispatch is skipped
+        // instead of scanning a saturated fleet's whole queue every event.
+        let mut free = servers.len();
         let mut timeline: Vec<QueueSample> = Vec::new();
         let mut last_depth = 0_u64;
         let mut max_depth = 0_u64;
@@ -947,20 +955,24 @@ impl StreamSpec {
                 }
                 completions.pop();
                 servers[si].busy = false;
+                free += 1;
                 jobs[job as usize].finished = Some(at);
                 completed += 1;
                 makespan = makespan.max(at);
             }
             // 2. Arrivals join the queue in generation order.
             while next_arrival < jobs.len() && jobs[next_arrival].arrived == now {
-                queue.push(next_arrival as u64);
+                queue.push_back(next_arrival as u64);
                 next_arrival += 1;
             }
-            // 3. Dispatch until the scheduler passes.
-            while let Some((qi, si)) =
-                scheduler.select(&queue, &jobs, &servers, &self.classes, feasible)
-            {
-                let job = queue.remove(qi);
+            // 3. Dispatch until the scheduler passes or no server is free.
+            while free > 0 {
+                let Some((qi, si)) =
+                    scheduler.select(&queue, &jobs, &servers, &self.classes, feasible)
+                else {
+                    break;
+                };
+                let job = queue.remove(qi).expect("selected jobs are queued");
                 let class = jobs[job as usize].class;
                 let base = service[class][servers[si].entry]
                     .expect("feasibility check guarantees a service time");
@@ -974,6 +986,7 @@ impl StreamSpec {
                 }
                 let occupancy = setup + base;
                 servers[si].busy = true;
+                free -= 1;
                 servers[si].last_class = Some(class);
                 servers[si].busy_cycles += occupancy;
                 completions.push(Reverse((now + occupancy, job, si)));

@@ -10,23 +10,26 @@
 //! incumbents and error codes are byte-identical to a serial run whatever
 //! order shards actually finish in, and whichever workers they land on.
 //!
-//! Supervision ([`Supervision`]): every worker fault — a worker whose
-//! output closes mid-shard, one whose shard overruns the shard timeout
-//! (the worker is declared hung and killed), or one that answers with an
-//! undecodable response — costs one unit of the shard's retry budget and
-//! re-dispatches the shard with exponential backoff (`shards_retried` in
-//! `perf.cluster` counts these). A shard whose budget is spent fails the
-//! job typed with [`E_SHARD_RETRY_EXHAUSTED`] — faults must never loop
-//! forever. Dead workers are replaced by clean respawns at fresh ranks, up
-//! to the session's respawn budget (`workers_respawned`); if the whole pool
-//! is gone and the budget is spent, the coordinator finishes the remaining
-//! shards in-process through the ordinary [`Service`] path
-//! (`shards_local_fallback`) rather than failing the job. Cancellation and
-//! deadlines fan out: the coordinator forwards a cancel line for every
-//! in-flight shard and skips the queued ones, then merges the longest
-//! completed prefix exactly like a serial cancelled run — and a cancelled
-//! worker that never answers is killed after a grace period, so an
-//! interrupt always terminates the job.
+//! Every shard runs one way: dispatched to a pool slot, answered through the
+//! shared event channel, decoded and merged. Supervision ([`Supervision`]):
+//! every worker fault — a worker whose output closes mid-shard, one whose
+//! shard overruns the shard timeout (the worker is declared hung and
+//! killed), or one that answers with an undecodable response — goes through
+//! one handler. It costs one unit of the shard's retry budget
+//! ([`RETRY_BUDGET`]) and re-dispatches the shard with exponential backoff
+//! (`shards_retried` in `perf.cluster` counts these). A shard whose budget is
+//! spent fails the job typed with [`E_SHARD_RETRY_EXHAUSTED`] — faults must
+//! never loop forever. Dead workers are replaced by clean respawns at fresh
+//! ranks, up to the session's respawn budget (`workers_respawned`); if the
+//! whole pool is gone with shards still queued, the coordinator appends one
+//! in-process slot — an ordinary serve loop on a thread, exempt from the
+//! shard timeout — and the remaining shards run there, progress streamed
+//! like any worker's (`shards_local_fallback` counts the shards it takes),
+//! rather than failing the job. Cancellation and deadlines fan out: the
+//! coordinator forwards a cancel line for every in-flight shard and skips
+//! the queued ones, then merges the longest completed prefix exactly like a
+//! serial cancelled run — and a cancelled worker that never answers is
+//! killed after a grace period, so an interrupt always terminates the job.
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -44,12 +47,17 @@ use crate::cluster::comm::{self, ClusterBackend, WorkerEvent, WorkerTx};
 use crate::cluster::planner::plan_shards;
 use crate::error_code::{E_REMOTE, E_SHARD_RETRY_EXHAUSTED};
 use crate::faults::{FaultPlan, WorkerFaultSpec};
-use crate::ndjson::progress_to_value;
 use crate::protocol::{
-    ClusterPerf, Job, Payload, Request, Response, ResponsePerf, ServiceError, SessionLine,
-    PROTOCOL_VERSION,
+    ClusterPerf, Payload, Request, Response, ResponsePerf, ServiceError, PROTOCOL_VERSION,
 };
-use crate::service::{JobHandle, Service};
+use crate::service::JobHandle;
+
+/// How many times one shard may be re-dispatched after worker faults before
+/// the job fails with [`E_SHARD_RETRY_EXHAUSTED`].
+const RETRY_BUDGET: u32 = 3;
+
+/// First re-dispatch delay; doubles per attempt (capped at ×64).
+const BACKOFF_BASE: Duration = Duration::from_millis(25);
 
 /// How long a busy worker may sit on a cancelled shard before the
 /// supervisor kills it anyway (used when no shard timeout is configured).
@@ -68,7 +76,7 @@ const MAX_WAIT_INTERRUPTIBLE: Duration = Duration::from_millis(100);
 const MIN_WAIT: Duration = Duration::from_millis(1);
 
 /// Supervision policy of a worker pool: how patient the coordinator is with
-/// faulty workers before it re-plans, replaces, or fails typed.
+/// faulty workers before it replaces them or falls back in-process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Supervision {
     /// How long one dispatched shard may stay in flight before its worker
@@ -76,25 +84,9 @@ pub(crate) struct Supervision {
     /// timeout; a job deadline still interrupts, and interrupted workers
     /// get a short grace period (`INTERRUPT_GRACE`) before being killed).
     pub shard_timeout: Option<Duration>,
-    /// How many times one shard may be re-dispatched after worker faults
-    /// before the job fails with [`E_SHARD_RETRY_EXHAUSTED`].
-    pub retry_budget: u32,
     /// How many replacement workers may be spawned over the pool's
     /// lifetime. Respawns land at fresh ranks with no fault injection.
     pub max_respawns: u32,
-    /// First re-dispatch delay; doubles per attempt (capped at ×64).
-    pub backoff_base: Duration,
-}
-
-impl Default for Supervision {
-    fn default() -> Self {
-        Supervision {
-            shard_timeout: None,
-            retry_budget: 3,
-            max_respawns: 0,
-            backoff_base: Duration::from_millis(25),
-        }
-    }
 }
 
 /// A connected worker pool, reusable across the jobs of a serve session.
@@ -112,7 +104,6 @@ pub(crate) struct Cluster {
     /// disconnection) even while no worker is alive.
     event_tx: mpsc::Sender<WorkerEvent>,
     backend: ClusterBackend,
-    backend_name: &'static str,
     /// The pool size the shard plan uses, fixed at connect time.
     configured: usize,
     supervision: Supervision,
@@ -124,14 +115,29 @@ pub(crate) struct Cluster {
 struct WorkerSlot {
     tx: Box<dyn WorkerTx>,
     alive: bool,
-    /// Index (into the current shard set) of the in-flight shard.
-    busy: Option<usize>,
-    busy_since: Option<Instant>,
+    /// The in-process fallback slot: exempt from the shard timeout, and
+    /// every shard it takes counts as `shards_local_fallback`.
+    local: bool,
+    /// The in-flight shard (an index into the current shard set) and when
+    /// it was dispatched.
+    busy: Option<(usize, Instant)>,
+}
+
+impl WorkerSlot {
+    fn new(tx: Box<dyn WorkerTx>, local: bool) -> Self {
+        WorkerSlot {
+            tx,
+            alive: true,
+            local,
+            busy: None,
+        }
+    }
 }
 
 impl Cluster {
     /// Connects a pool of `workers` workers (at least one) over `backend`,
-    /// handing each rank its slice of the fault plan (when given).
+    /// handing each rank its slice of the fault plan (when given), under
+    /// the given supervision policy.
     ///
     /// # Errors
     ///
@@ -141,87 +147,62 @@ impl Cluster {
         backend: &ClusterBackend,
         workers: usize,
         plan: Option<&FaultPlan>,
+        supervision: Supervision,
     ) -> io::Result<Cluster> {
         let (tx, rx) = mpsc::channel();
         let txs = comm::connect(backend, workers.max(1), plan, &tx)?;
-        let configured = txs.len();
         Ok(Cluster {
+            configured: txs.len(),
             workers: txs
                 .into_iter()
-                .map(|tx| WorkerSlot {
-                    tx,
-                    alive: true,
-                    busy: None,
-                    busy_since: None,
-                })
+                .map(|tx| WorkerSlot::new(tx, false))
                 .collect(),
             events: rx,
             event_tx: tx,
             backend: backend.clone(),
-            backend_name: backend.name(),
-            configured,
-            supervision: Supervision::default(),
+            supervision,
             respawned: 0,
         })
     }
 
-    /// Sets the pool's supervision policy (builder style).
-    pub fn with_supervision(mut self, supervision: Supervision) -> Cluster {
-        self.supervision = supervision;
-        self
+    fn alive(&self) -> usize {
+        self.workers.iter().filter(|w| w.alive).count()
     }
 
-    /// The configured pool size (dead workers included — the shard plan
-    /// never shrinks with the pool, and never grows with respawns).
-    pub fn world(&self) -> usize {
-        self.configured
+    /// Connects one clean worker (no fault injection — a faulty replacement
+    /// could loop recovery forever) at the next rank: a replacement over
+    /// the pool's backend, or (`local`) the in-process fallback slot.
+    fn connect_slot(&mut self, local: bool) -> io::Result<()> {
+        let backend = if local {
+            &ClusterBackend::LocalThreads
+        } else {
+            &self.backend
+        };
+        let tx = comm::connect_rank(
+            backend,
+            self.workers.len(),
+            WorkerFaultSpec::default(),
+            self.event_tx.clone(),
+        )?;
+        self.workers.push(WorkerSlot::new(tx, local));
+        Ok(())
     }
 
-    /// Spawns clean replacement workers at fresh ranks until the alive
-    /// count is back at the configured pool size or the respawn budget is
-    /// spent; returns how many were spawned. Replacements carry no fault
-    /// injection — a faulty replacement could loop recovery forever.
+    /// Spawns replacement workers until the alive count is back at the
+    /// configured pool size or the respawn budget is spent; returns how
+    /// many were spawned.
     fn respawn_dead(&mut self) -> u64 {
         let mut spawned = 0;
-        while self.respawned < self.supervision.max_respawns {
-            let alive = self.workers.iter().filter(|w| w.alive).count();
-            if alive >= self.configured {
-                break;
-            }
-            let rank = self.workers.len();
+        while self.respawned < self.supervision.max_respawns && self.alive() < self.configured {
             // A failed spawn attempt consumes budget too: retrying a spawn
             // that just failed would spin without making progress.
             self.respawned += 1;
-            match comm::connect_rank(
-                &self.backend,
-                rank,
-                WorkerFaultSpec::default(),
-                self.event_tx.clone(),
-            ) {
-                Ok(tx) => {
-                    self.workers.push(WorkerSlot {
-                        tx,
-                        alive: true,
-                        busy: None,
-                        busy_since: None,
-                    });
-                    spawned += 1;
-                }
-                Err(_) => break,
+            if self.connect_slot(false).is_err() {
+                break;
             }
+            spawned += 1;
         }
         spawned
-    }
-}
-
-impl std::fmt::Debug for Cluster {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Cluster")
-            .field("backend", &self.backend_name)
-            .field("workers", &self.workers.len())
-            .field("alive", &self.workers.iter().filter(|w| w.alive).count())
-            .field("respawned", &self.respawned)
-            .finish()
     }
 }
 
@@ -233,6 +214,7 @@ struct ShardSpec {
 }
 
 /// How one shard ended.
+#[derive(Debug, PartialEq)]
 enum ShardDone {
     /// The worker responded with rows (possibly a cancelled partial prefix).
     Rows {
@@ -251,7 +233,7 @@ enum ShardSignal<'a> {
     /// A progress line from the shard's worker (verbatim, shard-local ids
     /// and indices).
     Progress(&'a Value),
-    /// The shard finished.
+    /// The shard's worker answered with this outcome.
     Done(&'a ShardDone),
 }
 
@@ -286,56 +268,6 @@ impl ShardStats {
     }
 }
 
-/// Per-shard retry accounting of one shard set: how many faults each shard
-/// has absorbed, and when each queued shard's backoff expires.
-struct RetryState {
-    attempts: Vec<u32>,
-    not_before: Vec<Instant>,
-}
-
-impl RetryState {
-    fn new(shards: usize) -> Self {
-        let now = Instant::now();
-        RetryState {
-            attempts: vec![0; shards],
-            not_before: vec![now; shards],
-        }
-    }
-
-    /// Books one worker fault against `shard`: counts the retry and either
-    /// requeues the shard with exponential backoff, or — once the retry
-    /// budget is spent — returns the job's fatal error. Checked *before*
-    /// any pool-loss handling, so a shard that keeps killing its workers
-    /// fails typed instead of consuming the whole session.
-    fn fault(
-        &mut self,
-        shard: usize,
-        reason: &str,
-        supervision: &Supervision,
-        queue: &mut VecDeque<usize>,
-        stats: &mut ShardStats,
-    ) -> Option<(&'static str, String)> {
-        stats.retried += 1;
-        self.attempts[shard] += 1;
-        let attempts = self.attempts[shard];
-        if attempts > supervision.retry_budget {
-            return Some((
-                E_SHARD_RETRY_EXHAUSTED,
-                format!(
-                    "shard {shard} hit {attempts} worker fault(s) (last: {reason}) \
-                     with a re-dispatch budget of {}",
-                    supervision.retry_budget
-                ),
-            ));
-        }
-        // Exponential backoff: base, ×2, ×4, ... capped at ×64.
-        let backoff = supervision.backoff_base * (1u32 << (attempts - 1).min(6));
-        self.not_before[shard] = Instant::now() + backoff;
-        queue.push_back(shard);
-        None
-    }
-}
-
 /// Cancellation/deadline source of the job being coordinated.
 struct Interrupt<'a> {
     handle: &'a JobHandle,
@@ -355,14 +287,19 @@ impl Interrupt<'_> {
 }
 
 /// When a busy worker crosses from "still working" to "declared hung": its
-/// shard timeout, tightened after an interrupt to a grace period (a
-/// cancelled worker that never answers must not hold the session open).
+/// shard timeout (never for the in-process slot), tightened after an
+/// interrupt to a grace period (a cancelled worker that never answers must
+/// not hold the session open).
 fn busy_edge(
+    slot: &WorkerSlot,
     since: Instant,
     supervision: &Supervision,
     interrupted_at: Option<Instant>,
 ) -> Option<Instant> {
-    let timeout = supervision.shard_timeout.map(|t| since + t);
+    let timeout = supervision
+        .shard_timeout
+        .filter(|_| !slot.local)
+        .map(|t| since + t);
     let grace = interrupted_at.map(|at| at + supervision.shard_timeout.unwrap_or(INTERRUPT_GRACE));
     match (timeout, grace) {
         (Some(a), Some(b)) => Some(a.min(b)),
@@ -370,44 +307,19 @@ fn busy_edge(
     }
 }
 
-/// Executes one request against the pool, streaming merged progress lines
-/// to `progress` (when given) and returning the merged response.
-///
-/// Sweeps are sharded directly; searches run their deterministic fold on
-/// the coordinator and shard each candidate batch. `Evaluate` jobs are a
-/// single bounded simulation — they run in-process, exactly like an
-/// uncoordinated serve session would run them.
-pub(crate) fn run_clustered<W: Write>(
-    cluster: &mut Cluster,
-    request: &Request,
-    handle: &JobHandle,
-    progress: Option<&Mutex<W>>,
-) -> Response {
-    let start = Instant::now();
-    match &request.job {
-        Job::Sweep { spec } => run_sweep(cluster, request, spec, handle, progress, start),
-        Job::Search { spec } => run_search(cluster, request, spec, handle, progress, start),
-        _ => {
-            let sink = OptionalSink {
-                id: &request.id,
-                out: progress,
-            };
-            Service::new().run(request, handle, &sink)
-        }
-    }
-}
-
-fn run_sweep<W: Write>(
+/// Runs one sweep across the pool, streaming patched worker row lines to
+/// `progress` and merged `batch_finished` events to `sink`.
+pub(crate) fn run_sweep<W: Write>(
     cluster: &mut Cluster,
     request: &Request,
     spec: &SweepSpec,
     handle: &JobHandle,
+    sink: &dyn ProgressSink,
     progress: Option<&Mutex<W>>,
-    start: Instant,
 ) -> Response {
+    let start = Instant::now();
     let total = spec.points.len();
-    let world = cluster.world();
-    let backend = cluster.backend_name;
+    let world = cluster.configured;
     let factories = spec.points.iter().map(|p| p.factory);
     let shards: Vec<ShardSpec> = plan_shards(factories, world)
         .into_iter()
@@ -428,7 +340,6 @@ fn run_sweep<W: Write>(
             .deadline_ms
             .map(|ms| start + Duration::from_millis(ms)),
     };
-    let offsets: Vec<usize> = shards.iter().map(|s| s.range.start).collect();
     let mut stats = ShardStats::default();
     let mut completed = 0usize;
     let outcome = execute_shards(
@@ -442,104 +353,89 @@ fn run_sweep<W: Write>(
             // (unlike single-process runs) global index order is not
             // guaranteed across shards — each line is still exact.
             ShardSignal::Progress(value) => {
-                if let Some(text) = patch_row_line(value, &request.id, offsets[shard], total) {
+                let offset = shards[shard].range.start;
+                if let Some(text) = patch_row_line(value, &request.id, offset, total) {
                     emit_line(progress, &text);
                 }
             }
             // Worker batch events are dropped (their totals are
             // shard-local); the coordinator emits its own merged
             // `batch_finished` as each shard lands.
-            ShardSignal::Done(done) => {
-                if let ShardDone::Rows { rows, .. } = done {
-                    completed += rows.len();
-                    let event = ProgressEvent::BatchFinished {
-                        name: &spec.name,
-                        completed,
-                        total,
-                    };
-                    if let Ok(text) = serde_json::to_string(&progress_to_value(&request.id, &event))
-                    {
-                        emit_line(progress, &text);
-                    }
-                }
+            ShardSignal::Done(ShardDone::Rows { rows, .. }) => {
+                completed += rows.len();
+                sink.emit(&ProgressEvent::BatchFinished {
+                    name: &spec.name,
+                    completed,
+                    total,
+                });
             }
+            ShardSignal::Done(_) => {}
         },
     );
 
     let wall = start.elapsed().as_secs_f64();
-    let perf =
-        ResponsePerf::new(wall, request.serial).with_cluster(stats.perf(backend, world, wall));
-    if let Some((code, message)) = outcome.fatal {
-        return Response::new(
+    let perf = ResponsePerf::new(wall, request.serial).with_cluster(stats.perf(
+        cluster.backend.name(),
+        world,
+        wall,
+    ));
+    let result = match outcome.fatal {
+        Some((code, message)) => Err(ServiceError::new(code, message)),
+        None => merge_sweep(outcome.done).map_err(|e| ServiceError::from_core(&e)),
+    };
+    match result {
+        Ok((rows, cancelled)) => Response::new(
             request.id.clone(),
             "sweep",
-            false,
+            cancelled || outcome.interrupted,
             perf,
-            Err(ServiceError::new(code, message)),
-        );
+            Ok(Payload::Sweep(SweepResults {
+                name: spec.name.clone(),
+                rows,
+            })),
+        ),
+        Err(error) => Response::new(request.id.clone(), "sweep", false, perf, Err(error)),
     }
-    // The lowest failed shard wins: it contains the lowest failing point,
-    // which is the error a serial run would have stopped at.
-    for done in &outcome.done {
-        if let ShardDone::Failed { code, message } = done {
-            let error = ServiceError::from_core(&CoreError::Remote {
-                code: code.clone(),
-                message: message.clone(),
-            });
-            return Response::new(request.id.clone(), "sweep", false, perf, Err(error));
-        }
-    }
-    // Merge in shard (= point) order, stopping at the first incomplete
-    // shard so a cancelled job reports a clean prefix, like a serial run.
-    let mut rows: Vec<SweepRow> = Vec::with_capacity(total);
-    let mut cancelled = outcome.interrupted;
-    for done in outcome.done {
+}
+
+/// Merges a sweep's shard outcomes the way a serial run would have stopped:
+/// walking shards in plan (= point) order, rows append until the first
+/// incomplete shard — a cancelled partial or a skipped one — which ends the
+/// merge as a cancelled prefix (`true`). A failed shard reached before that
+/// stop is the job's error: it holds the lowest failing point.
+fn merge_sweep(done: Vec<ShardDone>) -> Result<(Vec<SweepRow>, bool), CoreError> {
+    let mut rows = Vec::new();
+    for done in done {
         match done {
             ShardDone::Rows {
                 rows: mut shard_rows,
-                cancelled: shard_cancelled,
+                cancelled,
             } => {
                 rows.append(&mut shard_rows);
-                if shard_cancelled {
-                    cancelled = true;
-                    break;
+                if cancelled {
+                    return Ok((rows, true));
                 }
             }
-            ShardDone::Skipped => {
-                cancelled = true;
-                break;
-            }
-            ShardDone::Failed { .. } => unreachable!("failed shards returned above"),
+            ShardDone::Skipped => return Ok((rows, true)),
+            ShardDone::Failed { code, message } => return Err(CoreError::Remote { code, message }),
         }
     }
-    Response::new(
-        request.id.clone(),
-        "sweep",
-        cancelled,
-        perf,
-        Ok(Payload::Sweep(SweepResults {
-            name: spec.name.clone(),
-            rows,
-        })),
-    )
+    Ok((rows, false))
 }
 
-fn run_search<W: Write>(
+/// Runs one search across the pool: the fold runs here and reports to
+/// `sink`; each candidate batch is sharded.
+pub(crate) fn run_search(
     cluster: &mut Cluster,
     request: &Request,
     spec: &SearchSpec,
     handle: &JobHandle,
-    progress: Option<&Mutex<W>>,
-    start: Instant,
+    sink: &dyn ProgressSink,
 ) -> Response {
-    let world = cluster.world();
-    let backend = cluster.backend_name;
-    let sink = OptionalSink {
-        id: &request.id,
-        out: progress,
-    };
+    let start = Instant::now();
+    let world = cluster.configured;
     let mut ctrl = RunControl::default()
-        .with_progress(&sink)
+        .with_progress(sink)
         .with_cancel(handle.token());
     if let Some(ms) = request.deadline_ms {
         ctrl = ctrl.with_deadline(start + Duration::from_millis(ms));
@@ -579,55 +475,27 @@ fn run_search<W: Write>(
                 message,
             });
         }
-        // Exactly one evaluation per candidate, in stream order. A failed
-        // shard fails each of its candidates with the shard's error, so the
-        // fold surfaces the lowest failing candidate — the error a serial
-        // run would report.
+        // Exactly one evaluation per candidate, in stream order. A shard
+        // that did not complete fails each of its candidates with its
+        // error, so the fold surfaces the lowest failing candidate — the
+        // error a serial run would report.
         let mut evaluations = Vec::with_capacity(batch.len());
-        for (k, done) in outcome.done.into_iter().enumerate() {
-            let len = shards[k].range.len();
-            match done {
-                ShardDone::Rows {
-                    rows,
-                    cancelled: false,
-                } if rows.len() == len => {
-                    evaluations.extend(rows.into_iter().map(|row| Ok(row.evaluation)));
-                }
-                ShardDone::Rows { .. } => {
-                    for _ in 0..len {
-                        evaluations.push(Err(CoreError::Remote {
-                            code: E_REMOTE.to_string(),
-                            message: format!(
-                                "search `{}`: a worker returned a partial shard",
-                                spec.name
-                            ),
-                        }));
-                    }
-                }
-                ShardDone::Failed { code, message } => {
-                    for _ in 0..len {
-                        evaluations.push(Err(CoreError::Remote {
-                            code: code.clone(),
-                            message: message.clone(),
-                        }));
-                    }
-                }
-                ShardDone::Skipped => {
-                    for _ in 0..len {
-                        evaluations.push(Err(CoreError::Remote {
-                            code: E_REMOTE.to_string(),
-                            message: "a shard was abandoned before it completed".to_string(),
-                        }));
-                    }
-                }
+        for (shard, done) in shards.iter().zip(outcome.done) {
+            let len = shard.range.len();
+            match search_rows(done, len, &spec.name) {
+                Ok(rows) => evaluations.extend(rows.into_iter().map(|row| Ok(row.evaluation))),
+                Err(e) => evaluations.extend((0..len).map(|_| Err(e.clone()))),
             }
         }
         Ok(evaluations)
     });
 
     let wall = start.elapsed().as_secs_f64();
-    let perf =
-        ResponsePerf::new(wall, request.serial).with_cluster(stats.perf(backend, world, wall));
+    let perf = ResponsePerf::new(wall, request.serial).with_cluster(stats.perf(
+        cluster.backend.name(),
+        world,
+        wall,
+    ));
     match result {
         Ok(outcome) => Response::new(
             request.id.clone(),
@@ -646,6 +514,27 @@ fn run_search<W: Write>(
     }
 }
 
+/// A search shard's rows when it evaluated all `len` of its candidates,
+/// else the error each of them reports.
+fn search_rows(done: ShardDone, len: usize, name: &str) -> Result<Vec<SweepRow>, CoreError> {
+    let (code, message) = match done {
+        ShardDone::Rows {
+            rows,
+            cancelled: false,
+        } if rows.len() == len => return Ok(rows),
+        ShardDone::Rows { .. } => (
+            E_REMOTE.to_string(),
+            format!("search `{name}`: a worker returned a partial shard"),
+        ),
+        ShardDone::Failed { code, message } => (code, message),
+        ShardDone::Skipped => (
+            E_REMOTE.to_string(),
+            "a shard was abandoned before it completed".to_string(),
+        ),
+    };
+    Err(CoreError::Remote { code, message })
+}
+
 /// Outcome of one shard set.
 struct ShardSetOutcome {
     /// One entry per shard, in shard order.
@@ -657,12 +546,72 @@ struct ShardSetOutcome {
     fatal: Option<(&'static str, String)>,
 }
 
+/// The bookkeeping of one shard set in flight.
+struct ShardSet {
+    /// Each shard's outcome, once it has one.
+    done: Vec<Option<ShardDone>>,
+    /// Shards waiting for a worker, in dispatch order.
+    queue: VecDeque<usize>,
+    /// Worker faults each shard has absorbed.
+    attempts: Vec<u32>,
+    /// When each queued shard's backoff expires.
+    not_before: Vec<Instant>,
+    /// When a cancel/deadline interrupted the set.
+    interrupted_at: Option<Instant>,
+    /// The job's fatal error, once a shard's retry budget is spent.
+    fatal: Option<(&'static str, String)>,
+}
+
+impl ShardSet {
+    fn new(shards: usize) -> Self {
+        ShardSet {
+            done: (0..shards).map(|_| None).collect(),
+            queue: (0..shards).collect(),
+            attempts: vec![0; shards],
+            not_before: vec![Instant::now(); shards],
+            interrupted_at: None,
+            fatal: None,
+        }
+    }
+
+    /// Handles one worker fault on `shard` — its worker died, hung past its
+    /// edge, or answered garbage. After an interrupt the shard is skipped:
+    /// it was cancelled, there is nothing left to compute. Otherwise the
+    /// fault costs one unit of the shard's retry budget and requeues the
+    /// shard with exponential backoff, or — once the budget is spent — sets
+    /// the job's fatal error. Checked *before* any pool-loss handling, so a
+    /// shard that keeps killing its workers fails typed instead of
+    /// consuming the whole session.
+    fn fault(&mut self, shard: usize, reason: String, stats: &mut ShardStats) {
+        if self.interrupted_at.is_some() {
+            self.done[shard] = Some(ShardDone::Skipped);
+            return;
+        }
+        stats.retried += 1;
+        self.attempts[shard] += 1;
+        let attempts = self.attempts[shard];
+        if attempts > RETRY_BUDGET {
+            self.fatal = Some((
+                E_SHARD_RETRY_EXHAUSTED,
+                format!(
+                    "shard {shard} hit {attempts} worker fault(s) (last: {reason}) \
+                     with a re-dispatch budget of {RETRY_BUDGET}"
+                ),
+            ));
+            return;
+        }
+        // Exponential backoff: base, ×2, ×4, ... capped at ×64.
+        self.not_before[shard] = Instant::now() + BACKOFF_BASE * (1u32 << (attempts - 1).min(6));
+        self.queue.push_back(shard);
+    }
+}
+
 /// Runs one set of shards over the pool: at most one in-flight shard per
 /// worker, supervised re-dispatch (with backoff) on worker death, hang or
 /// garbled output, worker respawn, forwarding cancellation when an
 /// `interrupt` is given, and reporting shard events through `on_signal`.
-/// When the whole pool is gone and no respawn budget remains, the
-/// remaining shards run in-process instead of failing the job.
+/// When the whole pool is gone with shards still queued, an in-process
+/// slot joins the pool instead of the job failing.
 fn execute_shards(
     cluster: &mut Cluster,
     shards: &[ShardSpec],
@@ -671,99 +620,74 @@ fn execute_shards(
     mut on_signal: impl FnMut(usize, ShardSignal<'_>),
 ) -> ShardSetOutcome {
     let supervision = cluster.supervision;
-    let mut done: Vec<Option<ShardDone>> = shards.iter().map(|_| None).collect();
-    let mut queue: VecDeque<usize> = (0..shards.len()).collect();
-    let mut retries = RetryState::new(shards.len());
-    let mut interrupted = false;
-    let mut interrupted_at: Option<Instant> = None;
-    let mut fatal: Option<(&'static str, String)> = None;
+    let mut set = ShardSet::new(shards.len());
 
     loop {
         // Cancellation/deadline: drop what has not started, tell every busy
         // worker to stop its shard at the next batch boundary, then keep
         // looping to collect the (partial) in-flight responses.
-        if !interrupted && interrupt.is_some_and(Interrupt::triggered) {
-            interrupted = true;
-            interrupted_at = Some(Instant::now());
-            while let Some(shard) = queue.pop_front() {
-                done[shard] = Some(ShardDone::Skipped);
+        if set.interrupted_at.is_none() && interrupt.is_some_and(Interrupt::triggered) {
+            set.interrupted_at = Some(Instant::now());
+            while let Some(shard) = set.queue.pop_front() {
+                set.done[shard] = Some(ShardDone::Skipped);
             }
-            for slot in cluster.workers.iter_mut() {
-                if slot.alive {
-                    if let Some(shard) = slot.busy {
-                        let _ = slot.tx.send_line(&cancel_line(&shards[shard].id));
-                    }
+            for slot in cluster.workers.iter_mut().filter(|slot| slot.alive) {
+                if let Some((shard, _)) = slot.busy {
+                    let _ = slot.tx.send_line(&cancel_line(&shards[shard].id));
                 }
             }
         }
 
-        if done.iter().all(Option::is_some) {
+        if set.done.iter().all(Option::is_some) {
             break;
         }
 
-        // Declare hung workers dead: a busy worker past its timeout edge is
-        // killed, and its shard re-planned (or skipped after an interrupt —
-        // the shard was cancelled; there is nothing left to compute).
+        // Declare hung workers dead: a busy worker past its edge is killed
+        // and its shard handed to the fault handler.
         let now = Instant::now();
-        let timed_out: Vec<(usize, usize)> = cluster
-            .workers
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.alive)
-            .filter_map(|(rank, slot)| {
-                let (shard, since) = slot.busy.zip(slot.busy_since)?;
-                let edge = busy_edge(since, &supervision, interrupted_at)?;
-                (now >= edge).then_some((rank, shard))
-            })
-            .collect();
-        for (rank, shard) in timed_out {
-            let slot = &mut cluster.workers[rank];
-            slot.alive = false;
-            slot.busy = None;
-            slot.busy_since = None;
-            slot.tx.kill();
-            if interrupted {
-                let outcome = ShardDone::Skipped;
-                on_signal(shard, ShardSignal::Done(&outcome));
-                done[shard] = Some(outcome);
-            } else if let Some(error) = retries.fault(
-                shard,
-                &format!("worker {rank} timed out mid-shard"),
-                &supervision,
-                &mut queue,
-                stats,
-            ) {
-                fatal = Some(error);
+        for (rank, slot) in cluster.workers.iter_mut().enumerate() {
+            let Some((shard, since)) = slot.busy.filter(|_| slot.alive) else {
+                continue;
+            };
+            if busy_edge(slot, since, &supervision, set.interrupted_at).is_some_and(|e| now >= e) {
+                slot.alive = false;
+                slot.busy = None;
+                slot.tx.kill();
+                set.fault(shard, format!("worker {rank} timed out mid-shard"), stats);
             }
         }
-        if fatal.is_some() {
+        if set.fatal.is_some() {
             break;
         }
 
         // Replace dead workers while the respawn budget lasts, so the pool
-        // recovers its parallelism instead of limping on survivors.
+        // recovers its parallelism instead of limping on survivors. With
+        // the whole pool lost and shards still queued (never after an
+        // interrupt: that empties the queue), the in-process slot takes
+        // over: slower, but the merged response stays byte-identical,
+        // which beats failing the job.
         stats.respawned += cluster.respawn_dead();
+        if !set.queue.is_empty() && cluster.alive() == 0 {
+            cluster
+                .connect_slot(true)
+                .expect("in-process workers connect infallibly");
+        }
 
         // Fill idle workers with due shards (a requeued shard waits out its
         // backoff before re-dispatching).
         let now = Instant::now();
-        for rank in 0..cluster.workers.len() {
-            {
-                let slot = &cluster.workers[rank];
-                if !slot.alive || slot.busy.is_some() {
-                    continue;
-                }
+        for slot in cluster.workers.iter_mut() {
+            if !slot.alive || slot.busy.is_some() {
+                continue;
             }
-            let Some(pos) = queue.iter().position(|&s| retries.not_before[s] <= now) else {
+            let Some(pos) = set.queue.iter().position(|&s| set.not_before[s] <= now) else {
                 break;
             };
-            let shard = queue.remove(pos).expect("position is in range");
-            let line = dispatch_line(&shards[shard], interrupt);
-            let slot = &mut cluster.workers[rank];
-            match slot.tx.send_line(&line) {
+            let shard = set.queue.remove(pos).expect("position is in range");
+            match slot.tx.send_line(&dispatch_line(&shards[shard], interrupt)) {
                 Ok(()) => {
-                    slot.busy = Some(shard);
-                    slot.busy_since = Some(Instant::now());
+                    slot.busy = Some((shard, Instant::now()));
+                    stats.local_fallback += u64::from(slot.local);
                 }
                 Err(_) => {
                     // Found out the worker is gone at send time; its Closed
@@ -771,32 +695,9 @@ fn execute_shards(
                     // back to the front of the queue right away (the send
                     // never reached a worker, so it costs no retry).
                     slot.alive = false;
-                    queue.push_front(shard);
+                    set.queue.push_front(shard);
                 }
             }
-        }
-
-        // Pool fully lost with the respawn budget spent: finish the
-        // remaining shards in-process through the ordinary Service path.
-        // Slower, and without progress streaming for those shards — but the
-        // merged response stays byte-identical, which beats failing the
-        // job. (Interrupted sets never reach here: a dead worker's shard is
-        // skipped, not requeued, once the interrupt fired.)
-        if cluster.workers.iter().all(|slot| !slot.alive) && done.iter().any(Option::is_none) {
-            while let Some(shard) = queue.pop_front() {
-                if interrupt.is_some_and(Interrupt::triggered) {
-                    done[shard] = Some(ShardDone::Skipped);
-                    continue;
-                }
-                let started = Instant::now();
-                let outcome = run_shard_locally(&shards[shard], interrupt);
-                stats.dispatched += 1;
-                stats.local_fallback += 1;
-                stats.busy_seconds += started.elapsed().as_secs_f64();
-                on_signal(shard, ShardSignal::Done(&outcome));
-                done[shard] = Some(outcome);
-            }
-            continue;
         }
 
         // Deadline-aware wait: sleep exactly until the next actionable edge
@@ -809,21 +710,18 @@ fn execute_shards(
         } else {
             MAX_WAIT
         };
-        for slot in &cluster.workers {
-            if !slot.alive {
-                continue;
-            }
-            let Some(since) = slot.busy_since else {
+        for slot in cluster.workers.iter().filter(|slot| slot.alive) {
+            let Some((_, since)) = slot.busy else {
                 continue;
             };
-            if let Some(edge) = busy_edge(since, &supervision, interrupted_at) {
+            if let Some(edge) = busy_edge(slot, since, &supervision, set.interrupted_at) {
                 wait = wait.min(edge.saturating_duration_since(now));
             }
         }
-        for &shard in &queue {
-            wait = wait.min(retries.not_before[shard].saturating_duration_since(now));
+        for &shard in &set.queue {
+            wait = wait.min(set.not_before[shard].saturating_duration_since(now));
         }
-        if !interrupted {
+        if set.interrupted_at.is_none() {
             if let Some(deadline) = interrupt.and_then(|i| i.deadline) {
                 wait = wait.min(deadline.saturating_duration_since(now));
             }
@@ -831,7 +729,7 @@ fn execute_shards(
 
         match cluster.events.recv_timeout(wait.max(MIN_WAIT)) {
             Ok(WorkerEvent::Line(rank, line)) => {
-                let Some(shard) = cluster.workers[rank].busy else {
+                let Some((shard, since)) = cluster.workers[rank].busy else {
                     continue; // stray output from an idle worker
                 };
                 let Ok(value) = serde_json::from_str(&line) else {
@@ -843,35 +741,22 @@ fn execute_shards(
                 match value.get("type").and_then(Value::as_str) {
                     Some("progress") => on_signal(shard, ShardSignal::Progress(&value)),
                     Some("response") => {
-                        let slot = &mut cluster.workers[rank];
-                        slot.busy = None;
-                        if let Some(since) = slot.busy_since.take() {
-                            stats.busy_seconds += since.elapsed().as_secs_f64();
-                        }
+                        cluster.workers[rank].busy = None;
+                        stats.busy_seconds += since.elapsed().as_secs_f64();
                         match decode_response(&value) {
-                            Decoded::Done(outcome) => {
+                            Ok(outcome) => {
                                 stats.dispatched += 1;
                                 on_signal(shard, ShardSignal::Done(&outcome));
-                                done[shard] = Some(outcome);
+                                set.done[shard] = Some(outcome);
                             }
                             // A response the coordinator cannot decode is a
-                            // worker fault, not a job error: re-dispatch
-                            // (the worker stays alive — it answered).
-                            Decoded::Garbled(reason) => {
-                                if interrupted {
-                                    let outcome = ShardDone::Skipped;
-                                    on_signal(shard, ShardSignal::Done(&outcome));
-                                    done[shard] = Some(outcome);
-                                } else if let Some(error) = retries.fault(
-                                    shard,
-                                    &format!("worker {rank} answered garbage: {reason}"),
-                                    &supervision,
-                                    &mut queue,
-                                    stats,
-                                ) {
-                                    fatal = Some(error);
-                                }
-                            }
+                            // worker fault, not a job error (the worker
+                            // stays alive — it answered).
+                            Err(reason) => set.fault(
+                                shard,
+                                format!("worker {rank} answered garbage: {reason}"),
+                                stats,
+                            ),
                         }
                     }
                     _ => {}
@@ -880,21 +765,8 @@ fn execute_shards(
             Ok(WorkerEvent::Closed(rank)) => {
                 let slot = &mut cluster.workers[rank];
                 slot.alive = false;
-                slot.busy_since = None;
-                if let Some(shard) = slot.busy.take() {
-                    if interrupted {
-                        let outcome = ShardDone::Skipped;
-                        on_signal(shard, ShardSignal::Done(&outcome));
-                        done[shard] = Some(outcome);
-                    } else if let Some(error) = retries.fault(
-                        shard,
-                        &format!("worker {rank} died mid-shard"),
-                        &supervision,
-                        &mut queue,
-                        stats,
-                    ) {
-                        fatal = Some(error);
-                    }
+                if let Some((shard, _)) = slot.busy.take() {
+                    set.fault(shard, format!("worker {rank} died mid-shard"), stats);
                 }
             }
             // Timeout: loop back around to re-check interrupts and edges.
@@ -902,75 +774,31 @@ fn execute_shards(
             // sender), but treat it like a timeout if it ever did.
             Err(_) => {}
         }
-        if fatal.is_some() {
+        if set.fatal.is_some() {
             break;
         }
     }
 
-    if fatal.is_some() {
+    if set.fatal.is_some() {
         // Fatal exit can leave live workers mid-shard: cancel their work so
-        // the pool is reusable, and mark the abandoned shards. Late lines
-        // from those shards are dropped by the id checks of the next set.
-        for slot in cluster.workers.iter_mut() {
-            if slot.alive {
-                if let Some(shard) = slot.busy.take() {
-                    let _ = slot.tx.send_line(&cancel_line(&shards[shard].id));
-                }
-                slot.busy_since = None;
-            }
-        }
-        for done in done.iter_mut() {
-            if done.is_none() {
-                *done = Some(ShardDone::Skipped);
+        // the pool is reusable. Late lines from those shards are dropped by
+        // the id checks of the next set.
+        for slot in cluster.workers.iter_mut().filter(|slot| slot.alive) {
+            if let Some((shard, _)) = slot.busy.take() {
+                let _ = slot.tx.send_line(&cancel_line(&shards[shard].id));
             }
         }
     }
 
     ShardSetOutcome {
-        done: done
+        // Shards still open here were abandoned by a fatal exit.
+        done: set
+            .done
             .into_iter()
-            .map(|d| d.expect("loop exits only once every shard is done"))
+            .map(|d| d.unwrap_or(ShardDone::Skipped))
             .collect(),
-        interrupted,
-        fatal,
-    }
-}
-
-/// Runs one shard in-process — the coordinator's last resort when the
-/// whole pool is gone and the respawn budget is spent. The shard executes
-/// through the ordinary [`Service`] path on the exact request a worker
-/// would have received (remaining deadline included), so its rows are the
-/// rows a worker would have produced.
-fn run_shard_locally(shard: &ShardSpec, interrupt: Option<&Interrupt<'_>>) -> ShardDone {
-    let line = dispatch_line(shard, interrupt);
-    let request = match SessionLine::from_json(&line) {
-        Ok(SessionLine::Request(request)) => request,
-        _ => {
-            return ShardDone::Failed {
-                code: E_REMOTE.to_string(),
-                message: "internal: a shard request did not parse back".to_string(),
-            }
-        }
-    };
-    let fresh;
-    let handle = match interrupt {
-        Some(interrupt) => interrupt.handle,
-        None => {
-            fresh = JobHandle::new();
-            &fresh
-        }
-    };
-    let sink = OptionalSink::<std::io::Sink> {
-        id: &shard.id,
-        out: None,
-    };
-    let response = Service::new().run(&request, handle, &sink);
-    match decode_response(&response.to_value()) {
-        Decoded::Done(done) => done,
-        Decoded::Garbled(reason) => ShardDone::Failed {
-            code: E_REMOTE.to_string(),
-            message: format!("local fallback produced an undecodable response: {reason}"),
-        },
+        interrupted: set.interrupted_at.is_some(),
+        fatal: set.fatal,
     }
 }
 
@@ -1012,18 +840,11 @@ fn cancel_line(id: &str) -> String {
     .expect("cancel lines serialise")
 }
 
-/// What a worker's response line decoded into.
-enum Decoded {
-    /// A decodable response: the shard's outcome.
-    Done(ShardDone),
-    /// Output that is not a usable response — `status: "ok"` without
-    /// decodable results, or no recognisable status at all. A supervision
-    /// fault (re-dispatch), distinct from a typed job error.
-    Garbled(String),
-}
-
-/// Decodes a worker's response line into the shard's outcome.
-fn decode_response(value: &Value) -> Decoded {
+/// Decodes a worker's response line into the shard's outcome. Output that
+/// is not a usable response — `status: "ok"` without decodable results, or
+/// no recognisable status at all — is `Err`: a supervision fault
+/// (re-dispatch), distinct from a typed job error.
+fn decode_response(value: &Value) -> Result<ShardDone, String> {
     let cancelled = matches!(value.get("cancelled"), Some(Value::Bool(true)));
     match value.get("status").and_then(Value::as_str) {
         Some("ok") => match value
@@ -1031,12 +852,12 @@ fn decode_response(value: &Value) -> Decoded {
             .and_then(|r| r.get("results"))
             .map(wire::sweep_results_from_value)
         {
-            Some(Ok(results)) => Decoded::Done(ShardDone::Rows {
+            Some(Ok(results)) => Ok(ShardDone::Rows {
                 rows: results.rows,
                 cancelled,
             }),
-            Some(Err(e)) => Decoded::Garbled(format!("sweep results did not decode: {e}")),
-            None => Decoded::Garbled("the response carried no sweep results".to_string()),
+            Some(Err(e)) => Err(format!("sweep results did not decode: {e}")),
+            None => Err("the response carried no sweep results".to_string()),
         },
         Some("error") => {
             let field = |key: &str| {
@@ -1045,14 +866,14 @@ fn decode_response(value: &Value) -> Decoded {
                     .and_then(|e| e.get(key))
                     .and_then(Value::as_str)
             };
-            Decoded::Done(ShardDone::Failed {
+            Ok(ShardDone::Failed {
                 code: field("code").unwrap_or(E_REMOTE).to_string(),
                 message: field("message")
                     .unwrap_or("worker reported an error")
                     .to_string(),
             })
         }
-        _ => Decoded::Garbled("the response carried no status".to_string()),
+        _ => Err("the response carried no status".to_string()),
     }
 }
 
@@ -1080,8 +901,9 @@ fn patch_row_line(value: &Value, id: &str, offset: usize, total: usize) -> Optio
     serde_json::to_string(&Value::Object(patched)).ok()
 }
 
-/// Writes one NDJSON line, flushing immediately (the serve-session
-/// guarantee: lines are visible the moment their event happens).
+/// Writes one patched worker row line, flushing immediately (the
+/// serve-session guarantee: lines are visible the moment their event
+/// happens).
 fn emit_line<W: Write>(out: Option<&Mutex<W>>, text: &str) {
     if let Some(out) = out {
         let mut out = out.lock().unwrap_or_else(|e| e.into_inner());
@@ -1090,25 +912,10 @@ fn emit_line<W: Write>(out: Option<&Mutex<W>>, text: &str) {
     }
 }
 
-/// A [`ProgressSink`] over an optional shared writer: the coordinator's
-/// local search fold streams through this, and `msfu run --workers` without
-/// `--progress` passes `None`.
-struct OptionalSink<'a, W: Write> {
-    id: &'a str,
-    out: Option<&'a Mutex<W>>,
-}
-
-impl<W: Write> ProgressSink for OptionalSink<'_, W> {
-    fn emit(&self, event: &ProgressEvent<'_>) {
-        if let Ok(text) = serde_json::to_string(&progress_to_value(self.id, event)) {
-            emit_line(self.out, &text);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Job;
     use crate::serve::{serve, ServeOptions};
 
     /// Runs one serve session over the given lines and returns its parsed
@@ -1317,6 +1124,92 @@ mod tests {
     }
 
     #[test]
+    fn fallback_shards_stream_row_progress() {
+        // The only worker dies on its first request and no respawns are
+        // allowed, so every shard runs on the in-process slot — whose row
+        // events must stream like any worker's, re-tagged with the parent
+        // id and global indices. Each shard takes far longer than the 1 ms
+        // shard timeout, which the in-process slot is exempt from.
+        let options = ServeOptions::new()
+            .with_workers(1)
+            .with_fault_plan(FaultPlan::new().with_crash(0, 0))
+            .with_shard_timeout_ms(1)
+            .with_max_respawns(0);
+        let values = session(&options, SWEEP_LINE);
+        let rows: Vec<&Value> = values
+            .iter()
+            .filter(|v| v.get("event").and_then(Value::as_str) == Some("row_completed"))
+            .collect();
+        assert_eq!(rows.len(), 5, "one row event per point");
+        let mut indices: Vec<u64> = rows
+            .iter()
+            .map(|v| {
+                assert_eq!(v.get("id").and_then(Value::as_str), Some("j"));
+                assert_eq!(v.get("total").and_then(Value::as_u64), Some(5));
+                v.get("index").and_then(Value::as_u64).unwrap()
+            })
+            .collect();
+        indices.sort_unstable();
+        assert_eq!(indices, vec![0, 1, 2, 3, 4], "global indices, each once");
+        let response = response_of(&values, "j");
+        assert_eq!(response.get("status").and_then(Value::as_str), Some("ok"));
+        let fallback = cluster_perf_of(response, "shards_local_fallback");
+        assert_eq!(fallback, &Value::UInt(4), "all four shards ran in-process");
+    }
+
+    /// Two completed rows of a tiny sweep, for the merge tests.
+    fn two_rows() -> Vec<SweepRow> {
+        use msfu_core::{EvaluationConfig, Strategy};
+        use msfu_distill::FactoryConfig;
+        SweepSpec::new("t", EvaluationConfig::default())
+            .point("a", FactoryConfig::single_level(2), Strategy::linear())
+            .point("b", FactoryConfig::single_level(2), Strategy::random(1))
+            .run()
+            .unwrap()
+            .rows
+    }
+
+    fn failed() -> ShardDone {
+        ShardDone::Failed {
+            code: "E_X".to_string(),
+            message: "boom".to_string(),
+        }
+    }
+
+    #[test]
+    fn a_failure_beyond_the_cancelled_prefix_is_not_the_answer() {
+        let rows = two_rows();
+        let complete = |rows: &[SweepRow]| ShardDone::Rows {
+            rows: rows.to_vec(),
+            cancelled: false,
+        };
+        // A cancelled partial shard ends the merge before the failure.
+        let merged = merge_sweep(vec![
+            ShardDone::Rows {
+                rows: rows[..1].to_vec(),
+                cancelled: true,
+            },
+            failed(),
+        ]);
+        assert_eq!(merged, Ok((rows[..1].to_vec(), true)));
+        // So does a skipped shard.
+        let merged = merge_sweep(vec![complete(&rows), ShardDone::Skipped, failed()]);
+        assert_eq!(merged, Ok((rows.clone(), true)));
+        // A failure inside the prefix is the job's error.
+        let merged = merge_sweep(vec![complete(&rows), failed()]);
+        assert_eq!(
+            merged,
+            Err(CoreError::Remote {
+                code: "E_X".to_string(),
+                message: "boom".to_string(),
+            })
+        );
+        // A clean run merges every row, uncancelled.
+        let merged = merge_sweep(vec![complete(&rows[..1]), complete(&rows[1..])]);
+        assert_eq!(merged, Ok((rows, false)));
+    }
+
+    #[test]
     fn a_stalled_worker_times_out_and_its_shard_is_re_dispatched() {
         let serial = session(&ServeOptions::new(), SWEEP_LINE);
         let reference = stable_fields(response_of(&serial, "j"));
@@ -1340,23 +1233,23 @@ mod tests {
 
     #[test]
     fn a_stall_outlasting_every_retry_fails_typed_instead_of_hanging() {
-        // One point, so one shard; both workers hang forever; retry budget
-        // of 1 and no respawns. The first timeout consumes the budget's one
-        // re-dispatch, the second exhausts it — the job must come back as a
-        // typed E_SHARD_RETRY_EXHAUSTED error within a bounded time, never
-        // hang.
+        // One point, so one shard; all four workers hang forever and no
+        // respawns are allowed. Each timeout costs one re-dispatch of the
+        // budget of 3, and the fourth exhausts it while a stalled worker is
+        // still left (so the pool is never lost to the in-process
+        // fallback) — the job must come back as a typed
+        // E_SHARD_RETRY_EXHAUSTED error within a bounded time, never hang.
         let line = concat!(
             r#"{"protocol_version": 1, "id": "x", "kind": "sweep", "sweep": {"name": "t", "points": [{"label": "p", "factory": {"k": 2}, "strategy": {"strategy": "linear"}}]}}"#,
             "\n",
         );
-        let plan = FaultPlan::new()
-            .with_stall(0, 0, 60_000)
-            .with_stall(1, 0, 60_000);
+        let plan = (0..4).fold(FaultPlan::new(), |plan, rank| {
+            plan.with_stall(rank, 0, 60_000)
+        });
         let options = ServeOptions::new()
-            .with_workers(2)
+            .with_workers(4)
             .with_fault_plan(plan)
             .with_shard_timeout_ms(100)
-            .with_retry_budget(1)
             .with_max_respawns(0);
         let started = Instant::now();
         let values = session(&options, line);
@@ -1379,7 +1272,7 @@ mod tests {
         let retried = cluster_perf_of(response, "shards_retried")
             .as_u64()
             .unwrap();
-        assert!(retried >= 2, "both timeouts count as retries");
+        assert!(retried >= 4, "every timeout counts as a retry");
     }
 
     #[test]

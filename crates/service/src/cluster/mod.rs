@@ -24,15 +24,19 @@
 //! and the order-preserving merge. Supervision (configured through
 //! [`ServeOptions`](crate::ServeOptions)) treats worker death, hangs past
 //! the shard timeout and garbled responses uniformly: each costs one unit
-//! of the shard's retry budget and re-dispatches with exponential backoff,
-//! dead workers are replaced by clean respawns while the respawn budget
-//! lasts, a shard whose budget is spent fails the job typed with
-//! `E_SHARD_RETRY_EXHAUSTED`, and a fully lost pool degrades to in-process
-//! execution instead of failing.
+//! of the shard's fixed retry budget of 3 and re-dispatches with
+//! exponential backoff, dead workers are replaced by clean respawns while
+//! the respawn budget lasts, and a shard whose budget is spent fails the
+//! job typed with `E_SHARD_RETRY_EXHAUSTED`. A fully lost pool does not
+//! fail the job: the coordinator appends one in-process worker slot (a
+//! serve loop on a thread, exempt from the shard timeout) and the
+//! remaining shards run there through the same dispatch, progress and
+//! merge path as on any worker.
 //! Because workers run the exact single-process engine on exact sub-specs
-//! and the merge walks shards in plan order, a coordinated job's rows,
-//! incumbents and error codes are byte-identical to a serial run — `perf`
-//! is the only field allowed to differ.
+//! and the merge walks shards in plan order — stopping at the first
+//! incomplete shard, as a serial cancelled run stops — a coordinated job's
+//! rows, incumbents and error codes are byte-identical to a serial run —
+//! `perf` is the only field allowed to differ.
 
 mod comm;
 mod coordinator;
@@ -40,5 +44,5 @@ mod planner;
 
 pub use crate::faults::ENV_WORKER_FAULT;
 pub use comm::{ClusterBackend, WorkerEvent, WorkerTx};
-pub(crate) use coordinator::{run_clustered, Cluster, Supervision};
+pub(crate) use coordinator::{run_search, run_sweep, Cluster, Supervision};
 pub use planner::plan_shards;

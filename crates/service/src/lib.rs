@@ -25,7 +25,7 @@
 //!   `--workers N`: sweeps/searches shard deterministically across a pool
 //!   of worker serve sessions (in-process threads or child processes), with
 //!   shard timeouts, bounded re-dispatch with backoff, worker respawn,
-//!   in-process fallback when the whole pool is lost, cancellation fan-out,
+//!   an in-process worker slot when the whole pool is lost, cancellation fan-out,
 //!   and a merge that keeps results byte-identical to a single-process run.
 //! * [`faults`] — seeded, JSON-declarable fault injection ([`FaultPlan`]):
 //!   worker crashes, stalls, garbled responses and cache corruption, used

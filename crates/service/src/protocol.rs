@@ -406,8 +406,8 @@ pub struct ClusterPerf {
     pub shards_retried: u64,
     /// Replacement workers the supervisor spawned after deaths.
     pub workers_respawned: u64,
-    /// Shards the coordinator finished in-process after the whole pool was
-    /// lost with the respawn budget spent.
+    /// Shards dispatched to the coordinator's in-process slot, which joins
+    /// the pool once every worker is lost with the respawn budget spent.
     pub shards_local_fallback: u64,
     /// Mean fraction of the pool busy over the job's wall time:
     /// `Σ shard wall / (job wall × workers)`.

@@ -32,7 +32,7 @@ use std::thread;
 
 use serde_json::Value;
 
-use msfu_core::{CancelToken, NoProgress};
+use msfu_core::{CancelToken, NoProgress, ProgressSink};
 
 use crate::cluster::{self, Cluster, ClusterBackend, Supervision};
 use crate::error_code::{E_REQUEST_PARSE, E_WORKER_LOST};
@@ -84,11 +84,11 @@ pub struct ServeOptions {
     pub shard_timeout_ms: Option<u64>,
     /// Supervision: how many replacement workers the coordinator may spawn
     /// over the session after deaths (`None` = one per configured worker).
+    /// Once every worker is gone and none may be respawned, the remaining
+    /// shards run on one in-process slot. Each shard may be re-dispatched
+    /// after at most 3 worker faults; the next fails the job typed with
+    /// `E_SHARD_RETRY_EXHAUSTED`.
     pub max_respawns: Option<u32>,
-    /// Supervision: how many times one shard may be re-dispatched after
-    /// worker faults before the job fails typed with
-    /// `E_SHARD_RETRY_EXHAUSTED` (`None` = the default budget of 3).
-    pub retry_budget: Option<u32>,
     /// Session-default persistent cache directory: sweep/search/stream
     /// requests that carry no `"cache_dir"` of their own inherit this one, so every
     /// job of the session (and, with `workers > 0`, every worker shard)
@@ -152,28 +152,6 @@ impl ServeOptions {
     pub fn with_max_respawns(mut self, max_respawns: u32) -> Self {
         self.max_respawns = Some(max_respawns);
         self
-    }
-
-    /// Caps re-dispatches per shard (builder style); see
-    /// [`ServeOptions::retry_budget`].
-    pub fn with_retry_budget(mut self, retry_budget: u32) -> Self {
-        self.retry_budget = Some(retry_budget);
-        self
-    }
-
-    /// The supervision configuration these options describe.
-    fn supervision(&self) -> Supervision {
-        let defaults = Supervision::default();
-        Supervision {
-            shard_timeout: self.shard_timeout_ms.map(std::time::Duration::from_millis),
-            // Default respawn budget: one replacement per configured worker —
-            // enough to survive every original rank crashing once.
-            max_respawns: self
-                .max_respawns
-                .unwrap_or_else(|| u32::try_from(self.workers).unwrap_or(u32::MAX)),
-            retry_budget: self.retry_budget.unwrap_or(defaults.retry_budget),
-            ..defaults
-        }
     }
 
     /// Sets the session-default persistent cache directory (builder style);
@@ -461,39 +439,60 @@ impl Session {
             // Session default only: a request's own cache_dir wins.
             slot.get_or_insert_with(|| dir.clone());
         }
-        let clustered = self.options.workers > 0
-            && matches!(request.job, Job::Sweep { .. } | Job::Search { .. });
-        if !clustered {
-            return match progress {
-                Some(out) => {
-                    Service::new().run(&request, handle, &NdjsonSink::new(&request.id, out))
-                }
-                None => Service::new().run(&request, handle, &NoProgress),
-            };
-        }
-        if self.cluster.is_none() {
-            match Cluster::connect(
-                &self.options.backend,
-                self.options.workers,
-                self.options.fault_plan.as_ref(),
-            ) {
-                Ok(pool) => self.cluster = Some(pool.with_supervision(self.options.supervision())),
-                Err(error) => {
-                    return Response::new(
-                        request.id.clone(),
-                        request.job.kind(),
-                        false,
-                        ResponsePerf::new(0.0, request.serial),
-                        Err(ServiceError::new(
-                            E_WORKER_LOST,
-                            format!("cannot connect the worker pool: {error}"),
-                        )),
-                    )
-                }
+        let ndjson;
+        let sink: &dyn ProgressSink = match progress {
+            Some(out) => {
+                ndjson = NdjsonSink::new(&request.id, out);
+                &ndjson
             }
+            None => &NoProgress,
+        };
+        let sharded = self.options.workers > 0;
+        let response = match &request.job {
+            Job::Sweep { spec } if sharded => self
+                .pool()
+                .map(|pool| cluster::run_sweep(pool, &request, spec, handle, sink, progress)),
+            Job::Search { spec } if sharded => self
+                .pool()
+                .map(|pool| cluster::run_search(pool, &request, spec, handle, sink)),
+            _ => return Service::new().run(&request, handle, sink),
+        };
+        response.unwrap_or_else(|error| {
+            Response::new(
+                request.id.clone(),
+                request.job.kind(),
+                false,
+                ResponsePerf::new(0.0, request.serial),
+                Err(ServiceError::new(
+                    E_WORKER_LOST,
+                    format!("cannot connect the worker pool: {error}"),
+                )),
+            )
+        })
+    }
+
+    /// The session's worker pool, connected on first use.
+    fn pool(&mut self) -> io::Result<&mut Cluster> {
+        if self.cluster.is_none() {
+            let options = &self.options;
+            let supervision = Supervision {
+                shard_timeout: options
+                    .shard_timeout_ms
+                    .map(std::time::Duration::from_millis),
+                // Default respawn budget: one replacement per configured
+                // worker — enough to survive every original rank crashing once.
+                max_respawns: options
+                    .max_respawns
+                    .unwrap_or_else(|| u32::try_from(options.workers).unwrap_or(u32::MAX)),
+            };
+            self.cluster = Some(Cluster::connect(
+                &options.backend,
+                options.workers,
+                options.fault_plan.as_ref(),
+                supervision,
+            )?);
         }
-        let pool = self.cluster.as_mut().expect("the pool is connected");
-        cluster::run_clustered(pool, &request, handle, progress)
+        Ok(self.cluster.as_mut().expect("the pool is connected"))
     }
 }
 
