@@ -10,10 +10,12 @@
 //!
 //! Usage: `cargo run -p msfu-bench --bin fig10 --release [full] [serial] [--json]`
 
+use std::process::ExitCode;
+
 use msfu_bench::{
-    harness_eval_config, lineup_for, print_headline, reuse_variants, run_spec, HarnessArgs,
+    harness_eval_config, lineup_for, print_headline, reuse_variants, run_spec, HarnessArgs, Out,
 };
-use msfu_core::{Evaluation, SweepIndex, SweepSpec};
+use msfu_core::{Evaluation, SweepResults, SweepSpec};
 
 /// Strategies plotted per level: Fig. 10 omits Random entirely and HS on
 /// single-level factories.
@@ -45,39 +47,41 @@ fn build_spec(args: &HarnessArgs, seed: u64) -> SweepSpec {
 }
 
 fn print_metric(
+    out: &mut Out,
     title: &str,
-    index: &SweepIndex<'_>,
+    results: &SweepResults,
     label: &str,
     capacities: &[usize],
     strategies: &[&str],
     metric: impl Fn(&Evaluation) -> f64,
 ) {
-    println!("# {title}");
-    print!("{:<12}", "capacity");
+    writeln!(out, "# {title}");
+    write!(out, "{:<12}", "capacity");
     for name in strategies {
-        print!("{name:>16}");
+        write!(out, "{name:>16}");
     }
-    println!();
+    writeln!(out);
     for &capacity in capacities {
-        print!("{capacity:<12}");
+        write!(out, "{capacity:<12}");
         for name in strategies {
-            match index.best_reuse(label, name, capacity) {
-                Some(row) => print!("{:>16.0}", metric(&row.evaluation)),
-                None => print!("{:>16}", "-"),
+            match results.best_reuse(label, name, capacity) {
+                Some(row) => write!(out, "{:>16.0}", metric(&row.evaluation)),
+                None => write!(out, "{:>16}", "-"),
             }
         }
-        println!();
+        writeln!(out);
     }
-    println!();
+    writeln!(out);
 }
 
-fn main() {
-    let args = HarnessArgs::from_env();
+fn main() -> ExitCode {
+    msfu_bench::main("fig10", false, run)
+}
+
+fn run(args: &HarnessArgs, out: &mut Out) -> Result<(), String> {
     let seed = 42;
-    let spec = build_spec(&args, seed);
-    let results = run_spec(&spec, &args);
-    // One pass over the rows; every per-cell lookup below is O(1).
-    let index = results.index();
+    let spec = build_spec(args, seed);
+    let results = run_spec(&spec, args)?;
 
     let single_caps = args.mode.single_level_capacities();
     let double_caps = args.mode.two_level_capacities();
@@ -85,53 +89,60 @@ fn main() {
     let double = plotted_strategies(2);
 
     print_metric(
+        out,
         "Fig. 10a — single-level latency (cycles)",
-        &index,
+        &results,
         "single",
         &single_caps,
         &single,
         |e| e.latency_cycles as f64,
     );
     print_metric(
+        out,
         "Fig. 10b — single-level area (qubits)",
-        &index,
+        &results,
         "single",
         &single_caps,
         &single,
         |e| e.area as f64,
     );
     print_metric(
+        out,
         "Fig. 10e — single-level quantum volume (qubits x cycles)",
-        &index,
+        &results,
         "single",
         &single_caps,
         &single,
         |e| e.volume as f64,
     );
     print_metric(
+        out,
         "Fig. 10c — two-level latency (cycles)",
-        &index,
+        &results,
         "double",
         &double_caps,
         &double,
         |e| e.latency_cycles as f64,
     );
     print_metric(
+        out,
         "Fig. 10d — two-level area (qubits)",
-        &index,
+        &results,
         "double",
         &double_caps,
         &double,
         |e| e.area as f64,
     );
     print_metric(
+        out,
         "Fig. 10f — two-level quantum volume (qubits x cycles)",
-        &index,
+        &results,
         "double",
         &double_caps,
         &double,
         |e| e.volume as f64,
     );
 
-    print_headline(&index, "double", &double_caps);
+    print_headline(out, &results, "double", &double_caps);
+    Ok(())
 }

@@ -9,13 +9,18 @@
 //!
 //! Usage: `cargo run -p msfu-bench --bin fig6 --release [full] [serial] [--json]`
 
-use msfu_bench::{harness_eval_config, run_spec, HarnessArgs};
+use std::process::ExitCode;
+
+use msfu_bench::{harness_eval_config, run_spec, HarnessArgs, Out};
 use msfu_core::{Strategy, SweepSpec};
 use msfu_distill::FactoryConfig;
 use msfu_graph::correlation;
 
-fn main() {
-    let args = HarnessArgs::from_env();
+fn main() -> ExitCode {
+    msfu_bench::main("fig6", false, run)
+}
+
+fn run(args: &HarnessArgs, out: &mut Out) -> Result<(), String> {
     let samples = args.mode.fig6_samples();
     // The paper's correlation study uses a single-level factory; capacity 8 is
     // the canonical example of Fig. 4a / Fig. 5. Expansion 1.5 leaves routing
@@ -29,18 +34,25 @@ fn main() {
             Strategy::random_with_slack(seed, 1.5),
         );
     }
-    let results = run_spec(&spec, &args);
+    let results = run_spec(&spec, args)?;
 
     let mut crossings = Vec::with_capacity(samples);
     let mut lengths = Vec::with_capacity(samples);
     let mut spacings = Vec::with_capacity(samples);
     let mut latencies = Vec::with_capacity(samples);
 
-    println!("# Fig. 6 reproduction: metric vs latency over {samples} randomised mappings");
-    println!("# columns: seed crossings avg_edge_length avg_edge_spacing latency_cycles");
+    writeln!(
+        out,
+        "# Fig. 6 reproduction: metric vs latency over {samples} randomised mappings"
+    );
+    writeln!(
+        out,
+        "# columns: seed crossings avg_edge_length avg_edge_spacing latency_cycles"
+    );
     for (seed, row) in results.rows.iter().enumerate() {
         let m = row.metrics.expect("mapping metrics were collected");
-        println!(
+        writeln!(
+            out,
             "{seed:>4} {:>8} {:>18.3} {:>18.3} {:>14}",
             m.edge_crossings, m.avg_edge_length, m.avg_edge_spacing, row.evaluation.latency_cycles
         );
@@ -54,9 +66,19 @@ fn main() {
     let r_len = correlation::pearson(&lengths, &latencies).unwrap_or(0.0);
     let r_space = correlation::pearson(&spacings, &latencies).unwrap_or(0.0);
 
-    println!();
-    println!("# Pearson correlation with simulated latency (paper values in parentheses)");
-    println!("edge crossings      r = {r_cross:+.3}   (paper: +0.831)");
-    println!("avg edge length     r = {r_len:+.3}   (paper: +0.601)");
-    println!("avg edge spacing    r = {r_space:+.3}   (paper: -0.625)");
+    writeln!(out);
+    writeln!(
+        out,
+        "# Pearson correlation with simulated latency (paper values in parentheses)"
+    );
+    writeln!(
+        out,
+        "edge crossings      r = {r_cross:+.3}   (paper: +0.831)"
+    );
+    writeln!(out, "avg edge length     r = {r_len:+.3}   (paper: +0.601)");
+    writeln!(
+        out,
+        "avg edge spacing    r = {r_space:+.3}   (paper: -0.625)"
+    );
+    Ok(())
 }

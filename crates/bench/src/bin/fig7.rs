@@ -11,59 +11,64 @@
 //!
 //! Usage: `cargo run -p msfu-bench --bin fig7 --release [full] [serial] [--json]`
 
-use msfu_bench::{fig7_spec, run_spec, HarnessArgs};
-use msfu_core::{report::Series, SweepIndex};
+use std::process::ExitCode;
 
-fn series(index: &SweepIndex<'_>, label: &str, capacities: &[usize]) -> Vec<Series> {
-    let mut fd = Series::new("Force Directed");
-    let mut gp = Series::new("Graph Partitioning");
-    let mut lower = Series::new("Theoretical Lower Bound");
-    for &capacity in capacities {
-        let fd_row = index.find(label, "FD", capacity).expect("FD row present");
-        let gp_row = index.find(label, "GP", capacity).expect("GP row present");
-        fd.push(capacity as f64, fd_row.evaluation.latency_cycles as f64);
-        gp.push(capacity as f64, gp_row.evaluation.latency_cycles as f64);
-        lower.push(
-            capacity as f64,
-            gp_row.evaluation.critical_path_cycles as f64,
-        );
-    }
-    vec![fd, gp, lower]
+use msfu_bench::{fig7_spec, run_spec, HarnessArgs, Out};
+use msfu_core::SweepResults;
+
+fn main() -> ExitCode {
+    msfu_bench::main("fig7", false, run)
 }
 
-fn print_series(title: &str, series: &[Series]) {
-    println!("# {title}");
-    print!("{:<12}", "capacity");
-    for s in series {
-        print!("{:>26}", s.label);
-    }
-    println!();
-    if let Some(first) = series.first() {
-        for (i, x) in first.x.iter().enumerate() {
-            print!("{x:<12}");
-            for s in series {
-                print!("{:>26.0}", s.y[i]);
-            }
-            println!();
-        }
-    }
-    println!();
-}
-
-fn main() {
-    let args = HarnessArgs::from_env();
+fn run(args: &HarnessArgs, out: &mut Out) -> Result<(), String> {
     let seed = 42;
     let spec = fig7_spec(args.mode, seed);
-    let results = run_spec(&spec, &args);
-    // One pass over the rows; every per-cell lookup below is O(1).
-    let index = results.index();
-
-    print_series(
+    let results = run_spec(&spec, args)?;
+    print_latencies(
+        out,
         "Fig. 7a — single-level factory latency (cycles) vs capacity",
-        &series(&index, "single", &args.mode.single_level_capacities()),
+        &results,
+        "single",
+        &args.mode.single_level_capacities(),
     );
-    print_series(
+    print_latencies(
+        out,
         "Fig. 7b — two-level factory latency (cycles) vs capacity",
-        &series(&index, "double", &args.mode.two_level_capacities()),
+        &results,
+        "double",
+        &args.mode.two_level_capacities(),
     );
+    Ok(())
+}
+
+/// One panel: FD and GP latency per capacity next to the critical path.
+fn print_latencies(
+    out: &mut Out,
+    title: &str,
+    results: &SweepResults,
+    label: &str,
+    capacities: &[usize],
+) {
+    writeln!(out, "# {title}");
+    write!(out, "{:<12}", "capacity");
+    for header in [
+        "Force Directed",
+        "Graph Partitioning",
+        "Theoretical Lower Bound",
+    ] {
+        write!(out, "{header:>26}");
+    }
+    writeln!(out);
+    for &capacity in capacities {
+        let fd = results.find(label, "FD", capacity).expect("FD row present");
+        let gp = results.find(label, "GP", capacity).expect("GP row present");
+        writeln!(
+            out,
+            "{capacity:<12}{:>26}{:>26}{:>26}",
+            fd.evaluation.latency_cycles,
+            gp.evaluation.latency_cycles,
+            gp.evaluation.critical_path_cycles
+        );
+    }
+    writeln!(out);
 }

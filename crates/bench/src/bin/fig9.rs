@@ -12,8 +12,10 @@
 //!
 //! Usage: `cargo run -p msfu-bench --bin fig9 --release [full] [serial] [--json]`
 
-use msfu_bench::{harness_eval_config, run_spec, scaled_fd_config, HarnessArgs};
-use msfu_core::{pipeline, Strategy, SweepIndex, SweepSpec};
+use std::process::ExitCode;
+
+use msfu_bench::{harness_eval_config, run_spec, scaled_fd_config, HarnessArgs, Out};
+use msfu_core::{pipeline, Strategy, SweepResults, SweepSpec};
 use msfu_distill::{FactoryConfig, ReusePolicy};
 use msfu_layout::{HopStrategy, StitchingConfig};
 
@@ -57,17 +59,21 @@ fn build_spec(args: &HarnessArgs, seed: u64) -> SweepSpec {
     spec
 }
 
-fn reuse_differentials(index: &SweepIndex<'_>, capacities: &[usize]) {
-    println!("# Fig. 9a/9b — volume differential (NR - R)/NR per strategy, two-level factories");
-    println!(
+fn reuse_differentials(out: &mut Out, results: &SweepResults, capacities: &[usize]) {
+    writeln!(
+        out,
+        "# Fig. 9a/9b — volume differential (NR - R)/NR per strategy, two-level factories"
+    );
+    writeln!(
+        out,
         "{:<12}{:>18}{:>18}{:>18}",
         "capacity", "Linear Mapping", "Force Directed", "Graph Partitioning"
     );
     for &capacity in capacities {
-        print!("{capacity:<12}");
+        write!(out, "{capacity:<12}");
         for strategy in ["Line", "FD", "GP"] {
             let volume_under = |policy: ReusePolicy| {
-                index
+                results
                     .rows("reuse", strategy, capacity)
                     .find(|r| r.evaluation.factory.reuse == policy)
                     .expect("reuse grid row present")
@@ -76,24 +82,31 @@ fn reuse_differentials(index: &SweepIndex<'_>, capacities: &[usize]) {
             };
             let reuse = volume_under(ReusePolicy::Reuse);
             let no_reuse = volume_under(ReusePolicy::NoReuse);
-            print!("{:>18.3}", (no_reuse - reuse) / no_reuse);
+            write!(out, "{:>18.3}", (no_reuse - reuse) / no_reuse);
         }
-        println!();
+        writeln!(out);
     }
-    println!("# positive values mean reuse achieves the smaller volume");
-    println!();
+    writeln!(
+        out,
+        "# positive values mean reuse achieves the smaller volume"
+    );
+    writeln!(out);
 }
 
-fn permutation_latencies(index: &SweepIndex<'_>, capacities: &[usize]) {
-    println!("# Fig. 9c/9d — permutation-step latency (cycles) by intermediate-hop strategy");
-    println!(
+fn permutation_latencies(out: &mut Out, results: &SweepResults, capacities: &[usize]) {
+    writeln!(
+        out,
+        "# Fig. 9c/9d — permutation-step latency (cycles) by intermediate-hop strategy"
+    );
+    writeln!(
+        out,
         "{:<12}{:>14}{:>18}{:>22}{:>24}",
         "capacity", "No Hop", "Randomized Hop", "Annealed Random Hop", "Annealed Midpoint Hop"
     );
     for &capacity in capacities {
-        print!("{capacity:<12}");
+        write!(out, "{capacity:<12}");
         for hop in HOP_STRATEGIES {
-            let row = index
+            let row = results
                 .find(&format!("hops/{}", hop.name()), "HS", capacity)
                 .expect("hop row present");
             let breakdown = row.breakdown.as_ref().expect("breakdowns were collected");
@@ -104,21 +117,23 @@ fn permutation_latencies(index: &SweepIndex<'_>, capacities: &[usize]) {
                 HopStrategy::AnnealedRandomHop => 22,
                 HopStrategy::AnnealedMidpointHop => 24,
             };
-            print!("{cycles:>width$}");
+            write!(out, "{cycles:>width$}");
         }
-        println!();
+        writeln!(out);
     }
-    println!();
+    writeln!(out);
 }
 
-fn main() {
-    let args = HarnessArgs::from_env();
+fn main() -> ExitCode {
+    msfu_bench::main("fig9", false, run)
+}
+
+fn run(args: &HarnessArgs, out: &mut Out) -> Result<(), String> {
     let seed = 42;
-    let spec = build_spec(&args, seed);
-    let results = run_spec(&spec, &args);
-    // One pass over the rows; every per-cell lookup below is O(1).
-    let index = results.index();
+    let spec = build_spec(args, seed);
+    let results = run_spec(&spec, args)?;
     let capacities = args.mode.two_level_capacities();
-    reuse_differentials(&index, &capacities);
-    permutation_latencies(&index, &capacities);
+    reuse_differentials(out, &results, &capacities);
+    permutation_latencies(out, &results, &capacities);
+    Ok(())
 }

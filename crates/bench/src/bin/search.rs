@@ -24,12 +24,13 @@
 
 use std::process::ExitCode;
 
-use msfu_bench::{run_request, HarnessArgs, Mode};
+use msfu_bench::{run_request, HarnessArgs, Out};
 use msfu_core::{SearchReport, SearchSpec};
 use msfu_service::{Payload, Request};
 
-fn print_report(report: &SearchReport) {
-    println!(
+fn print_report(out: &mut Out, report: &SearchReport) {
+    writeln!(
+        out,
         "# search {} — objective {}, factory k={} levels={} ({:?})",
         report.name,
         report.objective.name(),
@@ -37,23 +38,26 @@ fn print_report(report: &SearchReport) {
         report.factory.levels,
         report.stop,
     );
-    println!(
+    writeln!(
+        out,
         "# {} candidates in {} batch(es)",
         report.evaluations, report.batches
     );
-    println!();
-    println!("# incumbent trajectory (candidate -> objective)");
+    writeln!(out);
+    writeln!(out, "# incumbent trajectory (candidate -> objective)");
     for point in &report.trajectory {
-        println!("{:>6} {:>14}", point.evaluation, point.value);
+        writeln!(out, "{:>6} {:>14}", point.evaluation, point.value);
     }
-    println!();
-    println!("# best candidate per portfolio entry");
-    println!(
+    writeln!(out);
+    writeln!(out, "# best candidate per portfolio entry");
+    writeln!(
+        out,
         "{:<12}{:>10}{:>14}{:>14}{:>10}",
         "strategy", "candidate", "latency", "volume", "area"
     );
     for best in &report.entry_bests {
-        println!(
+        writeln!(
+            out,
             "{:<12}{:>10}{:>14}{:>14}{:>10}",
             best.evaluation.strategy,
             best.candidate,
@@ -62,9 +66,10 @@ fn print_report(report: &SearchReport) {
             best.evaluation.area,
         );
     }
-    println!();
+    writeln!(out);
     if let Some(incumbent) = &report.incumbent {
-        println!(
+        writeln!(
+            out,
             "# incumbent: {} (candidate {}) -> {} = {} (volume {}, latency {}, area {})",
             incumbent.evaluation.strategy,
             incumbent.candidate,
@@ -74,7 +79,7 @@ fn print_report(report: &SearchReport) {
             incumbent.evaluation.latency_cycles,
             incumbent.evaluation.area,
         );
-        println!("# incumbent params: {}", describe(incumbent));
+        writeln!(out, "# incumbent params: {}", describe(incumbent));
     }
 }
 
@@ -88,53 +93,16 @@ fn describe(incumbent: &msfu_core::search::Incumbent) -> String {
     format!("{}({})", incumbent.strategy.key(), params.join(", "))
 }
 
-fn run() -> Result<(), String> {
-    let mut spec_path: Option<String> = None;
-    let mut serial = false;
-    let mut json = false;
-    let mut cache_dir: Option<std::path::PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "serial" | "--serial" => serial = true,
-            "--json" => json = true,
-            "--cache-dir" => {
-                let dir = args.next().ok_or("--cache-dir needs a directory")?;
-                cache_dir = Some(dir.into());
-            }
-            _ if arg.starts_with("--") => return Err(format!("unknown flag `{arg}`")),
-            _ => {
-                if spec_path.replace(arg).is_some() {
-                    return Err("exactly one spec file is expected".to_string());
-                }
-            }
-        }
-    }
-    let spec_path = spec_path
-        .ok_or("usage: search <SPEC.json> [serial] [--json] [--cache-dir DIR]".to_string())?;
-    let text =
-        std::fs::read_to_string(&spec_path).map_err(|e| format!("cannot read {spec_path}: {e}"))?;
-    let spec = SearchSpec::from_json(&text).map_err(|e| e.to_string())?;
-    let args = HarnessArgs {
-        mode: Mode::Quick,
-        serial,
-        json,
-        cache_dir,
-    };
-    let Payload::Search(report) = run_request(Request::search(spec.name.clone(), spec), &args)?
+fn main() -> ExitCode {
+    msfu_bench::main("search", true, run)
+}
+
+fn run(args: &HarnessArgs, out: &mut Out) -> Result<(), String> {
+    let spec = SearchSpec::from_json(&args.spec()?).map_err(|e| e.to_string())?;
+    let Payload::Search(report) = run_request(Request::search(spec.name.clone(), spec), args)?
     else {
         unreachable!("a search request yields a search payload");
     };
-    print_report(&report);
+    print_report(out, &report);
     Ok(())
-}
-
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("search: {msg}");
-            ExitCode::from(2)
-        }
-    }
 }

@@ -2,12 +2,14 @@
 //! per-scheduler latency/throughput/utilization — the online-traffic
 //! counterpart of the fixed figure/table sweeps.
 //!
-//! Usage: `cargo run -p msfu-bench --bin stream --release -- <SPEC.json> [--json] [--cache-dir DIR]`
+//! Usage: `cargo run -p msfu-bench --bin stream --release -- <SPEC.json> [serial] [--json] [--cache-dir DIR]`
 //!
 //! * `<SPEC.json>` — a [`StreamSpec`] document (see
 //!   `msfu_core::stream::StreamSpec::from_json` and the README's
 //!   "Streaming workload" section; `benches/specs/stream_quick.json` is a
 //!   worked example).
+//! * `serial` — accepted like in the other binaries; the streaming engine
+//!   is sequential either way.
 //! * `--json` — additionally write `BENCH_<name>.json` with `p50`, `p99`
 //!   and `throughput` rows per scheduler, in the same shape the figure
 //!   binaries emit so `bench-diff` gates streaming results too.
@@ -22,12 +24,13 @@
 
 use std::process::ExitCode;
 
-use msfu_bench::{run_request, HarnessArgs, Mode};
+use msfu_bench::{run_request, HarnessArgs, Out};
 use msfu_core::{StreamReport, StreamSpec};
 use msfu_service::{Payload, Request};
 
-fn print_report(report: &StreamReport) {
-    println!(
+fn print_report(out: &mut Out, report: &StreamReport) {
+    writeln!(
+        out,
         "# stream {} — seed {}, horizon {} cycles, {} arrivals over {} server(s), setup {} cycles",
         report.name,
         report.seed,
@@ -36,13 +39,15 @@ fn print_report(report: &StreamReport) {
         report.fleet.len(),
         report.setup_cycles,
     );
-    println!();
-    println!(
+    writeln!(out);
+    writeln!(
+        out,
         "{:<16}{:>10}{:>10}{:>10}{:>10}{:>14}{:>8}{:>8}{:>8}",
         "scheduler", "done", "p50", "p95", "p99", "jobs/kcycle", "util%", "maxq", "setups"
     );
     for run in &report.runs {
-        println!(
+        writeln!(
+            out,
             "{:<16}{:>10}{:>10}{:>10}{:>10}{:>14.3}{:>8.1}{:>8}{:>8}",
             run.scheduler,
             run.completed,
@@ -57,55 +62,16 @@ fn print_report(report: &StreamReport) {
     }
 }
 
-fn run() -> Result<(), String> {
-    let mut spec_path: Option<String> = None;
-    let mut serial = false;
-    let mut json = false;
-    let mut cache_dir: Option<std::path::PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            // Accepted for symmetry with the other harness binaries; the
-            // streaming engine is sequential either way.
-            "serial" | "--serial" => serial = true,
-            "--json" => json = true,
-            "--cache-dir" => {
-                let dir = args.next().ok_or("--cache-dir needs a directory")?;
-                cache_dir = Some(dir.into());
-            }
-            _ if arg.starts_with("--") => return Err(format!("unknown flag `{arg}`")),
-            _ => {
-                if spec_path.replace(arg).is_some() {
-                    return Err("exactly one spec file is expected".to_string());
-                }
-            }
-        }
-    }
-    let spec_path = spec_path
-        .ok_or("usage: stream <SPEC.json> [serial] [--json] [--cache-dir DIR]".to_string())?;
-    let text =
-        std::fs::read_to_string(&spec_path).map_err(|e| format!("cannot read {spec_path}: {e}"))?;
-    let spec = StreamSpec::from_json(&text).map_err(|e| e.to_string())?;
-    let args = HarnessArgs {
-        mode: Mode::Quick,
-        serial,
-        json,
-        cache_dir,
-    };
-    let Payload::Stream(report) = run_request(Request::stream(spec.name.clone(), spec), &args)?
+fn main() -> ExitCode {
+    msfu_bench::main("stream", true, run)
+}
+
+fn run(args: &HarnessArgs, out: &mut Out) -> Result<(), String> {
+    let spec = StreamSpec::from_json(&args.spec()?).map_err(|e| e.to_string())?;
+    let Payload::Stream(report) = run_request(Request::stream(spec.name.clone(), spec), args)?
     else {
         unreachable!("a stream request yields a stream payload");
     };
-    print_report(&report);
+    print_report(out, &report);
     Ok(())
-}
-
-fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("stream: {msg}");
-            ExitCode::from(2)
-        }
-    }
 }

@@ -9,11 +9,13 @@
 //!
 //! Usage: `cargo run -p msfu-bench --bin table1 --release [full] [serial] [--json]`
 
+use std::process::ExitCode;
+
 use msfu_bench::{
-    harness_eval_config, lineup_for, print_headline, reuse_variants, run_spec, HarnessArgs,
+    harness_eval_config, lineup_for, print_headline, reuse_variants, run_spec, HarnessArgs, Out,
+    Table,
 };
-use msfu_core::report::Table;
-use msfu_core::{SweepIndex, SweepSpec};
+use msfu_core::{SweepResults, SweepSpec};
 use msfu_distill::ReusePolicy;
 
 /// Table I rows per level: Random is only reported for single-level
@@ -50,7 +52,7 @@ fn build_spec(args: &HarnessArgs, seed: u64) -> SweepSpec {
     spec
 }
 
-fn level_table(index: &SweepIndex<'_>, label: &str, levels: usize, capacities: &[usize]) -> Table {
+fn level_table(results: &SweepResults, label: &str, levels: usize, capacities: &[usize]) -> Table {
     let headers: Vec<String> = std::iter::once("Procedure".to_string())
         .chain(capacities.iter().map(|c| format!("K = {c}")))
         .collect();
@@ -59,10 +61,9 @@ fn level_table(index: &SweepIndex<'_>, label: &str, levels: usize, capacities: &
         headers,
     );
 
-    // Picks the row evaluated under a specific reuse policy: an O(1) index
-    // bucket, then a two-element filter over the reuse variants.
+    // Picks the row evaluated under a specific reuse policy.
     let with_policy = |strategy: &str, capacity: usize, policy: ReusePolicy| {
-        index
+        results
             .rows(label, strategy, capacity)
             .find(|r| r.evaluation.factory.reuse == policy)
             .map(|r| r.evaluation.volume as f64)
@@ -70,7 +71,7 @@ fn level_table(index: &SweepIndex<'_>, label: &str, levels: usize, capacities: &
     // Picks the better of the two reuse policies, as the paper does for the
     // optimised procedures.
     let best = |strategy: &str, capacity: usize| {
-        index
+        results
             .best_reuse(label, strategy, capacity)
             .map(|r| r.evaluation.volume as f64)
     };
@@ -105,7 +106,7 @@ fn level_table(index: &SweepIndex<'_>, label: &str, levels: usize, capacities: &
         capacities
             .iter()
             .map(|&c| {
-                index
+                results
                     .rows(label, "Line", c)
                     .find(|r| r.evaluation.factory.reuse == ReusePolicy::Reuse)
                     .map(|r| r.evaluation.critical_volume as f64)
@@ -115,20 +116,22 @@ fn level_table(index: &SweepIndex<'_>, label: &str, levels: usize, capacities: &
     table
 }
 
-fn main() {
-    let args = HarnessArgs::from_env();
-    let seed = 42;
-    let spec = build_spec(&args, seed);
-    let results = run_spec(&spec, &args);
-    // One pass over the rows; every per-cell lookup below is O(1).
-    let index = results.index();
+fn main() -> ExitCode {
+    msfu_bench::main("table1", false, run)
+}
 
-    let level1 = level_table(&index, "L1", 1, &args.mode.single_level_capacities());
-    println!("{}", level1.to_text());
+fn run(args: &HarnessArgs, out: &mut Out) -> Result<(), String> {
+    let seed = 42;
+    let spec = build_spec(args, seed);
+    let results = run_spec(&spec, args)?;
+
+    let level1 = level_table(&results, "L1", 1, &args.mode.single_level_capacities());
+    writeln!(out, "{}", level1.to_text());
 
     let double_caps = args.mode.two_level_capacities();
-    let level2 = level_table(&index, "L2", 2, &double_caps);
-    println!("{}", level2.to_text());
+    let level2 = level_table(&results, "L2", 2, &double_caps);
+    writeln!(out, "{}", level2.to_text());
 
-    print_headline(&index, "L2", &double_caps);
+    print_headline(out, &results, "L2", &double_caps);
+    Ok(())
 }

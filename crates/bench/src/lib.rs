@@ -8,7 +8,8 @@
 //! `FactoryConfig × Strategy` points, hands it to [`run_spec`] (which runs
 //! it as a request through the same [`msfu_service::Session`] path as
 //! `msfu run` and `msfu serve`, with each distinct factory built exactly
-//! once), and then only formats rows out of the returned [`SweepResults`].
+//! once), and then only formats rows out of the returned [`SweepResults`]
+//! (`table1` through [`Table`]).
 //! None of the binaries contains an evaluation loop of its own; the
 //! `search` and `stream` binaries go through the same [`run_request`].
 //!
@@ -20,10 +21,12 @@
 //! | `fig10`   | Fig. 10a–10f   | latency / area / volume for every strategy, single- and two-level |
 //! | `table1`  | Table I        | quantum volumes for Random, Line(NR), Line(R), FD, GP, HS and the critical bound |
 //!
-//! Shared command-line flags (see [`HarnessArgs`]):
+//! The `search` and `stream` binaries each take one JSON spec file instead.
+//! Every binary is a [`main`] around its body: the one argument parser
+//! ([`HarnessArgs::parse`]) and the one exit path. Shared command-line flags:
 //!
 //! * `full` — sweep the paper's complete capacity range (default: a reduced
-//!   grid that completes in minutes on a laptop);
+//!   grid that completes in minutes on a laptop; figure binaries only);
 //! * `serial` — run the sweep sequentially instead of in parallel (the
 //!   baseline for speedup measurements; results are bit-identical);
 //! * `--cache-dir <DIR>` — serve already simulated evaluations from a
@@ -34,17 +37,28 @@
 //!   full `search` / `stream` report), where `perf` is the response's
 //!   `{wall_seconds, serial, cache}` stamp that `bench-diff` gates run over
 //!   run.
+//!
+//! Any other argument is a usage error. A binary exits 0 when its run
+//! completes, also when its stdout was closed early (`| head`), and 2 with
+//! the message on stderr on a usage error or a failed run.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use std::path::Path;
+use std::fmt;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::time::Duration;
 
-use msfu_core::{EvaluationConfig, Strategy, SweepIndex, SweepResults, SweepSpec};
+use msfu_core::{EvaluationConfig, Strategy, SweepResults, SweepSpec};
 use msfu_distill::{FactoryConfig, ReusePolicy};
 use msfu_layout::{ForceDirectedConfig, StitchingConfig};
 use msfu_service::{write_bench_report, JobHandle, Payload, Request, ServeOptions, Session};
+
+mod table;
+
+pub use table::{format_scientific, Table};
 
 /// Execution mode of a figure/table binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,16 +70,6 @@ pub enum Mode {
 }
 
 impl Mode {
-    /// Parses the mode from the process arguments: any argument equal to
-    /// `full` selects [`Mode::Full`].
-    pub fn from_args() -> Mode {
-        if std::env::args().any(|a| a == "full") {
-            Mode::Full
-        } else {
-            Mode::Quick
-        }
-    }
-
     /// Single-level capacities to sweep (Fig. 10a/b/e, Table I level 1).
     pub fn single_level_capacities(self) -> Vec<usize> {
         match self {
@@ -103,41 +107,132 @@ pub struct HarnessArgs {
     /// Persistent evaluation-cache directory (`--cache-dir <DIR>`): already
     /// simulated evaluations are served from disk, new ones appended. Rows
     /// are byte-identical with or without it. `None` keeps runs memory-only.
-    pub cache_dir: Option<std::path::PathBuf>,
+    pub cache_dir: Option<PathBuf>,
+    /// The spec file of `search` and `stream`; always `None` for the figure
+    /// binaries.
+    spec: Option<PathBuf>,
 }
 
 impl HarnessArgs {
-    /// Parses `full`, `serial`, `--json` and `--cache-dir <DIR>` out of the
-    /// process arguments.
+    /// Parses the arguments after the program name: `full`, `serial` (or
+    /// `--serial`), `--json` and `--cache-dir <DIR>`. With `takes_spec`
+    /// (`search`, `stream`) exactly one spec file is also required, and
+    /// `full`, which has no meaning there, counts as a file name.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when `--cache-dir` is missing its directory.
-    pub fn from_env() -> Self {
-        let mut args = HarnessArgs {
-            mode: Mode::from_args(),
+    /// Returns a usage message on an unexpected argument, a `--cache-dir`
+    /// without its directory, or a missing or second spec file.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        takes_spec: bool,
+    ) -> Result<HarnessArgs, String> {
+        let mut parsed = HarnessArgs {
+            mode: Mode::Quick,
             serial: false,
             json: false,
             cache_dir: None,
+            spec: None,
         };
-        let argv: Vec<String> = std::env::args().collect();
-        let mut i = 0;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "serial" | "--serial" => args.serial = true,
-                "--json" => args.json = true,
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "full" if !takes_spec => parsed.mode = Mode::Full,
+                "serial" | "--serial" => parsed.serial = true,
+                "--json" => parsed.json = true,
                 "--cache-dir" => {
-                    let value = argv
-                        .get(i + 1)
-                        .unwrap_or_else(|| panic!("--cache-dir requires a directory"));
-                    args.cache_dir = Some(value.into());
-                    i += 1;
+                    let dir = args.next().ok_or("--cache-dir needs a directory")?;
+                    parsed.cache_dir = Some(dir.into());
                 }
-                _ => {}
+                _ if takes_spec && !arg.starts_with('-') => {
+                    if parsed.spec.replace(arg.into()).is_some() {
+                        return Err("exactly one spec file is expected".to_string());
+                    }
+                }
+                _ => return Err(format!("unexpected argument `{arg}`")),
             }
-            i += 1;
         }
-        args
+        if takes_spec && parsed.spec.is_none() {
+            return Err("missing the spec file".to_string());
+        }
+        Ok(parsed)
+    }
+
+    /// The text of the spec file named on the command line.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the file cannot be read, or when these
+    /// arguments were parsed without `takes_spec`.
+    pub fn spec(&self) -> Result<String, String> {
+        let path = self.spec.as_ref().ok_or("no spec file was given")?;
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
+    }
+}
+
+/// Standard output for a harness body. `write!`/`writeln!` into it return
+/// nothing: the first failed write is kept, later writes are dropped, and
+/// [`main`] reports it once the body returns.
+pub struct Out {
+    stdout: io::Stdout,
+    error: Option<io::Error>,
+}
+
+impl Out {
+    /// Writes formatted text unless an earlier write failed (the target of
+    /// `write!` and `writeln!`).
+    pub fn write_fmt(&mut self, args: fmt::Arguments<'_>) {
+        if self.error.is_none() {
+            self.error = self.stdout.write_fmt(args).err();
+        }
+    }
+
+    /// Flushes, and maps the first write error to the run's outcome: a
+    /// reader that closed the pipe early is not a failure of the run.
+    fn finish(mut self) -> Result<(), String> {
+        if self.error.is_none() {
+            self.error = self.stdout.flush().err();
+        }
+        match self.error {
+            Some(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+                Err(format!("cannot write to stdout: {e}"))
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The `main` of every harness binary `name`: parses the process arguments
+/// with [`HarnessArgs::parse`], runs `body` with them and stdout, and maps
+/// the outcome to the exit status — 0 on success (also when stdout closed
+/// early), 2 with the message on stderr on a usage error or a failed run.
+pub fn main(
+    name: &str,
+    takes_spec: bool,
+    body: impl FnOnce(&HarnessArgs, &mut Out) -> Result<(), String>,
+) -> ExitCode {
+    let args = match HarnessArgs::parse(std::env::args().skip(1), takes_spec) {
+        Ok(args) => args,
+        Err(message) => {
+            let usage = if takes_spec {
+                "<SPEC.json> [serial] [--json] [--cache-dir DIR]"
+            } else {
+                "[full] [serial] [--json] [--cache-dir DIR]"
+            };
+            eprintln!("{name}: {message}\nusage: {name} {usage}");
+            return ExitCode::from(2);
+        }
+    };
+    let mut out = Out {
+        stdout: io::stdout(),
+        error: None,
+    };
+    match body(&args, &mut out).and_then(|()| out.finish()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("{name}: {message}");
+            ExitCode::from(2)
+        }
     }
 }
 
@@ -207,15 +302,16 @@ pub fn run_request(mut request: Request, args: &HarnessArgs) -> Result<Payload, 
 
 /// Runs a harness sweep through [`run_request`] and returns its rows.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if any sweep point fails to evaluate (the harness sweeps are all
-/// valid configurations) or if the JSON report cannot be written.
-pub fn run_spec(spec: &SweepSpec, args: &HarnessArgs) -> SweepResults {
+/// Returns `sweep evaluation failed: …` with [`run_request`]'s message: a
+/// failed evaluation (say, an unusable `--cache-dir`) or a JSON report that
+/// cannot be written.
+pub fn run_spec(spec: &SweepSpec, args: &HarnessArgs) -> Result<SweepResults, String> {
     match run_request(Request::sweep(spec.name.clone(), spec.clone()), args) {
-        Ok(Payload::Sweep(results)) => results,
+        Ok(Payload::Sweep(results)) => Ok(results),
         Ok(_) => unreachable!("a sweep request yields a sweep payload"),
-        Err(error) => panic!("sweep evaluation failed: {error}"),
+        Err(error) => Err(format!("sweep evaluation failed: {error}")),
     }
 }
 
@@ -315,25 +411,26 @@ pub fn reuse_variants(capacity: usize, levels: usize) -> [FactoryConfig; 2] {
 /// policy, for the `label` rows at `capacity`. The paper reports 5.64× at
 /// two-level K = 100. `None` when either row is missing.
 pub fn line_nr_to_hs_reduction(
-    index: &SweepIndex<'_>,
+    results: &SweepResults,
     label: &str,
     capacity: usize,
 ) -> Option<f64> {
-    let line_nr = index
+    let line_nr = results
         .rows(label, "Line", capacity)
         .find(|r| r.evaluation.factory.reuse == ReusePolicy::NoReuse)?;
-    let hs = index.best_reuse(label, "HS", capacity)?;
+    let hs = results.best_reuse(label, "HS", capacity)?;
     Some(line_nr.evaluation.volume as f64 / hs.evaluation.volume as f64)
 }
 
 /// Prints the `# headline:` line `fig10` and `table1` both end with: the
 /// [`line_nr_to_hs_reduction`] at the largest of the two-level `capacities`.
-pub fn print_headline(index: &SweepIndex<'_>, label: &str, capacities: &[usize]) {
+pub fn print_headline(out: &mut Out, results: &SweepResults, label: &str, capacities: &[usize]) {
     if let Some(reduction) = capacities
         .last()
-        .and_then(|&capacity| line_nr_to_hs_reduction(index, label, capacity))
+        .and_then(|&capacity| line_nr_to_hs_reduction(results, label, capacity))
     {
-        println!(
+        writeln!(
+            out,
             "# headline: Line(NR) -> HS volume reduction at the largest evaluated two-level capacity = {reduction:.2}x (paper: 5.64x at K = 100)"
         );
     }
@@ -416,6 +513,100 @@ mod tests {
         };
         // Line(R) has the smaller Line volume, yet the headline divides
         // Line(NR) by HS's better policy: 400 / 50.
-        assert_eq!(line_nr_to_hs_reduction(&results.index(), "x", 4), Some(8.0));
+        assert_eq!(line_nr_to_hs_reduction(&results, "x", 4), Some(8.0));
+    }
+
+    fn parse(args: &[&str], takes_spec: bool) -> Result<HarnessArgs, String> {
+        HarnessArgs::parse(args.iter().map(|a| a.to_string()), takes_spec)
+    }
+
+    #[test]
+    fn parse_accepts_every_documented_form() {
+        let quick = HarnessArgs {
+            mode: Mode::Quick,
+            serial: false,
+            json: false,
+            cache_dir: None,
+            spec: None,
+        };
+        let all = HarnessArgs {
+            mode: Mode::Full,
+            serial: true,
+            json: true,
+            cache_dir: Some("c".into()),
+            spec: None,
+        };
+        let figure_cases: [(&[&str], HarnessArgs); 5] = [
+            (&[], quick.clone()),
+            (
+                &["full", "serial", "--json", "--cache-dir", "c"],
+                all.clone(),
+            ),
+            (&["--cache-dir", "c", "--json", "--serial", "full"], all),
+            (
+                &["--serial"],
+                HarnessArgs {
+                    serial: true,
+                    ..quick.clone()
+                },
+            ),
+            // The directory is taken verbatim, even one spelled like a flag.
+            (
+                &["--cache-dir", "--json"],
+                HarnessArgs {
+                    cache_dir: Some("--json".into()),
+                    ..quick.clone()
+                },
+            ),
+        ];
+        for (args, expected) in figure_cases {
+            assert_eq!(parse(args, false), Ok(expected), "{args:?}");
+        }
+        for args in [&["s.json"][..], &["--json", "s.json", "serial"]] {
+            let parsed = parse(args, true).unwrap();
+            assert_eq!(parsed.spec, Some("s.json".into()), "{args:?}");
+            assert_eq!(parsed.mode, Mode::Quick);
+        }
+        let spec = parse(&["s.json", "--cache-dir", "c", "--json", "serial"], true).unwrap();
+        assert_eq!((spec.serial, spec.json), (true, true));
+        assert_eq!(spec.cache_dir, Some("c".into()));
+    }
+
+    #[test]
+    fn parse_rejects_malformed_arguments() {
+        let cases: [(&[&str], bool, &str); 8] = [
+            (&["--jsn"], false, "unexpected argument `--jsn`"),
+            (&["s.json"], false, "unexpected argument `s.json`"),
+            (
+                &["--bogus", "s.json"],
+                true,
+                "unexpected argument `--bogus`",
+            ),
+            (&["--cache-dir"], false, "--cache-dir needs a directory"),
+            (
+                &["s.json", "--cache-dir"],
+                true,
+                "--cache-dir needs a directory",
+            ),
+            (&[], true, "missing the spec file"),
+            (&["--json"], true, "missing the spec file"),
+            (
+                &["a.json", "b.json"],
+                true,
+                "exactly one spec file is expected",
+            ),
+        ];
+        for (args, takes_spec, message) in cases {
+            assert_eq!(
+                parse(args, takes_spec),
+                Err(message.to_string()),
+                "{args:?}"
+            );
+        }
+        // `full` selects nothing for a spec binary: it is a second file name.
+        assert_eq!(
+            parse(&["s.json", "full"], true),
+            Err("exactly one spec file is expected".to_string())
+        );
     }
 }

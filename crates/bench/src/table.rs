@@ -1,50 +1,9 @@
-//! Formatting helpers for the tables and figure-series the benchmark harness
-//! prints (Table I and Figs. 6–10 of the paper).
-
-use serde::{Deserialize, Serialize};
-
-/// A named data series (one line of a figure): x values with matching y
-/// values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Series {
-    /// Series label (e.g. "Graph Partitioning").
-    pub label: String,
-    /// X coordinates (e.g. factory capacities).
-    pub x: Vec<f64>,
-    /// Y coordinates (e.g. latency in cycles).
-    pub y: Vec<f64>,
-}
-
-impl Series {
-    /// Creates a series.
-    pub fn new(label: impl Into<String>) -> Self {
-        Series {
-            label: label.into(),
-            x: Vec::new(),
-            y: Vec::new(),
-        }
-    }
-
-    /// Appends one point.
-    pub fn push(&mut self, x: f64, y: f64) {
-        self.x.push(x);
-        self.y.push(y);
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.x.len()
-    }
-
-    /// Returns `true` when the series has no points.
-    pub fn is_empty(&self) -> bool {
-        self.x.is_empty()
-    }
-}
+//! The plain-text table `table1` prints: Table I of the paper in its
+//! short scientific notation.
 
 /// A labelled table with one row per entry and one column per header, as
-/// printed by the `table1` and figure binaries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// printed by `table1`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Table title.
     pub title: String,
@@ -163,40 +122,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn series_accumulates_points() {
-        let mut s = Series::new("FD");
-        assert!(s.is_empty());
-        s.push(2.0, 100.0);
-        s.push(4.0, 180.0);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.label, "FD");
-    }
-
-    #[test]
     fn scientific_format_matches_paper_style() {
         assert_eq!(format_scientific(6530.0), "6.53e3");
         assert_eq!(format_scientific(1.19e6), "1.19e6");
         assert_eq!(format_scientific(0.0), "0");
         assert_eq!(format_scientific(42.0), "42");
         assert_eq!(format_scientific(3.5), "3.50");
-    }
-
-    #[test]
-    fn series_and_table_share_the_json_path_of_service_responses() {
-        // Figure reports and service responses serialise through the same
-        // derive; pin the wire shape so clients can rely on it.
-        let mut s = Series::new("FD");
-        s.push(2.0, 100.0);
-        assert_eq!(
-            serde_json::to_string(&s).unwrap(),
-            r#"{"label":"FD","x":[2.0],"y":[100.0]}"#
-        );
-        let mut t = Table::new("T", vec!["P".into(), "K".into()]);
-        t.push_row("Line", vec![None]);
-        assert_eq!(
-            serde_json::to_string(&t).unwrap(),
-            r#"{"title":"T","headers":["P","K"],"rows":[["Line",[null]]]}"#
-        );
     }
 
     #[test]

@@ -31,7 +31,6 @@
 //!   latency-percentile / throughput / utilization reports.
 //! * [`stats`] — the shared nearest-rank percentile helpers behind those
 //!   reports.
-//! * [`report`] — small helpers for formatting the tables the paper prints.
 //! * [`persist`] — the on-disk persistent tier of the evaluation cache (the
 //!   `"cache_dir"` spec field), which warm-starts repeated runs and serve
 //!   clusters. Its records hold each [`Evaluation`] in the same JSON form
@@ -64,7 +63,6 @@ mod evaluate;
 pub mod persist;
 pub mod pipeline;
 pub mod progress;
-pub mod report;
 pub mod search;
 pub mod spec;
 pub mod stats;
@@ -90,9 +88,7 @@ pub use search::{
 pub use stats::{nearest_rank, percentiles, Percentiles};
 pub use strategy::Strategy;
 pub use stream::{ArrivalProcess, JobClass, SchedulerRun, StreamOutcome, StreamReport, StreamSpec};
-pub use sweep::{
-    SweepIndex, SweepOutcome, SweepPoint, SweepResults, SweepRow, SweepSpec, DEFAULT_LANES,
-};
+pub use sweep::{SweepOutcome, SweepPoint, SweepResults, SweepRow, SweepSpec, DEFAULT_LANES};
 
 /// Convenience result alias used by fallible APIs in this crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -40,7 +40,7 @@
 //! ```
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap};
 use std::path::PathBuf;
 
 use msfu_distill::FactoryConfig;
@@ -116,30 +116,38 @@ impl Scheduler {
         })
     }
 
-    /// Picks the next `(queue_index, server_index)` assignment, or `None`
-    /// when no queued job fits a free server. `queue` holds job ids in
-    /// arrival order and `feasible[class][server]` the level/capacity fit.
-    ///
-    /// The engine only calls this while a server is free. `fifo` and the
-    /// other oldest-first policies then usually place the queue's head, but
-    /// `priority` sorts the whole queue on every call, so a deep queue makes
-    /// each of its dispatches `O(n log n)`.
+    /// The queue key of job `job` of class `class`: `(Reverse(priority),
+    /// job id)`, where the priority is the class's under `priority` and 0
+    /// under every other scheduler. Job ids follow arrival order, so the
+    /// queue iterates in each scheduler's own order.
+    fn queue_key(self, job: u64, class: &JobClass) -> QueueKey {
+        let priority = if self == Scheduler::Priority {
+            class.priority
+        } else {
+            0
+        };
+        (Reverse(priority), job)
+    }
+
+    /// Picks the next `(queued key, server_index)` assignment: the first
+    /// queued job, in key order, that has a free feasible server, or `None`
+    /// when none does. `feasible[class][server]` is the level/capacity fit.
+    /// The engine only calls this while a server is free, so a pick is
+    /// usually the queue's first key.
     fn select(
         self,
-        queue: &VecDeque<u64>,
+        queue: &BTreeSet<QueueKey>,
         jobs: &[Job],
         servers: &[Server],
-        classes: &[JobClass],
         feasible: &[Vec<bool>],
-    ) -> Option<(usize, usize)> {
-        let class_of = |qi: usize| jobs[queue[qi] as usize].class;
+    ) -> Option<(QueueKey, usize)> {
         // Free servers feasible for `class`, ascending.
         let free_feasible = |class: usize| {
             (0..servers.len()).filter(move |&si| !servers[si].busy && feasible[class][si])
         };
         let best_fit = |si: &usize| (servers[*si].capacity, *si);
-        let place = |qi: usize| {
-            let class = class_of(qi);
+        queue.iter().find_map(|&key| {
+            let class = jobs[key.1 as usize].class;
             let si = match self {
                 Scheduler::Fifo | Scheduler::Priority => free_feasible(class).next(),
                 Scheduler::CapacityAware => free_feasible(class).min_by_key(best_fit),
@@ -152,18 +160,14 @@ impl Scheduler {
                     })
                     .or_else(|| free_feasible(class).min_by_key(best_fit)),
             };
-            si.map(|si| (qi, si))
-        };
-        if self == Scheduler::Priority {
-            let mut order: Vec<usize> = (0..queue.len()).collect();
-            // Stable sort: equal priorities keep arrival order.
-            order.sort_by_key(|&qi| Reverse(classes[class_of(qi)].priority));
-            order.into_iter().find_map(place)
-        } else {
-            (0..queue.len()).find_map(place)
-        }
+            si.map(|si| (key, si))
+        })
     }
 }
+
+/// A queued job's place in the replay queue: `(Reverse(priority), job id)`
+/// (see [`Scheduler::queue_key`]).
+type QueueKey = (Reverse<u64>, u64);
 
 /// A job of one scheduler replay.
 struct Job {
@@ -927,7 +931,7 @@ impl StreamSpec {
         // Min-heap of (finish cycle, job id, server index) — the job id makes
         // same-cycle completion order deterministic.
         let mut completions: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-        let mut queue: VecDeque<u64> = VecDeque::new();
+        let mut queue: BTreeSet<QueueKey> = BTreeSet::new();
         // Free servers: with none, no pick can exist, so dispatch is skipped
         // instead of scanning a saturated fleet's whole queue every event.
         let mut free = servers.len();
@@ -962,17 +966,17 @@ impl StreamSpec {
             }
             // 2. Arrivals join the queue in generation order.
             while next_arrival < jobs.len() && jobs[next_arrival].arrived == now {
-                queue.push_back(next_arrival as u64);
+                let class = &self.classes[jobs[next_arrival].class];
+                queue.insert(scheduler.queue_key(next_arrival as u64, class));
                 next_arrival += 1;
             }
             // 3. Dispatch until the scheduler passes or no server is free.
             while free > 0 {
-                let Some((qi, si)) =
-                    scheduler.select(&queue, &jobs, &servers, &self.classes, feasible)
-                else {
+                let Some((key, si)) = scheduler.select(&queue, &jobs, &servers, feasible) else {
                     break;
                 };
-                let job = queue.remove(qi).expect("selected jobs are queued");
+                queue.remove(&key);
+                let job = key.1;
                 let class = jobs[job as usize].class;
                 let base = service[class][servers[si].entry]
                     .expect("feasibility check guarantees a service time");

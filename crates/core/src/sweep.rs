@@ -170,80 +170,31 @@ pub struct SweepOutcome {
 }
 
 impl SweepResults {
-    /// The first row matching label, strategy short name and total factory
-    /// capacity.
-    ///
-    /// This is a linear scan; callers looping over table cells should build a
-    /// [`SweepIndex`] once via [`SweepResults::index`] instead.
-    pub fn find(&self, label: &str, strategy: &str, capacity: usize) -> Option<&SweepRow> {
-        self.rows.iter().find(|r| {
+    /// The rows of `label` mapped by the strategy with short name `strategy`
+    /// at total factory capacity `capacity`, in point order. A linear scan:
+    /// the largest harness report has about a hundred rows.
+    pub fn rows<'s: 'a, 'a>(
+        &'s self,
+        label: &'a str,
+        strategy: &'a str,
+        capacity: usize,
+    ) -> impl Iterator<Item = &'s SweepRow> + 'a {
+        self.rows.iter().filter(move |r| {
             r.label == label
                 && r.evaluation.strategy == strategy
                 && r.evaluation.factory.capacity() == capacity
         })
     }
 
-    /// Builds the `(label, strategy, capacity)` row index in one pass over
-    /// the results, making every subsequent per-cell lookup O(1). The figure
-    /// and table binaries print grids of `labels × strategies × capacities`,
-    /// which a [`SweepResults::find`] per cell turns quadratic.
-    pub fn index(&self) -> SweepIndex<'_> {
-        let mut by_key: IndexMap<'_> = HashMap::new();
-        for (i, row) in self.rows.iter().enumerate() {
-            by_key
-                .entry(row.label.as_str())
-                .or_default()
-                .entry(row.evaluation.strategy.as_str())
-                .or_default()
-                .entry(row.evaluation.factory.capacity())
-                .or_default()
-                .push(i);
-        }
-        SweepIndex {
-            results: self,
-            by_key,
-        }
-    }
-}
-
-/// Nested borrowed-key maps so lookups with short-lived `&str`s allocate
-/// nothing: `label -> strategy -> capacity -> row indices`.
-type IndexMap<'a> = HashMap<&'a str, HashMap<&'a str, HashMap<usize, Vec<usize>>>>;
-
-/// A one-pass index over [`SweepResults`] rows keyed by
-/// `(label, strategy short name, total factory capacity)`.
-#[derive(Debug)]
-pub struct SweepIndex<'a> {
-    results: &'a SweepResults,
-    by_key: IndexMap<'a>,
-}
-
-impl<'a> SweepIndex<'a> {
-    /// All rows under the key, in point order.
-    pub fn rows(
-        &self,
-        label: &str,
-        strategy: &str,
-        capacity: usize,
-    ) -> impl Iterator<Item = &'a SweepRow> + '_ {
-        self.by_key
-            .get(label)
-            .and_then(|by_strategy| by_strategy.get(strategy))
-            .and_then(|by_capacity| by_capacity.get(&capacity))
-            .into_iter()
-            .flatten()
-            .map(|&i| &self.results.rows[i])
-    }
-
-    /// The first row under the key ([`SweepResults::find`], indexed).
-    pub fn find(&self, label: &str, strategy: &str, capacity: usize) -> Option<&'a SweepRow> {
+    /// The first of [`SweepResults::rows`].
+    pub fn find(&self, label: &str, strategy: &str, capacity: usize) -> Option<&SweepRow> {
         self.rows(label, strategy, capacity).next()
     }
 
-    /// Of the rows under the key, the one with the smallest quantum volume —
+    /// Of [`SweepResults::rows`], the one with the smallest quantum volume —
     /// how the paper picks each strategy's better reuse policy for its final
     /// plots (Section VIII-C1).
-    pub fn best_reuse(&self, label: &str, strategy: &str, capacity: usize) -> Option<&'a SweepRow> {
+    pub fn best_reuse(&self, label: &str, strategy: &str, capacity: usize) -> Option<&SweepRow> {
         self.rows(label, strategy, capacity)
             .min_by_key(|r| r.evaluation.volume)
     }
@@ -887,29 +838,11 @@ mod tests {
         let row = results.find("g", "Line", 4).unwrap();
         assert_eq!(row.evaluation.factory.capacity(), 4);
         assert!(results.find("g", "HS", 4).is_none());
+        assert_eq!(results.rows("g", "Line", 4).count(), 1);
     }
 
     #[test]
-    fn index_agrees_with_linear_find() {
-        let results = small_spec().run().unwrap();
-        let index = results.index();
-        for row in &results.rows {
-            let key = (
-                row.label.as_str(),
-                row.evaluation.strategy.as_str(),
-                row.evaluation.factory.capacity(),
-            );
-            assert_eq!(
-                index.find(key.0, key.1, key.2).map(|r| r as *const _),
-                results.find(key.0, key.1, key.2).map(|r| r as *const _),
-            );
-        }
-        assert!(index.find("g", "HS", 4).is_none());
-        assert_eq!(index.rows("g", "Line", 4).count(), 1);
-    }
-
-    #[test]
-    fn index_best_reuse_picks_the_smaller_volume() {
+    fn best_reuse_picks_the_smaller_volume() {
         use msfu_distill::ReusePolicy;
         let base = FactoryConfig::two_level(2);
         let results = SweepSpec::new("t", EvaluationConfig::default())
@@ -921,8 +854,7 @@ mod tests {
             )
             .run()
             .unwrap();
-        let index = results.index();
-        let best = index.best_reuse("x", "Line", 4).unwrap();
+        let best = results.best_reuse("x", "Line", 4).unwrap();
         let min = results.rows.iter().map(|r| r.evaluation.volume).min();
         assert_eq!(Some(best.evaluation.volume), min);
     }
