@@ -10,12 +10,12 @@
 //! duplicate across sweep rows or search candidates simulates exactly once.
 //!
 //! The cache itself is a plain map with a `lookup` and a `record` call.
-//! Deduplication belongs to the planner of the sweep's chunk pipeline, which
+//! Deduplication belongs to the planner of the sweep's run scheduler, which
 //! every sweep, search and stream runs through. In point order, before
 //! anything simulates, it answers a cached key from the map, sends a key an
-//! earlier point of the chunk computes to that point, and lets every other
-//! point compute and be recorded. No two workers ever compute one key, so
-//! there is nothing for them to race on.
+//! earlier point of the run computes (and has not recorded yet) to that
+//! point, and lets every other point compute and be recorded. No two
+//! workers ever compute one key, so there is nothing for them to race on.
 //!
 //! The key is the rendered content itself (no lossy hashing), so a cache hit
 //! can never alias two distinct inputs: results with the cache enabled are
@@ -127,10 +127,11 @@ struct Entry {
 /// an on-disk persistent tier shared across processes.
 ///
 /// The cache is a plain map: it never decides who computes a key. The sweep
-/// chunk planner looks every key up in point order before anything
-/// simulates, sends a key the chunk already computes to that point, and
-/// records each newly computed key once — so no two workers ever race on one
-/// key, and the counters of a completed run are the same serial or parallel.
+/// planner looks every key up in point order before anything simulates,
+/// sends a key an earlier point of the run already computes to that point,
+/// and records each newly computed key once — so no two workers ever race on
+/// one key, and the counters of a completed run are the same serial or
+/// parallel.
 #[derive(Default)]
 pub struct EvalCache {
     entries: Mutex<HashMap<String, Entry>>,
@@ -234,7 +235,8 @@ impl EvalCache {
 
     /// Counts one hit, and a disk hit when a record loaded from the
     /// persistent tier answered it. The sweep planner also counts a hit for
-    /// each duplicate key that an earlier point of the same chunk computes.
+    /// each duplicate key that an earlier point of the run computes and has
+    /// not recorded yet.
     pub(crate) fn count_hit(&self, from_disk: bool) {
         bump(&self.hits, &PROCESS_HITS, 1);
         if from_disk {

@@ -1,9 +1,9 @@
 //! End-to-end evaluation: factory → mapping → simulation → volume.
 //!
 //! [`evaluate`] is a one-point [`SweepSpec`]: every evaluation in the crate
-//! runs through the sweep's chunk pipeline on the thread's one
+//! runs through the sweep's run scheduler on the thread's one
 //! [`BatchEngine`]. This module holds the record type, its configuration and
-//! the pieces that pipeline shares.
+//! the pieces that scheduler shares.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -124,8 +124,8 @@ pub fn effective_factory<'a>(factory: &'a Factory, layout: &Layout) -> Result<Co
 /// the [`Evaluation`] record. `factory` must already be the effective
 /// (port-rewired) factory for `layout` — see [`effective_factory`].
 ///
-/// Every evaluation inside this crate goes through the sweep's chunk
-/// pipeline instead; this entry point has no caller here and serves code
+/// Every evaluation inside this crate goes through the sweep's run
+/// scheduler instead; this entry point has no caller here and serves code
 /// that drives the build, map and simulate steps one at a time.
 ///
 /// # Errors

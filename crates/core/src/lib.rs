@@ -63,6 +63,7 @@ mod evaluate;
 pub mod persist;
 pub mod pipeline;
 pub mod progress;
+mod schedule;
 pub mod search;
 pub mod spec;
 pub mod stats;

@@ -192,8 +192,17 @@ impl<'a> RunControl<'a> {
     /// Whether the run should stop at the next batch boundary (cancelled or
     /// past its deadline).
     pub fn interrupted(&self) -> bool {
-        self.cancel.is_some_and(CancelToken::is_cancelled)
-            || self.deadline.is_some_and(|d| Instant::now() >= d)
+        self.interrupt()()
+    }
+
+    /// [`RunControl::interrupted`] without the progress sink: the check a
+    /// sweep's worker threads share.
+    pub(crate) fn interrupt(&self) -> impl Fn() -> bool + Copy + Send + Sync + 'a {
+        let (cancel, deadline) = (self.cancel, self.deadline);
+        move || {
+            cancel.is_some_and(CancelToken::is_cancelled)
+                || deadline.is_some_and(|d| Instant::now() >= d)
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 //! placement over an expansion ladder, force-directed over a temperature
 //! ladder, graph partitioning over seeds) is expanded into a deterministic
 //! candidate stream, evaluated in parallel batches through the sweep
-//! engine's lane-batched chunk pipeline — with the best-so-far
+//! engine's lane-batched run scheduler — with the best-so-far
 //! *incumbent* tracked after every batch and the search stopping early when
 //! the incumbent stops improving (or a target is reached).
 //!
@@ -36,8 +36,6 @@
 //! assert!(report.incumbent.is_some());
 //! ```
 
-use std::sync::Arc;
-
 use serde::{Serialize, Value};
 
 use msfu_distill::FactoryConfig;
@@ -47,11 +45,12 @@ use msfu_layout::{
 
 use crate::cache::{open_eval_cache, CacheStats};
 use crate::progress::{ProgressEvent, RunControl};
+use crate::schedule::{schedule, FactoryTable, Job};
 use crate::spec::{
     eval_from_json, factory_from_json, fields, params_from_json, spec_err, strategy_from_json,
     Fields,
 };
-use crate::sweep::{FactoryEntry, SweepPoint, SweepResults, SweepRow, SweepSpec};
+use crate::sweep::{SweepPoint, SweepResults, SweepRow, SweepSpec};
 use crate::{CoreError, Evaluation, EvaluationConfig, Result, Strategy};
 
 /// Hard cap on `batch_size`, so a typo'd size fails fast as a typed spec
@@ -369,28 +368,38 @@ impl SearchSpec {
 
     fn execute(&self, serial: bool, ctrl: &RunControl<'_>) -> Result<SearchOutcome> {
         self.validate()?;
-        let factory = Arc::new(FactoryEntry::build(&self.factory)?);
+        // The one factory is built now, so a failed build fails the search
+        // before its first batch.
+        let factories = FactoryTable::new([&self.factory]);
+        factories.get(&self.factory)?;
         // Check every entry's key up front, so an unknown key fails before
         // the first batch rather than when its candidate comes up.
         for entry in &self.portfolio {
             check_mapper_name(entry.template.key())?;
         }
         let cache = open_eval_cache(self.use_eval_cache, self.cache_dir.as_deref())?;
-        // Each candidate batch is a sub-sweep over the one shared factory,
-        // evaluated through the sweep's chunk pipeline and the search's cache.
-        let sweep =
+        // Each candidate batch is a one-chunk sub-sweep over the one shared
+        // factory, run through the sweep's scheduler and the search's cache.
+        let mut sweep =
             SweepSpec::new(self.name.clone(), self.eval).with_eval_cache(self.use_eval_cache);
         let mut outcome = self.run_with_evaluator(ctrl, |batch| {
-            let points: Vec<SweepPoint> = batch
+            sweep.points = batch
                 .iter()
                 .map(|(_, strategy)| SweepPoint::new("", self.factory, strategy.clone()))
                 .collect();
-            let entries = vec![Ok(factory.clone()); points.len()];
-            let rows = sweep.evaluate_chunk(&points, &entries, cache.as_ref(), !serial);
-            Ok(rows
-                .into_iter()
-                .map(|row| row.map(|row| row.evaluation))
-                .collect())
+            let job = Job {
+                spec: &sweep,
+                factories: &factories,
+                cache: cache.as_ref(),
+                chunk_len: batch.len(),
+                parallel: !serial,
+            };
+            let mut evaluations = Vec::with_capacity(batch.len());
+            schedule(&job, &RunControl::default(), &mut |row| {
+                evaluations.push(row.map(|row| row.evaluation));
+                Ok(())
+            })?;
+            Ok(evaluations)
         })?;
         outcome.cache = cache.map(|c| c.stats()).unwrap_or_default();
         Ok(outcome)
@@ -710,7 +719,7 @@ pub struct SearchOutcome {
     /// `true` when the run stopped at a batch boundary before finishing.
     pub interrupted: bool,
     /// Evaluation-cache counters of this run (all zero when the cache is
-    /// disabled). Each distinct key misses exactly once — the sweep chunk
+    /// disabled). Each distinct key misses exactly once — the sweep
     /// planner picks the one candidate that computes it and every other
     /// candidate with that key counts as a hit — and the report itself is
     /// identical for serial, parallel, cached and uncached runs.

@@ -131,13 +131,14 @@ impl Scheduler {
 
     /// Picks the next `(queued key, server_index)` assignment: the first
     /// queued job, in key order, that has a free feasible server, or `None`
-    /// when none does. `feasible[class][server]` is the level/capacity fit.
-    /// The engine only calls this while a server is free, so a pick is
-    /// usually the queue's first key.
+    /// when none does. `queues[class]` holds the queued keys of one class
+    /// and `feasible[class][server]` is the level/capacity fit. Feasibility
+    /// depends only on the class, so the pick is the smallest first key
+    /// among the classes with a free feasible server: one look per class,
+    /// however long the queue of a class no free server can take.
     fn select(
         self,
-        queue: &BTreeSet<QueueKey>,
-        jobs: &[Job],
+        queues: &[BTreeSet<QueueKey>],
         servers: &[Server],
         feasible: &[Vec<bool>],
     ) -> Option<(QueueKey, usize)> {
@@ -146,22 +147,25 @@ impl Scheduler {
             (0..servers.len()).filter(move |&si| !servers[si].busy && feasible[class][si])
         };
         let best_fit = |si: &usize| (servers[*si].capacity, *si);
-        queue.iter().find_map(|&key| {
-            let class = jobs[key.1 as usize].class;
-            let si = match self {
-                Scheduler::Fifo | Scheduler::Priority => free_feasible(class).next(),
-                Scheduler::CapacityAware => free_feasible(class).min_by_key(best_fit),
-                Scheduler::ReuseAware => free_feasible(class)
-                    .find(|&si| servers[si].last_class == Some(class))
-                    .or_else(|| {
-                        free_feasible(class)
-                            .filter(|&si| servers[si].last_class.is_none())
-                            .min_by_key(best_fit)
-                    })
-                    .or_else(|| free_feasible(class).min_by_key(best_fit)),
-            };
-            si.map(|si| (key, si))
-        })
+        let (key, class) = queues
+            .iter()
+            .enumerate()
+            .filter_map(|(class, queue)| Some((*queue.first()?, class)))
+            .filter(|&(_, class)| free_feasible(class).next().is_some())
+            .min()?;
+        let si = match self {
+            Scheduler::Fifo | Scheduler::Priority => free_feasible(class).next(),
+            Scheduler::CapacityAware => free_feasible(class).min_by_key(best_fit),
+            Scheduler::ReuseAware => free_feasible(class)
+                .find(|&si| servers[si].last_class == Some(class))
+                .or_else(|| {
+                    free_feasible(class)
+                        .filter(|&si| servers[si].last_class.is_none())
+                        .min_by_key(best_fit)
+                })
+                .or_else(|| free_feasible(class).min_by_key(best_fit)),
+        };
+        si.map(|si| (key, si))
     }
 }
 
@@ -931,7 +935,9 @@ impl StreamSpec {
         // Min-heap of (finish cycle, job id, server index) — the job id makes
         // same-cycle completion order deterministic.
         let mut completions: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-        let mut queue: BTreeSet<QueueKey> = BTreeSet::new();
+        // One queue per class, in each scheduler's key order.
+        let mut queues: Vec<BTreeSet<QueueKey>> = vec![BTreeSet::new(); self.classes.len()];
+        let mut queued = 0_u64;
         // Free servers: with none, no pick can exist, so dispatch is skipped
         // instead of scanning a saturated fleet's whole queue every event.
         let mut free = servers.len();
@@ -966,18 +972,21 @@ impl StreamSpec {
             }
             // 2. Arrivals join the queue in generation order.
             while next_arrival < jobs.len() && jobs[next_arrival].arrived == now {
-                let class = &self.classes[jobs[next_arrival].class];
-                queue.insert(scheduler.queue_key(next_arrival as u64, class));
+                let class = jobs[next_arrival].class;
+                queues[class]
+                    .insert(scheduler.queue_key(next_arrival as u64, &self.classes[class]));
+                queued += 1;
                 next_arrival += 1;
             }
             // 3. Dispatch until the scheduler passes or no server is free.
             while free > 0 {
-                let Some((key, si)) = scheduler.select(&queue, &jobs, &servers, feasible) else {
+                let Some((key, si)) = scheduler.select(&queues, &servers, feasible) else {
                     break;
                 };
-                queue.remove(&key);
                 let job = key.1;
                 let class = jobs[job as usize].class;
+                queues[class].remove(&key);
+                queued -= 1;
                 let base = service[class][servers[si].entry]
                     .expect("feasibility check guarantees a service time");
                 let setup = if servers[si].last_class == Some(class) {
@@ -996,7 +1005,7 @@ impl StreamSpec {
                 completions.push(Reverse((now + occupancy, job, si)));
             }
             // 4. Sample the queue-depth timeline on change.
-            let depth = queue.len() as u64;
+            let depth = queued;
             max_depth = max_depth.max(depth);
             if depth != last_depth || timeline.is_empty() {
                 timeline.push(QueueSample { cycle: now, depth });

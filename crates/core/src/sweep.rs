@@ -5,18 +5,28 @@
 //! factory capacity, level count, reuse policy, mapping strategy and seed.
 //! This module turns such a sweep into data: a [`SweepSpec`] lists the points
 //! once, and [`SweepSpec::run`] executes them in parallel with each distinct
-//! [`FactoryConfig`] built exactly once and shared (immutably, via `Arc`)
-//! across every strategy and seed that maps it. Strategies never mutate the
-//! factory — port-rewiring decisions travel on the layout as a
-//! `PortAssignment` and are applied to a private copy per point — which is
-//! what makes the sharing sound.
+//! [`FactoryConfig`] built exactly once and shared immutably across every
+//! strategy and seed that maps it. Strategies never mutate the factory —
+//! port-rewiring decisions travel on the layout as a `PortAssignment` and
+//! are applied to a private copy per point — which is what makes the sharing
+//! sound.
 //!
 //! This is the crate's one evaluation path: [`crate::evaluate`] is a
 //! one-point sweep, a portfolio search evaluates each candidate batch as a
-//! sub-sweep chunk, and a stream derives its service times from one
+//! one-chunk sub-sweep, and a stream derives its service times from one
 //! sub-sweep. Every simulation runs on the thread's one
 //! [`BatchEngine`](msfu_sim::BatchEngine) — lane groups as wide batches,
 //! every other point and each round breakdown as a one-lane batch.
+//!
+//! A parallel run keeps one worker pool for its whole length
+//! (`std::thread::scope`, sized by `RAYON_NUM_THREADS` when set, else by the
+//! CPU count). Its 32-point chunks overlap: workers map, simulate and
+//! finish points earliest chunk first and, within a chunk, the largest lane
+//! group first, while the calling thread plans each point in point order,
+//! records evaluations to the cache and streams rows. At most two chunks
+//! are mapped ahead of the oldest chunk whose rows are not yet streamed,
+//! and lane groups never cross a chunk. A serial run — or a pool of one
+//! thread — runs the same tasks on the calling thread.
 //!
 //! Results are deterministic: [`SweepSpec::run`] and [`SweepSpec::run_serial`]
 //! produce identical [`SweepResults`] regardless of thread count or
@@ -39,27 +49,24 @@
 //! assert!(results.rows[0].evaluation.volume < results.rows[1].evaluation.volume);
 //! ```
 
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
-
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use msfu_distill::{Factory, FactoryConfig};
-use msfu_graph::{metrics::MappingMetrics, InteractionGraph};
-use msfu_layout::Layout;
-use msfu_sim::{BatchLane, MAX_LANES};
+use msfu_distill::FactoryConfig;
+use msfu_graph::metrics::MappingMetrics;
+use msfu_sim::MAX_LANES;
 
-use crate::cache::{evaluation_key, open_eval_cache, CacheStats, EvalCache};
-use crate::evaluate::{evaluation_record, with_thread_batch_engine};
-use crate::pipeline::{per_round_breakdown_with, RoundBreakdown};
+use crate::cache::{open_eval_cache, CacheStats};
+use crate::pipeline::RoundBreakdown;
 use crate::progress::{ProgressEvent, RunControl};
-use crate::{CoreError, Evaluation, EvaluationConfig, Result, Strategy};
+use crate::schedule::{schedule, FactoryTable, Job};
+use crate::{Evaluation, EvaluationConfig, Result, Strategy};
 
-/// Points evaluated per parallel batch. Cancellation and deadlines are
-/// honoured between batches, so this bounds how much work a cancelled sweep
-/// still finishes; it is a fixed constant (not thread-count derived) so the
-/// progress-event stream of a given spec is identical on every machine.
+/// Points per chunk: the unit lane groups are formed in and parallel runs
+/// stream and report (one `BatchFinished` event per chunk). It is a fixed
+/// constant (not thread-count derived) so the lane groups, and with them
+/// the simulations, and the progress-event stream of a given spec are
+/// identical on every machine; a parallel run maps at most two chunks
+/// beyond the oldest unstreamed one, which bounds the rows it holds back.
 const SWEEP_BATCH: usize = 32;
 
 /// Default lane-batching width of a [`SweepSpec`]: compatible points are
@@ -104,8 +111,9 @@ pub struct SweepSpec {
     /// Also compute the Fig. 6 congestion metrics of each mapping
     /// ([`SweepRow::metrics`]).
     pub collect_mapping_metrics: bool,
-    /// Share one content-addressed [`EvalCache`] across the run's workers so
-    /// duplicate `(factory, layout, eval config)` points simulate once.
+    /// Share one content-addressed [`EvalCache`](crate::EvalCache) across
+    /// the run's workers so duplicate `(factory, layout, eval config)` points
+    /// simulate once.
     /// Enabled by default; results are byte-identical either way (the cache
     /// key is the full content, never a lossy hash).
     pub use_eval_cache: bool,
@@ -113,11 +121,12 @@ pub struct SweepSpec {
     /// grid dimensions) are simulated up to `lanes` at a time through one
     /// shared event wheel ([`BatchEngine`](msfu_sim::BatchEngine)). Rows are
     /// byte-identical at any width; `0` or `1` disables batching, so every
-    /// point simulates solo through the same chunk pipeline. Defaults to
-    /// [`DEFAULT_LANES`]; values above [`MAX_LANES`] are clamped. At any
-    /// width, runs map and simulate [`SWEEP_BATCH`](self) points at a time,
-    /// so a serial run's cancel or deadline can overrun by up to one chunk
-    /// of work.
+    /// point simulates solo through the same scheduler. Defaults to
+    /// [`DEFAULT_LANES`]; values above [`MAX_LANES`] are clamped. Groups
+    /// form within one [`SWEEP_BATCH`](self)-point chunk, in point order, so
+    /// they are the same serial or parallel at any thread count; a parallel
+    /// pool simulates each chunk's largest group (lanes × circuit gates)
+    /// first.
     pub lanes: usize,
     /// Root directory of the persistent cache tier: previously simulated
     /// evaluations load from hash-bucketed segment files under it on open,
@@ -162,10 +171,11 @@ pub struct SweepOutcome {
     /// `true` when the run stopped at a batch boundary before finishing.
     pub interrupted: bool,
     /// Evaluation-cache counters of this run (all zero when the cache is
-    /// disabled). Each distinct key misses exactly once: the chunk planner
-    /// decides in point order which point computes it, and every other point
-    /// with that key counts as a hit — making the counters identical for
-    /// parallel and serial runs of a completed sweep.
+    /// disabled). Each distinct key misses exactly once: the planner decides
+    /// in point order which point of the run computes it, and every other
+    /// point with that key counts as a hit — making the counters identical
+    /// for parallel and serial runs of a completed sweep at any thread
+    /// count.
     pub cache: CacheStats,
 }
 
@@ -317,9 +327,14 @@ impl SweepSpec {
 
     /// Executes every point in parallel across the machine's cores.
     ///
-    /// Each distinct `FactoryConfig` is built once, shared immutably by all
-    /// points that use it. Results are in point order and identical to
-    /// [`SweepSpec::run_serial`].
+    /// The run spawns one worker pool for its whole length, of
+    /// `RAYON_NUM_THREADS` threads when that variable holds a positive
+    /// number (the variable the `rayon` crate reads, so existing pins keep
+    /// working), else one per available CPU. At one thread the calling
+    /// thread runs everything and nothing is spawned. Each distinct
+    /// `FactoryConfig` is built once, by the first task that needs it, and
+    /// shared immutably by all points that use it. Results are in point
+    /// order and identical to [`SweepSpec::run_serial`].
     ///
     /// # Errors
     ///
@@ -331,10 +346,15 @@ impl SweepSpec {
         Ok(self.run_with(&RunControl::default())?.results)
     }
 
-    /// [`SweepSpec::run`] under a [`RunControl`]: progress events stream to
-    /// the control's sink as batches complete, and cancellation/deadline are
-    /// honoured between batches of [`SWEEP_BATCH`](self) points. An
-    /// interrupted run returns the rows completed so far with
+    /// [`SweepSpec::run`] under a [`RunControl`]: rows stream to the
+    /// control's sink a whole [`SWEEP_BATCH`](self)-point chunk at a time,
+    /// each chunk followed by one `BatchFinished` event and a check for
+    /// cancellation/deadline. Chunks overlap on the pool: while the last
+    /// lane groups of one chunk simulate, idle workers map and simulate the
+    /// next ones (at most two ahead of the oldest unstreamed chunk), taking
+    /// each chunk's largest lane group first. Workers take no task once the
+    /// control is interrupted, so an interrupted run overruns by at most one
+    /// task per worker, and it returns the whole chunks streamed so far with
     /// [`SweepOutcome::interrupted`] set, never an error.
     ///
     /// Row values are identical to [`SweepSpec::run`]; a run with the default
@@ -362,10 +382,11 @@ impl SweepSpec {
 
     /// [`SweepSpec::run_serial`] under a [`RunControl`]: rows stream to the
     /// control's sink one at a time, and cancellation/deadline are honoured
-    /// between rows, so an interrupted run returns a row prefix cut at the
-    /// point where it noticed. Points are still mapped and simulated a
-    /// [`SWEEP_BATCH`](self)-point chunk at a time, so a cancel or deadline
-    /// can overrun by up to one chunk of work.
+    /// between rows and between tasks, so an interrupted run returns a row
+    /// prefix cut at the point where it noticed, after at most one task of
+    /// overrun. The calling thread runs the same tasks a parallel run's pool
+    /// does, one at a time and earliest chunk first, so lane groups still
+    /// form per [`SWEEP_BATCH`](self)-point chunk; nothing is spawned.
     ///
     /// The calling thread's simulator engine is reused across calls, so a
     /// long-lived process (e.g. `msfu serve`) pays the arena allocations
@@ -379,40 +400,25 @@ impl SweepSpec {
         self.execute(false, ctrl)
     }
 
-    /// The one chunk walk behind every run. Every distinct factory is built
-    /// once before the first chunk (across the worker pool when parallel)
-    /// and each build's result is kept, so a failed build surfaces at the
-    /// first point that uses it: both modes return the first error in point
-    /// order, after the rows before it. A parallel run evaluates each chunk
-    /// across the pool and reports once per chunk; a serial run checks for
-    /// interruption between rows and reports once at the end. A run whose
+    /// The one path behind every run: the points go through the run
+    /// scheduler in [`SWEEP_BATCH`]-point chunks, and rows stream to the
+    /// control's sink as they come out in point order. Both modes return the
+    /// first error in point order, after the rows before it. A run whose
     /// control is already interrupted builds nothing.
     fn execute(&self, parallel: bool, ctrl: &RunControl<'_>) -> Result<SweepOutcome> {
         let total = self.points.len();
         let mut rows: Vec<SweepRow> = Vec::with_capacity(total);
-        let mut interrupted = ctrl.interrupted();
         let eval_cache = open_eval_cache(self.use_eval_cache, self.cache_dir.as_deref())?;
-        let factories = if interrupted {
-            FactoryCache::new()
-        } else {
-            self.build_factories(parallel)
-        };
-
-        'chunks: for chunk in self.points.chunks(SWEEP_BATCH) {
-            if interrupted || ctrl.interrupted() {
-                interrupted = true;
-                break;
-            }
-            let entries: Vec<Result<Arc<FactoryEntry>>> = chunk
-                .iter()
-                .map(|point| factories[&point.factory].clone())
-                .collect();
-            let batch = self.evaluate_chunk(chunk, &entries, eval_cache.as_ref(), parallel);
-            for row in batch {
-                if !parallel && ctrl.interrupted() {
-                    interrupted = true;
-                    break 'chunks;
-                }
+        let interrupted = ctrl.interrupted() || {
+            let factories = FactoryTable::new(self.points.iter().map(|p| &p.factory));
+            let job = Job {
+                spec: self,
+                factories: &factories,
+                cache: eval_cache.as_ref(),
+                chunk_len: SWEEP_BATCH,
+                parallel,
+            };
+            schedule(&job, ctrl, &mut |row| {
                 let index = rows.len();
                 rows.push(row?);
                 ctrl.emit(&ProgressEvent::RowCompleted {
@@ -421,11 +427,9 @@ impl SweepSpec {
                     total,
                     row: &rows[index],
                 });
-            }
-            if parallel {
-                self.emit_batch_finished(ctrl, rows.len());
-            }
-        }
+                Ok(())
+            })?
+        };
         if !parallel {
             self.emit_batch_finished(ctrl, rows.len());
         }
@@ -440,22 +444,7 @@ impl SweepSpec {
         })
     }
 
-    /// Builds each distinct factory configuration of the spec once, keeping
-    /// every build's result.
-    fn build_factories(&self, parallel: bool) -> FactoryCache {
-        let mut distinct: Vec<FactoryConfig> = Vec::new();
-        for p in &self.points {
-            if !distinct.contains(&p.factory) {
-                distinct.push(p.factory);
-            }
-        }
-        let built = map_indices(parallel, distinct.len(), |i| {
-            FactoryEntry::build(&distinct[i]).map(Arc::new)
-        });
-        distinct.into_iter().zip(built).collect()
-    }
-
-    fn emit_batch_finished(&self, ctrl: &RunControl<'_>, completed: usize) {
+    pub(crate) fn emit_batch_finished(&self, ctrl: &RunControl<'_>, completed: usize) {
         ctrl.emit(&ProgressEvent::BatchFinished {
             name: &self.name,
             completed,
@@ -465,265 +454,14 @@ impl SweepSpec {
 
     /// The effective lane width: `lanes` clamped to [`MAX_LANES`], or 0 when
     /// batching is off.
-    fn lane_width(&self) -> usize {
+    pub(crate) fn lane_width(&self) -> usize {
         if self.lanes > 1 {
             self.lanes.min(MAX_LANES)
         } else {
             0
         }
     }
-
-    /// Maps one point: layout, rewired factory copy (for port-rewiring
-    /// strategies) and content address (when the evaluation cache is on).
-    fn map_point(&self, point: &SweepPoint, entry: &FactoryEntry) -> Result<MappedPoint> {
-        let layout = point.strategy.map(&entry.factory)?;
-        let rewired = if layout.requires_port_rewiring() {
-            Some(entry.factory.apply_port_assignment(&layout.ports)?)
-        } else {
-            None
-        };
-        let key = self
-            .use_eval_cache
-            .then(|| evaluation_key(entry.factory.config(), &layout, &self.eval));
-        Ok(MappedPoint {
-            layout,
-            rewired,
-            key,
-        })
-    }
-
-    /// Evaluates one chunk: maps every point, plans how each one gets its
-    /// evaluation, simulates every group of computing points through one
-    /// [`BatchEngine`](msfu_sim::BatchEngine) run, then finalizes rows in
-    /// point order. With batching off every computing point is a one-lane
-    /// group of its own — the reference the lane-equivalence tests compare
-    /// against.
-    pub(crate) fn evaluate_chunk(
-        &self,
-        chunk: &[SweepPoint],
-        entries: &[Result<Arc<FactoryEntry>>],
-        eval_cache: Option<&EvalCache>,
-        parallel: bool,
-    ) -> Vec<Result<SweepRow>> {
-        let len = chunk.len();
-
-        // Phase A: map every point. The mapping phase always runs: it
-        // produces the content address.
-        let mut mapped: Vec<Result<MappedPoint>> = map_indices(parallel, len, |i| {
-            let entry = entries[i].as_ref().map_err(Clone::clone)?;
-            self.map_point(&chunk[i], entry)
-        });
-
-        // Phase B: plan, sequentially in point order so the plan is
-        // identical for serial and parallel runs. This is the only place
-        // that decides how a point gets its evaluation: a key the cache
-        // holds is answered from it; a key an earlier point of the chunk
-        // computes follows that point; every other point computes — in a
-        // lane group with points of the same built factory and grid size,
-        // or as a one-lane group of its own when it is lane-incompatible
-        // (batching off, a port-rewired circuit, or circuit × lanes would
-        // overflow the wheel's event payload).
-        let lane_cap = self.lane_width();
-        let mut plan: Vec<Option<Plan>> = vec![None; len];
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut open: HashMap<(usize, usize, usize), usize> = HashMap::new();
-        let mut leaders: HashMap<&str, usize> = HashMap::new();
-        for i in 0..len {
-            let (Ok(entry), Ok(m)) = (&entries[i], &mapped[i]) else {
-                continue;
-            };
-            if let (Some(cache), Some(key)) = (eval_cache, m.key.as_deref()) {
-                if let Some(&leader) = leaders.get(key) {
-                    cache.count_hit(false);
-                    plan[i] = Some(Plan::Follow(leader));
-                    continue;
-                }
-                if let Some(evaluation) = cache.lookup(key, chunk[i].strategy.short_name()) {
-                    plan[i] = Some(Plan::Cached(evaluation));
-                    continue;
-                }
-                leaders.insert(key, i);
-            }
-            let gates = entry.factory.circuit().num_gates() as u64;
-            let lane_compatible = lane_cap > 1
-                && m.rewired.is_none()
-                && (lane_cap as u64).saturating_mul(gates) <= u64::from(u32::MAX);
-            let group_key = (
-                Arc::as_ptr(entry) as usize,
-                m.layout.mapping.width(),
-                m.layout.mapping.height(),
-            );
-            let g = match open.get(&group_key) {
-                Some(&g) if lane_compatible && groups[g].len() < lane_cap => g,
-                _ => {
-                    if lane_compatible {
-                        open.insert(group_key, groups.len());
-                    }
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                }
-            };
-            groups[g].push(i);
-            plan[i] = Some(Plan::Compute(g));
-        }
-
-        // Phase C: simulate each group through one shared event wheel — a
-        // one-lane group on its own (possibly rewired) circuit. The batch
-        // engine guarantees each lane's SimResult is byte-identical to a
-        // solo run.
-        let simulated = map_indices(parallel, groups.len(), |g| {
-            let members = &groups[g];
-            let lead = mapped[members[0]].as_ref().expect("planned points mapped");
-            let entry = entries[members[0]]
-                .as_ref()
-                .expect("planned points have a factory");
-            let factory: &Factory = lead.rewired.as_ref().unwrap_or(&entry.factory);
-            let circuit = factory.circuit();
-            let critical_path_cycles = circuit.critical_path_cycles(&self.eval.sim.latency);
-            let lanes: Vec<BatchLane<'_>> = members
-                .iter()
-                .map(|&i| {
-                    BatchLane::new(&mapped[i].as_ref().expect("planned points mapped").layout)
-                })
-                .collect();
-            let outcome = with_thread_batch_engine(self.eval.sim, |batch_engine| {
-                batch_engine.run(circuit, &lanes)
-            });
-            match outcome {
-                Err(e) => members
-                    .iter()
-                    .map(|_| Err(CoreError::from(e.clone())))
-                    .collect(),
-                Ok(results) => members
-                    .iter()
-                    .zip(results)
-                    .map(|(&i, lane)| {
-                        let name = chunk[i].strategy.short_name();
-                        lane.map(|sim| evaluation_record(factory, name, &sim, critical_path_cycles))
-                            .map_err(CoreError::from)
-                    })
-                    .collect::<Vec<_>>(),
-            }
-        });
-
-        // Phase D: finalize rows. In point order, each computing point is
-        // recorded in the cache (a miss, plus the disk append; its key moves
-        // into the cache) and followers copy their leader's result; then
-        // rows gain their breakdowns and metrics.
-        let mut simulated: Vec<_> = simulated.into_iter().map(Vec::into_iter).collect();
-        let mut evaluations: Vec<Option<Result<Evaluation>>> = Vec::with_capacity(len);
-        for i in 0..len {
-            let evaluation = match plan[i].take() {
-                None => None,
-                Some(Plan::Cached(evaluation)) => Some(Ok(evaluation)),
-                Some(Plan::Follow(leader)) => evaluations[leader].clone().map(|result| {
-                    result.map(|mut evaluation| {
-                        evaluation.strategy = chunk[i].strategy.short_name().to_string();
-                        evaluation
-                    })
-                }),
-                Some(Plan::Compute(g)) => {
-                    let result = simulated[g].next().expect("one result per group member");
-                    let key = mapped[i].as_mut().ok().and_then(|m| m.key.take());
-                    if let (Some(cache), Some(key), Ok(evaluation)) = (eval_cache, key, &result) {
-                        cache.record(key, evaluation.clone());
-                    }
-                    Some(result)
-                }
-            };
-            evaluations.push(evaluation);
-        }
-        map_indices(parallel, len, |i| {
-            let point = &chunk[i];
-            let entry = entries[i].as_ref().map_err(Clone::clone)?;
-            let m = mapped[i].as_ref().map_err(Clone::clone)?;
-            let evaluation = evaluations[i]
-                .clone()
-                .expect("mapped points were planned")?;
-            let factory = &entry.factory;
-            let effective: &Factory = m.rewired.as_ref().unwrap_or(factory);
-            let breakdown = if self.collect_breakdowns {
-                Some(with_thread_batch_engine(self.eval.sim, |engine| {
-                    per_round_breakdown_with(engine, effective, &m.layout)
-                })?)
-            } else {
-                None
-            };
-            let metrics = if self.collect_mapping_metrics {
-                let computed;
-                let graph = if m.layout.requires_port_rewiring() {
-                    computed = InteractionGraph::from_circuit(effective.circuit());
-                    &computed
-                } else {
-                    entry
-                        .graph
-                        .get_or_init(|| InteractionGraph::from_circuit(factory.circuit()))
-                };
-                Some(MappingMetrics::compute(
-                    graph,
-                    &m.layout.mapping.to_points(),
-                ))
-            } else {
-                None
-            };
-            Ok(SweepRow {
-                label: point.label.clone(),
-                evaluation,
-                breakdown,
-                metrics,
-            })
-        })
-    }
 }
-
-/// `f` over `0..len`, in index order; across the worker pool when
-/// `parallel`.
-fn map_indices<T: Send>(parallel: bool, len: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let indices: Vec<usize> = (0..len).collect();
-    if parallel {
-        indices.par_iter().map(|&i| f(i)).collect()
-    } else {
-        indices.iter().map(|&i| f(i)).collect()
-    }
-}
-
-/// One mapped chunk point: the layout, the private rewired factory copy (for
-/// port-rewiring strategies) and the content address (when caching).
-struct MappedPoint {
-    layout: Layout,
-    rewired: Option<Factory>,
-    key: Option<String>,
-}
-
-/// How one chunk point gets its evaluation, as phase B of
-/// [`SweepSpec::evaluate_chunk`] decided it.
-#[derive(Clone)]
-enum Plan {
-    /// The evaluation cache held the key (a hit, counted at lookup).
-    Cached(Evaluation),
-    /// The earlier chunk point at this index computes the same key (a hit).
-    Follow(usize),
-    /// Simulated as a member of this group (possibly a one-lane group).
-    Compute(usize),
-}
-
-/// A cached factory plus lazily derived, factory-invariant artifacts shared
-/// by every point that maps it.
-pub(crate) struct FactoryEntry {
-    factory: Factory,
-    graph: OnceLock<InteractionGraph>,
-}
-
-impl FactoryEntry {
-    pub(crate) fn build(config: &FactoryConfig) -> Result<Self> {
-        Ok(FactoryEntry {
-            factory: Factory::build(config)?,
-            graph: OnceLock::new(),
-        })
-    }
-}
-
-type FactoryCache = HashMap<FactoryConfig, Result<Arc<FactoryEntry>>>;
 
 #[cfg(test)]
 mod tests {

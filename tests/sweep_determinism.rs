@@ -5,7 +5,10 @@
 
 use std::sync::Mutex;
 
-use msfu::core::{evaluate, EvaluationConfig, Strategy, SweepSpec};
+use msfu::core::{
+    evaluate, CancelToken, EvaluationConfig, ProgressEvent, ProgressSink, RunControl, Strategy,
+    SweepSpec,
+};
 use msfu::distill::{FactoryConfig, ReusePolicy};
 use msfu::layout::{ForceDirectedConfig, StitchingConfig};
 
@@ -105,4 +108,123 @@ fn repeated_runs_are_stable() {
     let a = spec.run().unwrap();
     let b = spec.run().unwrap();
     assert_eq!(a, b);
+}
+
+/// Runs `f` with `RAYON_NUM_THREADS` set to `threads`, restoring the
+/// variable before the result is returned (so before any assertion can
+/// unwind). The caller holds the env lock.
+fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
+    std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
+    let out = f();
+    std::env::remove_var("RAYON_NUM_THREADS");
+    out
+}
+
+/// 70 random mappings over three 32-point chunks: chunk 0 maps seeds 0..32,
+/// chunk 1 repeats them, and chunk 2 repeats seeds 0..6 — so every key of
+/// chunks 1 and 2 is first computed in chunk 0.
+fn recurring_keys_spec() -> SweepSpec {
+    let factory = FactoryConfig::single_level(4);
+    let mut spec = SweepSpec::new("recurring", EvaluationConfig::default());
+    for seed in (0..32).chain(0..32).chain(0..6) {
+        spec = spec.point("r", factory, Strategy::random(seed));
+    }
+    spec
+}
+
+#[test]
+fn keys_recurring_across_chunks_simulate_once_at_every_thread_count() {
+    let _guard = env_guard();
+    let spec = recurring_keys_spec();
+    assert_eq!(spec.points.len(), 70);
+    let built = msfu::distill::Factory::build(&spec.points[0].factory).unwrap();
+    let mut layouts: Vec<msfu::layout::Layout> = Vec::new();
+    for point in &spec.points {
+        let layout = point.strategy.map(&built).unwrap();
+        if !layouts.contains(&layout) {
+            layouts.push(layout);
+        }
+    }
+    for lanes in [0, 8] {
+        let spec = spec.clone().with_lanes(lanes);
+        let serial = spec.run_serial_with(&RunControl::default()).unwrap();
+        assert_eq!(
+            serial.cache.misses,
+            layouts.len() as u64,
+            "one miss per distinct key, {lanes} lanes"
+        );
+        assert_eq!(serial.cache.hits + serial.cache.misses, 70);
+        for threads in [1, 2, 4] {
+            let parallel = with_threads(threads, || spec.run_with(&RunControl::default()));
+            let parallel = parallel.unwrap();
+            assert_eq!(
+                parallel.results, serial.results,
+                "{threads} threads, {lanes} lanes"
+            );
+            assert_eq!(
+                parallel.cache, serial.cache,
+                "{threads} threads, {lanes} lanes"
+            );
+            assert!(!parallel.interrupted);
+        }
+    }
+}
+
+#[test]
+fn a_failed_leader_fails_its_follower_run_the_same_in_both_modes() {
+    let _guard = env_guard();
+    // The cycle limit lies between a single-level and a two-level factory's
+    // latency, so only the two-level point (5) fails to simulate; point 40,
+    // in the next chunk, has the same key and follows it.
+    let small = FactoryConfig::single_level(2);
+    let big = FactoryConfig::two_level(2);
+    let eval = EvaluationConfig::default();
+    let small_latency = evaluate(&small, &Strategy::linear(), &eval)
+        .unwrap()
+        .latency_cycles;
+    let big_latency = evaluate(&big, &Strategy::linear(), &eval)
+        .unwrap()
+        .latency_cycles;
+    assert!(small_latency < big_latency);
+    let eval = eval.with_sim(eval.sim.with_cycle_limit((small_latency + big_latency) / 2));
+    let mut spec = SweepSpec::new("failing-leader", eval);
+    for i in 0..48 {
+        let factory = if i == 5 || i == 40 { big } else { small };
+        spec = spec.point("p", factory, Strategy::random(i % 7));
+    }
+    let serial = spec.run_serial().unwrap_err().to_string();
+    assert!(serial.contains("cycle limit"), "{serial}");
+    for threads in [1, 2, 4] {
+        let parallel = with_threads(threads, || spec.run().map_err(|e| e.to_string()));
+        assert_eq!(parallel.unwrap_err(), serial, "{threads} threads");
+    }
+}
+
+/// Cancels its token when the first row arrives.
+struct CancelAtFirstRow(CancelToken);
+
+impl ProgressSink for CancelAtFirstRow {
+    fn emit(&self, event: &ProgressEvent<'_>) {
+        if matches!(event, ProgressEvent::RowCompleted { .. }) {
+            self.0.cancel();
+        }
+    }
+}
+
+#[test]
+fn a_cancel_at_the_first_row_returns_exactly_the_first_chunk() {
+    let _guard = env_guard();
+    let spec = recurring_keys_spec();
+    let full = spec.run_serial().unwrap();
+    for threads in [1, 2, 4] {
+        let token = CancelToken::new();
+        let sink = CancelAtFirstRow(token.clone());
+        let ctrl = RunControl::default()
+            .with_progress(&sink)
+            .with_cancel(&token);
+        let outcome = with_threads(threads, || spec.run_with(&ctrl)).unwrap();
+        assert!(outcome.interrupted, "{threads} threads");
+        assert_eq!(outcome.results.rows.len(), 32, "{threads} threads");
+        assert_eq!(outcome.results.rows[..], full.rows[..32]);
+    }
 }
