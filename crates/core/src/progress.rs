@@ -184,6 +184,12 @@ impl<'a> RunControl<'a> {
         self
     }
 
+    /// The instant past which the run stops, if any (a coordinator hands
+    /// the time left to each sub-job it starts).
+    pub fn deadline(&self) -> Option<Instant> {
+        self.deadline
+    }
+
     /// Emits one event to the configured sink.
     pub fn emit(&self, event: &ProgressEvent<'_>) {
         self.progress.emit(event);

@@ -418,23 +418,6 @@ pub fn params_from_json(value: &Value) -> Result<MapperParams> {
     params_from_rest(&fields(value, "params")?)
 }
 
-/// The Table I labels the line-up keys default to, mirroring the
-/// [`Strategy`] constructors.
-fn default_label(key: &str, params: &MapperParams) -> Option<&'static str> {
-    match key {
-        "random" => Some(if params.get("expansion").is_some() {
-            "Random+S"
-        } else {
-            "Random"
-        }),
-        "linear" => Some("Line"),
-        "force_directed" => Some("FD"),
-        "graph_partition" => Some("GP"),
-        "hierarchical_stitching" => Some("HS"),
-        _ => None,
-    }
-}
-
 /// Decodes a strategy object: `strategy` names the line-up key, `label`
 /// optionally overrides the report label, every other field becomes a typed
 /// mapper parameter.
@@ -449,12 +432,11 @@ pub fn strategy_from_json(value: &Value) -> Result<Strategy> {
     let mut f = fields(value, "strategy")?;
     let key = f.str("strategy")?;
     let label = f.opt_str("label")?;
-    let params = params_from_rest(&f)?;
-    let label = label
-        .or_else(|| default_label(key, &params))
-        .unwrap_or(key)
-        .to_string();
-    Ok(Strategy::new(key, params).with_label(label))
+    let strategy = Strategy::new(key, params_from_rest(&f)?);
+    Ok(match label {
+        Some(label) => strategy.with_label(label),
+        None => strategy,
+    })
 }
 
 /// Decodes an evaluation configuration object (`routing`, `cycle_limit` and

@@ -32,15 +32,23 @@ pub struct Strategy {
 }
 
 impl Strategy {
-    /// Creates a strategy for line-up key `key` with `params`; the label
-    /// defaults to the key (see [`Strategy::with_label`]).
+    /// Creates a strategy for line-up key `key` with `params`. The label
+    /// (see [`Strategy::with_label`]) defaults to the paper's Table I row
+    /// name for the five line-up keys — "Random+S" for a `random` strategy
+    /// with an `expansion` parameter — and to the key itself otherwise.
     pub fn new(key: impl Into<String>, params: MapperParams) -> Self {
         let key = key.into();
-        Strategy {
-            label: key.clone(),
-            key,
-            params,
+        let label = match key.as_str() {
+            "random" if params.get("expansion").is_some() => "Random+S",
+            "random" => "Random",
+            "linear" => "Line",
+            "force_directed" => "FD",
+            "graph_partition" => "GP",
+            "hierarchical_stitching" => "HS",
+            other => other,
         }
+        .to_string();
+        Strategy { key, label, params }
     }
 
     /// Replaces the report label (the paper's Table I row name for the
@@ -75,7 +83,7 @@ impl Strategy {
 
     /// Uniformly random placement ("Random" in Table I).
     pub fn random(seed: u64) -> Self {
-        Strategy::new("random", MapperParams::new().with_u64("seed", seed)).with_label("Random")
+        Strategy::new("random", MapperParams::new().with_u64("seed", seed))
     }
 
     /// Uniformly random placement on an expanded grid (the randomised mapping
@@ -90,17 +98,16 @@ impl Strategy {
                 .with_u64("seed", seed)
                 .with_f64("expansion", expansion),
         )
-        .with_label("Random+S")
     }
 
     /// The Fowler-style hand-tuned linear baseline ("Line" in Table I).
     pub fn linear() -> Self {
-        Strategy::new("linear", MapperParams::new()).with_label("Line")
+        Strategy::new("linear", MapperParams::new())
     }
 
     /// Force-directed annealing (Section VI-B1; "FD" in Table I).
     pub fn force_directed(config: ForceDirectedConfig) -> Self {
-        Strategy::new("force_directed", MapperParams::from(config)).with_label("FD")
+        Strategy::new("force_directed", MapperParams::from(config))
     }
 
     /// Recursive graph-partitioning embedding (Section VI-B2; "GP" in
@@ -110,14 +117,13 @@ impl Strategy {
             "graph_partition",
             MapperParams::new().with_u64("seed", seed),
         )
-        .with_label("GP")
     }
 
     /// Hierarchical stitching (Section VII; "HS" in Table I). The output-port
     /// reassignment it wants is carried on the returned [`Layout`] as a
     /// [`msfu_distill::PortAssignment`] and applied by the evaluation layer.
     pub fn hierarchical_stitching(config: StitchingConfig) -> Self {
-        Strategy::new("hierarchical_stitching", MapperParams::from(config)).with_label("HS")
+        Strategy::new("hierarchical_stitching", MapperParams::from(config))
     }
 
     /// The default strategy line-up of the paper's evaluation, with the given

@@ -132,19 +132,21 @@ impl Scheduler {
     /// Picks the next `(queued key, server_index)` assignment: the first
     /// queued job, in key order, that has a free feasible server, or `None`
     /// when none does. `queues[class]` holds the queued keys of one class
-    /// and `feasible[class][server]` is the level/capacity fit. Feasibility
-    /// depends only on the class, so the pick is the smallest first key
-    /// among the classes with a free feasible server: one look per class,
-    /// however long the queue of a class no free server can take.
+    /// and `service[class][entry]` is `None` exactly where the class does
+    /// not fit the fleet entry. Feasibility depends only on the class, so
+    /// the pick is the smallest first key among the classes with a free
+    /// feasible server: one look per class, however long the queue of a
+    /// class no free server can take.
     fn select(
         self,
         queues: &[BTreeSet<QueueKey>],
         servers: &[Server],
-        feasible: &[Vec<bool>],
+        service: &[Vec<Option<u64>>],
     ) -> Option<(QueueKey, usize)> {
         // Free servers feasible for `class`, ascending.
         let free_feasible = |class: usize| {
-            (0..servers.len()).filter(move |&si| !servers[si].busy && feasible[class][si])
+            (0..servers.len())
+                .filter(move |&si| !servers[si].busy && service[class][servers[si].entry].is_some())
         };
         let best_fit = |si: &usize| (servers[*si].capacity, *si);
         let (key, class) = queues
@@ -773,16 +775,6 @@ impl StreamSpec {
         // Per-(class, entry) service times from the real evaluation pipeline,
         // through the stream's cache.
         let (service, cache) = self.service_matrix(&entry_configs)?;
-        let feasible: Vec<Vec<bool>> = self
-            .classes
-            .iter()
-            .map(|class| {
-                server_entry
-                    .iter()
-                    .map(|&e| class.feasible_on(&entry_configs[e]))
-                    .collect()
-            })
-            .collect();
 
         let weights: Vec<u64> = self.classes.iter().map(|c| c.weight).collect();
         let arrivals = self.arrivals.generate(self.seed, self.horizon, &weights)?;
@@ -801,7 +793,6 @@ impl StreamSpec {
                 &arrivals,
                 &server_entry,
                 &service,
-                &feasible,
             ));
             ctrl.emit(&ProgressEvent::BatchFinished {
                 name: &self.name,
@@ -912,7 +903,6 @@ impl StreamSpec {
         arrivals: &[Arrival],
         server_entry: &[usize],
         service: &[Vec<Option<u64>>],
-        feasible: &[Vec<bool>],
     ) -> SchedulerRun {
         let mut jobs: Vec<Job> = arrivals
             .iter()
@@ -980,7 +970,7 @@ impl StreamSpec {
             }
             // 3. Dispatch until the scheduler passes or no server is free.
             while free > 0 {
-                let Some((key, si)) = scheduler.select(&queues, &servers, feasible) else {
+                let Some((key, si)) = scheduler.select(&queues, &servers, service) else {
                     break;
                 };
                 let job = key.1;

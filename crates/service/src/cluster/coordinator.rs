@@ -40,17 +40,14 @@ use std::time::{Duration, Instant};
 use serde_json::Value;
 
 use msfu_core::wire;
-use msfu_core::{CoreError, ProgressEvent, ProgressSink, RunControl, SweepResults, SweepRow};
+use msfu_core::{CoreError, ProgressEvent, RunControl, SweepResults, SweepRow};
 use msfu_core::{SearchSpec, SweepSpec};
 
 use crate::cluster::comm::{self, ClusterBackend, WorkerEvent, WorkerTx};
 use crate::cluster::planner::plan_shards;
 use crate::error_code::{E_REMOTE, E_SHARD_RETRY_EXHAUSTED};
 use crate::faults::{FaultPlan, WorkerFaultSpec};
-use crate::protocol::{
-    ClusterPerf, Payload, Request, Response, ResponsePerf, ServiceError, PROTOCOL_VERSION,
-};
-use crate::service::JobHandle;
+use crate::protocol::{ClusterPerf, Payload, Request, ServiceError, PROTOCOL_VERSION};
 
 /// How many times one shard may be re-dispatched after worker faults before
 /// the job fails with [`E_SHARD_RETRY_EXHAUSTED`].
@@ -248,11 +245,14 @@ struct ShardStats {
 }
 
 impl ShardStats {
-    fn perf(&self, backend: &'static str, workers: usize, wall_seconds: f64) -> ClusterPerf {
+    /// The `perf.cluster` stamp of a job on `cluster` timed from `start`.
+    fn perf(&self, cluster: &Cluster, start: Instant) -> ClusterPerf {
+        let wall_seconds = start.elapsed().as_secs_f64();
+        let workers = cluster.configured;
         let pool = workers.max(1) as f64;
         let ideal = self.busy_seconds / pool;
         ClusterPerf {
-            backend,
+            backend: cluster.backend.name(),
             workers,
             shards: self.dispatched,
             shards_retried: self.retried,
@@ -265,24 +265,6 @@ impl ShardStats {
             },
             coordinator_seconds: (wall_seconds - ideal).max(0.0),
         }
-    }
-}
-
-/// Cancellation/deadline source of the job being coordinated.
-struct Interrupt<'a> {
-    handle: &'a JobHandle,
-    deadline: Option<Instant>,
-}
-
-impl Interrupt<'_> {
-    fn triggered(&self) -> bool {
-        self.handle.is_cancelled() || self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Milliseconds left until the deadline (saturating at zero), if any.
-    fn remaining_ms(&self) -> Option<u64> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()).as_millis() as u64)
     }
 }
 
@@ -307,94 +289,94 @@ fn busy_edge(
     }
 }
 
-/// Runs one sweep across the pool, streaming patched worker row lines to
-/// `progress` and merged `batch_finished` events to `sink`.
+/// Cuts `spec` into shards (see [`plan_shards`]), each a ready-to-send
+/// sweep request with id `{prefix}s{k}` over its slice of the points.
+fn plan(prefix: &str, serial: bool, spec: &SweepSpec, world: usize) -> Vec<ShardSpec> {
+    plan_shards(spec.points.iter().map(|p| p.factory), world)
+        .into_iter()
+        .enumerate()
+        .map(|(k, range)| {
+            let id = format!("{prefix}s{k}");
+            let body = Value::Object(vec![
+                (
+                    "protocol_version".to_string(),
+                    Value::UInt(PROTOCOL_VERSION),
+                ),
+                ("id".to_string(), Value::Str(id.clone())),
+                ("kind".to_string(), Value::Str("sweep".to_string())),
+                ("serial".to_string(), Value::Bool(serial)),
+                (
+                    "sweep".to_string(),
+                    wire::sweep_spec_to_value(&spec.slice(range.clone())),
+                ),
+            ]);
+            ShardSpec { id, range, body }
+        })
+        .collect()
+}
+
+/// Runs one sweep across the pool under the job's run control `ctrl`
+/// (started at `start`), streaming patched worker row lines to `progress`
+/// and merged `batch_finished` events to the control's sink.
 pub(crate) fn run_sweep<W: Write>(
     cluster: &mut Cluster,
     request: &Request,
     spec: &SweepSpec,
-    handle: &JobHandle,
-    sink: &dyn ProgressSink,
+    ctrl: &RunControl<'_>,
+    start: Instant,
     progress: Option<&Mutex<W>>,
-) -> Response {
-    let start = Instant::now();
+) -> (Result<Payload, ServiceError>, bool, ClusterPerf) {
     let total = spec.points.len();
-    let world = cluster.configured;
-    let factories = spec.points.iter().map(|p| p.factory);
-    let shards: Vec<ShardSpec> = plan_shards(factories, world)
-        .into_iter()
-        .enumerate()
-        .map(|(k, range)| {
-            let id = format!("{}#s{k}", request.id);
-            let body = shard_request(
-                &id,
-                request.serial,
-                wire::sweep_spec_to_value(&spec.slice(range.clone())),
-            );
-            ShardSpec { id, range, body }
-        })
-        .collect();
-    let interrupt = Interrupt {
-        handle,
-        deadline: request
-            .deadline_ms
-            .map(|ms| start + Duration::from_millis(ms)),
-    };
+    let prefix = format!("{}#", request.id);
+    let shards = plan(&prefix, request.serial, spec, cluster.configured);
     let mut stats = ShardStats::default();
     let mut completed = 0usize;
-    let outcome = execute_shards(
-        cluster,
-        &shards,
-        Some(&interrupt),
-        &mut stats,
-        |shard, signal| match signal {
-            // Worker row events pass through with the parent id and the
-            // global index/total. They appear as workers produce them, so
-            // (unlike single-process runs) global index order is not
-            // guaranteed across shards — each line is still exact.
-            ShardSignal::Progress(value) => {
-                let offset = shards[shard].range.start;
-                if let Some(text) = patch_row_line(value, &request.id, offset, total) {
-                    emit_line(progress, &text);
+    let outcome =
+        execute_shards(
+            cluster,
+            &shards,
+            Some(ctrl),
+            &mut stats,
+            |shard, signal| match signal {
+                // Worker row events pass through with the parent id and the
+                // global index/total. They appear as workers produce them, so
+                // (unlike single-process runs) global index order is not
+                // guaranteed across shards — each line is still exact.
+                ShardSignal::Progress(value) => {
+                    let offset = shards[shard].range.start;
+                    if let Some(text) = patch_row_line(value, &request.id, offset, total) {
+                        emit_line(progress, &text);
+                    }
                 }
-            }
-            // Worker batch events are dropped (their totals are
-            // shard-local); the coordinator emits its own merged
-            // `batch_finished` as each shard lands.
-            ShardSignal::Done(ShardDone::Rows { rows, .. }) => {
-                completed += rows.len();
-                sink.emit(&ProgressEvent::BatchFinished {
-                    name: &spec.name,
-                    completed,
-                    total,
-                });
-            }
-            ShardSignal::Done(_) => {}
-        },
-    );
-
-    let wall = start.elapsed().as_secs_f64();
-    let perf = ResponsePerf::new(wall, request.serial).with_cluster(stats.perf(
-        cluster.backend.name(),
-        world,
-        wall,
-    ));
-    let result = match outcome.fatal {
+                // Worker batch events are dropped (their totals are
+                // shard-local); the coordinator emits its own merged
+                // `batch_finished` as each shard lands.
+                ShardSignal::Done(ShardDone::Rows { rows, .. }) => {
+                    completed += rows.len();
+                    ctrl.emit(&ProgressEvent::BatchFinished {
+                        name: &spec.name,
+                        completed,
+                        total,
+                    });
+                }
+                ShardSignal::Done(_) => {}
+            },
+        );
+    let perf = stats.perf(cluster, start);
+    let merged = match outcome.fatal {
         Some((code, message)) => Err(ServiceError::new(code, message)),
         None => merge_sweep(outcome.done).map_err(|e| ServiceError::from_core(&e)),
     };
-    match result {
-        Ok((rows, cancelled)) => Response::new(
-            request.id.clone(),
-            "sweep",
-            cancelled || outcome.interrupted,
-            perf,
+    match merged {
+        Ok((rows, cancelled)) => (
             Ok(Payload::Sweep(SweepResults {
                 name: spec.name.clone(),
                 rows,
             })),
+            cancelled || outcome.interrupted,
+            perf,
         ),
-        Err(error) => Response::new(request.id.clone(), "sweep", false, perf, Err(error)),
+        Err(error) => (Err(error), false, perf),
     }
 }
 
@@ -423,23 +405,16 @@ fn merge_sweep(done: Vec<ShardDone>) -> Result<(Vec<SweepRow>, bool), CoreError>
     Ok((rows, false))
 }
 
-/// Runs one search across the pool: the fold runs here and reports to
-/// `sink`; each candidate batch is sharded.
+/// Runs one search across the pool under the job's run control `ctrl`
+/// (started at `start`): the fold runs here and reports to the control's
+/// sink; each candidate batch is sharded.
 pub(crate) fn run_search(
     cluster: &mut Cluster,
     request: &Request,
     spec: &SearchSpec,
-    handle: &JobHandle,
-    sink: &dyn ProgressSink,
-) -> Response {
-    let start = Instant::now();
-    let world = cluster.configured;
-    let mut ctrl = RunControl::default()
-        .with_progress(sink)
-        .with_cancel(handle.token());
-    if let Some(ms) = request.deadline_ms {
-        ctrl = ctrl.with_deadline(start + Duration::from_millis(ms));
-    }
+    ctrl: &RunControl<'_>,
+    start: Instant,
+) -> (Result<Payload, ServiceError>, bool, ClusterPerf) {
     let mut stats = ShardStats::default();
     let mut batch_seq = 0usize;
     // The deterministic fold (candidate stream, incumbents, stop reasons)
@@ -447,24 +422,17 @@ pub(crate) fn run_search(
     // out, as ordinary sweep requests over the batch's candidates. That is
     // exactly the serial fold with a different evaluator, so the report is
     // byte-identical to a serial run.
-    let result = spec.run_with_evaluator(&ctrl, |batch| {
+    let result = spec.run_with_evaluator(ctrl, |batch| {
         batch_seq += 1;
-        let shards: Vec<ShardSpec> = plan_shards(batch.iter().map(|_| spec.factory), world)
-            .into_iter()
-            .enumerate()
-            .map(|(k, range)| {
-                let mut sub = SweepSpec::new(spec.name.clone(), spec.eval);
-                sub.use_eval_cache = spec.use_eval_cache;
-                sub.cache_dir = spec.cache_dir.clone();
-                for (g, strategy) in &batch[range.clone()] {
-                    sub = sub.point(format!("c{g}"), spec.factory, strategy.clone());
-                }
-                let id = format!("{}#b{batch_seq}s{k}", request.id);
-                let body = shard_request(&id, request.serial, wire::sweep_spec_to_value(&sub));
-                ShardSpec { id, range, body }
-            })
-            .collect();
-        // No interrupt here: like a serial run, an in-flight batch always
+        let mut sub = SweepSpec::new(spec.name.clone(), spec.eval);
+        sub.use_eval_cache = spec.use_eval_cache;
+        sub.cache_dir = spec.cache_dir.clone();
+        for (g, strategy) in batch {
+            sub = sub.point(format!("c{g}"), spec.factory, strategy.clone());
+        }
+        let prefix = format!("{}#b{batch_seq}", request.id);
+        let shards = plan(&prefix, request.serial, &sub, cluster.configured);
+        // No run control here: like a serial run, an in-flight batch always
         // completes — the fold honours cancellation and deadlines between
         // batches. Sub-request progress stays internal (shard-local labels
         // would only confuse a client); search progress comes from the fold.
@@ -489,28 +457,14 @@ pub(crate) fn run_search(
         }
         Ok(evaluations)
     });
-
-    let wall = start.elapsed().as_secs_f64();
-    let perf = ResponsePerf::new(wall, request.serial).with_cluster(stats.perf(
-        cluster.backend.name(),
-        world,
-        wall,
-    ));
+    let perf = stats.perf(cluster, start);
     match result {
-        Ok(outcome) => Response::new(
-            request.id.clone(),
-            "search",
+        Ok(outcome) => (
+            Ok(Payload::Search(Box::new(outcome.report))),
             outcome.interrupted,
             perf,
-            Ok(Payload::Search(Box::new(outcome.report))),
         ),
-        Err(e) => Response::new(
-            request.id.clone(),
-            "search",
-            false,
-            perf,
-            Err(ServiceError::from_core(&e)),
-        ),
+        Err(e) => (Err(ServiceError::from_core(&e)), false, perf),
     }
 }
 
@@ -608,14 +562,15 @@ impl ShardSet {
 
 /// Runs one set of shards over the pool: at most one in-flight shard per
 /// worker, supervised re-dispatch (with backoff) on worker death, hang or
-/// garbled output, worker respawn, forwarding cancellation when an
-/// `interrupt` is given, and reporting shard events through `on_signal`.
+/// garbled output, worker respawn, forwarding cancellation when the job's
+/// run control `ctrl` is given and interrupted, and reporting shard events
+/// through `on_signal`.
 /// When the whole pool is gone with shards still queued, an in-process
 /// slot joins the pool instead of the job failing.
 fn execute_shards(
     cluster: &mut Cluster,
     shards: &[ShardSpec],
-    interrupt: Option<&Interrupt<'_>>,
+    ctrl: Option<&RunControl<'_>>,
     stats: &mut ShardStats,
     mut on_signal: impl FnMut(usize, ShardSignal<'_>),
 ) -> ShardSetOutcome {
@@ -626,7 +581,7 @@ fn execute_shards(
         // Cancellation/deadline: drop what has not started, tell every busy
         // worker to stop its shard at the next batch boundary, then keep
         // looping to collect the (partial) in-flight responses.
-        if set.interrupted_at.is_none() && interrupt.is_some_and(Interrupt::triggered) {
+        if set.interrupted_at.is_none() && ctrl.is_some_and(RunControl::interrupted) {
             set.interrupted_at = Some(Instant::now());
             while let Some(shard) = set.queue.pop_front() {
                 set.done[shard] = Some(ShardDone::Skipped);
@@ -684,7 +639,7 @@ fn execute_shards(
                 break;
             };
             let shard = set.queue.remove(pos).expect("position is in range");
-            match slot.tx.send_line(&dispatch_line(&shards[shard], interrupt)) {
+            match slot.tx.send_line(&dispatch_line(&shards[shard], ctrl)) {
                 Ok(()) => {
                     slot.busy = Some((shard, Instant::now()));
                     stats.local_fallback += u64::from(slot.local);
@@ -704,7 +659,7 @@ fn execute_shards(
         // — a busy worker's timeout, a backoff expiry, or the job deadline
         // — instead of polling on a fixed interval.
         let now = Instant::now();
-        let mut wait = if interrupt.is_some() {
+        let mut wait = if ctrl.is_some() {
             // A cancel token can flip at any moment without an event.
             MAX_WAIT_INTERRUPTIBLE
         } else {
@@ -722,7 +677,7 @@ fn execute_shards(
             wait = wait.min(set.not_before[shard].saturating_duration_since(now));
         }
         if set.interrupted_at.is_none() {
-            if let Some(deadline) = interrupt.and_then(|i| i.deadline) {
+            if let Some(deadline) = ctrl.and_then(RunControl::deadline) {
                 wait = wait.min(deadline.saturating_duration_since(now));
             }
         }
@@ -802,26 +757,15 @@ fn execute_shards(
     }
 }
 
-/// Builds a shard's sweep request object (without a deadline; the remaining
-/// deadline is attached per dispatch).
-fn shard_request(id: &str, serial: bool, sweep: Value) -> Value {
-    Value::Object(vec![
-        (
-            "protocol_version".to_string(),
-            Value::UInt(PROTOCOL_VERSION),
-        ),
-        ("id".to_string(), Value::Str(id.to_string())),
-        ("kind".to_string(), Value::Str("sweep".to_string())),
-        ("serial".to_string(), Value::Bool(serial)),
-        ("sweep".to_string(), sweep),
-    ])
-}
-
-/// Renders a shard's dispatch line, attaching the job's remaining deadline
-/// so a re-dispatched shard never outlives the job's budget.
-fn dispatch_line(shard: &ShardSpec, interrupt: Option<&Interrupt<'_>>) -> String {
+/// Renders a shard's dispatch line, attaching the time left before the
+/// job's deadline (per `ctrl`) as `deadline_ms`, so a re-dispatched shard
+/// never outlives the job's budget.
+fn dispatch_line(shard: &ShardSpec, ctrl: Option<&RunControl<'_>>) -> String {
     let mut body = shard.body.clone();
-    if let Some(ms) = interrupt.and_then(Interrupt::remaining_ms) {
+    if let Some(deadline) = ctrl.and_then(RunControl::deadline) {
+        let ms = deadline
+            .saturating_duration_since(Instant::now())
+            .as_millis() as u64;
         if let Value::Object(entries) = &mut body {
             entries.push(("deadline_ms".to_string(), Value::UInt(ms)));
         }
@@ -1349,6 +1293,29 @@ mod tests {
         );
         let response = response_of(&values, "g");
         assert_eq!(response.get("cancelled"), Some(&Value::Bool(true)));
+    }
+
+    #[test]
+    fn dispatch_lines_carry_the_time_left_before_the_job_deadline() {
+        let request = Request::from_json(SWEEP_LINE).expect("the fixture is a request");
+        let Job::Sweep { spec } = &request.job else {
+            panic!("the fixture is a sweep");
+        };
+        let shards = plan("j#", false, spec, 2);
+        assert_eq!(shards[1].id, "j#s1");
+        let deadline_ms = |ctrl: Option<&RunControl<'_>>| {
+            let line: Value = serde_json::from_str(&dispatch_line(&shards[0], ctrl)).unwrap();
+            assert_eq!(line.get("id").and_then(Value::as_str), Some("j#s0"));
+            line.get("deadline_ms")
+                .map(|ms| ms.as_u64().expect("a count"))
+        };
+        let soon = RunControl::default().with_deadline(Instant::now() + Duration::from_secs(5));
+        let ms = deadline_ms(Some(&soon)).expect("a deadline is attached");
+        assert!((1..=5000).contains(&ms), "{ms} ms left of 5 s");
+        assert_eq!(deadline_ms(Some(&RunControl::default())), None);
+        assert_eq!(deadline_ms(None), None);
+        let past = RunControl::default().with_deadline(Instant::now() - Duration::from_millis(1));
+        assert_eq!(deadline_ms(Some(&past)), Some(0));
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   a perf stamp and [stable error codes](mod@error_code), and the NDJSON
 //!   progress-event encoding.
 //! * [`Service`] — executes one request against the pipeline, streaming
-//!   [`msfu_core::ProgressEvent`]s to a caller-supplied sink and honouring a
-//!   [`JobHandle`]'s cooperative cancellation and deadline between batches.
+//!   [`msfu_core::ProgressEvent`]s to a caller-supplied sink and honouring
+//!   its [`JobHandle`] (the job's cancel token) and the request's deadline
+//!   between batches.
 //! * [`serve`] — a JSON-lines session loop (requests in, interleaved
 //!   progress events and responses out) serving any number of jobs from one
 //!   process, with per-worker simulator engines reused across jobs and

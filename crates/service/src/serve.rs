@@ -29,6 +29,7 @@ use std::io::{self, BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
+use std::time::{Duration, Instant};
 
 use serde_json::Value;
 
@@ -41,7 +42,7 @@ use crate::ndjson::NdjsonSink;
 use crate::protocol::{
     Job, Payload, Request, RequestError, Response, ResponsePerf, ServiceError, SessionLine,
 };
-use crate::service::{JobHandle, Service};
+use crate::service::{run_control, JobHandle, Service};
 
 /// Longest request line a session reads, newline excluded (64 MiB; the
 /// largest checked-in request is ~60 KB). A longer line is answered with
@@ -189,7 +190,8 @@ pub struct ServeSummary {
 /// # Errors
 ///
 /// Returns an error only when writing to `output` fails; job failures are
-/// responses, not errors.
+/// responses, and a [`ServeOptions::bench_dir`] report that cannot be
+/// written (after its response line) is one stderr line, not an error.
 ///
 /// `input` is `'static` because the reader runs on a *detached* thread: if
 /// writing a response fails while the input is still open (a client that
@@ -261,7 +263,7 @@ where
                         // within its shard timeout. The stall is sticky —
                         // every request from `after` onwards hangs — because
                         // a wedged worker does not recover by itself.
-                        thread::sleep(std::time::Duration::from_millis(
+                        thread::sleep(Duration::from_millis(
                             options.worker_fault.stall_duration_ms,
                         ));
                     }
@@ -288,9 +290,6 @@ where
         if response.cancelled {
             summary.cancelled += 1;
         }
-        if let Some(dir) = &options.bench_dir {
-            write_bench_report(dir, &response)?;
-        }
         let mut out = out.lock().unwrap_or_else(|e| e.into_inner());
         if garble {
             // Corrupt-response fault: a syntactically valid JSON line with a
@@ -308,6 +307,11 @@ where
             writeln!(out, "{}", response.to_json())?;
         }
         out.flush()?;
+        if let Some(dir) = &options.bench_dir {
+            if let Err(error) = write_bench_report(dir, &response) {
+                eprintln!("[msfu serve] no BENCH report for {}: {error}", response.id);
+            }
+        }
     }
     Ok(summary)
 }
@@ -428,6 +432,8 @@ impl Session {
 
     /// Runs one request to its response, streaming NDJSON progress lines to
     /// `progress` when given.
+    /// A coordinated job's deadline and wall time count from when its pool
+    /// is connected; a pool that cannot connect answers `E_WORKER_LOST`.
     pub fn run<W: Write>(
         &mut self,
         mut request: Request,
@@ -447,28 +453,37 @@ impl Session {
             }
             None => &NoProgress,
         };
-        let sharded = self.options.workers > 0;
-        let response = match &request.job {
-            Job::Sweep { spec } if sharded => self
-                .pool()
-                .map(|pool| cluster::run_sweep(pool, &request, spec, handle, sink, progress)),
-            Job::Search { spec } if sharded => self
-                .pool()
-                .map(|pool| cluster::run_search(pool, &request, spec, handle, sink)),
-            _ => return Service::new().run(&request, handle, sink),
-        };
-        response.unwrap_or_else(|error| {
-            Response::new(
-                request.id.clone(),
-                request.job.kind(),
-                false,
-                ResponsePerf::new(0.0, request.serial),
+        let coordinated = self.options.workers > 0
+            && matches!(request.job, Job::Sweep { .. } | Job::Search { .. });
+        if !coordinated {
+            return Service::new().run(&request, handle, sink);
+        }
+        let (result, cancelled, perf) = match self.pool() {
+            Ok(pool) => {
+                // One clock for `wall_seconds` and `perf.cluster`.
+                let start = Instant::now();
+                let ctrl = run_control(&request, handle, sink, start);
+                let (result, cancelled, cluster) = match &request.job {
+                    Job::Search { spec } => cluster::run_search(pool, &request, spec, &ctrl, start),
+                    Job::Sweep { spec } => {
+                        cluster::run_sweep(pool, &request, spec, &ctrl, start, progress)
+                    }
+                    _ => unreachable!("only sweeps and searches are coordinated"),
+                };
+                let wall = start.elapsed().as_secs_f64();
+                let perf = ResponsePerf::new(wall, request.serial);
+                (result, cancelled, perf.with_cluster(cluster))
+            }
+            Err(error) => (
                 Err(ServiceError::new(
                     E_WORKER_LOST,
                     format!("cannot connect the worker pool: {error}"),
                 )),
-            )
-        })
+                false,
+                ResponsePerf::new(0.0, request.serial),
+            ),
+        };
+        Response::new(request.id, request.job.kind(), cancelled, perf, result)
     }
 
     /// The session's worker pool, connected on first use.
@@ -476,9 +491,7 @@ impl Session {
         if self.cluster.is_none() {
             let options = &self.options;
             let supervision = Supervision {
-                shard_timeout: options
-                    .shard_timeout_ms
-                    .map(std::time::Duration::from_millis),
+                shard_timeout: options.shard_timeout_ms.map(Duration::from_millis),
                 // Default respawn budget: one replacement per configured
                 // worker — enough to survive every original rank crashing once.
                 max_respawns: options
@@ -523,7 +536,7 @@ impl SessionState {
     /// Registers a job about to run, applying any pending pre-cancel.
     fn start(&mut self, id: &str, handle: &JobHandle) {
         self.served.remove(id);
-        self.inflight.insert(id.to_string(), handle.token().clone());
+        self.inflight.insert(id.to_string(), handle.clone());
         if self.precancelled.remove(id) {
             handle.cancel();
         }
@@ -589,16 +602,19 @@ mod tests {
     use super::*;
 
     fn session(lines: &str) -> (ServeSummary, Vec<Value>) {
-        session_bytes(lines.as_bytes(), MAX_LINE_BYTES)
+        session_bytes(lines.as_bytes(), MAX_LINE_BYTES, &ServeOptions::new())
     }
 
-    /// Runs a session over raw input bytes with request lines capped at
-    /// `max_line` bytes.
-    fn session_bytes(lines: &[u8], max_line: usize) -> (ServeSummary, Vec<Value>) {
+    /// Runs a session under `options` over raw input bytes with request
+    /// lines capped at `max_line` bytes.
+    fn session_bytes(
+        lines: &[u8],
+        max_line: usize,
+        options: &ServeOptions,
+    ) -> (ServeSummary, Vec<Value>) {
         let mut output: Vec<u8> = Vec::new();
         let input = std::io::Cursor::new(lines.to_vec());
-        let summary =
-            serve_with_line_cap(input, &mut output, &ServeOptions::new(), max_line).unwrap();
+        let summary = serve_with_line_cap(input, &mut output, options, max_line).unwrap();
         let text = String::from_utf8(output).unwrap();
         let values = text
             .lines()
@@ -674,7 +690,7 @@ mod tests {
         lines.extend_from_slice(" ".repeat(MAX_LINE).as_bytes());
         lines.extend_from_slice(b"x\n");
         lines.extend_from_slice(ok.as_bytes());
-        let (summary, values) = session_bytes(&lines, MAX_LINE);
+        let (summary, values) = session_bytes(&lines, MAX_LINE, &ServeOptions::new());
         assert_eq!(summary.responses, 8);
         assert_eq!(summary.errors, 5);
         let responses = responses(&values);
@@ -835,6 +851,64 @@ mod tests {
                 "the next request is served"
             );
         }
+    }
+
+    #[test]
+    fn an_unwritable_bench_dir_still_answers_every_line() {
+        // The bench dir is a regular file, so no report can be written:
+        // both jobs are still answered and the session ends cleanly.
+        let blocker = std::env::temp_dir().join(format!("msfu-serve-bench-{}", std::process::id()));
+        std::fs::write(&blocker, "not a directory").unwrap();
+        let lines = concat!(
+            r#"{"protocol_version": 1, "id": "s", "kind": "sweep", "sweep": {"name": "s", "points": [{"label": "p", "factory": {"k": 2}, "strategy": {"strategy": "linear"}}]}}"#,
+            "\n",
+            r#"{"protocol_version": 1, "id": "e", "kind": "evaluate", "factory": {"k": 2}, "strategy": {"strategy": "linear"}}"#,
+            "\n",
+        );
+        let options = ServeOptions::new().with_bench_dir(&blocker);
+        let (summary, values) = session_bytes(lines.as_bytes(), MAX_LINE_BYTES, &options);
+        std::fs::remove_file(&blocker).unwrap();
+        assert_eq!(summary.responses, 2);
+        let responses = responses(&values);
+        assert_eq!(responses.len(), 2);
+        for (response, id) in responses.into_iter().zip(["s", "e"]) {
+            assert_eq!(response.get("id").and_then(Value::as_str), Some(id));
+            assert_eq!(response.get("status").and_then(Value::as_str), Some("ok"));
+        }
+    }
+
+    #[test]
+    fn a_pool_that_cannot_connect_answers_worker_lost_and_keeps_serving() {
+        let options =
+            ServeOptions::new()
+                .with_workers(2)
+                .with_backend(ClusterBackend::ChildProcess {
+                    exe: PathBuf::from("/nonexistent"),
+                });
+        let mut session = Session::new(options);
+        let sweep = Request::sweep(
+            "w",
+            msfu_core::SweepSpec::new("t", msfu_core::EvaluationConfig::default()).point(
+                "p",
+                msfu_distill::FactoryConfig::single_level(2),
+                msfu_core::Strategy::linear(),
+            ),
+        );
+        let response = session.run::<Vec<u8>>(sweep, &JobHandle::new(), None);
+        assert_eq!(response.id, "w");
+        assert!(!response.cancelled);
+        assert_eq!(response.perf, ResponsePerf::new(0.0, false));
+        assert_eq!(response.result.unwrap_err().code, E_WORKER_LOST);
+        // Evaluations never need the pool: the session still answers them.
+        let evaluate = Request::evaluate(
+            "e",
+            msfu_distill::FactoryConfig::single_level(2),
+            msfu_core::Strategy::linear(),
+            msfu_core::EvaluationConfig::default(),
+        );
+        let response = session.run::<Vec<u8>>(evaluate, &JobHandle::new(), None);
+        assert_eq!(response.id, "e");
+        assert!(matches!(response.result, Ok(Payload::Evaluate(_))));
     }
 
     #[test]

@@ -7,38 +7,29 @@ use msfu_core::{evaluate, CancelToken, ProgressSink, RunControl};
 
 use crate::protocol::{Job, Payload, Request, Response, ResponsePerf, ServiceError};
 
-/// A handle onto one running (or about-to-run) job: clone-free cancellation
-/// from any thread.
+/// A handle onto one running (or about-to-run) job: the job's
+/// [`CancelToken`], cancellable from any thread through any clone.
 ///
-/// The handle owns a [`CancelToken`]; cancelling it stops the job at its
-/// next batch boundary, after which the response carries the partial results
-/// completed so far with `cancelled: true`. The per-thread simulator engines
-/// are left intact and reusable — a cancelled job costs nothing beyond the
-/// batches it finished.
-#[derive(Debug, Clone, Default)]
-pub struct JobHandle {
-    token: CancelToken,
-}
+/// Cancelling it stops the job at its next batch boundary, after which the
+/// response carries the partial results completed so far with
+/// `cancelled: true`. The per-thread simulator engines are left intact and
+/// reusable — a cancelled job costs nothing beyond the batches it finished.
+pub type JobHandle = CancelToken;
 
-impl JobHandle {
-    /// Creates a fresh handle.
-    pub fn new() -> Self {
-        JobHandle::default()
-    }
-
-    /// Requests cooperative cancellation (idempotent, any thread).
-    pub fn cancel(&self) {
-        self.token.cancel();
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.token.is_cancelled()
-    }
-
-    /// The underlying token (clone it to share with watchdog threads).
-    pub fn token(&self) -> &CancelToken {
-        &self.token
+/// The run control of `request` started at `start`: progress to `progress`,
+/// cancellation through `handle`, and `deadline_ms` counted from `start`.
+pub(crate) fn run_control<'a>(
+    request: &Request,
+    handle: &'a JobHandle,
+    progress: &'a dyn ProgressSink,
+    start: Instant,
+) -> RunControl<'a> {
+    let ctrl = RunControl::default()
+        .with_progress(progress)
+        .with_cancel(handle);
+    match request.deadline_ms {
+        Some(ms) => ctrl.with_deadline(start + Duration::from_millis(ms)),
+        None => ctrl,
     }
 }
 
@@ -57,8 +48,10 @@ impl Service {
         Service
     }
 
-    /// Executes one request to completion (or cancellation/deadline),
-    /// streaming progress events to `progress`.
+    /// Executes one request in-process to completion (or cancellation /
+    /// deadline), streaming progress events to `progress`. The request's
+    /// `deadline_ms` counts from the call; `perf.wall_seconds` times the
+    /// whole job.
     ///
     /// Never panics on bad input: every failure becomes a typed error
     /// response carrying a stable code from
@@ -70,12 +63,7 @@ impl Service {
         progress: &dyn ProgressSink,
     ) -> Response {
         let start = Instant::now();
-        let mut ctrl = RunControl::default()
-            .with_progress(progress)
-            .with_cancel(handle.token());
-        if let Some(ms) = request.deadline_ms {
-            ctrl = ctrl.with_deadline(start + Duration::from_millis(ms));
-        }
+        let ctrl = run_control(request, handle, progress, start);
         // `cache` stays `None` for evaluations (no cache) and failed jobs.
         let (result, cancelled, cache) = match &request.job {
             // A single evaluation is one bounded simulation — it has no batch

@@ -96,7 +96,7 @@ fn cancelled_sweep_response_carries_partial_results_and_cancelled_true() {
     let full = spec.run().unwrap();
     let request = Request::sweep("job-1", spec);
     let handle = JobHandle::new();
-    let sink = CancelAfterRows::new(handle.token().clone(), 1);
+    let sink = CancelAfterRows::new(handle.clone(), 1);
     let response = Service::new().run(&request, &handle, &sink);
     assert!(response.cancelled);
     let Ok(Payload::Sweep(results)) = &response.result else {
