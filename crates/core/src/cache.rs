@@ -17,11 +17,15 @@
 //! point, and lets every other point compute and be recorded. No two
 //! workers ever compute one key, so there is nothing for them to race on.
 //!
-//! The key is the rendered content itself (no lossy hashing), so a cache hit
-//! can never alias two distinct inputs: results with the cache enabled are
-//! byte-identical to cache-disabled runs. The report label is deliberately
-//! *not* part of the key — it is patched onto the cached record per caller —
-//! so candidates from different portfolio entries still share work.
+//! The key is the rendered content itself (no lossy hashing): a
+//! `ContentKey` carries the rendered text plus its hash, computed once on
+//! the worker that maps the point, and two keys are equal only when their
+//! texts are. So a cache hit can never alias two distinct inputs, and
+//! results with the cache enabled are byte-identical to cache-disabled runs.
+//! The hash is seeded per process and never leaves it; the persistent tier
+//! stores and matches the text. The report label is deliberately *not* part
+//! of the key — it is patched onto the cached record per caller — so
+//! candidates from different portfolio entries still share work.
 //!
 //! An optional **persistent tier** ([`EvalCache::with_disk`], the
 //! `--cache-dir` flag / `"cache_dir"` spec field) extends the in-memory map:
@@ -34,10 +38,12 @@
 //! and as `perf.cache` on service responses) and into process-wide totals
 //! ([`process_cache_stats`]).
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use serde::Serialize;
 
@@ -114,6 +120,79 @@ pub fn process_cache_stats() -> CacheStats {
     }
 }
 
+/// The content address of one evaluation ([`evaluation_key`]'s text) and
+/// its hash, computed once where the key is rendered, so the maps keyed on
+/// it (the cache's, and the sweep planner's map of keys computed in flight)
+/// never hash key bytes again. Two keys are equal when their hashes and then
+/// their full texts are: a hash collision costs a text comparison, never a
+/// wrong hit.
+#[derive(Debug, Clone)]
+pub(crate) struct ContentKey {
+    hash: u64,
+    text: String,
+}
+
+impl ContentKey {
+    /// Hashes `text` with the process's key hasher.
+    pub(crate) fn new(text: String) -> Self {
+        static STATE: OnceLock<RandomState> = OnceLock::new();
+        let hash = STATE.get_or_init(RandomState::new).hash_one(text.as_str());
+        ContentKey { hash, text }
+    }
+
+    /// The rendered content address, as persisted.
+    pub(crate) fn text(&self) -> &str {
+        &self.text
+    }
+}
+
+impl PartialEq for ContentKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.text == other.text
+    }
+}
+
+impl Eq for ContentKey {}
+
+impl Hash for ContentKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The [`BuildHasher`] of maps keyed on [`ContentKey`]s: it hands a key's
+/// stored hash through unchanged.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct StoredHash;
+
+impl BuildHasher for StoredHash {
+    type Hasher = StoredHasher;
+
+    fn build_hasher(&self) -> StoredHasher {
+        StoredHasher(0)
+    }
+}
+
+/// The hasher of [`StoredHash`]: it takes one `u64`, a key's stored hash.
+pub(crate) struct StoredHasher(u64);
+
+impl Hasher for StoredHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a ContentKey hashes as its stored u64")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// A map keyed on [`ContentKey`]s by their stored hashes.
+pub(crate) type KeyMap<K, V> = HashMap<K, V, StoredHash>;
+
 /// One cached evaluation. `from_disk` marks entries loaded from the
 /// persistent tier (their hits count as `disk_hits`; they are never
 /// re-appended).
@@ -134,7 +213,7 @@ struct Entry {
 /// parallel.
 #[derive(Default)]
 pub struct EvalCache {
-    entries: Mutex<HashMap<String, Entry>>,
+    entries: Mutex<KeyMap<ContentKey, Entry>>,
     disk: Option<DiskTier>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -200,7 +279,7 @@ impl EvalCache {
         for (key, evaluation) in contents.entries {
             // Duplicate keys (two processes raced the same miss) carry
             // identical content; keep the entry already present.
-            entries.entry(key).or_insert(Entry {
+            entries.entry(ContentKey::new(key)).or_insert(Entry {
                 evaluation,
                 from_disk: true,
             });
@@ -223,8 +302,9 @@ impl EvalCache {
 
     /// The evaluation cached under `key`, labelled `strategy_name` (the
     /// label is presentation, not content), counted as a hit; `None`, and
-    /// no count, when the key is absent.
-    pub(crate) fn lookup(&self, key: &str, strategy_name: &str) -> Option<Evaluation> {
+    /// no count, when the key is absent. The map probes with the key's
+    /// stored hash and compares texts only on a hash match.
+    pub(crate) fn lookup(&self, key: &ContentKey, strategy_name: &str) -> Option<Evaluation> {
         let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         let entry = entries.get(key)?;
         let mut evaluation = entry.evaluation.clone();
@@ -245,12 +325,13 @@ impl EvalCache {
     }
 
     /// Records a newly computed `evaluation` under `key`, counted as a miss,
-    /// and appends it to the persistent tier when there is one. A failed
+    /// and appends it to the persistent tier, under the key's text, when
+    /// there is one. The map inserts by the key's stored hash. A failed
     /// append is a warning, never an error.
-    pub(crate) fn record(&self, key: String, evaluation: Evaluation) {
+    pub(crate) fn record(&self, key: ContentKey, evaluation: Evaluation) {
         bump(&self.misses, &PROCESS_MISSES, 1);
         if let Some(disk) = &self.disk {
-            match disk.append(&key, &evaluation) {
+            match disk.append(key.text(), &evaluation) {
                 Ok(()) => bump(&self.persisted, &PROCESS_PERSISTED, 1),
                 Err(warning) => {
                     bump(&self.warnings, &PROCESS_WARNINGS, 1);
@@ -286,30 +367,35 @@ pub(crate) fn open_eval_cache(enabled: bool, dir: Option<&Path>) -> Result<Optio
     }
 }
 
-/// Renders the content address of one evaluation: everything the simulated
-/// record depends on — factory configuration, the complete layout (placement,
-/// routing hints, port assignment) and the evaluation configuration — via
-/// their exhaustive `Debug` forms (f64 debug formatting round-trips, so
-/// distinct configs cannot collide). Routing hints are rendered in sorted
+/// Renders and hashes the content address of one evaluation: everything
+/// the simulated record depends on — factory configuration, the complete
+/// layout (placement, routing hints, port assignment) and the evaluation
+/// configuration — via their exhaustive `Debug` forms (f64 debug formatting
+/// round-trips, so distinct configs cannot collide; `Mapping` writes its
+/// derive-identical form directly). Routing hints are rendered in sorted
 /// pair order: their container iterates in unspecified order, and a
 /// non-canonical rendering would give equal layouts distinct addresses
 /// (missed dedup — never wrong results, but the HS waypoint layouts would
 /// stop sharing work).
+///
+/// The text is the persisted key: a change to any of its bytes needs a
+/// [`crate::persist::FORMAT_VERSION`] bump (the golden tests below pin it).
+/// The sweep scheduler calls this in the map task, on the worker.
 pub(crate) fn evaluation_key(
     factory: &FactoryConfig,
     layout: &Layout,
     eval: &EvaluationConfig,
-) -> String {
+) -> ContentKey {
     let mut hints: Vec<_> = layout
         .hints
         .iter()
         .map(|(pair, waypoint)| (*pair, *waypoint))
         .collect();
     hints.sort_by_key(|(pair, _)| *pair);
-    format!(
+    ContentKey::new(format!(
         "{factory:?}|{eval:?}|{:?}|{:?}|{hints:?}",
         layout.mapping, layout.ports
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -350,6 +436,51 @@ mod tests {
         assert_eq!(second.latency_cycles, first.latency_cycles);
         assert_eq!(second.volume, first.volume);
         assert!(cache.stats().hit_rate() > 0.49);
+    }
+
+    /// The full key texts of two points, as the disk tier stores them.
+    /// Changing a byte of either needs a `persist::FORMAT_VERSION` bump:
+    /// records already on disk would no longer be found under their old
+    /// text.
+    #[test]
+    fn golden_key_texts() {
+        let eval = EvaluationConfig::default();
+        let line = FactoryConfig::single_level(2);
+        let layout = Strategy::linear()
+            .map(&Factory::build(&line).unwrap())
+            .unwrap();
+        assert_eq!(
+            evaluation_key(&line, &layout, &eval).text(),
+            include_str!("testdata/evaluation_key_line_k2.txt")
+        );
+        // Two-level HS carries routing hints and output-port swaps.
+        let two_level = FactoryConfig::two_level(2);
+        let layout = Strategy::hierarchical_stitching(msfu_layout::StitchingConfig::default())
+            .map(&Factory::build(&two_level).unwrap())
+            .unwrap();
+        assert!(!layout.hints.is_empty() && layout.requires_port_rewiring());
+        assert_eq!(
+            evaluation_key(&two_level, &layout, &eval).text(),
+            include_str!("testdata/evaluation_key_hs_two_level_k2.txt")
+        );
+    }
+
+    #[test]
+    fn content_keys_are_equal_only_when_their_texts_are() {
+        let a = ContentKey::new("a|key".to_string());
+        let b = ContentKey::new("a|key".to_string());
+        assert_eq!(a, b);
+        assert_eq!(a.hash, b.hash, "one hasher state per process");
+        // A forged hash collision still compares the texts.
+        let collision = ContentKey {
+            hash: a.hash,
+            text: "another|key".to_string(),
+        };
+        assert_ne!(a, collision);
+        let mut map = KeyMap::default();
+        map.insert(a, 1);
+        map.insert(collision.clone(), 2);
+        assert_eq!((map[&b], map[&collision]), (1, 2));
     }
 
     #[test]

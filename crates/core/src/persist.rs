@@ -26,12 +26,14 @@
 //! alone and ignored.
 //!
 //! Damage also self-heals. A segment that produced any warning is
-//! **quarantined** on open — renamed `seg-XX.bin.quarantined` — so the next
-//! open starts from a clean directory while the damaged bytes stay on disk
-//! for repair. [`verify_dir`] reports a directory's health without touching
-//! it, and [`compact_dir`] rewrites every live record (salvaging the
-//! decodable ones from quarantined segments, dropping dead bytes and
-//! duplicate keys) so the directory re-opens warning-free.
+//! **quarantined** on open — renamed `seg-XX.bin.quarantined`, or
+//! `seg-XX.bin.quarantined.N` when the bucket already holds `N` quarantined
+//! generations — so the next open starts from a clean directory while the
+//! damaged bytes stay on disk for repair. [`verify_dir`] reports a
+//! directory's health without touching it, and [`compact_dir`] rewrites
+//! every live record (salvaging the decodable ones from every quarantined
+//! generation, dropping dead bytes and duplicate keys) so the directory
+//! re-opens warning-free.
 //!
 //! # Compatibility rule
 //!
@@ -165,11 +167,27 @@ fn segment_path(dir: &Path, key: &str) -> PathBuf {
     dir.join(bucket_name(bucket_of(key)))
 }
 
-/// Quarantine name of a segment: `seg-XX.bin` → `seg-XX.bin.quarantined`.
-fn quarantine_path(path: &Path) -> PathBuf {
+/// Name of a segment's quarantined generation `generation`: `seg-XX.bin` →
+/// `seg-XX.bin.quarantined` for the first, `seg-XX.bin.quarantined.N` for
+/// the later ones.
+fn quarantine_path(path: &Path, generation: usize) -> PathBuf {
     let mut name = path.as_os_str().to_os_string();
     name.push(".quarantined");
+    if generation > 0 {
+        name.push(format!(".{generation}"));
+    }
     PathBuf::from(name)
+}
+
+/// The quarantined generations of the segment at `path`, oldest first.
+/// Generations are numbered densely from the first (an open takes the next
+/// number, a compaction removes them newest first), so the scan stops at
+/// the first missing one.
+fn quarantined_generations(path: &Path) -> Vec<PathBuf> {
+    (0..)
+        .map(|generation| quarantine_path(path, generation))
+        .take_while(|path| path.exists())
+        .collect()
 }
 
 /// Handle on an opened cache directory. Created by [`DiskTier::open`],
@@ -188,7 +206,7 @@ pub(crate) struct DiskContents {
     pub entries: Vec<(String, Evaluation)>,
     /// Damage skipped while scanning.
     pub warnings: Vec<PersistWarning>,
-    /// Segments renamed `*.quarantined` by this open because they held
+    /// Segments renamed `*.quarantined[.N]` by this open because they held
     /// damage. Their decodable records are already in `entries`;
     /// [`compact_dir`] salvages and removes the files.
     pub quarantined: Vec<PathBuf>,
@@ -196,9 +214,9 @@ pub(crate) struct DiskContents {
 
 impl DiskTier {
     /// Opens (creating if necessary) the cache directory and scans every
-    /// segment. Segments holding damage are quarantined (renamed
-    /// `seg-XX.bin.quarantined`) so the next open starts clean; their
-    /// decodable records still load.
+    /// segment. Segments holding damage are quarantined (renamed to the
+    /// bucket's next free generation, so earlier quarantines are kept) and
+    /// the next open starts clean; their decodable records still load.
     ///
     /// # Errors
     ///
@@ -230,7 +248,7 @@ impl DiskTier {
             if contents.warnings.len() > damage_before {
                 // Quarantine the damaged segment: future appends recreate a
                 // clean file, and `compact_dir` salvages what is decodable.
-                let to = quarantine_path(&path);
+                let to = quarantine_path(&path, quarantined_generations(&path).len());
                 match std::fs::rename(&path, &to) {
                     Ok(()) => contents.quarantined.push(to),
                     // Another process quarantined it between our read and
@@ -284,7 +302,8 @@ pub struct VerifyReport {
     pub bytes: u64,
     /// Damage found in live segments (read-only scan: nothing is renamed).
     pub warnings: Vec<PersistWarning>,
-    /// Quarantined segment files awaiting [`compact_dir`].
+    /// Quarantined segment files awaiting [`compact_dir`], every generation
+    /// of each bucket.
     pub quarantined: Vec<PathBuf>,
 }
 
@@ -328,10 +347,7 @@ pub fn verify_dir(dir: &Path) -> Result<VerifyReport, String> {
                 message: e.to_string(),
             }),
         }
-        let quarantined = quarantine_path(&path);
-        if quarantined.exists() {
-            report.quarantined.push(quarantined);
-        }
+        report.quarantined.extend(quarantined_generations(&path));
     }
     Ok(report)
 }
@@ -356,10 +372,10 @@ pub struct CompactReport {
 }
 
 /// Rewrites a cache directory so it re-opens warning-free: every decodable
-/// record from live **and** quarantined segments is kept (first record per
-/// key wins — keys are content addresses, so duplicates are identical),
-/// damaged bytes are dropped, each bucket is rewritten via a temp file +
-/// atomic rename, and quarantined files are deleted.
+/// record from live segments **and** every quarantined generation is kept
+/// (first record per key wins — keys are content addresses, so duplicates
+/// are identical), damaged bytes are dropped, each bucket is rewritten via a
+/// temp file + atomic rename, and quarantined files are deleted.
 ///
 /// Run this offline: records appended by a concurrent process while a
 /// bucket is being rewritten would be lost.
@@ -376,35 +392,33 @@ pub fn compact_dir(dir: &Path) -> Result<CompactReport, String> {
     let mut report = CompactReport::default();
     let mut seen: HashSet<String> = HashSet::new();
     let mut kept: Vec<(String, Evaluation)> = Vec::new();
+    let quarantined: Vec<PathBuf> = (0..NUM_BUCKETS)
+        .flat_map(|bucket| quarantined_generations(&dir.join(bucket_name(bucket))))
+        .collect();
     // Live segments first so their records win dedup, then quarantined ones.
-    for quarantined in [false, true] {
-        for bucket in 0..NUM_BUCKETS {
-            let mut path = dir.join(bucket_name(bucket));
-            if quarantined {
-                path = quarantine_path(&path);
-            }
-            let bytes = match std::fs::read(&path) {
-                Ok(bytes) => bytes,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
-            };
-            report.bytes_before += bytes.len() as u64;
-            let mut contents = DiskContents {
-                entries: Vec::new(),
-                warnings: Vec::new(),
-                quarantined: Vec::new(),
-            };
-            scan_segment(&path, &bytes, &mut contents);
-            report.damage_dropped += contents.warnings.len();
-            for (key, evaluation) in contents.entries {
-                if seen.insert(key.clone()) {
-                    if quarantined {
-                        report.salvaged += 1;
-                    }
-                    kept.push((key, evaluation));
-                } else {
-                    report.duplicates_dropped += 1;
+    let live = (0..NUM_BUCKETS).map(|bucket| (dir.join(bucket_name(bucket)), false));
+    for (path, salvage) in live.chain(quarantined.iter().map(|path| (path.clone(), true))) {
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
+        };
+        report.bytes_before += bytes.len() as u64;
+        let mut contents = DiskContents {
+            entries: Vec::new(),
+            warnings: Vec::new(),
+            quarantined: Vec::new(),
+        };
+        scan_segment(&path, &bytes, &mut contents);
+        report.damage_dropped += contents.warnings.len();
+        for (key, evaluation) in contents.entries {
+            if seen.insert(key.clone()) {
+                if salvage {
+                    report.salvaged += 1;
                 }
+                kept.push((key, evaluation));
+            } else {
+                report.duplicates_dropped += 1;
             }
         }
     }
@@ -432,9 +446,9 @@ pub fn compact_dir(dir: &Path) -> Result<CompactReport, String> {
             .map_err(|e| format!("cannot replace {}: {e}", path.display()))?;
         report.bytes_after += bytes.len() as u64;
     }
-    for bucket in 0..NUM_BUCKETS {
-        let path = quarantine_path(&dir.join(bucket_name(bucket)));
-        match std::fs::remove_file(&path) {
+    // Newest generation first, so an aborted removal leaves them dense.
+    for path in quarantined.iter().rev() {
+        match std::fs::remove_file(path) {
             Ok(()) => report.quarantined_removed += 1,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(format!("cannot remove {}: {e}", path.display())),
@@ -781,13 +795,50 @@ mod tests {
         damage_segment(&dir, bucket_of("whole"), SegmentDamage::Truncate, 7).unwrap();
         let (_, contents) = DiskTier::open(&dir).unwrap();
         assert!(!contents.warnings.is_empty());
-        assert_eq!(contents.quarantined, [quarantine_path(&path)]);
+        assert_eq!(contents.quarantined, [quarantine_path(&path, 0)]);
         assert!(!path.exists(), "damaged segment must be renamed away");
-        assert!(quarantine_path(&path).exists());
+        assert!(quarantine_path(&path, 0).exists());
         // The next open sees a clean directory (minus the quarantined data).
         let (_, contents) = DiskTier::open(&dir).unwrap();
         assert!(contents.warnings.is_empty());
         assert!(contents.quarantined.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_bucket_quarantined_twice_keeps_both_generations_for_compact() {
+        let dir = temp_dir("requarantine");
+        let evaluation = sample_evaluation();
+        let second = (0..)
+            .map(|i| format!("second-{i}"))
+            .find(|key| bucket_of(key) == bucket_of("first"))
+            .unwrap();
+        let path = segment_path(&dir, "first");
+        // A crash mid-append: half a copy of the segment's record at its end.
+        let tear_tail = || {
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes.extend_from_slice(&bytes.clone()[..bytes.len() / 2]);
+            std::fs::write(&path, bytes).unwrap();
+        };
+        for (generation, key) in ["first", second.as_str()].into_iter().enumerate() {
+            let (tier, _) = DiskTier::open(&dir).unwrap();
+            tier.append(key, &evaluation).unwrap();
+            tear_tail();
+            let (_, contents) = DiskTier::open(&dir).unwrap();
+            assert_eq!(contents.quarantined, [quarantine_path(&path, generation)]);
+        }
+        let report = verify_dir(&dir).unwrap();
+        assert_eq!(
+            report.quarantined,
+            [quarantine_path(&path, 0), quarantine_path(&path, 1)]
+        );
+        let report = compact_dir(&dir).unwrap();
+        assert_eq!((report.salvaged, report.quarantined_removed), (2, 2));
+        assert!(verify_dir(&dir).unwrap().is_clean());
+        let (_, contents) = DiskTier::open(&dir).unwrap();
+        let mut keys: Vec<&str> = contents.entries.iter().map(|(k, _)| k.as_str()).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, ["first", second.as_str()]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -899,7 +950,7 @@ mod tests {
         let check = |damaged: &[u8], what: &str| {
             std::fs::write(&path, damaged).unwrap();
             let (_, contents) = DiskTier::open(&dir).unwrap();
-            let _ = std::fs::remove_file(quarantine_path(&path));
+            let _ = std::fs::remove_file(quarantine_path(&path, 0));
             for entry in &contents.entries {
                 assert!(
                     originals.contains(entry),

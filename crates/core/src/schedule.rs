@@ -6,13 +6,16 @@
 //! for a search), and each point goes through four steps:
 //!
 //! 1. **Map** — a task per point: the layout, the rewired factory copy of a
-//!    port-rewiring strategy and the content address. The first task that
-//!    needs a factory builds it.
+//!    port-rewiring strategy and the content address, rendered and hashed
+//!    once here, on the worker (a [`ContentKey`]). The first task that needs
+//!    a factory builds it.
 //! 2. **Plan** — on the calling thread, in point order across the whole run
 //!    (see [`Run::decide`]): answered from the cache, following an earlier
 //!    point of the run that computes the same key, or computing in a lane
-//!    group of its chunk. A group is queued as soon as it is full, and the
-//!    rest of a chunk's groups once its last point is planned.
+//!    group of its chunk. Both maps probe with the key's stored hash, so
+//!    the calling thread hashes no key bytes. A group is queued as soon as
+//!    it is full, and the rest of a chunk's groups once its last point is
+//!    planned.
 //! 3. **Simulate** — a task per lane group, through the worker's one
 //!    [`BatchEngine`](msfu_sim::BatchEngine).
 //! 4. **Resolve** — on the calling thread, chunk by chunk and in point
@@ -45,7 +48,7 @@ use msfu_graph::{metrics::MappingMetrics, InteractionGraph};
 use msfu_layout::Layout;
 use msfu_sim::BatchLane;
 
-use crate::cache::{evaluation_key, EvalCache};
+use crate::cache::{evaluation_key, ContentKey, EvalCache, KeyMap};
 use crate::evaluate::{evaluation_record, with_thread_batch_engine};
 use crate::pipeline::per_round_breakdown_with;
 use crate::progress::RunControl;
@@ -130,7 +133,7 @@ impl Placed<'_> {
 
 /// A map task's output: the mapped point and its content address (when
 /// caching).
-type Mapped<'s> = Result<(Placed<'s>, Option<String>)>;
+type Mapped<'s> = Result<(Placed<'s>, Option<ContentKey>)>;
 
 /// A unit of work a worker takes from the queue.
 enum Task<'s> {
@@ -351,7 +354,7 @@ enum Plan {
     Follow(usize),
     /// Simulated as a member of this group of its chunk (possibly a one-lane
     /// group); its key, when caching, is recorded at resolve.
-    Compute(usize, Option<Rc<String>>),
+    Compute(usize, Option<Rc<ContentKey>>),
 }
 
 /// The calling thread's state of one admitted chunk.
@@ -390,7 +393,7 @@ struct Run<'a, 's> {
     /// Chunks `0..resolved` are resolved.
     resolved: usize,
     /// Keys computed by points of unresolved chunks, and who computes them.
-    leaders: HashMap<Rc<String>, usize>,
+    leaders: KeyMap<Rc<ContentKey>, usize>,
     /// Leader results that a planned follower may still copy.
     leader_results: HashMap<usize, Result<Evaluation>>,
     rows_streamed: usize,
@@ -537,7 +540,7 @@ impl<'a, 's> Run<'a, 's> {
         c: usize,
         point: usize,
         placed: &Arc<Placed<'s>>,
-        key: Option<String>,
+        key: Option<ContentKey>,
     ) -> Plan {
         let job = self.job;
         let key = match (job.cache, key) {
@@ -624,7 +627,7 @@ impl<'a, 's> Run<'a, 's> {
                         .next()
                         .expect("one result per group member");
                     if let Some(key) = key {
-                        let key = Rc::try_unwrap(key).unwrap_or_else(|key| String::clone(&key));
+                        let key = Rc::try_unwrap(key).unwrap_or_else(|key| ContentKey::clone(&key));
                         if let (Some(cache), Ok(evaluation)) = (job.cache, &result) {
                             cache.record(key, evaluation.clone());
                         }
@@ -729,7 +732,7 @@ pub(crate) fn schedule<'s>(
         admitted: 0,
         planned: 0,
         resolved: 0,
-        leaders: HashMap::new(),
+        leaders: KeyMap::default(),
         leader_results: HashMap::new(),
         rows_streamed: 0,
         interrupted: false,

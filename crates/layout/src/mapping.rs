@@ -75,7 +75,7 @@ impl std::fmt::Display for Coord {
 /// assert!(m.is_complete());
 /// assert_eq!(m.used_area(), 6); // bounding box 2 rows x 3 cols
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Mapping {
     num_qubits: usize,
     width: usize,
@@ -264,6 +264,134 @@ impl Mapping {
     }
 }
 
+/// `{:?}` is byte-identical to the derived form, written straight through a
+/// small stack buffer: evaluation cache keys render whole mappings (up to
+/// ~10⁴ cells), where the derive's per-field formatter calls dominate.
+/// Any other formatting flag (`{:#?}`, a width, a precision, `+`) goes
+/// through [`std::fmt::Formatter::debug_struct`], so the flag reaches every
+/// field exactly as the derive would pass it. The unstable hex-debug flags
+/// (`{:x?}`) cannot be detected and are ignored.
+impl std::fmt::Debug for Mapping {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if f.alternate() || f.width().is_some() || f.precision().is_some() || f.sign_plus() {
+            return f
+                .debug_struct("Mapping")
+                .field("num_qubits", &self.num_qubits)
+                .field("width", &self.width)
+                .field("height", &self.height)
+                .field("position", &self.position)
+                .field("occupant", &self.occupant)
+                .finish();
+        }
+        let mut out = DebugBuffer::new(f);
+        out.room()?;
+        out.text(b"Mapping { num_qubits: ");
+        out.number(self.num_qubits);
+        out.text(b", width: ");
+        out.number(self.width);
+        out.text(b", height: ");
+        out.number(self.height);
+        out.room()?;
+        out.text(b", position: [");
+        for (i, cell) in self.position.iter().enumerate() {
+            out.room()?;
+            if i > 0 {
+                out.text(b", ");
+            }
+            match cell {
+                Some(cell) => {
+                    out.text(b"Some(Coord { row: ");
+                    out.number(cell.row);
+                    out.text(b", col: ");
+                    out.number(cell.col);
+                    out.text(b" })");
+                }
+                None => out.text(b"None"),
+            }
+        }
+        out.room()?;
+        out.text(b"], occupant: [");
+        for (i, qubit) in self.occupant.iter().enumerate() {
+            out.room()?;
+            if i > 0 {
+                out.text(b", ");
+            }
+            match qubit {
+                Some(qubit) => {
+                    out.text(b"Some(QubitId(");
+                    out.number(qubit.index());
+                    out.text(b"))");
+                }
+                None => out.text(b"None"),
+            }
+        }
+        out.room()?;
+        out.text(b"] }");
+        out.flush()
+    }
+}
+
+/// Collects ASCII text in a fixed buffer and hands it to a formatter a
+/// buffer at a time. Text is written in pieces of at most [`Self::PIECE`]
+/// bytes, each after a [`DebugBuffer::room`] call, so a write never has to
+/// flush.
+struct DebugBuffer<'a, 'f> {
+    f: &'a mut std::fmt::Formatter<'f>,
+    buf: [u8; 1024],
+    len: usize,
+}
+
+impl<'a, 'f> DebugBuffer<'a, 'f> {
+    /// Longest piece: a `Mapping`'s first three fields, or one `position`
+    /// element, with every number at its longest (20 digits).
+    const PIECE: usize = 128;
+
+    fn new(f: &'a mut std::fmt::Formatter<'f>) -> Self {
+        DebugBuffer {
+            f,
+            buf: [0; 1024],
+            len: 0,
+        }
+    }
+
+    /// Makes room for one more piece, flushing the buffer if needed.
+    fn room(&mut self) -> std::fmt::Result {
+        if self.len + Self::PIECE > self.buf.len() {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Appends ASCII `text`.
+    fn text(&mut self, text: &[u8]) {
+        self.buf[self.len..self.len + text.len()].copy_from_slice(text);
+        self.len += text.len();
+    }
+
+    /// Appends `n` in decimal.
+    fn number(&mut self, mut n: usize) {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        self.text(&digits[start..]);
+    }
+
+    /// Writes out and empties the buffer.
+    fn flush(&mut self) -> std::fmt::Result {
+        let text = std::str::from_utf8(&self.buf[..self.len]).map_err(|_| std::fmt::Error)?;
+        self.f.write_str(text)?;
+        self.len = 0;
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,5 +498,55 @@ mod tests {
         assert_eq!(pts[0], Point::new(0.0, 0.0));
         assert_eq!(pts[1], Point::new(1.0, 2.0));
         assert_eq!(m.used_area(), 1);
+    }
+
+    /// What `#[derive(Debug)]` prints for a `Mapping`: same name, same
+    /// fields in the same order.
+    mod derived {
+        use super::{Coord, QubitId};
+
+        #[derive(Debug)]
+        #[allow(dead_code)] // read only through Debug
+        pub(super) struct Mapping {
+            pub(super) num_qubits: usize,
+            pub(super) width: usize,
+            pub(super) height: usize,
+            pub(super) position: Vec<Option<Coord>>,
+            pub(super) occupant: Vec<Option<QubitId>>,
+        }
+    }
+
+    #[test]
+    fn debug_is_byte_identical_to_the_derived_form() {
+        let empty = Mapping::new(0, 0, 0);
+        let mut partial = Mapping::new(3, 3, 2);
+        partial.place(q(1), Coord::new(1, 2)).unwrap();
+        // Qubit i on cell i, row by row.
+        let filled = |qubits: u32, width: usize, height: usize| {
+            let mut m = Mapping::new(qubits as usize, width, height);
+            for i in 0..qubits {
+                let cell = i as usize;
+                m.place(q(i), Coord::new(cell / width, cell % width))
+                    .unwrap();
+            }
+            m
+        };
+        let complete = filled(4, 2, 2);
+        // Five-digit indices, and far more text than one buffer holds.
+        let mut large = filled(10_050, 101, 100);
+        large.place(q(10_049), Coord::new(99, 100)).unwrap();
+        for m in [&empty, &partial, &complete, &large] {
+            let shadow = derived::Mapping {
+                num_qubits: m.num_qubits,
+                width: m.width,
+                height: m.height,
+                position: m.position.clone(),
+                occupant: m.occupant.clone(),
+            };
+            assert_eq!(format!("{m:?}"), format!("{shadow:?}"));
+            assert_eq!(format!("{m:#?}"), format!("{shadow:#?}"));
+            assert_eq!(format!("{m:3?}"), format!("{shadow:3?}"));
+        }
+        assert!(format!("{large:?}").contains("Some(QubitId(10049))"));
     }
 }
