@@ -27,9 +27,9 @@
 //! comparison, which is what lets the CI `cluster-smoke` job diff sharded
 //! runs against serial baselines at `--tolerance 0.0`. One structural
 //! exception: a *current* report carrying a `perf.cache` stamp is validated
-//! for internal consistency (`hits`/`misses` present and finite,
-//! `disk_hits <= hits`) so a corrupted cache stamp fails loudly; baselines
-//! predating the stamp are untouched.
+//! for internal consistency (`hits`/`misses`/`disk_hits` present and
+//! finite, `disk_hits <= hits`) so a corrupted cache stamp fails loudly;
+//! baselines predating the stamp are untouched.
 //!
 //! Exit status: 0 when clean, 1 on any regression, 2 on usage/IO errors.
 
@@ -135,14 +135,9 @@ fn load_reports(path: &Path) -> Result<Vec<(String, Value)>, String> {
     Ok(out)
 }
 
-/// The sweep rows of a report — `results.rows` for `BENCH_<name>.json`
-/// documents, `rows` for legacy bare `SweepResults` documents.
+/// The sweep rows of a `BENCH_<name>.json` report: `results.rows`.
 fn rows(report: &Value) -> Option<&Vec<Value>> {
-    report
-        .get("results")
-        .unwrap_or(report)
-        .get("rows")
-        .and_then(Value::as_array)
+    report.get("results")?.get("rows").and_then(Value::as_array)
 }
 
 /// The `label/strategy` key of one sweep row.
@@ -248,9 +243,9 @@ fn gate_cell(
 ///
 /// The eval-cache counters are observability-only and never compared against
 /// a baseline (old baselines predate the stamp entirely), but a report that
-/// does carry one must be internally consistent: `hits` and `misses` present
-/// and finite, and `disk_hits` (disk-served hits are a subset of all hits)
-/// never exceeding `hits`. A violated invariant means the stamp — the very
+/// does carry one must be internally consistent: `hits`, `misses` and
+/// `disk_hits` present and finite, and `disk_hits` (disk-served hits are a
+/// subset of all hits) never exceeding `hits`. A violated invariant means the stamp — the very
 /// signal the warm-start CI gate greps — is corrupt.
 fn check_cache_stamp(name: &str, current: &Value) -> Result<(), String> {
     let Some(cache) = current.get("perf").and_then(|p| p.get("cache")) else {
@@ -269,16 +264,12 @@ fn check_cache_stamp(name: &str, current: &Value) -> Result<(), String> {
     };
     let hits = read("hits")?;
     read("misses")?;
-    // Reports written before the persistent tier lack disk_hits; that is an
-    // older-but-valid stamp, not corruption.
-    if cache.get("disk_hits").is_some() {
-        let disk_hits = read("disk_hits")?;
-        if disk_hits > hits {
-            return Err(format!(
-                "{name}: perf.cache.disk_hits {disk_hits} exceeds hits {hits}; \
-                 the cache stamp is corrupt"
-            ));
-        }
+    let disk_hits = read("disk_hits")?;
+    if disk_hits > hits {
+        return Err(format!(
+            "{name}: perf.cache.disk_hits {disk_hits} exceeds hits {hits}; \
+             the cache stamp is corrupt"
+        ));
     }
     Ok(())
 }
@@ -320,11 +311,14 @@ fn compare_report(
     }
     if let Some(wall_tol) = args.wall_tolerance {
         let wall = |v: &Value| v.get("perf")?.get("wall_seconds")?.as_f64();
-        // A baseline predating the stamp simply skips the gate; a *current*
-        // report that dropped the wall time its baseline carries is
-        // structural drift and must fail loudly — otherwise the gate
-        // silently disappears.
+        // A report on either side without the wall time is structural drift
+        // and must fail loudly — otherwise the gate silently disappears.
         match (wall(baseline), wall(current)) {
+            (None, _) => {
+                return Err(format!(
+                    "{name}: baseline lacks perf.wall_seconds; wall time cannot be gated"
+                ));
+            }
             (Some(_), None) => {
                 return Err(format!(
                     "{name}: baseline records perf.wall_seconds but the current report lacks \
@@ -351,7 +345,6 @@ fn compare_report(
                     regressions,
                 )?;
             }
-            (None, _) => {}
         }
     }
     Ok(())
@@ -583,13 +576,6 @@ mod tests {
         let mut regs = Vec::new();
         compare_report("t", &base, &stamped, &args(0.10, None), &mut regs).unwrap();
         assert!(regs.is_empty(), "a valid cache stamp is never a regression");
-        // A pre-persistent-tier stamp (no disk_hits) is older-but-valid.
-        let legacy = with_cache(
-            report(&[100], 1.0),
-            &[("hits", Value::UInt(3)), ("misses", Value::UInt(1))],
-        );
-        compare_report("t", &base, &legacy, &args(0.10, None), &mut regs).unwrap();
-        assert!(regs.is_empty());
     }
 
     #[test]
@@ -613,6 +599,14 @@ mod tests {
         let err = compare_report("t", &base, &truncated, &args(0.10, None), &mut regs)
             .expect_err("missing hits must error");
         assert!(err.contains("perf.cache.hits"), "{err}");
+        // So is one missing its disk-hit counter.
+        let no_disk = with_cache(
+            report(&[100], 1.0),
+            &[("hits", Value::UInt(3)), ("misses", Value::UInt(1))],
+        );
+        let err = compare_report("t", &base, &no_disk, &args(0.10, None), &mut regs)
+            .expect_err("missing disk_hits must error");
+        assert!(err.contains("perf.cache.disk_hits"), "{err}");
         // Non-finite counters are corrupt.
         let poisoned = with_cache(
             report(&[100], 1.0),
@@ -634,6 +628,21 @@ mod tests {
         let fewer = report(&[100], 1.0);
         let mut regs = Vec::new();
         assert!(compare_report("t", &base, &fewer, &args(0.10, None), &mut regs).is_err());
+        // Rows live under `results`: a bare `SweepResults` document has none.
+        let bare = Value::Object(vec![("rows".into(), Value::Array(Vec::new()))]);
+        let err = compare_report("t", &bare, &base, &args(0.10, None), &mut regs)
+            .expect_err("a bare rows document must error");
+        assert!(err.contains("baseline has no rows"), "{err}");
+        // A requested wall gate fails on a baseline without a wall time.
+        let mut no_wall = report(&[100, 200], 1.0);
+        if let Value::Object(fields) = &mut no_wall {
+            fields.retain(|(k, _)| k != "perf");
+        }
+        compare_report("t", &no_wall, &base, &args(0.10, None), &mut regs).unwrap();
+        let err = compare_report("t", &no_wall, &base, &args(0.10, Some(2.0)), &mut regs)
+            .expect_err("an ungateable wall must error");
+        assert!(err.contains("perf.wall_seconds"), "{err}");
+        assert!(regs.is_empty());
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! trait that renders any supported type into it, and re-exported
 //! `#[derive(Serialize, Deserialize)]` macros (see the sibling
 //! `serde-derive-shim` crate). The API surface is intentionally restricted to
-//! what this workspace uses; swap the manifest entries back to the real serde
-//! when a registry is available — no source changes are required.
+//! what this workspace uses. Swapping the manifest entries back to the real
+//! serde needs source changes as well: [`Serialize::to_value`] and
+//! [`Value`] (with its `UInt` variant) have no upstream counterpart, and the
+//! workspace calls them directly.
 //!
 //! [`Deserialize`] is a marker only: nothing in the workspace reads data back
 //! in, so deserialization is gated out rather than stubbed incorrectly.

@@ -15,7 +15,7 @@ use msfu_distill::{Factory, FactoryConfig};
 use msfu_layout::Layout;
 use msfu_sim::{BatchEngine, BatchLane, SimConfig, SimEngine, SimResult};
 
-use crate::{Result, Strategy, SweepSpec};
+use crate::{Result, RunControl, Strategy, SweepSpec};
 
 /// Configuration of an end-to-end evaluation run.
 ///
@@ -98,7 +98,8 @@ pub fn evaluate(
     let mut results = SweepSpec::new("", *config)
         .with_eval_cache(false)
         .point("", *factory_config, strategy.clone())
-        .run_serial()?;
+        .run_with(&RunControl::default().with_serial(true))?
+        .payload;
     let row = results.rows.pop();
     Ok(row
         .expect("a completed one-point sweep yields one row")

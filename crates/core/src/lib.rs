@@ -81,15 +81,14 @@ pub use persist::{
     compact_dir, damage_segment, verify_dir, CompactReport, PersistWarning, SegmentDamage,
     VerifyReport, FORMAT_VERSION, NUM_BUCKETS,
 };
-pub use progress::{CancelToken, NoProgress, ProgressEvent, ProgressSink, RunControl};
+pub use progress::{CancelToken, NoProgress, Outcome, ProgressEvent, ProgressSink, RunControl};
 pub use search::{
-    Incumbent, Objective, PortfolioEntry, SearchOutcome, SearchReport, SearchSpec, StopReason,
-    TrajectoryPoint,
+    Incumbent, Objective, PortfolioEntry, SearchReport, SearchSpec, StopReason, TrajectoryPoint,
 };
 pub use stats::{nearest_rank, percentiles, Percentiles};
 pub use strategy::Strategy;
-pub use stream::{ArrivalProcess, JobClass, SchedulerRun, StreamOutcome, StreamReport, StreamSpec};
-pub use sweep::{SweepOutcome, SweepPoint, SweepResults, SweepRow, SweepSpec, DEFAULT_LANES};
+pub use stream::{ArrivalProcess, JobClass, SchedulerRun, StreamReport, StreamSpec};
+pub use sweep::{SweepPoint, SweepResults, SweepRow, SweepSpec, DEFAULT_LANES};
 
 /// Convenience result alias used by fallible APIs in this crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -14,9 +14,10 @@
 //!   the sweep and search engines *between batches* (never mid-simulation, so
 //!   a cancelled run still returns every row it completed).
 //!
-//! Both travel in a [`RunControl`], together with an optional deadline, to
-//! the `run_with`/`run_serial_with` entry points of
-//! [`SweepSpec`](crate::SweepSpec) and [`SearchSpec`](crate::SearchSpec).
+//! Both travel in a [`RunControl`], together with an optional deadline and
+//! the run mode (serial or parallel), to the `run_with` entry point of
+//! [`SweepSpec`](crate::SweepSpec), [`SearchSpec`](crate::SearchSpec) and
+//! [`StreamSpec`](crate::StreamSpec), which each return an [`Outcome`].
 //!
 //! [`SweepSpec::run`]: crate::SweepSpec::run
 
@@ -24,6 +25,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::cache::CacheStats;
 use crate::sweep::SweepRow;
 use crate::Strategy;
 
@@ -94,7 +96,7 @@ pub trait ProgressSink {
 }
 
 /// The default sink: discards every event. Runs driven through it behave
-/// byte-identically to the plain `run`/`run_serial` entry points.
+/// byte-identically to the plain `run` entry points.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoProgress;
 
@@ -132,17 +134,18 @@ impl CancelToken {
     }
 }
 
-/// Execution controls for a sweep or search run: where progress goes, and
-/// when to stop early.
+/// Execution controls for a sweep, search or stream run: where progress
+/// goes, when to stop early, and whether to run on the calling thread.
 ///
-/// The default control discards progress and never interrupts —
-/// [`SweepSpec::run`](crate::SweepSpec::run) is exactly
+/// The default control runs in parallel, discards progress and never
+/// interrupts — [`SweepSpec::run`](crate::SweepSpec::run) is exactly
 /// `run_with(&RunControl::default())`.
 #[derive(Clone, Copy)]
 pub struct RunControl<'a> {
     progress: &'a dyn ProgressSink,
     cancel: Option<&'a CancelToken>,
     deadline: Option<Instant>,
+    serial: bool,
 }
 
 impl Default for RunControl<'_> {
@@ -151,6 +154,7 @@ impl Default for RunControl<'_> {
             progress: &NO_PROGRESS,
             cancel: None,
             deadline: None,
+            serial: false,
         }
     }
 }
@@ -160,6 +164,7 @@ impl std::fmt::Debug for RunControl<'_> {
         f.debug_struct("RunControl")
             .field("cancel", &self.cancel)
             .field("deadline", &self.deadline)
+            .field("serial", &self.serial)
             .finish_non_exhaustive()
     }
 }
@@ -184,10 +189,24 @@ impl<'a> RunControl<'a> {
         self
     }
 
+    /// Runs every task on the calling thread, streaming rows one at a time,
+    /// when `serial` is set; otherwise on a worker pool, streaming whole
+    /// chunks (builder style). Results are identical either way.
+    pub fn with_serial(mut self, serial: bool) -> Self {
+        self.serial = serial;
+        self
+    }
+
     /// The instant past which the run stops, if any (a coordinator hands
     /// the time left to each sub-job it starts).
     pub fn deadline(&self) -> Option<Instant> {
         self.deadline
+    }
+
+    /// Whether the run executes on the calling thread (see
+    /// [`RunControl::with_serial`]).
+    pub fn serial(&self) -> bool {
+        self.serial
     }
 
     /// Emits one event to the configured sink.
@@ -212,6 +231,26 @@ impl<'a> RunControl<'a> {
     }
 }
 
+/// The outcome of a run under a [`RunControl`]: what it produced, whether
+/// it was interrupted (cancelled or past its deadline) before finishing, and
+/// its evaluation-cache counters.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub struct Outcome<T> {
+    /// What the run produced — complete when `interrupted == false`;
+    /// otherwise the rows, candidates or scheduler runs completed before
+    /// the batch boundary where the run stopped.
+    pub payload: T,
+    /// `true` when the run stopped at a batch boundary before finishing.
+    pub interrupted: bool,
+    /// Evaluation-cache counters of this run (all zero when the cache is
+    /// disabled). Each distinct key misses exactly once: the planner decides
+    /// in point order which point computes it, and every other point with
+    /// that key counts as a hit, so the counters of a completed run are the
+    /// same serial or parallel at any thread count.
+    pub cache: CacheStats,
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,6 +271,8 @@ mod tests {
     fn default_control_never_interrupts() {
         let ctrl = RunControl::default();
         assert!(!ctrl.interrupted());
+        assert!(!ctrl.serial());
+        assert!(ctrl.with_serial(true).serial());
     }
 
     #[test]

@@ -111,9 +111,6 @@ pub(crate) struct Job<'s> {
     pub(crate) factories: &'s FactoryTable,
     pub(crate) cache: Option<&'s EvalCache>,
     pub(crate) chunk_len: usize,
-    /// Run the tasks on a pool and stream whole chunks; otherwise run them
-    /// on the calling thread and stream row by row.
-    pub(crate) parallel: bool,
 }
 
 /// A mapped point, as the simulate and finish tasks read it.
@@ -660,8 +657,8 @@ impl<'a, 's> Run<'a, 's> {
     /// followed by one `BatchFinished` and an interruption check; a serial
     /// run row by row, checking for interruption before each.
     fn stream(&mut self) {
+        let parallel = !self.ctrl.serial();
         while self.running() {
-            let parallel = self.job.parallel;
             let chunk = self
                 .chunks
                 .front_mut()
@@ -704,10 +701,10 @@ impl<'a, 's> Run<'a, 's> {
     }
 }
 
-/// Runs `job`, handing each row to `on_row` in point order; an `Err` from
-/// `on_row` stops the run with that error. Returns whether the run was
-/// interrupted (see [`SweepSpec::run_with`] and
-/// [`SweepSpec::run_serial_with`] for when each mode checks).
+/// Runs `job` in the mode `ctrl` sets, handing each row to `on_row` in
+/// point order; an `Err` from `on_row` stops the run with that error.
+/// Returns whether the run was interrupted (see [`SweepSpec::run_with`] for
+/// when each mode checks).
 ///
 /// A parallel run of more than one point spawns its pool once, sized by
 /// [`pool_threads`]; at one thread, and in a serial run, the calling thread
@@ -739,10 +736,10 @@ pub(crate) fn schedule<'s>(
         error: None,
     };
     run.admit();
-    let threads = if job.parallel {
-        pool_threads().min(points)
-    } else {
+    let threads = if ctrl.serial() {
         1
+    } else {
+        pool_threads().min(points)
     };
     if threads <= 1 {
         while run.running() {

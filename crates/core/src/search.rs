@@ -12,10 +12,11 @@
 //! *incumbent* tracked after every batch and the search stopping early when
 //! the incumbent stops improving (or a target is reached).
 //!
-//! Results are deterministic: [`SearchSpec::run`] equals
-//! [`SearchSpec::run_serial`] regardless of thread count, because candidate
-//! generation is index-based, every evaluation is a pure function of the
-//! candidate, and incumbents are folded in candidate order.
+//! Results are deterministic: a parallel and a serial run (the mode rides
+//! the [`RunControl`] given to [`SearchSpec::run_with`]) report the same
+//! search regardless of thread count, because candidate generation is
+//! index-based, every evaluation is a pure function of the candidate, and
+//! incumbents are folded in candidate order.
 //!
 //! # Example
 //!
@@ -44,7 +45,7 @@ use msfu_layout::{
 };
 
 use crate::cache::{open_eval_cache, CacheStats};
-use crate::progress::{ProgressEvent, RunControl};
+use crate::progress::{Outcome, ProgressEvent, RunControl};
 use crate::schedule::{schedule, FactoryTable, Job};
 use crate::spec::{
     eval_from_json, factory_from_json, fields, params_from_json, spec_err, strategy_from_json,
@@ -330,43 +331,20 @@ impl SearchSpec {
     /// size of zero or above 4 096, and propagates the first (in candidate
     /// order) factory, mapping or simulation failure.
     pub fn run(&self) -> Result<SearchReport> {
-        Ok(self.execute(false, &RunControl::default())?.report)
-    }
-
-    /// Runs the search sequentially on the calling thread (reference
-    /// implementation; results are identical to [`SearchSpec::run`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`SearchSpec::run`].
-    pub fn run_serial(&self) -> Result<SearchReport> {
-        Ok(self.execute(true, &RunControl::default())?.report)
+        Ok(self.run_with(&RunControl::default())?.payload)
     }
 
     /// [`SearchSpec::run`] under a [`RunControl`]: incumbent improvements and
     /// batch completions stream to the control's sink, and
-    /// cancellation/deadline are honoured between batches. An interrupted
-    /// search ends with [`StopReason::Cancelled`] and reports the candidates
-    /// evaluated so far.
+    /// cancellation/deadline are honoured between batches. A serial control
+    /// evaluates each batch on the calling thread; the report is identical
+    /// either way. An interrupted search ends with [`StopReason::Cancelled`]
+    /// and reports the candidates evaluated so far.
     ///
     /// # Errors
     ///
     /// As [`SearchSpec::run`].
-    pub fn run_with(&self, ctrl: &RunControl<'_>) -> Result<SearchOutcome> {
-        self.execute(false, ctrl)
-    }
-
-    /// [`SearchSpec::run_serial`] under a [`RunControl`] (see
-    /// [`SearchSpec::run_with`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`SearchSpec::run`].
-    pub fn run_serial_with(&self, ctrl: &RunControl<'_>) -> Result<SearchOutcome> {
-        self.execute(true, ctrl)
-    }
-
-    fn execute(&self, serial: bool, ctrl: &RunControl<'_>) -> Result<SearchOutcome> {
+    pub fn run_with(&self, ctrl: &RunControl<'_>) -> Result<Outcome<SearchReport>> {
         self.validate()?;
         // The one factory is built now, so a failed build fails the search
         // before its first batch.
@@ -380,6 +358,9 @@ impl SearchSpec {
         let cache = open_eval_cache(self.use_eval_cache, self.cache_dir.as_deref())?;
         // Each candidate batch is a one-chunk sub-sweep over the one shared
         // factory, run through the sweep's scheduler and the search's cache.
+        // Its control carries only the mode: the fold honours cancellation
+        // and deadlines between batches, so an in-flight batch completes.
+        let batch_ctrl = RunControl::default().with_serial(ctrl.serial());
         let mut sweep =
             SweepSpec::new(self.name.clone(), self.eval).with_eval_cache(self.use_eval_cache);
         let mut outcome = self.run_with_evaluator(ctrl, |batch| {
@@ -392,10 +373,9 @@ impl SearchSpec {
                 factories: &factories,
                 cache: cache.as_ref(),
                 chunk_len: batch.len(),
-                parallel: !serial,
             };
             let mut evaluations = Vec::with_capacity(batch.len());
-            schedule(&job, &RunControl::default(), &mut |row| {
+            schedule(&job, &batch_ctrl, &mut |row| {
                 evaluations.push(row.map(|row| row.evaluation));
                 Ok(())
             })?;
@@ -427,7 +407,7 @@ impl SearchSpec {
         &self,
         ctrl: &RunControl<'_>,
         mut evaluate_batch: F,
-    ) -> Result<SearchOutcome>
+    ) -> Result<Outcome<SearchReport>>
     where
         F: FnMut(&[(usize, Strategy)]) -> Result<Vec<Result<Evaluation>>>,
     {
@@ -551,10 +531,10 @@ impl SearchSpec {
             }
         }
 
-        Ok(SearchOutcome {
+        Ok(Outcome {
             interrupted: stop == StopReason::Cancelled,
             cache: CacheStats::default(),
-            report: SearchReport {
+            payload: SearchReport {
                 name: self.name.clone(),
                 objective: self.objective,
                 factory: self.factory,
@@ -672,7 +652,7 @@ impl SearchSpec {
 }
 
 /// A best-so-far candidate.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Incumbent {
     /// Global candidate index (order in the deterministic stream).
     pub candidate: usize,
@@ -686,18 +666,6 @@ pub struct Incumbent {
     pub evaluation: Evaluation,
 }
 
-impl Serialize for Incumbent {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("candidate".to_string(), Value::UInt(self.candidate as u64)),
-            ("entry".to_string(), Value::UInt(self.entry)),
-            ("strategy".to_string(), self.strategy.to_value()),
-            ("value".to_string(), Value::UInt(self.value)),
-            ("evaluation".to_string(), self.evaluation.to_value()),
-        ])
-    }
-}
-
 /// One improvement of the incumbent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TrajectoryPoint {
@@ -705,25 +673,6 @@ pub struct TrajectoryPoint {
     pub evaluation: u64,
     /// The new incumbent objective value.
     pub value: u64,
-}
-
-/// The outcome of a controllable search run: the report, plus whether the
-/// run was interrupted (cancelled or past its deadline) before stopping on
-/// its own.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub struct SearchOutcome {
-    /// The search report (its [`SearchReport::stop`] is
-    /// [`StopReason::Cancelled`] when `interrupted`).
-    pub report: SearchReport,
-    /// `true` when the run stopped at a batch boundary before finishing.
-    pub interrupted: bool,
-    /// Evaluation-cache counters of this run (all zero when the cache is
-    /// disabled). Each distinct key misses exactly once — the sweep
-    /// planner picks the one candidate that computes it and every other
-    /// candidate with that key counts as a hit — and the report itself is
-    /// identical for serial, parallel, cached and uncached runs.
-    pub cache: CacheStats,
 }
 
 /// The outcome of a portfolio search.
@@ -785,6 +734,13 @@ mod tests {
     use super::*;
     use msfu_sim::SimConfig;
 
+    /// A serial run's report.
+    fn run_serial(spec: &SearchSpec) -> Result<SearchReport> {
+        Ok(spec
+            .run_with(&RunControl::default().with_serial(true))?
+            .payload)
+    }
+
     fn quick_spec() -> SearchSpec {
         let eval = EvaluationConfig::default().with_sim(SimConfig::dimension_ordered());
         let mut spec = SearchSpec::new("t", eval, FactoryConfig::single_level(2));
@@ -805,7 +761,7 @@ mod tests {
     fn parallel_and_serial_searches_are_identical() {
         let spec = quick_spec();
         let parallel = spec.run().unwrap();
-        let serial = spec.run_serial().unwrap();
+        let serial = run_serial(&spec).unwrap();
         assert_eq!(parallel, serial);
     }
 
@@ -915,7 +871,7 @@ mod tests {
     fn huge_batch_size_is_a_spec_error() {
         let mut spec = quick_spec();
         spec.batch_size = 1_000_000_000_000_000;
-        for err in [spec.run().unwrap_err(), spec.run_serial().unwrap_err()] {
+        for err in [spec.run().unwrap_err(), run_serial(&spec).unwrap_err()] {
             assert_eq!(
                 err,
                 CoreError::Spec {
@@ -1005,7 +961,7 @@ mod tests {
         )));
         spec.batch_size = 1;
         spec.target = Some(u64::MAX);
-        for err in [spec.run().unwrap_err(), spec.run_serial().unwrap_err()] {
+        for err in [spec.run().unwrap_err(), run_serial(&spec).unwrap_err()] {
             assert!(
                 matches!(
                     &err,

@@ -50,7 +50,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize, Value};
 
 use crate::cache::CacheStats;
-use crate::progress::{ProgressEvent, RunControl};
+use crate::progress::{Outcome, ProgressEvent, RunControl};
 use crate::spec::{eval_from_json, factory_from_json, strategy_from_json, Fields};
 use crate::stats::percentiles;
 use crate::strategy::Strategy;
@@ -197,19 +197,12 @@ struct Server {
 // Arrival processes
 // ---------------------------------------------------------------------------
 
-/// One generated job arrival.
+/// One job arrival: generated by a stochastic process, or one event of an
+/// explicit trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrival {
-    /// Arrival cycle (non-decreasing across a generated sequence).
-    pub at: u64,
-    /// Index of the job's class in the spec's `classes`.
-    pub class: usize,
-}
-
-/// One event of an explicit (adversarial) arrival trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Arrival cycle.
+    /// Arrival cycle (non-decreasing across a generated sequence; a trace
+    /// may list its events in any order).
     pub at: u64,
     /// Index of the job's class in the spec's `classes`.
     pub class: usize,
@@ -246,7 +239,7 @@ pub enum ArrivalProcess {
     /// given in any order; they are sorted by cycle (stable on ties).
     Trace {
         /// The arrivals, each naming a class by index.
-        events: Vec<TraceEvent>,
+        events: Vec<Arrival>,
     },
 }
 
@@ -362,13 +355,7 @@ impl ArrivalProcess {
         let total = self.validate(horizon, weights)?;
         match self {
             ArrivalProcess::Trace { events } => {
-                let mut arrivals: Vec<Arrival> = events
-                    .iter()
-                    .map(|e| Arrival {
-                        at: e.at,
-                        class: e.class,
-                    })
-                    .collect();
+                let mut arrivals = events.clone();
                 arrivals.sort_by_key(|a| a.at);
                 Ok(arrivals)
             }
@@ -744,7 +731,7 @@ impl StreamSpec {
     /// Everything [`StreamSpec::validate`] reports, plus evaluation-pipeline
     /// errors while deriving per-class service times.
     pub fn run(&self) -> Result<StreamReport> {
-        Ok(self.run_with(&RunControl::default())?.report)
+        Ok(self.run_with(&RunControl::default())?.payload)
     }
 
     /// Runs the streaming simulation under execution controls (progress
@@ -752,12 +739,14 @@ impl StreamSpec {
     ///
     /// One [`ProgressEvent::BatchFinished`] is emitted per completed
     /// scheduler; interruption is honoured between schedulers and yields a
-    /// prefix of the runs with `interrupted == true`.
+    /// prefix of the runs with `interrupted == true`. The replay shares one
+    /// clock, so the control's mode changes nothing; the outcome's cache
+    /// counters are those of the service-time derivation.
     ///
     /// # Errors
     ///
     /// Same as [`StreamSpec::run`].
-    pub fn run_with(&self, ctrl: &RunControl<'_>) -> Result<StreamOutcome> {
+    pub fn run_with(&self, ctrl: &RunControl<'_>) -> Result<Outcome<StreamReport>> {
         self.validate()?;
         let schedulers: Vec<Scheduler> = self
             .schedulers
@@ -802,8 +791,8 @@ impl StreamSpec {
         }
 
         let fleet: Vec<FactoryConfig> = server_entry.iter().map(|&e| entry_configs[e]).collect();
-        Ok(StreamOutcome {
-            report: StreamReport {
+        Ok(Outcome {
+            payload: StreamReport {
                 name: self.name.clone(),
                 seed: self.seed,
                 horizon: self.horizon,
@@ -840,8 +829,8 @@ impl StreamSpec {
                 }
             }
         }
-        let outcome = sweep.run_serial_with(&RunControl::default())?;
-        let mut rows = outcome.results.rows.into_iter();
+        let outcome = sweep.run_with(&RunControl::default().with_serial(true))?;
+        let mut rows = outcome.payload.rows.into_iter();
         let mut matrix = Vec::with_capacity(self.classes.len());
         for class in &self.classes {
             let mut row = Vec::with_capacity(entry_configs.len());
@@ -1188,7 +1177,7 @@ fn arrivals_from_json(value: &Value, classes: &[JobClass]) -> Result<ArrivalProc
                     .position(|c| c.name == name)
                     .ok_or_else(|| e.error(format_args!("unknown class `{name}`")))?;
                 e.finish()?;
-                events.push(TraceEvent { at, class });
+                events.push(Arrival { at, class });
             }
             ArrivalProcess::Trace { events }
         }
@@ -1332,22 +1321,6 @@ impl StreamReport {
     }
 }
 
-/// The outcome of a controllable stream run: the report (a prefix of the
-/// scheduler runs when interrupted), the interruption flag, and the
-/// evaluation-cache statistics of the service-time derivation.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub struct StreamOutcome {
-    /// The report — all requested schedulers when `interrupted == false`, a
-    /// prefix otherwise.
-    pub report: StreamReport,
-    /// `true` when the run stopped between schedulers (cancelled or past its
-    /// deadline).
-    pub interrupted: bool,
-    /// Evaluation-cache statistics for the service-time matrix.
-    pub cache: CacheStats,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1438,10 +1411,7 @@ mod tests {
         let spec = StreamSpec::new("prio")
             .with_horizon(10)
             .with_arrivals(ArrivalProcess::Trace {
-                events: vec![
-                    TraceEvent { at: 1, class: 0 },
-                    TraceEvent { at: 1, class: 1 },
-                ],
+                events: vec![Arrival { at: 1, class: 0 }, Arrival { at: 1, class: 1 }],
             })
             .server(FactoryConfig::single_level(2), 1)
             .class(JobClass::new("first", Strategy::linear()))
@@ -1468,7 +1438,7 @@ mod tests {
         // pins each class to its warm server and pays exactly two cold
         // setups; fifo keeps bouncing classes across servers.
         let events = (0..8)
-            .map(|i| TraceEvent {
+            .map(|i| Arrival {
                 at: 1 + i * 10_000,
                 class: (i % 2) as usize,
             })
@@ -1605,7 +1575,7 @@ mod tests {
             ),
             (
                 quick_spec().with_arrivals(ArrivalProcess::Trace {
-                    events: vec![TraceEvent {
+                    events: vec![Arrival {
                         at: 9_999,
                         class: 0,
                     }],
@@ -1614,7 +1584,7 @@ mod tests {
             ),
             (
                 quick_spec().with_arrivals(ArrivalProcess::Trace {
-                    events: vec![TraceEvent { at: 1, class: 9 }],
+                    events: vec![Arrival { at: 1, class: 9 }],
                 }),
                 "names class index 9",
             ),
@@ -1684,7 +1654,7 @@ mod tests {
             let mut spec = StreamSpec::new("fit")
                 .with_horizon(10)
                 .with_arrivals(ArrivalProcess::Trace {
-                    events: vec![TraceEvent { at: 1, class: 0 }],
+                    events: vec![Arrival { at: 1, class: 0 }],
                 })
                 .class(JobClass::new("only", Strategy::linear()))
                 .with_schedulers(&[scheduler]);
@@ -1716,7 +1686,7 @@ mod tests {
             mean_burst: 100.0,
         };
         let trace = ArrivalProcess::Trace {
-            events: vec![TraceEvent { at: 1, class: 0 }],
+            events: vec![Arrival { at: 1, class: 0 }],
         };
         for (weights, needle) in [
             ([u64::MAX, u64::MAX], "total weight overflows"),
@@ -1766,7 +1736,7 @@ mod tests {
         let ctrl = RunControl::default().with_cancel(&token);
         let outcome = quick_spec().run_with(&ctrl).unwrap();
         assert!(outcome.interrupted);
-        assert!(outcome.report.runs.is_empty());
+        assert!(outcome.payload.runs.is_empty());
     }
 
     #[test]
@@ -1829,10 +1799,7 @@ mod tests {
         assert_eq!(
             spec.arrivals,
             ArrivalProcess::Trace {
-                events: vec![
-                    TraceEvent { at: 1, class: 0 },
-                    TraceEvent { at: 2, class: 0 }
-                ]
+                events: vec![Arrival { at: 1, class: 0 }, Arrival { at: 2, class: 0 }]
             }
         );
 

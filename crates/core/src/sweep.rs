@@ -28,10 +28,11 @@
 //! and lane groups never cross a chunk. A serial run — or a pool of one
 //! thread — runs the same tasks on the calling thread.
 //!
-//! Results are deterministic: [`SweepSpec::run`] and [`SweepSpec::run_serial`]
-//! produce identical [`SweepResults`] regardless of thread count or
-//! interleaving, because every point's evaluation is a pure function of the
-//! point and row order follows point order.
+//! Results are deterministic: a parallel and a serial run (the mode rides
+//! the [`RunControl`] given to [`SweepSpec::run_with`]) produce identical
+//! [`SweepResults`] regardless of thread count or interleaving, because
+//! every point's evaluation is a pure function of the point and row order
+//! follows point order.
 //!
 //! # Example
 //!
@@ -55,9 +56,9 @@ use msfu_distill::FactoryConfig;
 use msfu_graph::metrics::MappingMetrics;
 use msfu_sim::MAX_LANES;
 
-use crate::cache::{open_eval_cache, CacheStats};
+use crate::cache::open_eval_cache;
 use crate::pipeline::RoundBreakdown;
-use crate::progress::{ProgressEvent, RunControl};
+use crate::progress::{Outcome, ProgressEvent, RunControl};
 use crate::schedule::{schedule, FactoryTable, Job};
 use crate::{Evaluation, EvaluationConfig, Result, Strategy};
 
@@ -157,26 +158,6 @@ pub struct SweepResults {
     pub name: String,
     /// One row per point, in the spec's point order.
     pub rows: Vec<SweepRow>,
-}
-
-/// The outcome of a controllable sweep run: the rows that completed, plus
-/// whether the run was interrupted (cancelled or past its deadline) before
-/// evaluating every point.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub struct SweepOutcome {
-    /// The completed rows, in point order — all of them when
-    /// `interrupted == false`, a prefix otherwise.
-    pub results: SweepResults,
-    /// `true` when the run stopped at a batch boundary before finishing.
-    pub interrupted: bool,
-    /// Evaluation-cache counters of this run (all zero when the cache is
-    /// disabled). Each distinct key misses exactly once: the planner decides
-    /// in point order which point of the run computes it, and every other
-    /// point with that key counts as a hit — making the counters identical
-    /// for parallel and serial runs of a completed sweep at any thread
-    /// count.
-    pub cache: CacheStats,
 }
 
 impl SweepResults {
@@ -334,78 +315,50 @@ impl SweepSpec {
     /// thread runs everything and nothing is spawned. Each distinct
     /// `FactoryConfig` is built once, by the first task that needs it, and
     /// shared immutably by all points that use it. Results are in point
-    /// order and identical to [`SweepSpec::run_serial`].
+    /// order and identical to a serial run's (see [`SweepSpec::run_with`]).
     ///
     /// # Errors
     ///
     /// Returns the first (in point order) factory-construction, placement or
-    /// simulation error — the same error [`SweepSpec::run_serial`] returns:
-    /// a factory that fails to build fails at the first point using it, not
-    /// before the run starts.
+    /// simulation error — the same error a serial run returns: a factory
+    /// that fails to build fails at the first point using it, not before the
+    /// run starts.
     pub fn run(&self) -> Result<SweepResults> {
-        Ok(self.run_with(&RunControl::default())?.results)
+        Ok(self.run_with(&RunControl::default())?.payload)
     }
 
-    /// [`SweepSpec::run`] under a [`RunControl`]: rows stream to the
-    /// control's sink a whole [`SWEEP_BATCH`](self)-point chunk at a time,
-    /// each chunk followed by one `BatchFinished` event and a check for
-    /// cancellation/deadline. Chunks overlap on the pool: while the last
-    /// lane groups of one chunk simulate, idle workers map and simulate the
-    /// next ones (at most two ahead of the oldest unstreamed chunk), taking
-    /// each chunk's largest lane group first. Workers take no task once the
-    /// control is interrupted, so an interrupted run overruns by at most one
-    /// task per worker, and it returns the whole chunks streamed so far with
-    /// [`SweepOutcome::interrupted`] set, never an error.
+    /// [`SweepSpec::run`] under a [`RunControl`], in the mode it sets. Rows
+    /// stream to the control's sink in point order, and a run whose control
+    /// is already interrupted builds nothing.
     ///
-    /// Row values are identical to [`SweepSpec::run`]; a run with the default
-    /// control behaves byte-for-byte like it.
+    /// * **Parallel** (the default): rows stream a whole
+    ///   [`SWEEP_BATCH`](self)-point chunk at a time, each chunk followed by
+    ///   one `BatchFinished` event and a check for cancellation/deadline.
+    ///   Chunks overlap on the pool: while the last lane groups of one chunk
+    ///   simulate, idle workers map and simulate the next ones (at most two
+    ///   ahead of the oldest unstreamed chunk), taking each chunk's largest
+    ///   lane group first. Workers take no task once the control is
+    ///   interrupted, so an interrupted run overruns by at most one task per
+    ///   worker, and it returns the whole chunks streamed so far.
+    /// * **Serial** ([`RunControl::with_serial`]): the calling thread runs
+    ///   the same tasks, one at a time and earliest chunk first, so lane
+    ///   groups still form per chunk and nothing is spawned. Rows stream one
+    ///   at a time, followed by one `BatchFinished` event at the end, and
+    ///   cancellation/deadline are honoured between rows and between tasks,
+    ///   so an interrupted run returns a row prefix cut where it noticed,
+    ///   after at most one task of overrun. The calling thread's simulator
+    ///   engine is reused across calls, so a long-lived process (e.g.
+    ///   `msfu serve`) pays the arena allocations once, not per job.
+    ///
+    /// An interrupted run sets [`Outcome::interrupted`]; it is never an
+    /// error. Row values are identical in both modes, and a run with the
+    /// default control behaves byte-for-byte like [`SweepSpec::run`].
     ///
     /// # Errors
     ///
     /// Returns the first (in point order) factory-construction, placement or
-    /// simulation error among the batches that ran.
-    pub fn run_with(&self, ctrl: &RunControl<'_>) -> Result<SweepOutcome> {
-        self.execute(true, ctrl)
-    }
-
-    /// Executes every point on the calling thread (the reference
-    /// implementation for determinism tests). The factory cache applies here
-    /// too.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (in point order) factory-construction, placement or
-    /// simulation error, as [`SweepSpec::run`] does.
-    pub fn run_serial(&self) -> Result<SweepResults> {
-        Ok(self.run_serial_with(&RunControl::default())?.results)
-    }
-
-    /// [`SweepSpec::run_serial`] under a [`RunControl`]: rows stream to the
-    /// control's sink one at a time, and cancellation/deadline are honoured
-    /// between rows and between tasks, so an interrupted run returns a row
-    /// prefix cut at the point where it noticed, after at most one task of
-    /// overrun. The calling thread runs the same tasks a parallel run's pool
-    /// does, one at a time and earliest chunk first, so lane groups still
-    /// form per [`SWEEP_BATCH`](self)-point chunk; nothing is spawned.
-    ///
-    /// The calling thread's simulator engine is reused across calls, so a
-    /// long-lived process (e.g. `msfu serve`) pays the arena allocations
-    /// once, not per job.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (in point order) factory-construction, placement or
-    /// simulation error among the points that ran.
-    pub fn run_serial_with(&self, ctrl: &RunControl<'_>) -> Result<SweepOutcome> {
-        self.execute(false, ctrl)
-    }
-
-    /// The one path behind every run: the points go through the run
-    /// scheduler in [`SWEEP_BATCH`]-point chunks, and rows stream to the
-    /// control's sink as they come out in point order. Both modes return the
-    /// first error in point order, after the rows before it. A run whose
-    /// control is already interrupted builds nothing.
-    fn execute(&self, parallel: bool, ctrl: &RunControl<'_>) -> Result<SweepOutcome> {
+    /// simulation error among the points that ran, after the rows before it.
+    pub fn run_with(&self, ctrl: &RunControl<'_>) -> Result<Outcome<SweepResults>> {
         let total = self.points.len();
         let mut rows: Vec<SweepRow> = Vec::with_capacity(total);
         let eval_cache = open_eval_cache(self.use_eval_cache, self.cache_dir.as_deref())?;
@@ -416,7 +369,6 @@ impl SweepSpec {
                 factories: &factories,
                 cache: eval_cache.as_ref(),
                 chunk_len: SWEEP_BATCH,
-                parallel,
             };
             schedule(&job, ctrl, &mut |row| {
                 let index = rows.len();
@@ -430,12 +382,12 @@ impl SweepSpec {
                 Ok(())
             })?
         };
-        if !parallel {
+        if ctrl.serial() {
             self.emit_batch_finished(ctrl, rows.len());
         }
 
-        Ok(SweepOutcome {
-            results: SweepResults {
+        Ok(Outcome {
+            payload: SweepResults {
                 name: self.name.clone(),
                 rows,
             },
@@ -466,9 +418,16 @@ impl SweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate;
+    use crate::{evaluate, CacheStats};
     use msfu_distill::ReusePolicy;
     use msfu_layout::StitchingConfig;
+
+    /// A serial run's rows.
+    fn run_serial(spec: &SweepSpec) -> Result<SweepResults> {
+        Ok(spec
+            .run_with(&RunControl::default().with_serial(true))?
+            .payload)
+    }
 
     fn small_spec() -> SweepSpec {
         let caps = [
@@ -498,7 +457,7 @@ mod tests {
     fn parallel_and_serial_runs_are_identical() {
         let spec = small_spec().with_breakdowns();
         let parallel = spec.run().unwrap();
-        let serial = spec.run_serial().unwrap();
+        let serial = run_serial(&spec).unwrap();
         assert_eq!(parallel, serial);
     }
 
@@ -553,7 +512,7 @@ mod tests {
             .point("ok", FactoryConfig::single_level(2), Strategy::linear())
             .point("bad", FactoryConfig::new(0, 1), Strategy::linear());
         assert!(spec.run().is_err());
-        assert!(spec.run_serial().is_err());
+        assert!(run_serial(&spec).is_err());
         // A placement error at point 1 comes before a factory error at point
         // 2 in both modes: factories build up front, but a failed build
         // surfaces only at the first point that uses it.
@@ -566,7 +525,7 @@ mod tests {
             )
             .point("unbuildable", FactoryConfig::new(0, 1), Strategy::linear());
         let parallel = spec.run().unwrap_err().to_string();
-        assert_eq!(parallel, spec.run_serial().unwrap_err().to_string());
+        assert_eq!(parallel, run_serial(&spec).unwrap_err().to_string());
         assert!(parallel.contains("bogus"), "{parallel}");
     }
 
@@ -607,7 +566,7 @@ mod tests {
             let batched = spec.clone().with_lanes(lanes);
             assert_eq!(batched.run().unwrap(), reference, "parallel, {lanes} lanes");
             assert_eq!(
-                batched.run_serial().unwrap(),
+                run_serial(&batched).unwrap(),
                 reference,
                 "serial, {lanes} lanes"
             );
@@ -619,7 +578,7 @@ mod tests {
         let spec = small_spec().with_eval_cache(false);
         let reference = spec.clone().with_lanes(0).run().unwrap();
         assert_eq!(spec.clone().with_lanes(4).run().unwrap(), reference);
-        assert_eq!(spec.with_lanes(4).run_serial().unwrap(), reference);
+        assert_eq!(run_serial(&spec.with_lanes(4)).unwrap(), reference);
     }
 
     #[test]
@@ -645,7 +604,7 @@ mod tests {
             .with_lanes(0)
             .run_with(&RunControl::default())
             .unwrap();
-        assert_eq!(outcome.results, unbatched.results);
+        assert_eq!(outcome.payload, unbatched.payload);
         assert_eq!(outcome.cache, unbatched.cache);
     }
 
@@ -656,7 +615,7 @@ mod tests {
             .point("bad", FactoryConfig::new(0, 1), Strategy::linear())
             .with_lanes(4);
         assert!(spec.run().is_err());
-        assert!(spec.run_serial().is_err());
+        assert!(run_serial(&spec).is_err());
     }
 
     /// Records each progress event as a compact tag.
@@ -680,12 +639,9 @@ mod tests {
         let recorder = Recorder::default();
         let ctrl = RunControl::default()
             .with_progress(&recorder)
-            .with_cancel(token);
-        if parallel {
-            spec.run_with(&ctrl).unwrap();
-        } else {
-            spec.run_serial_with(&ctrl).unwrap();
-        }
+            .with_cancel(token)
+            .with_serial(!parallel);
+        spec.run_with(&ctrl).unwrap();
         recorder.0.into_inner().unwrap()
     }
 

@@ -290,8 +290,9 @@ fn busy_edge(
 }
 
 /// Cuts `spec` into shards (see [`plan_shards`]), each a ready-to-send
-/// sweep request with id `{prefix}s{k}` over its slice of the points.
-fn plan(prefix: &str, serial: bool, spec: &SweepSpec, world: usize) -> Vec<ShardSpec> {
+/// sweep request with id `{prefix}s{k}` over its slice of the points, run
+/// in the mode of the job's control `ctrl`.
+fn plan(prefix: &str, ctrl: &RunControl<'_>, spec: &SweepSpec, world: usize) -> Vec<ShardSpec> {
     plan_shards(spec.points.iter().map(|p| p.factory), world)
         .into_iter()
         .enumerate()
@@ -304,7 +305,7 @@ fn plan(prefix: &str, serial: bool, spec: &SweepSpec, world: usize) -> Vec<Shard
                 ),
                 ("id".to_string(), Value::Str(id.clone())),
                 ("kind".to_string(), Value::Str("sweep".to_string())),
-                ("serial".to_string(), Value::Bool(serial)),
+                ("serial".to_string(), Value::Bool(ctrl.serial())),
                 (
                     "sweep".to_string(),
                     wire::sweep_spec_to_value(&spec.slice(range.clone())),
@@ -328,7 +329,7 @@ pub(crate) fn run_sweep<W: Write>(
 ) -> (Result<Payload, ServiceError>, bool, ClusterPerf) {
     let total = spec.points.len();
     let prefix = format!("{}#", request.id);
-    let shards = plan(&prefix, request.serial, spec, cluster.configured);
+    let shards = plan(&prefix, ctrl, spec, cluster.configured);
     let mut stats = ShardStats::default();
     let mut completed = 0usize;
     let outcome =
@@ -431,7 +432,7 @@ pub(crate) fn run_search(
             sub = sub.point(format!("c{g}"), spec.factory, strategy.clone());
         }
         let prefix = format!("{}#b{batch_seq}", request.id);
-        let shards = plan(&prefix, request.serial, &sub, cluster.configured);
+        let shards = plan(&prefix, ctrl, &sub, cluster.configured);
         // No run control here: like a serial run, an in-flight batch always
         // completes — the fold honours cancellation and deadlines between
         // batches. Sub-request progress stays internal (shard-local labels
@@ -460,7 +461,7 @@ pub(crate) fn run_search(
     let perf = stats.perf(cluster, start);
     match result {
         Ok(outcome) => (
-            Ok(Payload::Search(Box::new(outcome.report))),
+            Ok(Payload::Search(Box::new(outcome.payload))),
             outcome.interrupted,
             perf,
         ),
@@ -1301,7 +1302,7 @@ mod tests {
         let Job::Sweep { spec } = &request.job else {
             panic!("the fixture is a sweep");
         };
-        let shards = plan("j#", false, spec, 2);
+        let shards = plan("j#", &RunControl::default(), spec, 2);
         assert_eq!(shards[1].id, "j#s1");
         let deadline_ms = |ctrl: Option<&RunControl<'_>>| {
             let line: Value = serde_json::from_str(&dispatch_line(&shards[0], ctrl)).unwrap();
@@ -1316,6 +1317,36 @@ mod tests {
         assert_eq!(deadline_ms(None), None);
         let past = RunControl::default().with_deadline(Instant::now() - Duration::from_millis(1));
         assert_eq!(deadline_ms(Some(&past)), Some(0));
+    }
+
+    #[test]
+    fn shard_requests_carry_the_requests_serial_mode() {
+        let handle = crate::JobHandle::new();
+        for serial in [false, true] {
+            let request = Request::from_json(SWEEP_LINE)
+                .expect("the fixture is a request")
+                .with_serial(serial);
+            let Job::Sweep { spec } = &request.job else {
+                panic!("the fixture is a sweep");
+            };
+            let ctrl = crate::service::run_control(
+                &request,
+                &handle,
+                &msfu_core::NoProgress,
+                Instant::now(),
+            );
+            let shards = plan("j#", &ctrl, spec, 2);
+            assert!(shards.len() > 1, "the fixture spans several shards");
+            for shard in &shards {
+                let line: Value = serde_json::from_str(&dispatch_line(shard, Some(&ctrl))).unwrap();
+                assert_eq!(
+                    line.get("serial"),
+                    Some(&Value::Bool(serial)),
+                    "{}",
+                    shard.id
+                );
+            }
+        }
     }
 
     #[test]

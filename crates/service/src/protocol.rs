@@ -51,6 +51,7 @@
 use std::fmt;
 use std::path::PathBuf;
 
+use serde::Serialize;
 use serde_json::Value;
 
 use msfu_core::spec::{eval_from_json, factory_from_json, strategy_from_json, Fields};
@@ -70,7 +71,7 @@ pub const PROTOCOL_VERSION: u64 = 1;
 
 /// A machine-readable job failure: a stable `code` from
 /// [`crate::error_code::ALL_ERROR_CODES`] plus a human-readable message.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ServiceError {
     /// The stable error code (part of the wire contract).
     pub code: &'static str,
@@ -90,13 +91,6 @@ impl ServiceError {
     /// Wraps a pipeline error under its stable code.
     pub fn from_core(error: &CoreError) -> Self {
         ServiceError::new(error_code(error), error.to_string())
-    }
-
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("code".to_string(), Value::Str(self.code.to_string())),
-            ("message".to_string(), Value::Str(self.message.clone())),
-        ])
     }
 }
 
@@ -392,7 +386,7 @@ impl SessionLine {
 /// Cluster execution stamp of one coordinated (multi-worker) job, rendered
 /// under `perf.cluster` of the response. All fields are observability-only:
 /// the merged rows/incumbents are byte-identical to serial regardless.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 #[non_exhaustive]
 pub struct ClusterPerf {
     /// The communicator backend (`"local-threads"` or `"child-process"`).
@@ -415,33 +409,6 @@ pub struct ClusterPerf {
     /// Coordinator overhead: job wall time minus ideal parallel shard time
     /// (`Σ shard wall / workers`), clamped at zero.
     pub coordinator_seconds: f64,
-}
-
-impl ClusterPerf {
-    fn to_value(self) -> Value {
-        Value::Object(vec![
-            ("backend".to_string(), Value::Str(self.backend.to_string())),
-            ("workers".to_string(), Value::UInt(self.workers as u64)),
-            ("shards".to_string(), Value::UInt(self.shards)),
-            (
-                "shards_retried".to_string(),
-                Value::UInt(self.shards_retried),
-            ),
-            (
-                "workers_respawned".to_string(),
-                Value::UInt(self.workers_respawned),
-            ),
-            (
-                "shards_local_fallback".to_string(),
-                Value::UInt(self.shards_local_fallback),
-            ),
-            ("occupancy".to_string(), Value::Float(self.occupancy)),
-            (
-                "coordinator_seconds".to_string(),
-                Value::Float(self.coordinator_seconds),
-            ),
-        ])
-    }
 }
 
 /// Wall-time stamp of one served job.
@@ -482,7 +449,6 @@ impl ResponsePerf {
             ("serial".to_string(), Value::Bool(self.serial)),
         ];
         if let Some(cache) = self.cache {
-            use serde::Serialize;
             entries.push(("cache".to_string(), cache.to_value()));
         }
         if let Some(cluster) = self.cluster {
@@ -521,7 +487,6 @@ impl Payload {
     }
 
     fn to_value(&self) -> Value {
-        use serde::Serialize;
         match self {
             Payload::Evaluate(evaluation) => {
                 Value::Object(vec![("evaluation".to_string(), evaluation.to_value())])

@@ -3,7 +3,7 @@
 
 use std::time::{Duration, Instant};
 
-use msfu_core::{evaluate, CancelToken, ProgressSink, RunControl};
+use msfu_core::{evaluate, CacheStats, CancelToken, Outcome, ProgressSink, RunControl};
 
 use crate::protocol::{Job, Payload, Request, Response, ResponsePerf, ServiceError};
 
@@ -17,7 +17,8 @@ use crate::protocol::{Job, Payload, Request, Response, ResponsePerf, ServiceErro
 pub type JobHandle = CancelToken;
 
 /// The run control of `request` started at `start`: progress to `progress`,
-/// cancellation through `handle`, and `deadline_ms` counted from `start`.
+/// cancellation through `handle`, `deadline_ms` counted from `start`, and
+/// the request's `serial` mode.
 pub(crate) fn run_control<'a>(
     request: &Request,
     handle: &'a JobHandle,
@@ -26,7 +27,8 @@ pub(crate) fn run_control<'a>(
 ) -> RunControl<'a> {
     let ctrl = RunControl::default()
         .with_progress(progress)
-        .with_cancel(handle);
+        .with_cancel(handle)
+        .with_serial(request.serial);
     match request.deadline_ms {
         Some(ms) => ctrl.with_deadline(start + Duration::from_millis(ms)),
         None => ctrl,
@@ -79,47 +81,12 @@ impl Service {
                 false,
                 None,
             ),
-            Job::Sweep { spec } => {
-                let outcome = if request.serial {
-                    spec.run_serial_with(&ctrl)
-                } else {
-                    spec.run_with(&ctrl)
-                };
-                match outcome {
-                    Ok(outcome) => (
-                        Ok(Payload::Sweep(outcome.results)),
-                        outcome.interrupted,
-                        Some(outcome.cache),
-                    ),
-                    Err(e) => (Err(ServiceError::from_core(&e)), false, None),
-                }
-            }
-            Job::Search { spec } => {
-                let outcome = if request.serial {
-                    spec.run_serial_with(&ctrl)
-                } else {
-                    spec.run_with(&ctrl)
-                };
-                match outcome {
-                    Ok(outcome) => (
-                        Ok(Payload::Search(Box::new(outcome.report))),
-                        outcome.interrupted,
-                        Some(outcome.cache),
-                    ),
-                    Err(e) => (Err(ServiceError::from_core(&e)), false, None),
-                }
-            }
+            Job::Sweep { spec } => settle(spec.run_with(&ctrl), Payload::Sweep),
+            Job::Search { spec } => settle(spec.run_with(&ctrl), |r| Payload::Search(Box::new(r))),
             // The streaming engine is inherently sequential (one shared
             // clock), so `serial` changes nothing — results are identical
             // either way.
-            Job::Stream { spec } => match spec.run_with(&ctrl) {
-                Ok(outcome) => (
-                    Ok(Payload::Stream(Box::new(outcome.report))),
-                    outcome.interrupted,
-                    Some(outcome.cache),
-                ),
-                Err(e) => (Err(ServiceError::from_core(&e)), false, None),
-            },
+            Job::Stream { spec } => settle(spec.run_with(&ctrl), |r| Payload::Stream(Box::new(r))),
         };
         let mut perf = ResponsePerf::new(start.elapsed().as_secs_f64(), request.serial);
         perf.cache = cache;
@@ -130,6 +97,22 @@ impl Service {
             perf,
             result,
         )
+    }
+}
+
+/// A run's outcome as the parts of its response: the payload (or the typed
+/// error), whether the run was interrupted, and its cache counters.
+fn settle<T>(
+    outcome: msfu_core::Result<Outcome<T>>,
+    payload: impl FnOnce(T) -> Payload,
+) -> (Result<Payload, ServiceError>, bool, Option<CacheStats>) {
+    match outcome {
+        Ok(outcome) => (
+            Ok(payload(outcome.payload)),
+            outcome.interrupted,
+            Some(outcome.cache),
+        ),
+        Err(e) => (Err(ServiceError::from_core(&e)), false, None),
     }
 }
 
@@ -179,6 +162,47 @@ mod tests {
             };
             assert_eq!(results, &direct, "serial={serial}");
             assert_eq!(response.perf.serial, serial);
+        }
+    }
+
+    /// Records each sweep progress event as a compact tag.
+    #[derive(Default)]
+    struct Recorder(std::sync::Mutex<Vec<String>>);
+
+    impl ProgressSink for Recorder {
+        fn emit(&self, event: &msfu_core::ProgressEvent<'_>) {
+            let tag = match event {
+                msfu_core::ProgressEvent::RowCompleted { index, .. } => format!("row {index}"),
+                msfu_core::ProgressEvent::BatchFinished {
+                    completed, total, ..
+                } => format!("batch {completed}/{total}"),
+                _ => "other".to_string(),
+            };
+            self.0.lock().unwrap().push(tag);
+        }
+    }
+
+    #[test]
+    fn request_serial_flag_reaches_the_scheduler() {
+        // A serial run streams row by row and reports one batch at the end;
+        // a parallel run reports each 32-point chunk.
+        let mut spec = SweepSpec::new("modes", EvaluationConfig::default());
+        for seed in 0..36 {
+            spec = spec.point("p", FactoryConfig::single_level(2), Strategy::random(seed));
+        }
+        let rows = |range: std::ops::Range<usize>| range.map(|i| format!("row {i}"));
+        let serial: Vec<String> = rows(0..36).chain(["batch 36/36".to_string()]).collect();
+        let parallel: Vec<String> = rows(0..32)
+            .chain(["batch 32/36".to_string()])
+            .chain(rows(32..36))
+            .chain(["batch 36/36".to_string()])
+            .collect();
+        for (flag, expected) in [(true, serial), (false, parallel)] {
+            let recorder = Recorder::default();
+            let request = Request::sweep("m", spec.clone()).with_serial(flag);
+            let response = Service::new().run(&request, &JobHandle::new(), &recorder);
+            assert!(response.result.is_ok(), "serial={flag}");
+            assert_eq!(recorder.0.into_inner().unwrap(), expected, "serial={flag}");
         }
     }
 

@@ -212,6 +212,7 @@ fn fixture_spec(sim: SimConfig) -> SweepSpec {
 #[test]
 fn sweep_rows_are_identical_across_lane_widths_and_run_modes() {
     let ctrl = msfu::core::RunControl::default();
+    let serial_ctrl = ctrl.with_serial(true);
     // Adaptive routing (the library default) and the dimension-ordered
     // routing every figure/table harness simulates with.
     for (routing, sim) in [
@@ -220,19 +221,19 @@ fn sweep_rows_are_identical_across_lane_widths_and_run_modes() {
     ] {
         let reference = fixture_spec(sim)
             .with_lanes(0)
-            .run_serial_with(&ctrl)
+            .run_with(&serial_ctrl)
             .unwrap();
-        assert!(!reference.results.rows.is_empty());
+        assert!(!reference.payload.rows.is_empty());
         for lanes in [0usize, 1, 2, 8] {
             let spec = fixture_spec(sim).with_lanes(lanes);
             let parallel = spec.run_with(&ctrl).unwrap();
-            let serial = spec.run_serial_with(&ctrl).unwrap();
+            let serial = spec.run_with(&serial_ctrl).unwrap();
             assert_eq!(
-                parallel.results, reference.results,
+                parallel.payload, reference.payload,
                 "{routing}: parallel rows diverged at lanes={lanes}"
             );
             assert_eq!(
-                serial.results, reference.results,
+                serial.payload, reference.payload,
                 "{routing}: serial rows diverged at lanes={lanes}"
             );
         }
@@ -251,10 +252,10 @@ fn duplicate_points_are_deduped_by_the_eval_cache_not_a_lane() {
         .point("d", FactoryConfig::single_level(4), Strategy::linear())
         .with_lanes(8);
     let outcome = spec
-        .run_serial_with(&msfu::core::RunControl::default())
+        .run_with(&msfu::core::RunControl::default().with_serial(true))
         .unwrap();
-    assert_eq!(outcome.results.rows.len(), 4);
-    let evals: Vec<_> = outcome.results.rows.iter().map(|r| &r.evaluation).collect();
+    assert_eq!(outcome.payload.rows.len(), 4);
+    let evals: Vec<_> = outcome.payload.rows.iter().map(|r| &r.evaluation).collect();
     assert!(evals.windows(2).all(|w| w[0] == w[1]));
     assert_eq!(
         outcome.cache,

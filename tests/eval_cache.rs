@@ -3,7 +3,7 @@
 //! runs, in both the parallel and the serial engines, and duplicate points
 //! must actually hit the cache.
 
-use msfu_core::{EvaluationConfig, PortfolioEntry, SearchSpec, Strategy, SweepSpec};
+use msfu_core::{EvaluationConfig, PortfolioEntry, RunControl, SearchSpec, Strategy, SweepSpec};
 use msfu_distill::{FactoryConfig, ReusePolicy};
 use msfu_layout::{MapperParams, StitchingConfig};
 use msfu_sim::SimConfig;
@@ -49,9 +49,15 @@ fn sweep_results_are_identical_with_and_without_the_cache() {
     assert!(!uncached.use_eval_cache);
 
     let cached_parallel = cached.run().unwrap();
-    let cached_serial = cached.run_serial().unwrap();
+    let cached_serial = cached
+        .run_with(&RunControl::default().with_serial(true))
+        .unwrap()
+        .payload;
     let uncached_parallel = uncached.run().unwrap();
-    let uncached_serial = uncached.run_serial().unwrap();
+    let uncached_serial = uncached
+        .run_with(&RunControl::default().with_serial(true))
+        .unwrap()
+        .payload;
 
     assert_eq!(cached_parallel, uncached_parallel);
     assert_eq!(cached_serial, uncached_serial);
@@ -60,12 +66,13 @@ fn sweep_results_are_identical_with_and_without_the_cache() {
 
 #[test]
 fn duplicate_sweep_points_hit_the_cache() {
-    use msfu_core::progress::RunControl;
     let spec = duplicate_heavy_spec();
     // Serial: deterministic counters — every duplicate after the first is a
     // hit. The spec holds three duplicate pairs (linear, random, HS); the
     // reuse-policy pair are distinct factory configs and must NOT collide.
-    let outcome = spec.run_serial_with(&RunControl::default()).unwrap();
+    let outcome = spec
+        .run_with(&RunControl::default().with_serial(true))
+        .unwrap();
     assert_eq!(outcome.cache.hits, 3, "stats: {:?}", outcome.cache);
     assert_eq!(outcome.cache.misses, 5);
     assert!(outcome.cache.hit_rate() > 0.3);
@@ -76,15 +83,15 @@ fn duplicate_sweep_points_hit_the_cache() {
     for spec in [spec.clone(), spec.clone().with_lanes(0)] {
         let parallel = spec.run_with(&RunControl::default()).unwrap();
         assert_eq!(parallel.cache, outcome.cache, "lanes {}", spec.lanes);
-        assert_eq!(parallel.results, outcome.results);
+        assert_eq!(parallel.payload, outcome.payload);
     }
     // Disabled cache reports zeros.
     let disabled = spec
         .with_eval_cache(false)
-        .run_serial_with(&RunControl::default())
+        .run_with(&RunControl::default().with_serial(true))
         .unwrap();
     assert_eq!(disabled.cache.hits + disabled.cache.misses, 0);
-    assert_eq!(outcome.results, disabled.results);
+    assert_eq!(outcome.payload, disabled.payload);
 }
 
 fn search_spec(cache: bool) -> SearchSpec {
@@ -116,9 +123,15 @@ fn search_spec(cache: bool) -> SearchSpec {
 #[test]
 fn search_reports_are_identical_with_and_without_the_cache() {
     let cached_parallel = search_spec(true).run().unwrap();
-    let cached_serial = search_spec(true).run_serial().unwrap();
+    let cached_serial = search_spec(true)
+        .run_with(&RunControl::default().with_serial(true))
+        .unwrap()
+        .payload;
     let uncached_parallel = search_spec(false).run().unwrap();
-    let uncached_serial = search_spec(false).run_serial().unwrap();
+    let uncached_serial = search_spec(false)
+        .run_with(&RunControl::default().with_serial(true))
+        .unwrap()
+        .payload;
 
     assert_eq!(cached_parallel, uncached_parallel);
     assert_eq!(cached_serial, uncached_serial);
@@ -127,11 +140,10 @@ fn search_reports_are_identical_with_and_without_the_cache() {
 
 #[test]
 fn converging_search_candidates_hit_the_cache() {
-    use msfu_core::progress::RunControl;
     // Serial run: counters are deterministic. The unseeded ladder's
     // duplicate rung must be answered from the cache.
     let outcome = search_spec(true)
-        .run_serial_with(&RunControl::default())
+        .run_with(&RunControl::default().with_serial(true))
         .unwrap();
     assert!(
         outcome.cache.hits > 0,
@@ -139,8 +151,8 @@ fn converging_search_candidates_hit_the_cache() {
         outcome.cache
     );
     let disabled = search_spec(false)
-        .run_serial_with(&RunControl::default())
+        .run_with(&RunControl::default().with_serial(true))
         .unwrap();
     assert_eq!(disabled.cache.hits + disabled.cache.misses, 0);
-    assert_eq!(outcome.report, disabled.report);
+    assert_eq!(outcome.payload, disabled.payload);
 }

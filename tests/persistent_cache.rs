@@ -70,8 +70,10 @@ fn warm_sweep_is_served_from_disk_and_byte_identical() {
 
     // Cold run: five unique points simulate and persist, three duplicates
     // hit in memory; nothing comes from disk yet.
-    let cold = spec.run_serial_with(&RunControl::default()).unwrap();
-    assert_eq!(cold.results, reference, "cold disk-tier run must not drift");
+    let cold = spec
+        .run_with(&RunControl::default().with_serial(true))
+        .unwrap();
+    assert_eq!(cold.payload, reference, "cold disk-tier run must not drift");
     assert_eq!(cold.cache.misses, 5, "stats: {:?}", cold.cache);
     assert_eq!(cold.cache.hits, 3);
     assert_eq!(cold.cache.disk_hits, 0);
@@ -82,8 +84,10 @@ fn warm_sweep_is_served_from_disk_and_byte_identical() {
     // is answered from the disk-loaded slots, nothing simulates or appends.
     let bytes_after_cold = segment_bytes(&dir);
     assert!(bytes_after_cold > 0, "cold run must write segment files");
-    let warm = spec.run_serial_with(&RunControl::default()).unwrap();
-    assert_eq!(warm.results, reference, "disk hits must be byte-identical");
+    let warm = spec
+        .run_with(&RunControl::default().with_serial(true))
+        .unwrap();
+    assert_eq!(warm.payload, reference, "disk hits must be byte-identical");
     assert_eq!(warm.cache.misses, 0, "stats: {:?}", warm.cache);
     assert_eq!(warm.cache.hits, 8);
     assert_eq!(warm.cache.disk_hits, 8);
@@ -122,15 +126,15 @@ fn warm_search_simulates_nothing_and_reports_identically() {
     let reference = search_spec(None).run().unwrap();
 
     let cold = search_spec(Some(&dir))
-        .run_serial_with(&RunControl::default())
+        .run_with(&RunControl::default().with_serial(true))
         .unwrap();
-    assert_eq!(cold.report, reference);
+    assert_eq!(cold.payload, reference);
     assert!(cold.cache.persisted > 0, "stats: {:?}", cold.cache);
 
     let warm = search_spec(Some(&dir))
-        .run_serial_with(&RunControl::default())
+        .run_with(&RunControl::default().with_serial(true))
         .unwrap();
-    assert_eq!(warm.report, reference, "disk hits must be byte-identical");
+    assert_eq!(warm.payload, reference, "disk hits must be byte-identical");
     assert_eq!(warm.cache.misses, 0, "stats: {:?}", warm.cache);
     assert_eq!(warm.cache.disk_hits, warm.cache.hits);
     assert_eq!(warm.cache.persisted, 0);
@@ -180,16 +184,20 @@ fn stale_version_segments_are_skipped_without_failing_the_sweep() {
         std::fs::write(dir.join("seg-00.bin"), &record).unwrap();
 
         let spec = duplicate_heavy_spec().with_cache_dir(&dir);
-        let outcome = spec.run_serial_with(&RunControl::default()).unwrap();
-        assert_eq!(outcome.results, reference, "version {version}");
+        let outcome = spec
+            .run_with(&RunControl::default().with_serial(true))
+            .unwrap();
+        assert_eq!(outcome.payload, reference, "version {version}");
         assert_eq!(outcome.cache.loaded, 0, "v{version}: {:?}", outcome.cache);
         assert_eq!(outcome.cache.warnings, 1, "v{version}: {:?}", outcome.cache);
         assert_eq!(outcome.cache.misses, 5, "v{version}: {:?}", outcome.cache);
 
         // The open quarantined the stale segment, so the warm reopen loads
         // exactly the re-simulated records and warns no more.
-        let warm = spec.run_serial_with(&RunControl::default()).unwrap();
-        assert_eq!(warm.results, reference, "version {version}");
+        let warm = spec
+            .run_with(&RunControl::default().with_serial(true))
+            .unwrap();
+        assert_eq!(warm.payload, reference, "version {version}");
         assert_eq!(warm.cache.loaded, 5, "v{version}: {:?}", warm.cache);
         assert_eq!(warm.cache.warnings, 0, "v{version}: {:?}", warm.cache);
         assert_eq!(warm.cache.misses, 0, "v{version}: {:?}", warm.cache);
@@ -203,8 +211,10 @@ fn a_corrupted_segment_is_quarantined_and_compact_heals_the_directory() {
     let dir = fresh_cache_dir("heal");
     let spec = duplicate_heavy_spec().with_cache_dir(&dir);
     let reference = duplicate_heavy_spec().with_eval_cache(false).run().unwrap();
-    let cold = spec.run_serial_with(&RunControl::default()).unwrap();
-    assert_eq!(cold.results, reference);
+    let cold = spec
+        .run_with(&RunControl::default().with_serial(true))
+        .unwrap();
+    assert_eq!(cold.payload, reference);
     assert_eq!(cold.cache.persisted, 5, "stats: {:?}", cold.cache);
 
     // Flip bytes inside one populated segment (deterministic damage).
@@ -224,8 +234,10 @@ fn a_corrupted_segment_is_quarantined_and_compact_heals_the_directory() {
     // The next run must quarantine the bad segment on open, count the damage
     // as a warning, re-simulate whatever the quarantine lost, and still
     // produce byte-identical rows.
-    let healed = spec.run_serial_with(&RunControl::default()).unwrap();
-    assert_eq!(healed.results, reference, "corruption must not change rows");
+    let healed = spec
+        .run_with(&RunControl::default().with_serial(true))
+        .unwrap();
+    assert_eq!(healed.payload, reference, "corruption must not change rows");
     assert!(healed.cache.warnings > 0, "stats: {:?}", healed.cache);
     let quarantined = damaged.with_file_name(format!(
         "{}.quarantined",
@@ -242,8 +254,10 @@ fn a_corrupted_segment_is_quarantined_and_compact_heals_the_directory() {
     assert_eq!(report.quarantined_removed, 1, "report: {report:?}");
     let verify = msfu_core::verify_dir(&dir).expect("verify succeeds");
     assert!(verify.is_clean(), "after compact: {verify:?}");
-    let clean = spec.run_serial_with(&RunControl::default()).unwrap();
-    assert_eq!(clean.results, reference);
+    let clean = spec
+        .run_with(&RunControl::default().with_serial(true))
+        .unwrap();
+    assert_eq!(clean.payload, reference);
     assert_eq!(clean.cache.warnings, 0, "stats: {:?}", clean.cache);
     assert_eq!(clean.cache.misses, 0, "stats: {:?}", clean.cache);
 

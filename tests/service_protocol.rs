@@ -66,11 +66,12 @@ fn mid_sweep_cancel_returns_partial_prefix_and_leaves_the_engine_reusable() {
     let sink = CancelAfterRows::new(token.clone(), 3);
     let ctrl = RunControl::default()
         .with_progress(&sink)
-        .with_cancel(&token);
-    let outcome = spec.run_serial_with(&ctrl).unwrap();
+        .with_cancel(&token)
+        .with_serial(true);
+    let outcome = spec.run_with(&ctrl).unwrap();
     assert!(outcome.interrupted);
-    assert_eq!(outcome.results.rows.len(), 3);
-    assert_eq!(outcome.results.rows[..], full.rows[..3]);
+    assert_eq!(outcome.payload.rows.len(), 3);
+    assert_eq!(outcome.payload.rows[..], full.rows[..3]);
 
     // Parallel: cancellation is honoured between 32-point batches, so the
     // first batch completes and the second never starts.
@@ -81,12 +82,15 @@ fn mid_sweep_cancel_returns_partial_prefix_and_leaves_the_engine_reusable() {
         .with_cancel(&token);
     let outcome = spec.run_with(&ctrl).unwrap();
     assert!(outcome.interrupted);
-    assert_eq!(outcome.results.rows.len(), 32, "one full batch completed");
-    assert_eq!(outcome.results.rows[..], full.rows[..32]);
+    assert_eq!(outcome.payload.rows.len(), 32, "one full batch completed");
+    assert_eq!(outcome.payload.rows[..], full.rows[..32]);
 
     // The engines the cancelled runs used are reused by the very next run on
     // the same threads; results must equal a fresh, uncancelled run.
-    let again = spec.run_serial().unwrap();
+    let again = spec
+        .run_with(&RunControl::default().with_serial(true))
+        .unwrap()
+        .payload;
     assert_eq!(again, full, "cancellation must not poison the engine");
 }
 

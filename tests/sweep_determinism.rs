@@ -71,7 +71,10 @@ fn parallel_sweep_is_byte_identical_to_serial() {
     std::env::set_var("RAYON_NUM_THREADS", "4");
     let spec = fig10_style_spec();
     let parallel = spec.run().unwrap();
-    let serial = spec.run_serial().unwrap();
+    let serial = spec
+        .run_with(&RunControl::default().with_serial(true))
+        .unwrap()
+        .payload;
     std::env::remove_var("RAYON_NUM_THREADS");
 
     assert_eq!(parallel, serial);
@@ -147,7 +150,9 @@ fn keys_recurring_across_chunks_simulate_once_at_every_thread_count() {
     }
     for lanes in [0, 8] {
         let spec = spec.clone().with_lanes(lanes);
-        let serial = spec.run_serial_with(&RunControl::default()).unwrap();
+        let serial = spec
+            .run_with(&RunControl::default().with_serial(true))
+            .unwrap();
         assert_eq!(
             serial.cache.misses,
             layouts.len() as u64,
@@ -158,7 +163,7 @@ fn keys_recurring_across_chunks_simulate_once_at_every_thread_count() {
             let parallel = with_threads(threads, || spec.run_with(&RunControl::default()));
             let parallel = parallel.unwrap();
             assert_eq!(
-                parallel.results, serial.results,
+                parallel.payload, serial.payload,
                 "{threads} threads, {lanes} lanes"
             );
             assert_eq!(
@@ -192,7 +197,10 @@ fn a_failed_leader_fails_its_follower_run_the_same_in_both_modes() {
         let factory = if i == 5 || i == 40 { big } else { small };
         spec = spec.point("p", factory, Strategy::random(i % 7));
     }
-    let serial = spec.run_serial().unwrap_err().to_string();
+    let serial = spec
+        .run_with(&RunControl::default().with_serial(true))
+        .unwrap_err()
+        .to_string();
     assert!(serial.contains("cycle limit"), "{serial}");
     for threads in [1, 2, 4] {
         let parallel = with_threads(threads, || spec.run().map_err(|e| e.to_string()));
@@ -215,7 +223,10 @@ impl ProgressSink for CancelAtFirstRow {
 fn a_cancel_at_the_first_row_returns_exactly_the_first_chunk() {
     let _guard = env_guard();
     let spec = recurring_keys_spec();
-    let full = spec.run_serial().unwrap();
+    let full = spec
+        .run_with(&RunControl::default().with_serial(true))
+        .unwrap()
+        .payload;
     for threads in [1, 2, 4] {
         let token = CancelToken::new();
         let sink = CancelAtFirstRow(token.clone());
@@ -224,7 +235,7 @@ fn a_cancel_at_the_first_row_returns_exactly_the_first_chunk() {
             .with_cancel(&token);
         let outcome = with_threads(threads, || spec.run_with(&ctrl)).unwrap();
         assert!(outcome.interrupted, "{threads} threads");
-        assert_eq!(outcome.results.rows.len(), 32, "{threads} threads");
-        assert_eq!(outcome.results.rows[..], full.rows[..32]);
+        assert_eq!(outcome.payload.rows.len(), 32, "{threads} threads");
+        assert_eq!(outcome.payload.rows[..], full.rows[..32]);
     }
 }
