@@ -31,7 +31,12 @@
 //! finite, `disk_hits <= hits`) so a corrupted cache stamp fails loudly;
 //! baselines predating the stamp are untouched.
 //!
-//! Exit status: 0 when clean, 1 on any regression, 2 on usage/IO errors.
+//! Every current report must have a baseline of the same file name: one
+//! without is an error naming the file, so a newly added report cannot go
+//! ungated.
+//!
+//! Exit status: 0 when clean, 1 on any regression, 2 on usage/IO errors and
+//! on a current report without a baseline.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -355,6 +360,25 @@ fn compare_report(
 /// tolerance, so gating would only produce flakes.
 const MIN_GATED_WALL_SECONDS: f64 = 0.1;
 
+/// Fails on the first current report that has no baseline of the same
+/// file name: an ungated report would otherwise pass unchecked.
+fn require_baselines(
+    baselines: &[(String, Value)],
+    currents: &[(String, Value)],
+    baseline_path: &Path,
+) -> Result<(), String> {
+    match currents
+        .iter()
+        .find(|(name, _)| !baselines.iter().any(|(n, _)| n == name))
+    {
+        None => Ok(()),
+        Some((name, _)) => Err(format!(
+            "{name} has no baseline under {}; check one in to gate it",
+            baseline_path.display()
+        )),
+    }
+}
+
 fn run() -> Result<bool, String> {
     let args = parse_args()?;
     let baselines = load_reports(&args.baseline)?;
@@ -362,6 +386,7 @@ fn run() -> Result<bool, String> {
     if baselines.is_empty() {
         return Err(format!("no BENCH_*.json under {}", args.baseline.display()));
     }
+    require_baselines(&baselines, &currents, &args.baseline)?;
     let mut regressions = Vec::new();
     for (name, baseline) in &baselines {
         let Some((_, current)) = currents.iter().find(|(n, _)| n == name) else {
@@ -375,17 +400,6 @@ fn run() -> Result<bool, String> {
             "[bench-diff] {name}: {} rows compared",
             rows(baseline).map(Vec::len).unwrap_or(0)
         );
-    }
-    // A current report with no baseline is not gated at all — say so loudly
-    // rather than letting a newly added benchmark go silently unchecked.
-    for (name, _) in &currents {
-        if !baselines.iter().any(|(n, _)| n == name) {
-            eprintln!(
-                "[bench-diff] WARNING: {name} has no baseline under {} and was not compared; \
-                 check one in to gate it",
-                args.baseline.display()
-            );
-        }
     }
     if regressions.is_empty() {
         println!(
@@ -620,6 +634,28 @@ mod tests {
         let current = report(&[100], 1.0);
         compare_report("t", &inverted, &current, &args(0.10, None), &mut regs).unwrap();
         assert!(regs.is_empty());
+    }
+
+    #[test]
+    fn a_current_report_without_a_baseline_is_an_error_naming_it() {
+        let named = |names: &[&str]| -> Vec<(String, Value)> {
+            names
+                .iter()
+                .map(|n| (n.to_string(), report(&[100], 1.0)))
+                .collect()
+        };
+        let baselines = named(&["BENCH_fig7.json", "BENCH_fig9.json"]);
+        let dir = Path::new("benches/baselines");
+        require_baselines(&baselines, &named(&["BENCH_fig7.json"]), dir).unwrap();
+        require_baselines(&baselines, &baselines, dir).unwrap();
+        let err = require_baselines(
+            &baselines,
+            &named(&["BENCH_fig6.json", "BENCH_fig7.json"]),
+            dir,
+        )
+        .expect_err("an ungated current report must error");
+        assert!(err.contains("BENCH_fig6.json"), "{err}");
+        assert!(err.contains("benches/baselines"), "{err}");
     }
 
     #[test]

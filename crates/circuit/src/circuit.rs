@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{
     CircuitError, DependencyDag, Gate, GateId, LatencyModel, QubitId, QubitRegister, QubitRole,
     Result,
@@ -30,7 +28,7 @@ use crate::{
 /// assert_eq!(c.num_gates(), 3);
 /// assert_eq!(c.interaction_pairs().len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Circuit {
     name: String,
     roles: Vec<QubitRole>,

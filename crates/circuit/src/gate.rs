@@ -2,15 +2,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::QubitId;
 
 /// Identifier of a gate within a [`Circuit`](crate::Circuit).
 ///
 /// Gate identifiers are dense indices into the circuit's gate sequence; the
 /// program order they imply is the order used for hazard analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GateId(u32);
 
 impl GateId {
@@ -38,7 +36,7 @@ impl From<u32> for GateId {
 }
 
 /// Coarse classification of a [`Gate`], independent of its operands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GateKind {
     /// Hadamard.
     H,
@@ -107,7 +105,7 @@ impl fmt::Display for GateKind {
 /// single-qubit gates, `CNOT`, the single-control multi-target `CXX`,
 /// probabilistic magic-state injection `injectT`/`injectTdag`, `MeasX`, and
 /// the barrier construct used to separate block-code rounds.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Gate {
     /// Hadamard gate.
     H(QubitId),

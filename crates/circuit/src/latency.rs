@@ -1,7 +1,5 @@
 //! Per-gate logical-cycle latency model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Gate;
 
 /// Logical-cycle cost of each gate class.
@@ -21,7 +19,7 @@ use crate::Gate;
 /// let cnot = Gate::Cnot { control: QubitId::new(0), target: QubitId::new(1) };
 /// assert!(model.cycles(&cnot) >= 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LatencyModel {
     /// Cost of a single-qubit Clifford gate (H, X, Z, S).
     pub single_qubit: u64,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a logical qubit within a [`Circuit`](crate::Circuit).
 ///
 /// Qubit identifiers are dense indices starting at zero; they double as
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(q.index(), 3);
 /// assert_eq!(format!("{q}"), "q3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct QubitId(u32);
 
 impl QubitId {
@@ -61,9 +59,7 @@ impl From<QubitId> for u32 {
 /// by the mapping and reuse machinery (e.g. the hierarchical-stitching mapper
 /// needs to know which qubits are round outputs and which are ancillas that
 /// can be reinitialised).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum QubitRole {
     /// Raw, low-fidelity injected magic state consumed by a distillation round.
     Raw,
@@ -111,7 +107,7 @@ impl fmt::Display for QubitRole {
 ///
 /// Registers mirror the `qbit name[n]` declarations of the Scaffold programs
 /// in the paper (Fig. 5): `raw_states[3K+8]`, `anc[K+5]`, `out[K]`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QubitRegister {
     name: String,
     role: QubitRole,

@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Circuit, GateKind, LatencyModel, QubitRole};
 
 /// Summary statistics of a circuit: gate counts per kind, qubit counts per
@@ -24,7 +22,7 @@ use crate::{Circuit, GateKind, LatencyModel, QubitRole};
 /// assert_eq!(stats.t_count(), 1);
 /// assert_eq!(stats.num_qubits, 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CircuitStats {
     /// Total number of logical qubits.
     pub num_qubits: u32,

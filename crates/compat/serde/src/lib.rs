@@ -2,22 +2,71 @@
 //!
 //! The build environment has no access to crates.io, so the workspace ships
 //! this minimal replacement: a self-describing [`Value`] tree, a [`Serialize`]
-//! trait that renders any supported type into it, and re-exported
-//! `#[derive(Serialize, Deserialize)]` macros (see the sibling
-//! `serde-derive-shim` crate). The API surface is intentionally restricted to
-//! what this workspace uses. Swapping the manifest entries back to the real
-//! serde needs source changes as well: [`Serialize::to_value`] and
-//! [`Value`] (with its `UInt` variant) have no upstream counterpart, and the
-//! workspace calls them directly.
+//! trait that renders a type into it, and the re-exported
+//! `#[derive(Serialize)]` macro (see the sibling `serde-derive-shim` crate).
+//! The API surface is restricted to what this workspace writes out; nothing
+//! in the workspace reads data back through serde (the JSON parser in the
+//! `serde_json` shim produces a plain [`Value`]). Swapping the manifest
+//! entries back to the real serde needs source changes as well:
+//! [`Serialize::to_value`] and [`Value`] (with its `UInt` variant) have no
+//! upstream counterpart, and the workspace calls them directly.
 //!
-//! [`Deserialize`] is a marker only: nothing in the workspace reads data back
-//! in, so deserialization is gated out rather than stubbed incorrectly.
+//! [`Serialize`] is implemented for `u64`, `usize`, `f64`, `bool`,
+//! `String`, `str`, `&T`, `Option<T>`, `Vec<T>`, `[T]` and [`Value`] itself.
+//! The derive handles the two shapes the workspace derives on: structs with
+//! named fields render as objects in field order, and enums of unit variants
+//! render as the variant name.
+//!
+//! ```
+//! use serde::{Serialize, Value};
+//!
+//! #[derive(Serialize)]
+//! struct Point {
+//!     label: String,
+//!     x: u64,
+//!     weight: Option<f64>,
+//! }
+//!
+//! #[derive(Serialize)]
+//! enum Reuse {
+//!     Reuse,
+//!     NoReuse,
+//! }
+//!
+//! let point = Point { label: "p".to_string(), x: 3, weight: None };
+//! assert_eq!(
+//!     point.to_value(),
+//!     Value::Object(vec![
+//!         ("label".to_string(), Value::Str("p".to_string())),
+//!         ("x".to_string(), Value::UInt(3)),
+//!         ("weight".to_string(), Value::Null),
+//!     ])
+//! );
+//! assert_eq!(Reuse::NoReuse.to_value(), Value::Str("NoReuse".to_string()));
+//! assert_eq!(Reuse::Reuse.to_value(), Value::Str("Reuse".to_string()));
+//! ```
+//!
+//! Any other shape fails the build with a message naming the type, such as
+//! a tuple struct:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Meters(u64);
+//! ```
+//!
+//! or an enum with a data-carrying variant:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! enum Shape {
+//!     Empty,
+//!     Square { side: u64 },
+//! }
+//! ```
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
-use std::ops::Range;
 
 /// A self-describing serialized value (the subset of the serde data model the
 /// workspace needs, shaped for JSON rendering).
@@ -120,36 +169,15 @@ impl Serialize for Value {
     }
 }
 
-/// Marker trait emitted by `#[derive(Deserialize)]`. Deserialization is not
-/// supported by the offline shim.
-pub trait Deserialize: Sized {}
-
-macro_rules! impl_serialize_uint {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::UInt(*self as u64)
-            }
-        }
-    )*};
-}
-
-macro_rules! impl_serialize_int {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Int(*self as i64)
-            }
-        }
-    )*};
-}
-
-impl_serialize_uint!(u8, u16, u32, u64, usize);
-impl_serialize_int!(i8, i16, i32, i64, isize);
-
-impl Serialize for f32 {
+impl Serialize for u64 {
     fn to_value(&self) -> Value {
-        Value::Float(*self as f64)
+        Value::UInt(*self)
+    }
+}
+
+impl Serialize for usize {
+    fn to_value(&self) -> Value {
+        Value::UInt(*self as u64)
     }
 }
 
@@ -204,57 +232,6 @@ impl<T: Serialize> Serialize for [T] {
     }
 }
 
-impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![self.0.to_value(), self.1.to_value()])
-    }
-}
-
-impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn to_value(&self) -> Value {
-        Value::Array(vec![
-            self.0.to_value(),
-            self.1.to_value(),
-            self.2.to_value(),
-        ])
-    }
-}
-
-impl<T: Serialize> Serialize for Range<T> {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("start".to_string(), self.start.to_value()),
-            ("end".to_string(), self.end.to_value()),
-        ])
-    }
-}
-
-/// Maps serialize as arrays of `[key, value]` pairs (keys are not restricted
-/// to strings in this workspace). Hash maps are sorted by key so output is
-/// deterministic across runs and thread interleavings.
-impl<K: Serialize + Ord, V: Serialize> Serialize for HashMap<K, V> {
-    fn to_value(&self) -> Value {
-        let mut entries: Vec<(&K, &V)> = self.iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(b.0));
-        Value::Array(
-            entries
-                .into_iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
-    }
-}
-
-impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,29 +239,17 @@ mod tests {
     #[test]
     fn primitives_map_to_expected_variants() {
         assert_eq!(3usize.to_value(), Value::UInt(3));
-        assert_eq!((-2i32).to_value(), Value::Int(-2));
         assert_eq!(1.5f64.to_value(), Value::Float(1.5));
         assert_eq!(true.to_value(), Value::Bool(true));
         assert_eq!("x".to_value(), Value::Str("x".to_string()));
-        assert_eq!(Option::<u32>::None.to_value(), Value::Null);
+        assert_eq!(Option::<u64>::None.to_value(), Value::Null);
     }
 
     #[test]
     fn containers_serialize_structurally() {
         assert_eq!(
-            vec![1u32, 2].to_value(),
+            vec![1u64, 2].to_value(),
             Value::Array(vec![Value::UInt(1), Value::UInt(2)])
-        );
-        assert_eq!(
-            (1u32, "a").to_value(),
-            Value::Array(vec![Value::UInt(1), Value::Str("a".into())])
-        );
-        assert_eq!(
-            (0usize..3).to_value(),
-            Value::Object(vec![
-                ("start".into(), Value::UInt(0)),
-                ("end".into(), Value::UInt(3)),
-            ])
         );
     }
 
@@ -297,20 +262,6 @@ mod tests {
             "a Value must render by reference, not by deep copy"
         );
         // Non-Value types keep the building default.
-        assert!(matches!(1u32.to_value_cow(), Cow::Owned(Value::UInt(1))));
-    }
-
-    #[test]
-    fn hash_maps_serialize_in_key_order() {
-        let mut m = HashMap::new();
-        m.insert(2u32, "b");
-        m.insert(1u32, "a");
-        assert_eq!(
-            m.to_value(),
-            Value::Array(vec![
-                Value::Array(vec![Value::UInt(1), Value::Str("a".into())]),
-                Value::Array(vec![Value::UInt(2), Value::Str("b".into())]),
-            ])
-        );
+        assert!(matches!(1u64.to_value_cow(), Cow::Owned(Value::UInt(1))));
     }
 }

@@ -1,130 +1,116 @@
 //! Offline stand-in for `serde_derive`.
 //!
 //! crates.io is unreachable in the build environment, so this proc-macro
-//! crate reimplements the two derives the workspace uses without `syn` or
-//! `quote`: the input token stream is parsed by hand (structs with named
-//! fields, tuple structs, and enums with unit/tuple/struct variants — no
-//! generics, which the workspace never derives on), and the generated impl is
-//! assembled as a string.
+//! crate reimplements `#[derive(Serialize)]` without `syn` or `quote`: the
+//! input token stream is parsed by hand and the generated impl is assembled
+//! as a string. It supports exactly the two shapes the workspace derives on,
+//! both non-generic:
 //!
-//! `#[derive(Serialize)]` emits an `impl serde::Serialize` following serde's
-//! default external tagging: structs become objects, newtype structs become
-//! their inner value, unit enum variants become strings, and data-carrying
-//! variants become single-key objects. `#[derive(Deserialize)]` emits the
-//! shim's marker impl only.
+//! * a struct with named fields becomes an object of its fields in
+//!   declaration order;
+//! * an enum whose variants all carry no data becomes the variant's name as
+//!   a string.
+//!
+//! Any other shape — a unit or tuple struct, a data-carrying variant, a
+//! generic type — fails the build with a message naming the type.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-/// Parsed shape of the deriving type.
-enum Shape {
-    /// `struct S;`
-    UnitStruct,
-    /// `struct S { a: T, b: U }` with the listed field names.
-    NamedStruct(Vec<String>),
-    /// `struct S(T, U);` with the given arity.
-    TupleStruct(usize),
-    /// `enum E { ... }` with one entry per variant.
-    Enum(Vec<Variant>),
-}
-
-/// One enum variant: its name and payload shape.
-struct Variant {
-    name: String,
-    fields: VariantFields,
-}
-
-enum VariantFields {
-    Unit,
-    Tuple(usize),
-    Named(Vec<String>),
-}
-
-/// Derives the shim's `serde::Serialize` for a non-generic type.
+/// Derives the shim's `serde::Serialize` for a named-field struct or a
+/// unit-variant enum.
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let (name, shape) = parse_input(input);
-    let body = match shape {
-        Shape::UnitStruct => "::serde::Value::Null".to_string(),
-        Shape::NamedStruct(fields) => named_fields_value(&fields, "self."),
-        Shape::TupleStruct(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Shape::TupleStruct(arity) => {
-            let elems: Vec<String> = (0..arity)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Array(vec![{}])", elems.join(", "))
-        }
-        Shape::Enum(variants) => enum_match(&name, &variants),
-    };
-    let out = format!(
-        "impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
-         }}"
-    );
-    out.parse().expect("generated Serialize impl parses")
-}
-
-/// Derives the shim's `serde::Deserialize` marker for a non-generic type.
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let (name, _) = parse_input(input);
-    format!("impl ::serde::Deserialize for {name} {{}}")
-        .parse()
-        .expect("generated Deserialize impl parses")
-}
-
-/// Renders `{"f1": .., "f2": ..}` for named fields reachable via `prefix`
-/// (`self.` for structs, empty for match bindings).
-fn named_fields_value(fields: &[String], prefix: &str) -> String {
-    let entries: Vec<String> = fields
-        .iter()
-        .map(|f| format!("(\"{f}\".to_string(), ::serde::Serialize::to_value(&{prefix}{f}))"))
-        .collect();
-    format!("::serde::Value::Object(vec![{}])", entries.join(", "))
-}
-
-/// Renders the `match self` expression implementing serde's externally-tagged
-/// enum representation.
-fn enum_match(name: &str, variants: &[Variant]) -> String {
-    let mut arms = Vec::new();
-    for v in variants {
-        let vname = &v.name;
-        let arm = match &v.fields {
-            VariantFields::Unit => format!(
-                "{name}::{vname} => ::serde::Value::Str(\"{vname}\".to_string())"
-            ),
-            VariantFields::Tuple(1) => format!(
-                "{name}::{vname}(__b0) => ::serde::Value::Object(vec![(\"{vname}\".to_string(), ::serde::Serialize::to_value(__b0))])"
-            ),
-            VariantFields::Tuple(arity) => {
-                let binds: Vec<String> = (0..*arity).map(|i| format!("__b{i}")).collect();
-                let elems: Vec<String> = binds
-                    .iter()
-                    .map(|b| format!("::serde::Serialize::to_value({b})"))
-                    .collect();
-                format!(
-                    "{name}::{vname}({}) => ::serde::Value::Object(vec![(\"{vname}\".to_string(), ::serde::Value::Array(vec![{}]))])",
-                    binds.join(", "),
-                    elems.join(", ")
-                )
-            }
-            VariantFields::Named(fields) => {
-                let inner = named_fields_value(fields, "");
-                format!(
-                    "{name}::{vname} {{ {} }} => ::serde::Value::Object(vec![(\"{vname}\".to_string(), {inner})])",
-                    fields.join(", ")
-                )
-            }
-        };
-        arms.push(arm);
-    }
-    format!("match self {{ {} }}", arms.join(",\n"))
-}
-
-/// Parses the derive input down to the type name and its field/variant shape.
-fn parse_input(input: TokenStream) -> (String, Shape) {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
+    let rest = strip_attrs_and_vis(&tokens);
+    let (kind, name) = match rest {
+        [TokenTree::Ident(kind), TokenTree::Ident(name), ..]
+            if kind.to_string() == "struct" || kind.to_string() == "enum" =>
+        {
+            (kind.to_string(), name.to_string())
+        }
+        _ => panic!("serde-derive-shim: expected a `struct` or `enum` item"),
+    };
+    let body = match rest.get(2) {
+        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => g.stream(),
+        Some(TokenTree::Punct(p)) if p.as_char() == '<' => {
+            panic!("serde-derive-shim: generic types are not supported (deriving on `{name}`)")
+        }
+        _ => panic!(
+            "serde-derive-shim: only structs with named fields and enums of unit variants \
+             are supported (deriving on `{name}`)"
+        ),
+    };
+    let value = if kind == "struct" {
+        let entries: Vec<String> = names(body, &name)
+            .iter()
+            .map(|f| format!("(\"{f}\".to_string(), ::serde::Serialize::to_value(&self.{f}))"))
+            .collect();
+        format!("::serde::Value::Object(vec![{}])", entries.join(", "))
+    } else {
+        let arms: Vec<String> = names(body, &name)
+            .iter()
+            .map(|v| format!("{name}::{v} => \"{v}\""))
+            .collect();
+        format!(
+            "::serde::Value::Str(match self {{ {} }}.to_string())",
+            arms.join(", ")
+        )
+    };
+    format!(
+        "impl ::serde::Serialize for {name} {{\n\
+             fn to_value(&self) -> ::serde::Value {{ {value} }}\n\
+         }}"
+    )
+    .parse()
+    .expect("generated Serialize impl parses")
+}
+
+/// The field names of a named-field struct body, or the variant names of an
+/// enum body. Each comma-separated entry must be `name` (a unit variant) or
+/// `name: Type` (a field); a variant carrying data is rejected.
+fn names(body: TokenStream, ty: &str) -> Vec<String> {
+    top_level_chunks(body)
+        .iter()
+        .map(|chunk| match strip_attrs_and_vis(chunk) {
+            [TokenTree::Ident(id)] => id.to_string(),
+            [TokenTree::Ident(id), TokenTree::Punct(p), ..] if p.as_char() == ':' => id.to_string(),
+            _ => panic!(
+                "serde-derive-shim: only named fields and unit variants are supported \
+                 (deriving on `{ty}`)"
+            ),
+        })
+        .collect()
+}
+
+/// Splits a token stream into top-level comma-separated chunks, dropping
+/// empty trailing chunks. Angle brackets are plain punctuation in token
+/// streams, so generic arguments (`Option<Vec<T>>`, `Map<K, V>`) are
+/// tracked by depth to keep their commas from splitting a field.
+fn top_level_chunks(stream: TokenStream) -> Vec<Vec<TokenTree>> {
+    let mut chunks = vec![Vec::new()];
+    let mut angle_depth = 0usize;
+    for tt in stream {
+        match &tt {
+            TokenTree::Punct(p) if p.as_char() == '<' => angle_depth += 1,
+            TokenTree::Punct(p) if p.as_char() == '>' => {
+                angle_depth = angle_depth.saturating_sub(1)
+            }
+            TokenTree::Punct(p) if p.as_char() == ',' && angle_depth == 0 => {
+                chunks.push(Vec::new());
+                continue;
+            }
+            _ => {}
+        }
+        chunks.last_mut().expect("chunks is never empty").push(tt);
+    }
+    chunks.retain(|c| !c.is_empty());
+    chunks
+}
+
+/// Strips leading attributes (`#[...]`) and visibility (`pub`,
+/// `pub(crate)`) from an item, field or variant.
+fn strip_attrs_and_vis(tokens: &[TokenTree]) -> &[TokenTree] {
     let mut i = 0;
-    // Skip outer attributes (`#[...]`) and visibility.
     loop {
         match tokens.get(i) {
             Some(TokenTree::Punct(p)) if p.as_char() == '#' => i += 2,
@@ -132,127 +118,11 @@ fn parse_input(input: TokenStream) -> (String, Shape) {
                 i += 1;
                 if let Some(TokenTree::Group(g)) = tokens.get(i) {
                     if g.delimiter() == Delimiter::Parenthesis {
-                        i += 1; // pub(crate) etc.
-                    }
-                }
-            }
-            _ => break,
-        }
-    }
-    let kind = match tokens.get(i) {
-        Some(TokenTree::Ident(id)) if id.to_string() == "struct" || id.to_string() == "enum" => {
-            id.to_string()
-        }
-        other => panic!("serde-derive-shim: expected `struct` or `enum`, found {other:?}"),
-    };
-    i += 1;
-    let name = match tokens.get(i) {
-        Some(TokenTree::Ident(id)) => id.to_string(),
-        other => panic!("serde-derive-shim: expected type name, found {other:?}"),
-    };
-    i += 1;
-    if let Some(TokenTree::Punct(p)) = tokens.get(i) {
-        if p.as_char() == '<' {
-            panic!("serde-derive-shim: generic types are not supported (deriving on `{name}`)");
-        }
-    }
-    let shape = match tokens.get(i) {
-        None | Some(TokenTree::Punct(_)) if kind == "struct" => Shape::UnitStruct,
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-            if kind == "struct" {
-                Shape::NamedStruct(field_names(g.stream()))
-            } else {
-                Shape::Enum(parse_variants(g.stream()))
-            }
-        }
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-            Shape::TupleStruct(top_level_chunks(g.stream()).len())
-        }
-        other => panic!("serde-derive-shim: unsupported type body for `{name}`: {other:?}"),
-    };
-    (name, shape)
-}
-
-/// Splits a token stream into top-level comma-separated chunks, dropping
-/// empty trailing chunks. Angle brackets are plain punctuation in token
-/// streams, so generic arguments (`BTreeMap<K, V>`) are tracked by depth to
-/// keep their commas from splitting a field.
-fn top_level_chunks(stream: TokenStream) -> Vec<Vec<TokenTree>> {
-    let mut chunks = vec![Vec::new()];
-    let mut angle_depth = 0usize;
-    for tt in stream {
-        match &tt {
-            TokenTree::Punct(p) if p.as_char() == '<' => {
-                angle_depth += 1;
-                chunks.last_mut().expect("chunks is never empty").push(tt);
-            }
-            TokenTree::Punct(p) if p.as_char() == '>' => {
-                angle_depth = angle_depth.saturating_sub(1);
-                chunks.last_mut().expect("chunks is never empty").push(tt);
-            }
-            TokenTree::Punct(p) if p.as_char() == ',' && angle_depth == 0 => {
-                chunks.push(Vec::new())
-            }
-            _ => chunks.last_mut().expect("chunks is never empty").push(tt),
-        }
-    }
-    chunks.retain(|c| !c.is_empty());
-    chunks
-}
-
-/// Strips leading attributes and visibility from a field/variant chunk.
-fn strip_attrs_and_vis(chunk: &[TokenTree]) -> &[TokenTree] {
-    let mut i = 0;
-    loop {
-        match chunk.get(i) {
-            Some(TokenTree::Punct(p)) if p.as_char() == '#' => i += 2,
-            Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
-                i += 1;
-                if let Some(TokenTree::Group(g)) = chunk.get(i) {
-                    if g.delimiter() == Delimiter::Parenthesis {
                         i += 1;
                     }
                 }
             }
-            _ => return &chunk[i..],
+            _ => return &tokens[i..],
         }
     }
-}
-
-/// Extracts the field names of a named-fields body.
-fn field_names(stream: TokenStream) -> Vec<String> {
-    top_level_chunks(stream)
-        .iter()
-        .map(|chunk| {
-            let rest = strip_attrs_and_vis(chunk);
-            match rest.first() {
-                Some(TokenTree::Ident(id)) => id.to_string(),
-                other => panic!("serde-derive-shim: expected field name, found {other:?}"),
-            }
-        })
-        .collect()
-}
-
-/// Parses the variants of an enum body.
-fn parse_variants(stream: TokenStream) -> Vec<Variant> {
-    top_level_chunks(stream)
-        .iter()
-        .map(|chunk| {
-            let rest = strip_attrs_and_vis(chunk);
-            let name = match rest.first() {
-                Some(TokenTree::Ident(id)) => id.to_string(),
-                other => panic!("serde-derive-shim: expected variant name, found {other:?}"),
-            };
-            let fields = match rest.get(1) {
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                    VariantFields::Named(field_names(g.stream()))
-                }
-                Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                    VariantFields::Tuple(top_level_chunks(g.stream()).len())
-                }
-                _ => VariantFields::Unit,
-            };
-            Variant { name, fields }
-        })
-        .collect()
 }

@@ -8,7 +8,7 @@
 use std::borrow::Cow;
 use std::cell::RefCell;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use msfu_circuit::Circuit;
 use msfu_distill::{Factory, FactoryConfig};
@@ -22,7 +22,7 @@ use crate::{Result, RunControl, Strategy, SweepSpec};
 /// `#[non_exhaustive]` so the service protocol can grow evaluation knobs
 /// without a semver break: construct with [`EvaluationConfig::default`] and
 /// refine with the `with_*` builders.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[non_exhaustive]
 pub struct EvaluationConfig {
     /// Simulator configuration (latency model, routing policy, cycle limit).
@@ -39,7 +39,7 @@ impl EvaluationConfig {
 
 /// The outcome of evaluating one factory configuration under one strategy:
 /// the quantities plotted in Fig. 10 and tabulated in Table I of the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Evaluation {
     /// Strategy report label ("Random", "Random+S", "Line", "FD", "GP",
     /// "HS" for the built-in line-up; custom strategies carry their own).

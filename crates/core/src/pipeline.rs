@@ -6,7 +6,7 @@
 //! inter-round permutation step in isolation under the same layout, which is
 //! how the paper quantifies where multi-level factories spend their time.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use msfu_distill::Factory;
 use msfu_layout::Layout;
@@ -16,7 +16,7 @@ use crate::evaluate::{run_one_lane, with_thread_batch_engine};
 use crate::Result;
 
 /// Latency breakdown of one round of a mapped factory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct RoundBreakdown {
     /// Round index (0-based).
     pub round: usize,

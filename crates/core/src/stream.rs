@@ -47,7 +47,7 @@ use msfu_distill::FactoryConfig;
 use msfu_layout::check_mapper_name;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 use crate::cache::CacheStats;
 use crate::progress::{Outcome, ProgressEvent, RunControl};
@@ -1197,7 +1197,7 @@ fn arrivals_from_json(value: &Value, classes: &[JobClass]) -> Result<ArrivalProc
 
 /// One sample of the queue-depth timeline, recorded whenever the depth
 /// changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct QueueSample {
     /// Simulation cycle of the sample.
     pub cycle: u64,
@@ -1206,7 +1206,7 @@ pub struct QueueSample {
 }
 
 /// Per-class latency breakdown within one scheduler run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ClassStats {
     /// The class name.
     pub class: String,
@@ -1219,7 +1219,7 @@ pub struct ClassStats {
 }
 
 /// The metrics of one scheduler's replay of the arrival sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SchedulerRun {
     /// The scheduler's name.
     pub scheduler: String,
@@ -1252,7 +1252,7 @@ pub struct SchedulerRun {
 
 /// The deterministic result of a streaming run: one [`SchedulerRun`] per
 /// requested scheduler, over the identical arrival sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StreamReport {
     /// The spec's name.
     pub name: String,

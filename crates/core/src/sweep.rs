@@ -50,7 +50,7 @@
 //! assert!(results.rows[0].evaluation.volume < results.rows[1].evaluation.volume);
 //! ```
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use msfu_distill::FactoryConfig;
 use msfu_graph::metrics::MappingMetrics;
@@ -139,7 +139,7 @@ pub struct SweepSpec {
 }
 
 /// The outcome of one sweep point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SweepRow {
     /// The point's label.
     pub label: String,
@@ -152,7 +152,7 @@ pub struct SweepRow {
 }
 
 /// All rows of an executed sweep, in point order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SweepResults {
     /// The sweep's name.
     pub name: String,

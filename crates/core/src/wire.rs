@@ -11,7 +11,11 @@
 //!   typed spec in exactly the JSON shape the [`spec`](crate::spec) decoders
 //!   accept, such that `decode(encode(x)) == x`. The report label is always
 //!   emitted explicitly so the decoder's default-label logic can never
-//!   change a round-tripped strategy.
+//!   change a round-tripped strategy. A
+//!   [`FactoryConfig`](msfu_distill::FactoryConfig) travels in its
+//!   derived form (`{"k", "levels", "reuse": "Reuse"|"NoReuse",
+//!   "barriers"}`), the same form reports and cache records carry, which
+//!   [`factory_from_json`] reads back.
 //! * **Result decoders** — the workspace serde shim derives serialisation
 //!   only, so turning a worker's serialised [`SweepResults`] back into typed
 //!   rows is spelled out by hand ([`sweep_results_from_value`],
@@ -23,7 +27,6 @@
 
 use serde::{Serialize, Value};
 
-use msfu_distill::FactoryConfig;
 use msfu_graph::metrics::MappingMetrics;
 
 use crate::pipeline::RoundBreakdown;
@@ -149,20 +152,6 @@ pub fn sweep_results_from_value(value: &Value) -> Result<SweepResults> {
     Ok(results)
 }
 
-/// Encodes a factory configuration in the spec form accepted by
-/// [`crate::spec::factory_from_json`].
-pub fn factory_to_spec_value(factory: &FactoryConfig) -> Value {
-    Value::Object(vec![
-        ("k".to_string(), Value::UInt(factory.k as u64)),
-        ("levels".to_string(), Value::UInt(factory.levels as u64)),
-        (
-            "reuse".to_string(),
-            Value::Str(factory.reuse.short_name().to_string()),
-        ),
-        ("barriers".to_string(), Value::Bool(factory.barriers)),
-    ])
-}
-
 /// Encodes a strategy in the spec form accepted by
 /// [`strategy_from_json`](crate::spec::strategy_from_json): the line-up
 /// key, an *explicit* label, and the flattened parameter bag (already in
@@ -224,7 +213,7 @@ pub fn sweep_spec_to_value(spec: &SweepSpec) -> Value {
         .map(|p| {
             Value::Object(vec![
                 ("label".to_string(), Value::Str(p.label.clone())),
-                ("factory".to_string(), factory_to_spec_value(&p.factory)),
+                ("factory".to_string(), p.factory.to_value()),
                 ("strategy".to_string(), strategy_to_spec_value(&p.strategy)),
             ])
         })
@@ -261,7 +250,7 @@ pub fn sweep_spec_to_value(spec: &SweepSpec) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msfu_distill::ReusePolicy;
+    use msfu_distill::{FactoryConfig, ReusePolicy};
 
     fn spec_fixture() -> SweepSpec {
         SweepSpec::new("wire", EvaluationConfig::default())

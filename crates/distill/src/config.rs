@@ -1,6 +1,6 @@
 //! Factory configuration: capacity, levels, reuse policy, barriers.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::{DistillError, Result};
 
@@ -14,7 +14,7 @@ use crate::{DistillError, Result};
 ///   the cost of false (sharing-after-measurement) dependencies.
 /// * [`ReusePolicy::NoReuse`] allocates fresh qubits per round, removing the
 ///   false dependencies at the cost of extra area.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Default)]
 pub enum ReusePolicy {
     /// Reuse measured qubits from the previous round (smaller area, extra
     /// false dependencies).
@@ -40,7 +40,7 @@ impl ReusePolicy {
 /// A factory with per-level capacity `k` and `levels` rounds consumes
 /// `(3k+8)^levels` raw input states and produces `k^levels` distilled output
 /// states (Section II-G).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct FactoryConfig {
     /// Per-module output capacity `k` of the Bravyi-Haah protocol.
     pub k: usize,

@@ -1,7 +1,5 @@
 //! Multi-level block-code factory construction.
 
-use serde::{Deserialize, Serialize};
-
 use msfu_circuit::{Circuit, Gate, QubitId, QubitRole};
 
 use crate::bravyi_haah::{emit_module_gates, module_gate_count};
@@ -32,7 +30,7 @@ const MAX_LOGICAL_QUBITS: usize = 500_000;
 /// assert_eq!(factory.permutation_edges().len(), 14 * 2);
 /// # Ok::<(), msfu_distill::DistillError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Factory {
     config: FactoryConfig,
     circuit: Circuit,

@@ -3,8 +3,6 @@
 
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use msfu_circuit::QubitId;
 
 /// One Bravyi-Haah `(3k+8) → k` module instance within a factory.
@@ -12,7 +10,7 @@ use msfu_circuit::QubitId;
 /// A module owns three qubit groups: its raw inputs (fresh raw states in round
 /// zero, upstream output states afterwards), its `k+5` ancillas, and its `k`
 /// output states.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModuleInfo {
     /// Index of this module within the whole factory.
     pub id: usize,
@@ -69,7 +67,7 @@ impl ModuleInfo {
 }
 
 /// One round (block-code level) of a factory.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundInfo {
     /// Round index (0-based; round 0 consumes raw injected states).
     pub index: usize,
@@ -93,7 +91,7 @@ impl RoundInfo {
 /// One edge of the inter-round permutation: an output state of a source module
 /// that is consumed as raw-input slot `dest_slot` of a destination module in
 /// the following round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PermutationEdge {
     /// Round of the source module (the destination is in `source_round + 1`).
     pub source_round: usize,

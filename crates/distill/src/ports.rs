@@ -14,8 +14,6 @@
 //! [`Factory::apply_port_assignment`](crate::Factory::apply_port_assignment) —
 //! the shared factory stays immutable.
 
-use serde::{Deserialize, Serialize};
-
 use msfu_circuit::QubitId;
 
 /// An ordered sequence of output-port swaps to apply to a factory.
@@ -23,7 +21,7 @@ use msfu_circuit::QubitId;
 /// Order matters: each entry names two output qubits of one module whose
 /// downstream bindings are exchanged, and later swaps see the effect of
 /// earlier ones (exactly as the historical in-place rewiring did).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PortAssignment {
     swaps: Vec<(QubitId, QubitId)>,
 }

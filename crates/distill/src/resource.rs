@@ -9,8 +9,6 @@
 //! (Section II-G): `qᵣ = mᵣ·(5k+13)·dᵣ²` physical qubits for round `r` with
 //! `mᵣ` modules.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{error_model, FactoryConfig};
 
 /// Surface-code error threshold used by the `P_L` scaling law.
@@ -45,7 +43,7 @@ pub fn code_distance_for(p_phys: f64, target: f64) -> Option<u32> {
 }
 
 /// Physical resource estimate of one factory round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundResources {
     /// Round index (0-based).
     pub round: usize,
@@ -62,7 +60,7 @@ pub struct RoundResources {
 }
 
 /// Physical resource estimate of a full multi-level factory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactoryResources {
     /// Per-round breakdown.
     pub rounds: Vec<RoundResources>,

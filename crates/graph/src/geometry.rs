@@ -1,11 +1,9 @@
 //! 2-D geometry helpers: points, distances, segment intersection.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in the plane. Mapping algorithms use integer grid coordinates but
 /// force-directed optimisation works on continuous positions, so coordinates
 /// are `f64`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Horizontal coordinate (column).
     pub x: f64,

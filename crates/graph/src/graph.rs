@@ -1,7 +1,5 @@
 //! The program interaction graph.
 
-use serde::{Deserialize, Serialize};
-
 use msfu_circuit::Circuit;
 
 /// Weighted, undirected program interaction graph.
@@ -28,7 +26,7 @@ use msfu_circuit::Circuit;
 /// assert_eq!(g.degree(1), 2);
 /// assert_eq!(g.total_edge_weight(), 4.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InteractionGraph {
     num_vertices: usize,
     /// Canonical edge list: `u < v`, sorted lexicographically, with positive

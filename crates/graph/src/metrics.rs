@@ -11,13 +11,13 @@
 //! 3. **Edge crossings** — pairs of edges whose straight-line embeddings
 //!    cross; crossing braids cannot execute simultaneously.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::geometry::{segments_cross, Point};
 use crate::InteractionGraph;
 
 /// The three congestion metrics of Section VI-A evaluated on one placement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MappingMetrics {
     /// Number of pairs of edges that cross in the straight-line embedding.
     pub edge_crossings: usize,

@@ -2,8 +2,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use msfu_circuit::QubitId;
 
 use crate::Coord;
@@ -15,7 +13,7 @@ use crate::Coord;
 /// destination, Section VII-B3 of the paper): a braid between the hinted
 /// qubit pair is routed source → waypoint → destination instead of directly.
 /// Hints are keyed by the unordered qubit pair.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RoutingHints {
     waypoints: HashMap<(QubitId, QubitId), Coord>,
 }

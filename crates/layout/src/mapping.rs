@@ -1,14 +1,12 @@
 //! Grid coordinates and the logical-qubit → cell mapping.
 
-use serde::{Deserialize, Serialize};
-
 use msfu_circuit::QubitId;
 use msfu_graph::geometry::Point;
 
 use crate::{LayoutError, Result};
 
 /// A cell of the 2-D logical-qubit mesh, addressed by `(row, col)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Coord {
     /// Row index (0 at the top).
     pub row: usize,
@@ -75,7 +73,7 @@ impl std::fmt::Display for Coord {
 /// assert!(m.is_complete());
 /// assert_eq!(m.used_area(), 6); // bounding box 2 rows x 3 cols
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Mapping {
     num_qubits: usize,
     width: usize,

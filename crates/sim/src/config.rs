@@ -1,11 +1,9 @@
 //! Simulator configuration.
 
-use serde::{Deserialize, Serialize};
-
 use msfu_circuit::LatencyModel;
 
 /// How braid paths are chosen on the mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RoutingPolicy {
     /// Deterministic L-shaped (dimension-ordered) paths: route along the row
     /// first, then along the column. Cheap but inflexible: crossing braids
@@ -34,7 +32,7 @@ impl RoutingPolicy {
 /// semver break: construct it with [`SimConfig::default`] (or
 /// [`SimConfig::dimension_ordered`]) and refine with the `with_*` builders.
 /// Field reads and assignments remain available everywhere.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub struct SimConfig {
     /// Per-gate latencies in logical cycles.

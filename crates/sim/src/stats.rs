@@ -1,9 +1,7 @@
 //! Simulation results and statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Timing of one gate as realised by the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GateTiming {
     /// Cycle at which every dependency of the gate had completed.
     pub ready: u64,
@@ -26,7 +24,7 @@ impl GateTiming {
 }
 
 /// Result of simulating a circuit on a mesh.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// Total realised latency in cycles (the finish time of the last gate).
     pub cycles: u64,
